@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .wavelets import PhysicalWavelet, ProxyWavelet
+from .wavelets import PhysicalWavelet, ProxyWavelet, _tilt_axis
 
 __all__ = [
     "AdmissibilityReport",
@@ -126,15 +126,6 @@ def _radial_integral(profile: Callable, tol: float) -> AdmissibilityReport:
     return AdmissibilityReport(value, True, float(err))
 
 
-def _perp_unit(axis):
-    axis = np.asarray(axis, dtype=float)
-    trial = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) <= min(abs(axis[1]), abs(axis[2])) + 0.5 else np.array([0.0, 0.0, 1.0])
-    perp = np.cross(axis, trial)
-    if np.linalg.norm(perp) < 1e-12:
-        perp = np.cross(axis, np.array([0.0, 1.0, 0.0]))
-    return perp / np.linalg.norm(perp)
-
-
 def _angular_profile(pair: Callable, wavelet: PhysicalWavelet, n_polar: int, n_azimuth: int):
     """S(k) = angular integral of ``pair`` over directions, adapted to symmetry.
 
@@ -150,7 +141,7 @@ def _angular_profile(pair: Callable, wavelet: PhysicalWavelet, n_polar: int, n_a
         return spherical_profile
 
     axis = np.asarray(wavelet.axis, dtype=float)
-    e1 = _perp_unit(axis)
+    e1 = _tilt_axis(axis)
     e2 = np.cross(axis, e1)
     mu, wmu = np.polynomial.legendre.leggauss(n_polar)
     sin_t = np.sqrt(1.0 - mu**2)

@@ -53,9 +53,16 @@ def _emit(obj) -> None:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _thread_count(text: str) -> int:
+    """argparse type of ``--threads``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_params(pairs):
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True)
     _add_wavelet_options(p, required=False)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synthesize)
 
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("wavelet", "fourier"), default="wavelet")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ivp)
 
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--sign", choices=("plus", "minus"), required=True)
     pi.add_argument("--tol", type=float, default=2e-2)
     pi.add_argument("--c", type=float, default=None)
-    pi.add_argument("--threads", type=int, default=None)
+    pi.add_argument("--threads", type=_thread_count, default=None)
     pi.set_defaults(func=_cmd_verify)
 
     return parser

@@ -28,8 +28,9 @@ Every coefficient slice at fixed (a, rotation) is
     U(b) = a^{3/2} (2 pi)^-3 integral d^3k u_hat(k) exp(i k.b)
            conj(PHI(a R^T k)),
 
-one inverse transform per slice.  No time enters: coefficients of a
-frequency-pure solution are time independent.
+one inverse transform per slice where coefficients are stored.  No time
+enters: coefficients of a frequency-pure solution are time independent.
+Routes that never store coefficients multiply by :func:`resolution_kernel`.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .admissibility import admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import ComplexField3, Grid3, SpectralField3
-from .wavelets import PhysicalWavelet, _rot_x, _rot_z
+from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis
 
 __all__ = [
     "ParameterGrid",
@@ -86,20 +87,6 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     x, y, z = ax
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
-def _tilt_axis(axis) -> np.ndarray:
-    """Deterministic unit vector perpendicular to ``axis``.
-
-    Chosen so that axis = z reproduces the x-axis tilt of the printed
-    two-angle rotation.
-    """
-    ax = np.asarray(axis, dtype=float)
-    ax = ax / np.linalg.norm(ax)
-    if abs(ax[2]) > 1.0 - 1e-12:
-        return np.array([1.0, 0.0, 0.0])
-    t = np.cross(np.array([0.0, 0.0, 1.0]), ax)
-    return t / np.linalg.norm(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,13 +332,54 @@ def _batched_fft(fields: np.ndarray, grid: Grid3) -> np.ndarray:
     return out
 
 
-def _map_ordered(fn, items: Iterable, threads: int):
-    if threads <= 1:
+def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
+    """Worker threads for ``n_items`` tasks: at most the request, the CPUs and the tasks."""
+    return max(1, min(requested, cpus or 1, n_items))
+
+
+def _map_ordered(fn, items: Sequence, threads: int):
+    workers = _pool_size(threads, len(items), os.cpu_count())
+    if workers == 1:
         for item in items:
             yield fn(item)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, items)
+
+
+def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k_points: np.ndarray,
+                      threads: Optional[int] = None) -> np.ndarray:
+    """``K(k) = sum_{a,R} w_a w_R a^3 |PHI(a R^T k)|^2`` at the columns of a (3, M) stack.
+
+    A slice's b-spectrum is ``a^{3/2} conj(PHI(a R^T k)) u_hat`` and the
+    translation lattice is the field grid, so by discrete Parseval
+    ``integral dmu U conj(V) = sum_k u_hat conj(v_hat) K / (N dV)``, and
+    analysis followed by synthesis multiplies ``u_hat`` by ``K / (C factor)``.
+    The antiderivative partner ``PSI = PHI / (-i c a|k|)`` gives
+    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Rotations are summed in
+    order, so the result does not depend on ``threads``.
+    """
+    weights = nu_grid.a_weights * nu_grid.a_nodes**3
+
+    def one_rotation(idx):
+        spectra = _rotated_spectra(wavelet, k_points, nu_grid.a_nodes, nu_grid.rotations[idx])
+        power = spectra.real**2 + spectra.imag**2
+        return (nu_grid.rotation_weights[idx] * weights) @ power
+
+    kernel = np.zeros(k_points.shape[1])
+    for term in _map_ordered(one_rotation, range(nu_grid.n_rotations),
+                             threads or default_thread_count()):
+        kernel += term
+    return kernel
+
+
+def _support_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
+                    threads: Optional[int]) -> np.ndarray:
+    """:func:`resolution_kernel` on the flagged lattice nodes, zero elsewhere."""
+    kernel = np.zeros(support.size)
+    k_points = nu_grid.field_grid.k_stack()[:, support]
+    kernel[support] = resolution_kernel(wavelet, nu_grid, k_points, threads)
+    return kernel
 
 
 def _require_constant(wavelet: PhysicalWavelet, constant, tol: float):
@@ -464,40 +492,23 @@ def combine_initial_coefficients(w_coeffs: WaveletCoefficients,
 def transform_pairing(u_part: SpectralField3, v_part: SpectralField3,
                       wavelet: PhysicalWavelet, nu_grid: ParameterGrid,
                       threads: Optional[int] = None) -> complex:
-    """The measure-weighted pairing ``integral dmu U conj(V)``, streamed.
+    """The measure-weighted pairing ``integral dmu U conj(V)``, nothing materialized.
 
-    Both coefficient sets are produced slice by slice (one inverse transform
-    each) and reduced immediately, so nothing is materialized.  Dividing by
+    Computed as ``sum_k u_hat conj(v_hat) K(k) / (N dV)`` with the
+    :func:`resolution_kernel` evaluated only where ``u_hat conj(v_hat)`` is
+    nonzero; a self-pairing is exactly real.  Dividing by
     ``constant * constant_factor`` gives the isometry's left-hand side.
     """
     if u_part.grid != nu_grid.field_grid or v_part.grid != nu_grid.field_grid:
         raise GridMismatchError("field grid of data and parameter grid differ")
-    threads = threads or default_thread_count()
     grid = nu_grid.field_grid
-    k_stack = grid.k_stack()
     u_hat = u_part.values.ravel()
-    v_hat = v_part.values.ravel()
-    same = u_part is v_part or np.array_equal(u_part.values, v_part.values)
-    scale = nu_grid.a_nodes**1.5
-
-    def one_rotation(idx):
-        spectra = _rotated_spectra(wavelet, k_stack, nu_grid.a_nodes, nu_grid.rotations[idx])
-        np.conjugate(spectra, out=spectra)
-        spectra *= scale[:, None]
-        batch_u = (spectra * u_hat[None, :]).reshape((nu_grid.n_a, 1) + grid.shape)
-        slab_u = _batched_ifft(batch_u, grid)
-        if same:
-            slab_v = slab_u
-        else:
-            batch_v = (spectra * v_hat[None, :]).reshape((nu_grid.n_a, 1) + grid.shape)
-            slab_v = _batched_ifft(batch_v, grid)
-        per_a = np.einsum("axyzw,axyzw->a", slab_u, np.conj(slab_v))
-        return nu_grid.rotation_weights[idx] * np.dot(nu_grid.a_weights, per_a)
-
-    total = 0.0 + 0.0j
-    for term in _map_ordered(one_rotation, range(nu_grid.n_rotations), threads):
-        total += term
-    return complex(total * grid.cell_volume)
+    if u_part is v_part or np.array_equal(u_part.values, v_part.values):
+        density = u_hat.real**2 + u_hat.imag**2
+    else:
+        density = u_hat * np.conj(v_part.values.ravel())
+    kernel = _support_kernel(wavelet, nu_grid, density != 0, threads)
+    return complex(np.sum(density * kernel) / (grid.node_count * grid.cell_volume))
 
 
 def weighted_pairing(U: WaveletCoefficients, V: WaveletCoefficients) -> complex:

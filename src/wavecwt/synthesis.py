@@ -6,6 +6,10 @@ spectrum; the time dependence is one global carrier exp(-/+ i|k|ct) applied
 at the end, because the family's t/a dilation combines with the rescaled
 spectrum's carrier into exactly that factor.  Reconstruction at time t is
 therefore the propagation of the reconstructed t = 0 spectrum.
+
+Analysis followed by synthesis never needs the coefficients: ``project`` and
+``solve_ivp`` multiply the data spectra by the resolution kernel of
+:func:`wavecwt.cwt.resolution_kernel`, with no transform per slice.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from .cwt import (
     _map_ordered,
     _require_constant,
     _rotated_spectra,
+    _support_kernel,
     default_thread_count,
 )
 from .errors import GridMismatchError, ValidationError
 from .fields import ComplexField3, SpectralField3, fft3, ifft3
-from .wavelets import PhysicalWavelet, time_antiderivative_wavelet
+from .wavelets import PhysicalWavelet
 
 __all__ = [
     "reconstruct",
@@ -102,12 +107,12 @@ def reconstruct_cross(U: WaveletCoefficients, synthesis_wavelet: PhysicalWavelet
 def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: ParameterGrid,
             constant: Optional[complex] = None, tol: float = 1e-8,
             threads: Optional[int] = None) -> SpectralField3:
-    """Analysis followed by synthesis, slice-fused, returning the t = 0 spectrum.
+    """Analysis followed by synthesis, returning the t = 0 spectrum.
 
-    Equivalent to ``reconstruct_spectrum(analyze(...), ...)`` with the
-    exactly cancelling inverse/forward transform pair of each slice elided,
-    so coefficient storage never materializes.  Converges to the identity on
-    the band the parameter grid covers.
+    Equivalent to ``reconstruct_spectrum(analyze(...), ...)``: the spectrum
+    times the resolution kernel over ``Re C * constant_factor``, evaluated
+    where the spectrum is nonzero, so no coefficient is ever formed.
+    Converges to the identity on the band the parameter grid covers.
     """
     if wavelet.sign not in ("plus", "minus"):
         raise ValidationError("bad wavelet sign")
@@ -116,23 +121,10 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
     if not nu_grid.compatible_with(wavelet):
         raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
     constant = _require_constant(wavelet, constant, tol)
-    threads = threads or default_thread_count()
-    g = nu_grid
-    grid = g.field_grid
-    k_stack = grid.k_stack()
     u_hat = s_part.values.ravel()
-
-    def one_rotation(idx):
-        spectra = _rotated_spectra(wavelet, k_stack, g.a_nodes, g.rotations[idx])
-        kernel = np.abs(spectra) ** 2
-        weights = g.rotation_weights[idx] * g.a_weights * g.a_nodes**3
-        return weights @ kernel
-
-    kernel = np.zeros(grid.node_count)
-    for term in _map_ordered(one_rotation, range(g.n_rotations), threads):
-        kernel += term
-    kernel /= np.real(constant) * g.constant_factor
-    return SpectralField3(grid, (u_hat * kernel).reshape(grid.shape))
+    kernel = _support_kernel(wavelet, nu_grid, u_hat != 0, threads)
+    kernel /= np.real(constant) * nu_grid.constant_factor
+    return SpectralField3(s_part.grid, (u_hat * kernel).reshape(s_part.grid.shape))
 
 
 def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
@@ -144,8 +136,10 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
     Coefficients are the printed combination ``U = W/2 -/+ (a/2) V`` of the
     initial-data transforms (W against each wavelet, V against its
     time-antiderivative partner); both sign branches are synthesized and the
-    sum returned.  At t = 0 this approximates the initial field, and its
-    centred time derivative approximates the initial velocity.
+    sum returned.  Per sign this is one resolution kernel K times
+    ``w_hat/2 -/+ v_hat / (2 i c |k|)`` (zero velocity term at k = 0) under
+    the sign's carrier.  At t = 0 this approximates the initial field, and
+    its centred time derivative approximates the initial velocity.
     """
     if w.grid != v.grid:
         raise GridMismatchError("initial data must share one grid")
@@ -160,42 +154,20 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
             raise ValidationError("parameter grid incompatible with the wavelet pair")
     c_plus = _require_constant(wavelet_plus, constants[0] if constants else None, tol)
     c_minus = _require_constant(wavelet_minus, constants[1] if constants else None, tol)
-    threads = threads or default_thread_count()
 
-    g = nu_grid
-    grid = g.field_grid
+    grid = nu_grid.field_grid
     c = wavelet_plus.c
-    k_stack = grid.k_stack()
-    k_mag = np.sqrt((k_stack**2).sum(axis=0))
+    k_mag = grid.k_mag().ravel()
     w_hat = fft3(w).values.ravel()
     v_hat = fft3(v).values.ravel()
-    scale = g.a_nodes**1.5
+    v_term = np.zeros_like(v_hat)
+    np.divide(v_hat, 1j * c * k_mag, out=v_term, where=k_mag > 0)
+    support = (w_hat != 0) | (v_hat != 0)
 
-    psi_plus = time_antiderivative_wavelet(wavelet_plus)
-    psi_minus = time_antiderivative_wavelet(wavelet_minus)
-
-    def one_rotation(args):
-        idx, wav, psi, sgn = args
-        phi = _rotated_spectra(wav, k_stack, g.a_nodes, g.rotations[idx])
-        psi_vals = _rotated_spectra(psi, k_stack, g.a_nodes, g.rotations[idx])
-        # b-spectra of the slice transforms of w and v
-        w_slice = np.conj(phi) * w_hat[None, :] * scale[:, None]
-        v_slice = np.conj(psi_vals) * v_hat[None, :] * scale[:, None]
-        u_slice = 0.5 * w_slice + (sgn * 0.5) * g.a_nodes[:, None] * v_slice
-        weights = g.rotation_weights[idx] * g.a_weights * scale
-        return weights @ (phi * u_slice)
-
-    acc_plus = np.zeros(grid.node_count, dtype=np.complex128)
-    acc_minus = np.zeros(grid.node_count, dtype=np.complex128)
-    jobs_plus = [(i, wavelet_plus, psi_plus, -1.0) for i in range(g.n_rotations)]
-    jobs_minus = [(i, wavelet_minus, psi_minus, +1.0) for i in range(g.n_rotations)]
-    for term in _map_ordered(one_rotation, jobs_plus, threads):
-        acc_plus += term
-    for term in _map_ordered(one_rotation, jobs_minus, threads):
-        acc_minus += term
-    acc_plus /= c_plus * g.constant_factor
-    acc_minus /= c_minus * g.constant_factor
-
-    phase = c * t * k_mag
-    total = acc_plus * np.exp(-1j * phase) + acc_minus * np.exp(1j * phase)
+    total = np.zeros(grid.node_count, dtype=np.complex128)
+    for wav, constant, sgn in ((wavelet_plus, c_plus, -1.0), (wavelet_minus, c_minus, +1.0)):
+        kernel = _support_kernel(wav, nu_grid, support, threads)
+        acc = kernel * (0.5 * w_hat + (sgn * 0.5) * v_term)
+        acc /= constant * nu_grid.constant_factor
+        total += acc * _carrier(grid, c, t, wav.sign).ravel()
     return ifft3(SpectralField3(grid, total.reshape(grid.shape)))

@@ -327,6 +327,20 @@ def _rot_x(t):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def _tilt_axis(axis) -> np.ndarray:
+    """Deterministic unit vector perpendicular to ``axis``.
+
+    Chosen so that axis = z reproduces the x-axis tilt of the printed
+    two-angle rotation.
+    """
+    ax = np.asarray(axis, dtype=float)
+    ax = ax / np.linalg.norm(ax)
+    if abs(ax[2]) > 1.0 - 1e-12:
+        return np.array([1.0, 0.0, 0.0])
+    t = np.cross(np.array([0.0, 0.0, 1.0]), ax)
+    return t / np.linalg.norm(t)
+
+
 def rotation_matrix(theta1: float, theta2: float, theta3: Optional[float] = None) -> np.ndarray:
     """z-rotation(theta1) @ x-rotation(theta2) [@ z-rotation(theta3)]."""
     _check_angles(theta1, theta2, theta3)

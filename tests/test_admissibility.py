@@ -66,6 +66,18 @@ class TestSameWaveletConstant:
         rev = wc.admissibility_constant(wc.time_reverse(exp_sph), tol=1e-10).value
         assert abs(rev - base) <= 1e-10 * base
 
+    @pytest.mark.parametrize("name, params, expected", [
+        ("kaiser", {}, "3.141592653589793"),
+        ("exp-spherical", {}, "12.186399185451599"),
+        ("bateman", {}, "120.27493903416374"),
+        ("bateman", {"eps1": 0.5, "eps2": 0.8}, "130.99297032822022"),
+        ("gaussian-packet", {}, "5.095214172877632e-38"),
+    ])
+    def test_pinned_catalog_constants(self, name, params, expected):
+        # the angular quadrature's perpendicular axis is shared with the
+        # parameter grid's tilt axis; these digits pin that choice
+        assert repr(wc.admissibility_constant(wc.make_wavelet(name, params)).value) == expected
+
 
 class TestProxyConstant:
     def test_kaiser_proxy_gamma_oracle(self):

@@ -70,6 +70,20 @@ class TestBasics:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--input", "u.wfld", "--wavelet", "exp-spherical", "--sign", "plus",
+         "--a-min", "0.1", "--a-max", "2", "--out", "u.wcf"],
+        ["synthesize", "--coeffs", "u.wcf", "--t", "0", "--out", "u.wfld"],
+        ["ivp", "--w", "w.wfld", "--v", "v.wfld", "--t", "1", "--a-min", "0.1",
+         "--a-max", "2", "--out", "u.wfld"],
+        ["verify", "isometry", "--input", "u.wfld", "--wavelet", "exp-spherical",
+         "--sign", "plus", "--a-min", "0.1", "--a-max", "2"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, command, threads):
+        assert dispatch(command + ["--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("WAVECWT_THREADS", "3")
         assert default_thread_count() == 3
@@ -168,3 +182,10 @@ class TestDeterminismAndManifest:
         assert manifest["outputs"][str(field)] == sha(field)
         assert manifest["tool"] == "wavecwt"
         assert "wall_time_s" in manifest and manifest["threads"] >= 1
+        coeffs = tmp_path / "u.wcf"
+        assert dispatch(["analyze", "--input", str(field), "--wavelet", "exp-spherical",
+                         "--sign", "minus", "--a-min", "0.2", "--a-max", "2.0",
+                         "--n-a", "4", "--out", str(coeffs)]) == 0
+        manifest = json.loads((tmp_path / "u.wcf.manifest.json").read_text())
+        assert manifest["inputs"][str(field)] == hashlib.sha256(field.read_bytes()).hexdigest()
+        assert manifest["outputs"][str(coeffs)] == hashlib.sha256(coeffs.read_bytes()).hexdigest()

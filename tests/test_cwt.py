@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavecwt as wc
+from wavecwt.cwt import _pool_size
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
 
 
@@ -68,6 +69,18 @@ class TestParameterGrid:
         assert 0 < a_min < a_max
         # rescaled spectra at the band ends must be inside the window
         assert a_min < 1.0 / 1.6 and a_max > 1.0 / 0.7
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("requested, n_items, cpus, expected", [
+        (10**6, 10**4, 2, 2),
+        (10**6, 3, 64, 3),
+        (4, 10**4, 64, 4),
+        (2, 0, 2, 1),
+        (8, 100, None, 1),
+    ])
+    def test_pool_size_is_bounded(self, requested, n_items, cpus, expected):
+        assert _pool_size(requested, n_items, cpus) == expected
 
 
 class TestAnalyze:
@@ -137,11 +150,31 @@ class TestAnalyze:
             wc.analyze(u, "minus", w, pg)
 
     def test_threads_do_not_change_result(self, grid16, exp_sph, exp_sph_pgrid,
-                                          exp_sph_constant):
+                                          exp_sph_constant, packet, packet_constant):
         u = band_limited_spectrum(grid16, 0.7, 1.6, 28)
         one = wc.analyze(u, "minus", exp_sph, exp_sph_pgrid, constant=exp_sph_constant, threads=1)
         two = wc.analyze(u, "minus", exp_sph, exp_sph_pgrid, constant=exp_sph_constant, threads=2)
         assert np.array_equal(one.values, two.values)
+
+        # the kernel routes sum over rotations, so run them on a rotated grid
+        pg = wc.make_parameter_grid(grid16, packet, *wc.suggest_dilation_range(packet, 0.7, 1.6),
+                                    8, 6, 3)
+        v = band_limited_spectrum(grid16, 0.7, 1.6, 29)
+        w_field, v_field = wc.ifft3(u), wc.ifft3(v)
+        plus, minus = packet, wc.time_reverse(packet)
+        consts = (packet_constant, packet_constant)
+        runs = {
+            "pairing": lambda n: np.complex128(wc.transform_pairing(u, v, packet, pg, threads=n)),
+            "self-pairing": lambda n: np.complex128(wc.transform_pairing(u, u, packet, pg,
+                                                                         threads=n)),
+            "project": lambda n: wc.project(u, packet, pg, constant=packet_constant,
+                                            threads=n).values,
+            "solve_ivp": lambda n: wc.solve_ivp(w_field, v_field, plus, minus, pg, 0.7,
+                                                constants=consts, threads=n).values,
+        }
+        for name, run in runs.items():
+            assert run(1).tobytes() == run(2).tobytes(), name
+        assert wc.transform_pairing(u, u, packet, pg, threads=2).imag == 0.0
 
 
 class TestInitialDataTransforms:
@@ -212,14 +245,27 @@ class TestIsometry:
         assert wc.isometry_defect(cu, cv, ref) <= 1e-12 * scale
 
     def test_streaming_matches_materialized(self, grid16, exp_sph, exp_sph_pgrid,
-                                            exp_sph_constant):
-        u = band_limited_spectrum(grid16, 0.7, 1.6, 46)
-        v = band_limited_spectrum(grid16, 0.7, 1.6, 47)
-        cu = wc.analyze(u, "minus", exp_sph, exp_sph_pgrid, constant=exp_sph_constant)
-        cv = wc.analyze(v, "minus", exp_sph, exp_sph_pgrid, constant=exp_sph_constant)
-        mat = wc.weighted_pairing(cu, cv)
-        stream = wc.transform_pairing(u, v, exp_sph, exp_sph_pgrid)
-        assert abs(mat - stream) <= 1e-13 * abs(mat)
+                                            exp_sph_constant, packet, packet_constant):
+        # a non-unit cell checks the 1/cell_volume of the kernel pairing;
+        # the packet's angle grid checks the sum over rotations
+        odd = wc.Grid3(16, 16, 16, 1.5, 1.25, 0.8, origin=(-12.0, -10.0, -6.4))
+        packet_range = wc.suggest_dilation_range(packet, 0.7, 1.6)
+        cases = [
+            (exp_sph, exp_sph_pgrid, exp_sph_constant),
+            (exp_sph, wc.make_parameter_grid(odd, exp_sph, *EXP_SPH_A_RANGE, 24),
+             exp_sph_constant),
+            (packet, wc.make_parameter_grid(odd, packet, *packet_range, 8, 6, 3),
+             packet_constant),
+        ]
+        for wavelet, pg, constant in cases:
+            grid = pg.field_grid
+            u = band_limited_spectrum(grid, 0.7, 1.6, 46)
+            v = band_limited_spectrum(grid, 0.7, 1.6, 47)
+            cu = wc.analyze(u, wavelet.sign, wavelet, pg, constant=constant)
+            cv = wc.analyze(v, wavelet.sign, wavelet, pg, constant=constant)
+            mat = wc.weighted_pairing(cu, cv)
+            stream = wc.transform_pairing(u, v, wavelet, pg)
+            assert abs(mat - stream) <= 1e-13 * abs(mat)
 
     def test_refinement_halves_defect(self, grid16, exp_sph, exp_sph_constant):
         u = band_limited_spectrum(grid16, 0.7, 1.6, 48)
