@@ -53,8 +53,11 @@ def _emit(obj) -> None:
 
 
 def _sha256(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _thread_count(text: str) -> int:

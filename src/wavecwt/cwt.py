@@ -347,18 +347,21 @@ def _map_ordered(fn, items: Sequence, threads: int):
             yield from pool.map(fn, items)
 
 
-def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k_points: np.ndarray,
+def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
                       threads: Optional[int] = None) -> np.ndarray:
-    """``K(k) = sum_{a,R} w_a w_R a^3 |PHI(a R^T k)|^2`` at the columns of a (3, M) stack.
+    """``K(k) = sum_{a,R} w_a w_R a^3 |PHI(a R^T k)|^2`` on the flagged lattice nodes.
 
-    A slice's b-spectrum is ``a^{3/2} conj(PHI(a R^T k)) u_hat`` and the
-    translation lattice is the field grid, so by discrete Parseval
+    ``support`` is a boolean mask over the flattened field lattice; K is
+    evaluated at those wave vectors and is zero elsewhere.  A slice's
+    b-spectrum is ``a^{3/2} conj(PHI(a R^T k)) u_hat`` and the translation
+    lattice is the field grid, so by discrete Parseval
     ``integral dmu U conj(V) = sum_k u_hat conj(v_hat) K / (N dV)``, and
     analysis followed by synthesis multiplies ``u_hat`` by ``K / (C factor)``.
     The antiderivative partner ``PSI = PHI / (-i c a|k|)`` gives
     ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Rotations are summed in
     order, so the result does not depend on ``threads``.
     """
+    k_points = nu_grid.field_grid.k_stack()[:, support]
     weights = nu_grid.a_weights * nu_grid.a_nodes**3
 
     def one_rotation(idx):
@@ -366,19 +369,12 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k_points
         power = spectra.real**2 + spectra.imag**2
         return (nu_grid.rotation_weights[idx] * weights) @ power
 
-    kernel = np.zeros(k_points.shape[1])
+    on_support = np.zeros(k_points.shape[1])
     for term in _map_ordered(one_rotation, range(nu_grid.n_rotations),
                              threads or default_thread_count()):
-        kernel += term
-    return kernel
-
-
-def _support_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
-                    threads: Optional[int]) -> np.ndarray:
-    """:func:`resolution_kernel` on the flagged lattice nodes, zero elsewhere."""
+        on_support += term
     kernel = np.zeros(support.size)
-    k_points = nu_grid.field_grid.k_stack()[:, support]
-    kernel[support] = resolution_kernel(wavelet, nu_grid, k_points, threads)
+    kernel[support] = on_support
     return kernel
 
 
@@ -507,7 +503,7 @@ def transform_pairing(u_part: SpectralField3, v_part: SpectralField3,
         density = u_hat.real**2 + u_hat.imag**2
     else:
         density = u_hat * np.conj(v_part.values.ravel())
-    kernel = _support_kernel(wavelet, nu_grid, density != 0, threads)
+    kernel = resolution_kernel(wavelet, nu_grid, density != 0, threads)
     return complex(np.sum(density * kernel) / (grid.node_count * grid.cell_volume))
 
 

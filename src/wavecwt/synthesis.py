@@ -25,8 +25,8 @@ from .cwt import (
     _map_ordered,
     _require_constant,
     _rotated_spectra,
-    _support_kernel,
     default_thread_count,
+    resolution_kernel,
 )
 from .errors import GridMismatchError, ValidationError
 from .fields import ComplexField3, SpectralField3, fft3, ifft3
@@ -122,7 +122,7 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
         raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
     constant = _require_constant(wavelet, constant, tol)
     u_hat = s_part.values.ravel()
-    kernel = _support_kernel(wavelet, nu_grid, u_hat != 0, threads)
+    kernel = resolution_kernel(wavelet, nu_grid, u_hat != 0, threads)
     kernel /= np.real(constant) * nu_grid.constant_factor
     return SpectralField3(s_part.grid, (u_hat * kernel).reshape(s_part.grid.shape))
 
@@ -166,7 +166,7 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
 
     total = np.zeros(grid.node_count, dtype=np.complex128)
     for wav, constant, sgn in ((wavelet_plus, c_plus, -1.0), (wavelet_minus, c_minus, +1.0)):
-        kernel = _support_kernel(wav, nu_grid, support, threads)
+        kernel = resolution_kernel(wav, nu_grid, support, threads)
         acc = kernel * (0.5 * w_hat + (sgn * 0.5) * v_term)
         acc /= constant * nu_grid.constant_factor
         total += acc * _carrier(grid, c, t, wav.sign).ravel()
