@@ -118,6 +118,21 @@ def _parameter_grid_from_args(args, grid, wavelet):
     )
 
 
+def _signed_wavelet(name, params, c, sign):
+    """Catalog wavelet ``name``, time-reversed when its own sign is not ``sign``."""
+    wavelet = make_wavelet(name, params, c)
+    return wavelet if wavelet.sign == sign else time_reverse(wavelet)
+
+
+def _spectral_input(args):
+    """``--input`` as a spectrum, with its wave speed, ``--sign`` wavelet and parameter grid."""
+    field, c_file = read_field(args.input)
+    c = args.c if args.c is not None else (c_file or 1.0)
+    wavelet = _signed_wavelet(args.wavelet, _parse_params(args.param), c, args.sign)
+    spectral = fft3(field) if isinstance(field, ComplexField3) else field
+    return spectral, c, wavelet, _parameter_grid_from_args(args, spectral.grid, wavelet)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -174,13 +189,7 @@ def _cmd_make_field(args):
 def _cmd_analyze(args):
     started = time.time()
     threads = args.threads or default_thread_count()
-    field, c_file = read_field(args.input)
-    c = args.c if args.c is not None else (c_file or 1.0)
-    wavelet = make_wavelet(args.wavelet, _parse_params(args.param), c)
-    if wavelet.sign != args.sign:
-        wavelet = time_reverse(wavelet)
-    spectral = fft3(field) if isinstance(field, ComplexField3) else field
-    pgrid = _parameter_grid_from_args(args, spectral.grid, wavelet)
+    spectral, c, wavelet, pgrid = _spectral_input(args)
     coeffs = analyze(spectral, args.sign, wavelet, pgrid, tol=args.tol, threads=threads)
     write_coefficients(args.out, coeffs, c=c)
     _write_manifest(args.out, args, [args.input], [args.out], started, threads)
@@ -201,9 +210,7 @@ def _cmd_synthesize(args):
     if not name:
         raise ValidationError("coefficient file names no wavelet; pass --wavelet")
     params = _parse_params(args.param) or dict(coeffs.wavelet_params)
-    wavelet = make_wavelet(name, params, c)
-    if wavelet.sign != coeffs.sign:
-        wavelet = time_reverse(wavelet)
+    wavelet = _signed_wavelet(name, params, c, coeffs.sign)
     field = reconstruct(coeffs, wavelet, args.t, threads=threads)
     write_field(args.out, field, c=c)
     _write_manifest(args.out, args, [args.coeffs], [args.out], started, threads)
@@ -222,12 +229,9 @@ def _cmd_ivp(args):
     if args.method == "fourier":
         out = fourier_ivp(w_field, v_field, c, args.t)
     else:
-        wav_plus = make_wavelet(args.wavelet_plus, _parse_params(args.param), c)
-        wav_minus = make_wavelet(args.wavelet_minus, _parse_params(args.param), c)
-        if wav_plus.sign != "plus":
-            wav_plus = time_reverse(wav_plus)
-        if wav_minus.sign != "minus":
-            wav_minus = time_reverse(wav_minus)
+        params = _parse_params(args.param)
+        wav_plus = _signed_wavelet(args.wavelet_plus, params, c, "plus")
+        wav_minus = _signed_wavelet(args.wavelet_minus, params, c, "minus")
         pgrid = _parameter_grid_from_args(args, w_field.grid, wav_plus)
         out = solve_ivp(w_field, v_field, wav_plus, wav_minus, pgrid, args.t,
                         tol=args.tol, threads=threads)
@@ -262,13 +266,7 @@ def _cmd_verify(args):
             "pass": report.rel_l2 <= args.tol,
         }
     else:  # isometry
-        field, c_file = read_field(args.input)
-        c = args.c if args.c is not None else (c_file or 1.0)
-        wavelet = make_wavelet(args.wavelet, _parse_params(args.param), c)
-        if wavelet.sign != args.sign:
-            wavelet = time_reverse(wavelet)
-        spectral = fft3(field) if isinstance(field, ComplexField3) else field
-        pgrid = _parameter_grid_from_args(args, spectral.grid, wavelet)
+        spectral, _, wavelet, pgrid = _spectral_input(args)
         report = admissibility_constant(wavelet, tol=1e-8)
         if not report.converged:
             raise ValidationError(f"wavelet not admissible: {report.divergence_reason}")

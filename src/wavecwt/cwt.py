@@ -44,7 +44,7 @@ import numpy as np
 
 from .admissibility import admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
-from .fields import ComplexField3, Grid3, SpectralField3
+from .fields import ComplexField3, Grid3, SpectralField3, _ifft3
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis
 
 __all__ = [
@@ -68,16 +68,17 @@ __all__ = [
 def default_thread_count() -> int:
     """WAVECWT_THREADS when set, else the hardware count.
 
-    Results are bit-identical for any thread count: slices are reduced in a
-    fixed order regardless of which worker produced them.
+    A set value that is not a decimal integer >= 1 raises
+    :class:`ValidationError`, as ``--threads`` does.  Results are
+    bit-identical for any thread count: slices are reduced in a fixed order
+    regardless of which worker produced them.
     """
     env = os.environ.get("WAVECWT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValidationError(f"WAVECWT_THREADS={env!r}: needs an integer >= 1")
+    return int(env)
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
@@ -308,30 +309,6 @@ def _rotated_spectra(wavelet: PhysicalWavelet, k_stack: np.ndarray, a_nodes: np.
     return np.asarray(wavelet.spectral(qx, qy, qz), dtype=np.complex128)
 
 
-def _batched_ifft(spectra: np.ndarray, grid: Grid3) -> np.ndarray:
-    """ifft3 applied along the trailing three axes of a slice batch."""
-    kx, ky, kz = grid.k_axes()
-    ox, oy, oz = grid.origin
-    out = spectra * np.exp(1j * kx * ox)[None, None, None, :]
-    out *= np.exp(1j * ky * oy)[None, None, :, None]
-    out *= np.exp(1j * kz * oz)[None, :, None, None]
-    out = np.fft.ifftn(out, axes=(-3, -2, -1))
-    out /= grid.cell_volume
-    return out
-
-
-def _batched_fft(fields: np.ndarray, grid: Grid3) -> np.ndarray:
-    """fft3 applied along the trailing three axes of a slice batch."""
-    kx, ky, kz = grid.k_axes()
-    ox, oy, oz = grid.origin
-    out = np.fft.fftn(fields, axes=(-3, -2, -1))
-    out *= grid.cell_volume
-    out *= np.exp(-1j * kx * ox)[None, None, None, :]
-    out *= np.exp(-1j * ky * oy)[None, None, :, None]
-    out *= np.exp(-1j * kz * oz)[None, :, None, None]
-    return out
-
-
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
     """Worker threads for ``n_items`` tasks: at most the request, the CPUs and the tasks."""
     return max(1, min(requested, cpus or 1, n_items))
@@ -420,8 +397,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         np.conjugate(spectra, out=spectra)
         spectra *= u_hat[None, :]
         spectra *= scale[:, None]
-        batch = spectra.reshape((nu_grid.n_a, 1) + grid.shape)
-        return _batched_ifft(batch, grid)[:, 0]
+        return _ifft3(spectra.reshape((nu_grid.n_a,) + grid.shape), grid)
 
     values = np.empty((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
     for idx, slab in enumerate(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads)):

@@ -14,6 +14,9 @@ The transforms approximate the continuum pair
 by scaling the discrete FFT with the cell volume and applying the phase shift
 for a non-zero grid origin.  With this scaling the L2 pairing satisfies
 ``<f, g> = (2 pi)^-3 <F, G>`` to round-off (see :func:`inner_product`).
+The private ``_fft3``/``_ifft3`` act on the trailing ``grid.shape`` axes of
+an array with any leading batch axes; :func:`fft3`/:func:`ifft3` apply them
+to one field.
 
 A solution of ``u_tt = c^2 Lap(u)`` is stored as the pair of frequency-sign
 spectral parts: the "plus" part evolves with ``exp(-i|k|ct)`` and the "minus"
@@ -206,37 +209,45 @@ class SolutionSpectrum:
 
 
 def _origin_phase(grid: Grid3, sign: int) -> tuple:
-    # separable exp(sign * i k.origin) factors, broadcastable to grid.shape
+    # separable exp(sign * i k.origin) factors, broadcastable to (..., nz, ny, nx)
     kx, ky, kz = grid.k_axes()
     ox, oy, oz = grid.origin
-    px = np.exp(sign * 1j * kx * ox)[None, None, :]
-    py = np.exp(sign * 1j * ky * oy)[None, :, None]
+    px = np.exp(sign * 1j * kx * ox)
+    py = np.exp(sign * 1j * ky * oy)[:, None]
     pz = np.exp(sign * 1j * kz * oz)[:, None, None]
     return px, py, pz
 
 
-def fft3(f: ComplexField3) -> SpectralField3:
-    """Forward transform with the continuum scaling described in the module docstring."""
-    g = f.grid
-    out = np.fft.fftn(f.values)
-    px, py, pz = _origin_phase(g, -1)
-    out *= g.cell_volume
+def _fft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Scaled, origin-phased forward transform over the trailing ``grid.shape`` axes."""
+    out = np.fft.fftn(values, axes=(-3, -2, -1))
+    px, py, pz = _origin_phase(grid, -1)
+    out *= grid.cell_volume
     out *= px
     out *= py
     out *= pz
-    return SpectralField3(g, out)
+    return out
+
+
+def _ifft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Inverse of :func:`_fft3` over the trailing ``grid.shape`` axes."""
+    px, py, pz = _origin_phase(grid, +1)
+    tmp = values * px
+    tmp *= py
+    tmp *= pz
+    out = np.fft.ifftn(tmp, axes=(-3, -2, -1))
+    out /= grid.cell_volume
+    return out
+
+
+def fft3(f: ComplexField3) -> SpectralField3:
+    """Forward transform with the continuum scaling described in the module docstring."""
+    return SpectralField3(f.grid, _fft3(f.values, f.grid))
 
 
 def ifft3(F: SpectralField3) -> ComplexField3:
     """Inverse of :func:`fft3`, including origin phase and ``(2 pi)^-3`` factor."""
-    g = F.grid
-    px, py, pz = _origin_phase(g, +1)
-    tmp = F.values * px
-    tmp *= py
-    tmp *= pz
-    out = np.fft.ifftn(tmp)
-    out /= g.cell_volume
-    return ComplexField3(g, out)
+    return ComplexField3(F.grid, _ifft3(F.values, F.grid))
 
 
 def inner_product(f: ComplexField3, g: ComplexField3) -> complex:

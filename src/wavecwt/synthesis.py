@@ -2,14 +2,15 @@
 
 Synthesis accumulates in the spectral domain: each (a, rotation) slice
 contributes ``weight * a^{3/2} PHI(a R^T k) * FFT_b[U]`` to a running t = 0
-spectrum; the time dependence is one global carrier exp(-/+ i|k|ct) applied
-at the end, because the family's t/a dilation combines with the rescaled
-spectrum's carrier into exactly that factor.  Reconstruction at time t is
-therefore the propagation of the reconstructed t = 0 spectrum.
+spectrum.  The family's t/a dilation combines with the rescaled spectrum's
+carrier into one global factor exp(-/+ i|k|ct), so reconstruction at time t
+is :func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
 
-Analysis followed by synthesis never needs the coefficients: ``project`` and
-``solve_ivp`` multiply the data spectra by the resolution kernel of
-:func:`wavecwt.cwt.resolution_kernel`, with no transform per slice.
+Analysis followed by synthesis is a multiplier in k on each frequency-sign
+part: :func:`project` multiplies a spectrum by the resolution kernel of
+:func:`wavecwt.cwt.resolution_kernel`, with no transform per slice.  The
+wavelet IVP is the Fourier IVP of :mod:`wavecwt.fields` with each sign part
+projected first: ``solve_ivp = propagate o (project (+) project) o split_ivp``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .cwt import (
     ParameterGrid,
     WaveletCoefficients,
-    _batched_fft,
     _map_ordered,
     _require_constant,
     _rotated_spectra,
@@ -29,7 +29,16 @@ from .cwt import (
     resolution_kernel,
 )
 from .errors import GridMismatchError, ValidationError
-from .fields import ComplexField3, SpectralField3, fft3, ifft3
+from .fields import (
+    ComplexField3,
+    SolutionSpectrum,
+    SpectralField3,
+    _fft3,
+    propagate,
+    solution_from_minus,
+    solution_from_plus,
+    split_ivp,
+)
 from .wavelets import PhysicalWavelet
 
 __all__ = [
@@ -39,11 +48,6 @@ __all__ = [
     "project",
     "solve_ivp",
 ]
-
-
-def _carrier(grid, c: float, t: float, sign: str) -> np.ndarray:
-    s = -1.0 if sign == "plus" else +1.0
-    return np.exp(s * 1j * c * t * grid.k_mag())
 
 
 def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
@@ -66,8 +70,7 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     scale = g.a_nodes**1.5
 
     def one_rotation(idx):
-        slab = _batched_fft(U.values[:, idx][:, None], grid)  # (n_a, 1, nz, ny, nx)
-        slab = slab.reshape(g.n_a, -1)
+        slab = _fft3(U.values[:, idx], grid).reshape(g.n_a, -1)
         spectra = _rotated_spectra(wavelet, k_stack, g.a_nodes, g.rotations[idx])
         spectra *= slab
         weights = g.rotation_weights[idx] * g.a_weights * scale
@@ -82,11 +85,14 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
 
 def reconstruct(U: WaveletCoefficients, wavelet: PhysicalWavelet, t: float,
                 threads: Optional[int] = None) -> ComplexField3:
-    """Field snapshot of the reconstruction at time t."""
+    """Field snapshot of the reconstruction at time t.
+
+    The reconstructed t = 0 spectrum is one frequency-sign part of a
+    solution, so the snapshot is its :func:`~wavecwt.fields.propagate`.
+    """
     spec = reconstruct_spectrum(U, wavelet, threads)
-    grid = spec.grid
-    values = spec.values * _carrier(grid, wavelet.c, t, U.sign)
-    return ifft3(SpectralField3(grid, values))
+    as_solution = solution_from_plus if U.sign == "plus" else solution_from_minus
+    return propagate(as_solution(spec, wavelet.c), t)
 
 
 def reconstruct_cross(U: WaveletCoefficients, synthesis_wavelet: PhysicalWavelet,
@@ -133,41 +139,20 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
               threads: Optional[int] = None) -> ComplexField3:
     """Wavelet-route solution of the initial-value problem at time t.
 
-    Coefficients are the printed combination ``U = W/2 -/+ (a/2) V`` of the
-    initial-data transforms (W against each wavelet, V against its
-    time-antiderivative partner); both sign branches are synthesized and the
-    sum returned.  Per sign this is one resolution kernel K times
-    ``w_hat/2 -/+ v_hat / (2 i c |k|)`` (zero velocity term at k = 0) under
-    the sign's carrier.  At t = 0 this approximates the initial field, and
-    its centred time derivative approximates the initial velocity.
+    ``solve_ivp = propagate o (project (+) project) o split_ivp``: the data
+    are split into the sign parts ``(W -/+ V/(i c |k|)) / 2``, each part is
+    projected with its sign's wavelet, and the pair is propagated to t.
+    This equals synthesizing the printed coefficients ``U = W/2 -/+ (a/2) V``
+    of both sign branches.  As in :func:`~wavecwt.oracle.fourier_ivp`, the
+    k = 0 bin of ``V/|k|`` is set to zero, with a RuntimeWarning when V(0)
+    is not negligible: a constant velocity cannot be represented.
     """
-    if w.grid != v.grid:
-        raise GridMismatchError("initial data must share one grid")
-    if w.grid != nu_grid.field_grid:
-        raise GridMismatchError("field grid of data and parameter grid differ")
     if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
         raise ValidationError("solve_ivp needs a (plus, minus) wavelet pair")
     if wavelet_plus.c != wavelet_minus.c:
         raise ValidationError("wavelet pair must share one wave speed")
-    for wav in (wavelet_plus, wavelet_minus):
-        if not nu_grid.compatible_with(wav):
-            raise ValidationError("parameter grid incompatible with the wavelet pair")
-    c_plus = _require_constant(wavelet_plus, constants[0] if constants else None, tol)
-    c_minus = _require_constant(wavelet_minus, constants[1] if constants else None, tol)
-
-    grid = nu_grid.field_grid
-    c = wavelet_plus.c
-    k_mag = grid.k_mag().ravel()
-    w_hat = fft3(w).values.ravel()
-    v_hat = fft3(v).values.ravel()
-    v_term = np.zeros_like(v_hat)
-    np.divide(v_hat, 1j * c * k_mag, out=v_term, where=k_mag > 0)
-    support = (w_hat != 0) | (v_hat != 0)
-
-    total = np.zeros(grid.node_count, dtype=np.complex128)
-    for wav, constant, sgn in ((wavelet_plus, c_plus, -1.0), (wavelet_minus, c_minus, +1.0)):
-        kernel = resolution_kernel(wav, nu_grid, support, threads)
-        acc = kernel * (0.5 * w_hat + (sgn * 0.5) * v_term)
-        acc /= constant * nu_grid.constant_factor
-        total += acc * _carrier(grid, c, t, wav.sign).ravel()
-    return ifft3(SpectralField3(grid, total.reshape(grid.shape)))
+    split = split_ivp(w, v, wavelet_plus.c)
+    c_plus, c_minus = constants if constants else (None, None)
+    plus = project(split.plus, wavelet_plus, nu_grid, c_plus, tol, threads)
+    minus = project(split.minus, wavelet_minus, nu_grid, c_minus, tol, threads)
+    return propagate(SolutionSpectrum(plus, minus, split.c), t)

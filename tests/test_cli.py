@@ -87,8 +87,19 @@ class TestBasics:
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("WAVECWT_THREADS", "3")
         assert default_thread_count() == 3
+        for bad in ("junk", "0", "-3"):
+            monkeypatch.setenv("WAVECWT_THREADS", bad)
+            with pytest.raises(wc.ValidationError, match="WAVECWT_THREADS"):
+                default_thread_count()
+
+    def test_bad_threads_env_is_domain_error(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("WAVECWT_THREADS", "junk")
-        assert default_thread_count() == 1
+        code, out, err = run_cli(capsys, "synthesize", "--coeffs", str(tmp_path / "u.wcf"),
+                                 "--t", "0", "--out", str(tmp_path / "u.wfld"))
+        assert code == 1
+        assert not out
+        assert err[0]["error"] == "ValidationError"
+        assert "WAVECWT_THREADS" in err[0]["message"]
 
 
 class TestPipelines:

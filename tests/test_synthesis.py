@@ -170,6 +170,15 @@ class TestSolveIVP:
         rec = wc.reconstruct(up, plus, t1).values + wc.reconstruct(um, exp_sph, t1).values
         assert rel_l2(fused.values, rec) <= 1e-12
 
+    def test_dropped_velocity_mode_warns(self, grid16, exp_sph, exp_sph_pgrid,
+                                         exp_sph_constant):
+        w_field = wc.ifft3(band_limited_spectrum(grid16, 0.7, 1.6, 70))
+        v_values = wc.ifft3(band_limited_spectrum(grid16, 0.7, 1.6, 71)).values + 0.05
+        v_field = wc.ComplexField3(grid16, v_values)
+        with pytest.warns(RuntimeWarning, match="k=0 bin"):
+            wc.solve_ivp(w_field, v_field, wc.time_reverse(exp_sph), exp_sph, exp_sph_pgrid,
+                         0.5, constants=(exp_sph_constant, exp_sph_constant))
+
     def test_pair_validation(self, grid16, exp_sph, exp_sph_pgrid):
         w_field = wc.ifft3(band_limited_spectrum(grid16, 0.7, 1.6, 69))
         with pytest.raises(wc.ValidationError):
