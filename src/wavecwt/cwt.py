@@ -31,6 +31,12 @@ Every coefficient slice at fixed (a, rotation) is
 one inverse transform per slice where coefficients are stored.  No time
 enters: coefficients of a frequency-pure solution are time independent.
 Routes that never store coefficients multiply by :func:`resolution_kernel`.
+
+A "spherical" wavelet promises a radial spectrum (see
+:class:`~wavecwt.wavelets.PhysicalWavelet`), so ``PHI(a R^T k)`` takes one
+value per distinct |k|^2 of the lattice: every route evaluates it on those
+shells and gathers the values back (4051 evaluations instead of 262144 per
+dilation on a 64^3 cube).
 """
 
 from __future__ import annotations
@@ -301,12 +307,34 @@ class WaveletCoefficients:
 
 def _rotated_spectra(wavelet: PhysicalWavelet, k_stack: np.ndarray, a_nodes: np.ndarray,
                      rotation: np.ndarray) -> np.ndarray:
-    """PHI(a R^T k) for all dilations at once; shape (n_a, n_points)."""
+    """PHI(a R^T k) for all dilations at once; shape (n_a, n_points).
+
+    ``k_stack`` is whatever :func:`_distinct_wave_vectors` returned: the
+    lattice wave vectors themselves, or for a "spherical" wavelet one vector
+    per distinct |k|^2, whose columns the caller gathers back to the lattice.
+    """
     q = rotation.T @ k_stack
     qx = np.multiply.outer(a_nodes, q[0])
     qy = np.multiply.outer(a_nodes, q[1])
     qz = np.multiply.outer(a_nodes, q[2])
     return np.asarray(wavelet.spectral(qx, qy, qz), dtype=np.complex128)
+
+
+def _distinct_wave_vectors(wavelet: PhysicalWavelet, k_points: np.ndarray):
+    """``(points, back)``: where to evaluate the spectrum, and the gather onto ``k_points``.
+
+    A "spherical" wavelet's spectrum depends on |k| alone, so it is evaluated
+    once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))`` and
+    ``values[..., back]`` puts the results back on ``k_points``.  Any other
+    wavelet gets ``k_points`` itself and ``slice(None)``: no copy, no work.
+    """
+    if wavelet.symmetry != "spherical":
+        return k_points, slice(None)
+    kx, ky, kz = k_points
+    shells, back = np.unique(kx * kx + ky * ky + kz * kz, return_inverse=True)
+    points = np.zeros((3, shells.size))
+    points[2] = np.sqrt(shells)
+    return points, back
 
 
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
@@ -338,7 +366,7 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Rotations are summed in
     order, so the result does not depend on ``threads``.
     """
-    k_points = nu_grid.field_grid.k_stack()[:, support]
+    k_points, back = _distinct_wave_vectors(wavelet, nu_grid.field_grid.k_stack()[:, support])
     weights = nu_grid.a_weights * nu_grid.a_nodes**3
 
     def one_rotation(idx):
@@ -346,12 +374,12 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
         power = spectra.real**2 + spectra.imag**2
         return (nu_grid.rotation_weights[idx] * weights) @ power
 
-    on_support = np.zeros(k_points.shape[1])
+    on_points = np.zeros(k_points.shape[1])
     for term in _map_ordered(one_rotation, range(nu_grid.n_rotations),
                              threads or default_thread_count()):
-        on_support += term
+        on_points += term
     kernel = np.zeros(support.size)
-    kernel[support] = on_support
+    kernel[support] = on_points[back]
     return kernel
 
 
@@ -388,12 +416,13 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     threads = threads or default_thread_count()
 
     grid = nu_grid.field_grid
-    k_stack = grid.k_stack()
+    k_points, back = _distinct_wave_vectors(wavelet, grid.k_stack())
     u_hat = s_part.values.ravel()
     scale = nu_grid.a_nodes**1.5
 
     def one_rotation(idx):
-        spectra = _rotated_spectra(wavelet, k_stack, nu_grid.a_nodes, nu_grid.rotations[idx])
+        spectra = _rotated_spectra(wavelet, k_points, nu_grid.a_nodes,
+                                   nu_grid.rotations[idx])[:, back]
         np.conjugate(spectra, out=spectra)
         spectra *= u_hat[None, :]
         spectra *= scale[:, None]

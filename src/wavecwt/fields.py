@@ -275,14 +275,17 @@ def norm(f) -> float:
 
 
 def propagate(s: SolutionSpectrum, t: float) -> ComplexField3:
-    """Field snapshot ``ifft3(plus * exp(-i|k|ct) + minus * exp(+i|k|ct))``."""
+    """Field snapshot ``ifft3(plus * exp(-i|k|ct) + minus * exp(+i|k|ct))``.
+
+    The minus carrier is the conjugate of the plus one, bit for bit.
+    """
     g = s.grid
     if t == 0.0:
         total = s.plus.values + s.minus.values
     else:
-        phase = s.c * t * g.k_mag()
-        total = s.plus.values * np.exp(-1j * phase)
-        total += s.minus.values * np.exp(1j * phase)
+        carrier = np.exp(-1j * (s.c * t * g.k_mag()))
+        total = s.plus.values * carrier
+        total += s.minus.values * np.conj(carrier)
     return ifft3(SpectralField3(g, total))
 
 

@@ -10,13 +10,15 @@ frequency tag, the synthesis constant and the wavelet, then NUL, then raw
 complex doubles ordered a slowest, theta1, theta2, [theta3], then b in WFLD
 linear order.
 
-Both formats round-trip bit exactly.
+Both formats round-trip bit exactly.  The header, NUL included, must sit in
+the first 64 KiB.  Writers send the array's own buffer after the header and
+readers fill one array from the file, so neither copies the payload.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -30,15 +32,46 @@ __all__ = ["write_field", "read_field", "write_coefficients", "read_coefficients
 _MAGIC_DTYPE = "c128le"
 
 
-def _split_header(blob: bytes, path) -> Tuple[dict, bytes]:
-    sep = blob.find(b"\x00")
-    if sep < 1 or not blob[:sep].endswith(b"\n"):
+# The JSON header line is short; a file without a NUL in its first
+# _HEADER_MAX bytes has no header.
+_HEADER_MAX = 1 << 16
+
+
+def _write(path, header: dict, values: np.ndarray) -> None:
+    """Header line, NUL, then the array's own little-endian buffer: no payload copy."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n\x00")
+        fh.write(np.ascontiguousarray(values, dtype="<c16").data)
+
+
+def _read_header(fh, path, what: str) -> dict:
+    """Parse the header object and leave ``fh`` at the first payload byte."""
+    head = fh.read(_HEADER_MAX)
+    sep = head.find(b"\x00")
+    if sep < 1 or not head[:sep].endswith(b"\n"):
         raise ValidationError(f"{path}: missing NUL-terminated JSON header")
     try:
-        header = json.loads(blob[:sep].decode("utf-8"))
+        header = json.loads(head[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path}: bad header ({exc})") from exc
-    return header, blob[sep + 1:]
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: header is not a JSON object")
+    if header.get("version") != 1 or header.get("dtype") != _MAGIC_DTYPE:
+        raise ValidationError(f"{path}: unsupported {what} version/dtype")
+    fh.seek(sep + 1)
+    return header
+
+
+def _read_payload(fh, count: int, path) -> np.ndarray:
+    """``count`` complex samples read straight into one array, size checked first."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != 16 * count:
+        raise ValidationError(f"{path}: payload holds {size} bytes, expected {16 * count}")
+    values = np.empty(count, dtype="<c16")
+    got = fh.readinto(values)
+    if got != size:
+        raise ValidationError(f"{path}: payload holds {got} bytes, expected {16 * count}")
+    return values.astype(np.complex128, copy=False)
 
 
 def _grid_from_header(header: dict, path) -> Grid3:
@@ -49,14 +82,6 @@ def _grid_from_header(header: dict, path) -> Grid3:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad grid description ({exc})") from exc
     return Grid3(nx, ny, nz, hx, hy, hz, origin)
-
-
-def _payload_complex(payload: bytes, count: int, path) -> np.ndarray:
-    if len(payload) != 16 * count:
-        raise ValidationError(
-            f"{path}: payload holds {len(payload)} bytes, expected {16 * count}"
-        )
-    return np.frombuffer(payload, dtype="<c16").astype(np.complex128)
 
 
 def write_field(path, field: Union[ComplexField3, SpectralField3],
@@ -79,17 +104,15 @@ def write_field(path, field: Union[ComplexField3, SpectralField3],
     }
     if c is not None:
         header["c"] = float(c)
-    data = field.values.astype("<c16", copy=False).tobytes()
-    Path(path).write_bytes(json.dumps(header).encode() + b"\n\x00" + data)
+    _write(path, header, field.values)
 
 
 def read_field(path):
     """Read a WFLD v1 file; returns ``(field, c_or_None)``."""
-    header, payload = _split_header(Path(path).read_bytes(), path)
-    if header.get("version") != 1 or header.get("dtype") != _MAGIC_DTYPE:
-        raise ValidationError(f"{path}: unsupported WFLD version/dtype")
-    grid = _grid_from_header(header, path)
-    values = _payload_complex(payload, grid.node_count, path).reshape(grid.shape)
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path, "WFLD")
+        grid = _grid_from_header(header, path)
+        values = _read_payload(fh, grid.node_count, path).reshape(grid.shape)
     kind = header.get("kind")
     if kind == "position":
         field = ComplexField3(grid, values)
@@ -98,6 +121,8 @@ def read_field(path):
     else:
         raise ValidationError(f"{path}: unknown field kind {kind!r}")
     c = header.get("c")
+    if c is not None and not isinstance(c, (int, float)):
+        raise ValidationError(f"{path}: wave speed c={c!r} is not a number")
     return field, (float(c) if c is not None else None)
 
 
@@ -128,33 +153,36 @@ def write_coefficients(path, coeffs: WaveletCoefficients, c: float = 1.0) -> Non
         },
         "dtype": _MAGIC_DTYPE,
     }
-    data = coeffs.values.astype("<c16", copy=False).tobytes()
-    Path(path).write_bytes(json.dumps(header).encode() + b"\n\x00" + data)
+    _write(path, header, coeffs.values)
 
 
 def read_coefficients(path) -> Tuple[WaveletCoefficients, float]:
     """Read a WCF v1 file; returns ``(coefficients, wave_speed)``."""
-    header, payload = _split_header(Path(path).read_bytes(), path)
-    if header.get("version") != 1 or header.get("dtype") != _MAGIC_DTYPE:
-        raise ValidationError(f"{path}: unsupported WCF version/dtype")
-    fg = _grid_from_header(header["field"], path)
-    ng = header["nu_grid"]
-    shape = list(ng["angle_shape"])
-    thetas = (shape + [8, 8, 8])[:3] if shape else [8, 8, 8]
-    grid = build_parameter_grid(
-        fg, ng["symmetry"], ng["axis"], float(ng["a_min"]), float(ng["a_max"]),
-        int(ng["n_a"]), *(int(v) for v in thetas),
-    )
-    if list(grid.angle_shape) != shape:
-        raise ValidationError(f"{path}: angle shape mismatch after rebuild")
-    values = _payload_complex(payload, grid.n_a * grid.n_rotations * fg.node_count, path)
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path, "WCF")
+        try:
+            fg = _grid_from_header(header["field"], path)
+            ng = header["nu_grid"]
+            shape = [int(v) for v in ng["angle_shape"]]
+            thetas = (shape + [8, 8, 8])[:3]
+            grid = build_parameter_grid(
+                fg, ng["symmetry"], ng["axis"], float(ng["a_min"]), float(ng["a_max"]),
+                int(ng["n_a"]), *thetas,
+            )
+            re, im = (float(v) for v in header["c_const"])
+            sign = header["sign"]
+            wav = header.get("wavelet", {})
+            name = wav.get("name", "")
+            params = tuple(sorted(
+                (str(k), float(v) if isinstance(v, (int, float)) else str(v))
+                for k, v in wav.get("params", {}).items()
+            ))
+            c = float(header.get("c", 1.0))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"{path}: bad WCF header ({exc!r})") from exc
+        if list(grid.angle_shape) != shape:
+            raise ValidationError(f"{path}: angle shape mismatch after rebuild")
+        values = _read_payload(fh, grid.n_a * grid.n_rotations * fg.node_count, path)
     values = values.reshape((grid.n_a, grid.n_rotations) + fg.shape)
-    re, im = header["c_const"]
-    wav = header.get("wavelet", {})
-    params = tuple(sorted(
-        (str(k), float(v) if isinstance(v, (int, float)) else str(v))
-        for k, v in wav.get("params", {}).items()
-    ))
-    coeffs = WaveletCoefficients(grid, values, header["sign"], complex(re, im),
-                                 wav.get("name", ""), params)
-    return coeffs, float(header.get("c", 1.0))
+    coeffs = WaveletCoefficients(grid, values, sign, complex(re, im), name, params)
+    return coeffs, c

@@ -22,6 +22,7 @@ import numpy as np
 from .cwt import (
     ParameterGrid,
     WaveletCoefficients,
+    _distinct_wave_vectors,
     _map_ordered,
     _require_constant,
     _rotated_spectra,
@@ -66,12 +67,12 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     threads = threads or default_thread_count()
     g = U.nu_grid
     grid = g.field_grid
-    k_stack = grid.k_stack()
+    k_points, back = _distinct_wave_vectors(wavelet, grid.k_stack())
     scale = g.a_nodes**1.5
 
     def one_rotation(idx):
         slab = _fft3(U.values[:, idx], grid).reshape(g.n_a, -1)
-        spectra = _rotated_spectra(wavelet, k_stack, g.a_nodes, g.rotations[idx])
+        spectra = _rotated_spectra(wavelet, k_points, g.a_nodes, g.rotations[idx])[:, back]
         spectra *= slab
         weights = g.rotation_weights[idx] * g.a_weights * scale
         return weights @ spectra

@@ -238,6 +238,12 @@ class PhysicalWavelet:
     c         wave speed the closed forms were written for
     name      catalog name, "" for derived/ad-hoc wavelets
     params    catalog parameters as a sorted (key, value) tuple
+
+    The "spherical" tag promises a radial spectrum, ``PHI(k) = f(|k|)``:
+    its parameter grid has the identity as its only rotation, and the
+    transforms evaluate ``spectral`` once per distinct |k| of the lattice
+    instead of once per node.  Tag a wavelet "axial" or "none" when its
+    spectrum is not radial.
     """
 
     sign: str

@@ -101,6 +101,22 @@ class TestBasics:
         assert err[0]["error"] == "ValidationError"
         assert "WAVECWT_THREADS" in err[0]["message"]
 
+    @pytest.mark.parametrize("name, header, command", [
+        ("bad.wcf", b'{"version": 1, "dtype": "c128le"}',
+         ["synthesize", "--coeffs", "{path}", "--t", "0", "--out", "{out}"]),
+        ("bad.wfld", b"[1]", ["verify", "compare", "--a", "{path}", "--b", "{path}"]),
+    ])
+    def test_malformed_header_is_domain_error(self, capsys, tmp_path, name, header, command):
+        path = tmp_path / name
+        path.write_bytes(header + b"\n\x00")
+        argv = [arg.format(path=path, out=tmp_path / "out.wfld") for arg in command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert not out
+        assert len(err) == 1
+        assert err[0]["error"] == "ValidationError"
+        assert str(path) in err[0]["message"]
+
 
 class TestPipelines:
     def test_analyze_synthesize_round_trip(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Parameter grids, coefficient transforms and the isometry property."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,23 @@ class TestAnalyze:
             "solve_ivp": lambda n: wc.solve_ivp(w_field, v_field, plus, minus, pg, 0.7,
                                                 constants=consts, threads=n).values,
         }
+        # and the shell route of a spherical wavelet
+        sph_plus = wc.time_reverse(exp_sph)
+        sph_consts = (exp_sph_constant, exp_sph_constant)
+        runs.update({
+            "spherical-reconstruct": lambda n: wc.reconstruct_spectrum(one, exp_sph,
+                                                                       threads=n).values,
+            "spherical-project": lambda n: wc.project(u, exp_sph, exp_sph_pgrid,
+                                                      constant=exp_sph_constant,
+                                                      threads=n).values,
+            "spherical-solve_ivp": lambda n: wc.solve_ivp(w_field, v_field, sph_plus, exp_sph,
+                                                          exp_sph_pgrid, 0.7,
+                                                          constants=sph_consts,
+                                                          threads=n).values,
+        })
         for name, run in runs.items():
             assert run(1).tobytes() == run(2).tobytes(), name
+        assert one.values.tobytes() == two.values.tobytes()
         assert wc.transform_pairing(u, u, packet, pg, threads=2).imag == 0.0
 
 
@@ -289,3 +306,100 @@ class TestIsometry:
             pair = wc.transform_pairing(u, u, packet, pg)
             defects.append(abs(pair / packet_constant - ref) / abs(ref))
         assert defects[0] > defects[1] > defects[2]
+
+
+# spherical wavelets for the shell route: catalog forms and both derived families
+SPHERICAL = {
+    "exp-spherical": wc.exp_spherical_wavelet,
+    "kaiser": lambda: wc.kaiser_wavelet(3.0),
+    "time-reversed": lambda: wc.time_reverse(wc.exp_spherical_wavelet()),
+    "antiderivative": lambda: wc.time_antiderivative_wavelet(wc.exp_spherical_wavelet()),
+}
+SHELL_GRIDS = {
+    "cubic": wc.Grid3.cubic(16, 16.0),
+    "non-cubic": wc.Grid3(16, 12, 10, 1.0, 1.25, 0.8, origin=(-8.0, -7.5, -4.0)),
+}
+
+
+def lattice_spectra(wavelet, pg):
+    """PHI(a k) at every lattice node, one dilation at a time; shape (n_a,) + grid shape."""
+    KX, KY, KZ = pg.field_grid.k_mesh()
+    return np.stack([np.asarray(wavelet.spectral(a * KX, a * KY, a * KZ), dtype=complex)
+                     for a in pg.a_nodes])
+
+
+def lattice_projection(s_part, wavelet, pg, constant):
+    phi = lattice_spectra(wavelet, pg)
+    weights = pg.rotation_weights[0] * pg.a_weights * pg.a_nodes**3
+    kernel = np.einsum("a,axyz->xyz", weights, np.abs(phi) ** 2)
+    return s_part.values * kernel / (np.real(constant) * pg.constant_factor)
+
+
+class TestShellRoute:
+    """Spherical wavelets are evaluated per distinct |k|^2 and gathered back."""
+
+    @pytest.fixture(params=sorted(SHELL_GRIDS))
+    def grid(self, request):
+        return SHELL_GRIDS[request.param]
+
+    @pytest.fixture(params=sorted(SPHERICAL))
+    def wavelet(self, request):
+        return SPHERICAL[request.param]()
+
+    @staticmethod
+    def close(got, ref):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_analyze_and_reconstruct_match_lattice(self, grid, wavelet):
+        pg = wc.make_parameter_grid(grid, wavelet, *EXP_SPH_A_RANGE, 8)
+        u = band_limited_spectrum(grid, 0.7, 1.6, 71)
+        coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3)
+        phi = lattice_spectra(wavelet, pg)
+        scale = pg.a_nodes[:, None, None, None] ** 1.5
+        ref = [wc.ifft3(wc.SpectralField3(grid, s)).values
+               for s in np.conj(phi) * u.values * scale]
+        self.close(coeffs.values[:, 0], np.stack(ref))
+
+        slabs = np.stack([wc.fft3(wc.ComplexField3(grid, c)).values for c in coeffs.values[:, 0]])
+        weights = pg.rotation_weights[0] * pg.a_weights
+        ref = np.einsum("a,axyz->xyz", weights, scale * phi * slabs) / (1.3 * pg.constant_factor)
+        self.close(wc.reconstruct_spectrum(coeffs, wavelet).values, ref)
+
+    def test_project_and_solve_ivp_match_lattice(self, grid, wavelet):
+        pg = wc.make_parameter_grid(grid, wavelet, *EXP_SPH_A_RANGE, 8)
+        u = band_limited_spectrum(grid, 0.7, 1.6, 72)
+        self.close(wc.project(u, wavelet, pg, constant=1.3).values,
+                   lattice_projection(u, wavelet, pg, 1.3))
+
+        plus, minus = ((wavelet, wc.time_reverse(wavelet)) if wavelet.sign == "plus"
+                       else (wc.time_reverse(wavelet), wavelet))
+        w = wc.ifft3(u)
+        v = wc.ifft3(band_limited_spectrum(grid, 0.7, 1.6, 73))
+        split = wc.split_ivp(w, v, wavelet.c)
+        ref = wc.propagate(wc.SolutionSpectrum(
+            wc.SpectralField3(grid, lattice_projection(split.plus, plus, pg, 1.3)),
+            wc.SpectralField3(grid, lattice_projection(split.minus, minus, pg, 1.3)),
+            wavelet.c), 0.7)
+        got = wc.solve_ivp(w, v, plus, minus, pg, 0.7, constants=(1.3, 1.3))
+        self.close(got.values, ref.values)
+
+    def test_spectrum_evaluated_once_per_shell(self, grid16, exp_sph):
+        points = []
+
+        def spectral(kx, ky, kz):
+            points.append(np.size(kx))
+            return exp_sph.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(exp_sph, spectral=spectral)
+        pg = wc.make_parameter_grid(grid16, counted, *EXP_SPH_A_RANGE, 8)
+        k = grid16.k_stack()
+        shells = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
+        assert shells < grid16.node_count // 10
+        u = band_limited_spectrum(grid16, 0.7, 1.6, 74)
+        coeffs = wc.analyze(u, "minus", counted, pg, constant=1.3)
+        assert 0 < sum(points) <= pg.n_a * shells
+        for route in (lambda: wc.reconstruct_spectrum(coeffs, counted),
+                      lambda: wc.project(u, counted, pg, constant=1.3)):
+            points.clear()
+            route()
+            assert 0 < sum(points) <= pg.n_a * shells

@@ -139,6 +139,16 @@ class TestPropagate:
         expected = np.exp(1j * (kx[2] * X - k0 * c * t)) / (grid16.cell_volume * grid16.node_count)
         assert rel_l2(out.values, expected) <= 1e-12
 
+    def test_minus_carrier_is_conjugate_of_plus(self, grid16):
+        plus = band_limited_spectrum(grid16, 0.6, 1.6, 9)
+        minus = band_limited_spectrum(grid16, 0.6, 1.6, 10)
+        c, t = 1.3, 0.7
+        out = wc.propagate(wc.SolutionSpectrum(plus, minus, c), t)
+        phase = c * t * grid16.k_mag()
+        two_exponentials = plus.values * np.exp(-1j * phase) + minus.values * np.exp(1j * phase)
+        expected = wc.ifft3(wc.SpectralField3(grid16, two_exponentials))
+        assert out.values.tobytes() == expected.values.tobytes()
+
     def test_norm_conserved(self, grid16):
         s = wc.solution_from_plus(band_limited_spectrum(grid16, 0.6, 1.6, 8), 1.0)
         n0 = wc.norm(wc.propagate(s, 0.0))

@@ -1,5 +1,7 @@
 """WFLD and WCF binary formats: bit-exact round trips and error paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,77 @@ def test_axial_coefficients_round_trip(tmp_path, packet, packet_constant):
     assert back.nu_grid.angle_shape == (4, 2)
     assert np.array_equal(back.values, coeffs.values)
     assert dict(back.wavelet_params) == dict(coeffs.wavelet_params)
+
+
+@pytest.mark.parametrize("kind, extra", [("field", 16), ("coefficients", -16)])
+def test_payload_size_mismatch_rejected(tmp_path, grid16, kind, extra):
+    path = tmp_path / "data.bin"
+    if kind == "field":
+        wc.write_field(path, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)))
+    else:
+        pg = wc.build_parameter_grid(grid16, "spherical", (0.0, 0.0, 1.0), 0.5, 2.0, 2)
+        values = np.ones((2, 1) + grid16.shape, dtype=complex)
+        wc.write_coefficients(path, wc.WaveletCoefficients(pg, values, "minus", 1.0))
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\x00" * extra if extra > 0 else blob[:extra])
+    with pytest.raises(wc.ValidationError, match="payload"):
+        (wc.read_field if kind == "field" else wc.read_coefficients)(path)
+
+
+def test_ill_typed_wave_speed_rejected(tmp_path, grid16):
+    path = tmp_path / "field.wfld"
+    wc.write_field(path, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)), c=1.0)
+    path.write_bytes(path.read_bytes().replace(b'"c": 1.0', b'"c": "fast"', 1))
+    with pytest.raises(wc.ValidationError, match="wave speed"):
+        wc.read_field(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"[1]",
+    b'{"version": 1, "dtype": "c128le"}',
+    b'{"version": 1, "dtype": "c128le", "field": [], "nu_grid": {}}',
+    b'{"version": 1, "dtype": "c128le", "field": {"n": [8, 8, 8], "h": [1, 1, 1], '
+    b'"origin": [0, 0, 0]}, "nu_grid": {"symmetry": "spherical", "axis": [0, 0, 1], '
+    b'"a_min": 0.5, "a_max": 2, "n_a": 2, "angle_shape": []}, "sign": "minus", '
+    b'"c_const": "one"}',
+])
+def test_malformed_coefficient_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.wcf"
+    path.write_bytes(header + b"\n\x00")
+    with pytest.raises(wc.ValidationError):
+        wc.read_coefficients(path)
+
+
+@pytest.mark.parametrize("header", [b"[1]", b'"text"', b'{"version": 1, "dtype": "c128le"}'])
+def test_malformed_field_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.wfld"
+    path.write_bytes(header + b"\n\x00")
+    with pytest.raises(wc.ValidationError):
+        wc.read_field(path)
+
+
+def test_coefficient_io_allocates_no_payload_copy(tmp_path, grid16):
+    # 8 dilations x 4 x 4 angles on 16^3: an 8 MiB coefficient set
+    pg = wc.build_parameter_grid(grid16, "axial", (1.0, 0.0, 0.0), 1.0, 2.0, 8, 4, 4)
+    rng = np.random.default_rng(4)
+    shape = (pg.n_a, pg.n_rotations) + grid16.shape
+    coeffs = wc.WaveletCoefficients(pg, rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                                    "plus", 1.0)
+    payload = coeffs.values.nbytes
+    path = tmp_path / "big.wcf"
+
+    def peak_above_start(call):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start, result
+
+    written, _ = peak_above_start(lambda: wc.write_coefficients(path, coeffs))
+    assert written <= 0.25 * payload
+    read, (back, _) = peak_above_start(lambda: wc.read_coefficients(path))
+    assert read <= 1.25 * payload
+    assert np.array_equal(back.values, coeffs.values)
