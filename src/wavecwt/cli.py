@@ -96,15 +96,10 @@ def _write_manifest(out_path, args, inputs, outputs, started, threads):
 
 
 def _grid_from_args(args) -> Grid3:
-    n = args.n
-    ext = args.extent
-    if len(ext) == 1:
-        ext = ext * 3
+    ext = args.extent * 3 if len(args.extent) == 1 else args.extent
     if len(ext) != 3:
         raise ValidationError("--extent takes one or three lengths")
-    hx, hy, hz = (e / n for e in ext)
-    origin = tuple(-e / 2.0 for e in ext)
-    return Grid3(n, n, n, hx, hy, hz, origin)
+    return Grid3.box(args.n, tuple(ext))
 
 
 def _make_wavelet_from_args(args):

@@ -87,12 +87,13 @@ def default_thread_count() -> int:
     return int(env)
 
 
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about an arbitrary unit axis."""
+def rotation_about(axis, angle) -> np.ndarray:
+    """Rodrigues rotation about an arbitrary unit axis; shape ``np.shape(angle) + (3, 3)``."""
     ax = np.asarray(axis, dtype=float)
     ax = ax / np.linalg.norm(ax)
     x, y, z = ax
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    angle = np.asarray(angle)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
@@ -193,41 +194,26 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
         rotation_weights = np.array([4.0 * np.pi])
         angle_shape: Tuple[int, ...] = ()
         factor = 1.0
-    elif symmetry == "axial":
-        tilt = _tilt_axis(axis)
-        mu, wmu = np.polynomial.legendre.leggauss(n_theta2)
-        theta2 = np.arccos(mu)
-        theta1 = 2.0 * np.pi * np.arange(n_theta1) / n_theta1
-        rotations = np.empty((n_theta1 * n_theta2, 3, 3))
-        rotation_weights = np.empty(n_theta1 * n_theta2)
-        idx = 0
-        for t1 in theta1:
-            r1 = rotation_about(axis, t1)
-            for t2, w2 in zip(theta2, wmu):
-                rotations[idx] = r1 @ rotation_about(tilt, t2)
-                rotation_weights[idx] = (2.0 * np.pi / n_theta1) * w2
-                idx += 1
-        angle_shape = (n_theta1, n_theta2)
-        factor = 1.0
     else:
+        # theta1-major stacks: angles broadcast along (theta1, theta2[, theta3])
         mu, wmu = np.polynomial.legendre.leggauss(n_theta2)
-        theta2 = np.arccos(mu)
         theta1 = 2.0 * np.pi * np.arange(n_theta1) / n_theta1
-        theta3 = 2.0 * np.pi * np.arange(n_theta3) / n_theta3
-        n_rot = n_theta1 * n_theta2 * n_theta3
-        rotations = np.empty((n_rot, 3, 3))
-        rotation_weights = np.empty(n_rot)
-        idx = 0
-        for t1 in theta1:
-            r1 = _rot_z(t1)
-            for t2, w2 in zip(theta2, wmu):
-                r12 = r1 @ _rot_x(t2)
-                for t3 in theta3:
-                    rotations[idx] = r12 @ _rot_z(t3)
-                    rotation_weights[idx] = (2.0 * np.pi / n_theta1) * w2 * (2.0 * np.pi / n_theta3)
-                    idx += 1
-        angle_shape = (n_theta1, n_theta2, n_theta3)
-        factor = 2.0 * np.pi
+        theta2 = np.arccos(mu)
+        if symmetry == "axial":
+            r1 = rotation_about(axis, theta1)[:, None]
+            rotations = r1 @ rotation_about(_tilt_axis(axis), theta2)[None, :]
+            rotation_weights = np.tile((2.0 * np.pi / n_theta1) * wmu, n_theta1)
+            angle_shape = (n_theta1, n_theta2)
+            factor = 1.0
+        else:
+            theta3 = 2.0 * np.pi * np.arange(n_theta3) / n_theta3
+            r12 = _rot_z(theta1)[:, None] @ _rot_x(theta2)[None, :]
+            rotations = r12[:, :, None] @ _rot_z(theta3)[None, None, :]
+            w12 = (2.0 * np.pi / n_theta1) * wmu * (2.0 * np.pi / n_theta3)
+            rotation_weights = np.tile(np.repeat(w12, n_theta3), n_theta1)
+            angle_shape = (n_theta1, n_theta2, n_theta3)
+            factor = 2.0 * np.pi
+        rotations = rotations.reshape(-1, 3, 3)
     axis_t = tuple(float(v) for v in np.asarray(axis, dtype=float))
     return ParameterGrid(field_grid, symmetry, axis_t, a_nodes, a_weights,
                          rotations, rotation_weights, angle_shape, factor)
@@ -305,36 +291,34 @@ class WaveletCoefficients:
 # ---------------------------------------------------------------------------
 
 
-def _rotated_spectra(wavelet: PhysicalWavelet, k_stack: np.ndarray, a_nodes: np.ndarray,
-                     rotation: np.ndarray) -> np.ndarray:
-    """PHI(a R^T k) for all dilations at once; shape (n_a, n_points).
+def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[np.ndarray]):
+    """``(spectra, back)``: ``PHI(a R^T k)`` per rotation on the flagged lattice nodes.
 
-    ``k_stack`` is whatever :func:`_distinct_wave_vectors` returned: the
-    lattice wave vectors themselves, or for a "spherical" wavelet one vector
-    per distinct |k|^2, whose columns the caller gathers back to the lattice.
+    ``support`` is a boolean mask over the flattened field lattice, or None
+    for every node.  ``spectra(idx)`` is ``PHI(a R^T k)`` for all dilations
+    at rotation ``idx``, shape (n_a, M), and ``spectra(idx)[:, back]`` is
+    its value on each flagged node.  A "spherical" wavelet's spectrum
+    depends on |k| alone, so it is evaluated once per distinct float |k|^2
+    ``s`` at ``(0, 0, sqrt(s))``; any other wavelet is evaluated at the
+    flagged nodes themselves and ``back`` is ``slice(None)``: no copy.
     """
-    q = rotation.T @ k_stack
-    qx = np.multiply.outer(a_nodes, q[0])
-    qy = np.multiply.outer(a_nodes, q[1])
-    qz = np.multiply.outer(a_nodes, q[2])
-    return np.asarray(wavelet.spectral(qx, qy, qz), dtype=np.complex128)
+    k = nu_grid.field_grid.k_stack()
+    if support is not None:
+        k = k[:, support]
+    back = slice(None)
+    if wavelet.symmetry == "spherical":
+        shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
+        k = np.zeros((3, shells.size))
+        k[2] = np.sqrt(shells)
+    a = nu_grid.a_nodes
 
+    def spectra(idx):
+        q = nu_grid.rotations[idx].T @ k
+        phi = wavelet.spectral(np.multiply.outer(a, q[0]), np.multiply.outer(a, q[1]),
+                               np.multiply.outer(a, q[2]))
+        return np.asarray(phi, dtype=np.complex128)
 
-def _distinct_wave_vectors(wavelet: PhysicalWavelet, k_points: np.ndarray):
-    """``(points, back)``: where to evaluate the spectrum, and the gather onto ``k_points``.
-
-    A "spherical" wavelet's spectrum depends on |k| alone, so it is evaluated
-    once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))`` and
-    ``values[..., back]`` puts the results back on ``k_points``.  Any other
-    wavelet gets ``k_points`` itself and ``slice(None)``: no copy, no work.
-    """
-    if wavelet.symmetry != "spherical":
-        return k_points, slice(None)
-    kx, ky, kz = k_points
-    shells, back = np.unique(kx * kx + ky * ky + kz * kz, return_inverse=True)
-    points = np.zeros((3, shells.size))
-    points[2] = np.sqrt(shells)
-    return points, back
+    return spectra, back
 
 
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
@@ -342,8 +326,9 @@ def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
     return max(1, min(requested, cpus or 1, n_items))
 
 
-def _map_ordered(fn, items: Sequence, threads: int):
-    workers = _pool_size(threads, len(items), os.cpu_count())
+def _map_ordered(fn, items: Sequence, threads: Optional[int]):
+    """``fn`` over ``items``, results in order; ``threads=None`` is :func:`default_thread_count`."""
+    workers = _pool_size(threads or default_thread_count(), len(items), os.cpu_count())
     if workers == 1:
         for item in items:
             yield fn(item)
@@ -366,18 +351,15 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Rotations are summed in
     order, so the result does not depend on ``threads``.
     """
-    k_points, back = _distinct_wave_vectors(wavelet, nu_grid.field_grid.k_stack()[:, support])
+    spectra, back = _sweep(wavelet, nu_grid, support)
     weights = nu_grid.a_weights * nu_grid.a_nodes**3
 
     def one_rotation(idx):
-        spectra = _rotated_spectra(wavelet, k_points, nu_grid.a_nodes, nu_grid.rotations[idx])
-        power = spectra.real**2 + spectra.imag**2
+        phi = spectra(idx)
+        power = phi.real**2 + phi.imag**2
         return (nu_grid.rotation_weights[idx] * weights) @ power
 
-    on_points = np.zeros(k_points.shape[1])
-    for term in _map_ordered(one_rotation, range(nu_grid.n_rotations),
-                             threads or default_thread_count()):
-        on_points += term
+    on_points = sum(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads))
     kernel = np.zeros(support.size)
     kernel[support] = on_points[back]
     return kernel
@@ -401,8 +383,9 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     """Wavelet coefficients of a frequency-pure solution part.
 
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
-    (a, rotation) slice is produced by one inverse transform; coefficients
-    carry no time dependence.
+    (a, rotation) slice is produced by one inverse transform; the spectrum
+    is evaluated only where the data are nonzero.  Coefficients carry no
+    time dependence.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
@@ -413,20 +396,26 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     if s_part.grid != nu_grid.field_grid:
         raise GridMismatchError("field grid of data and parameter grid differ")
     constant = _require_constant(wavelet, constant, tol)
-    threads = threads or default_thread_count()
 
     grid = nu_grid.field_grid
-    k_points, back = _distinct_wave_vectors(wavelet, grid.k_stack())
     u_hat = s_part.values.ravel()
+    support = u_hat != 0
+    partial = not support.all()
+    spectra, back = _sweep(wavelet, nu_grid, support if partial else None)
+    if partial:
+        u_hat = u_hat[support]
     scale = nu_grid.a_nodes**1.5
 
     def one_rotation(idx):
-        spectra = _rotated_spectra(wavelet, k_points, nu_grid.a_nodes,
-                                   nu_grid.rotations[idx])[:, back]
-        np.conjugate(spectra, out=spectra)
-        spectra *= u_hat[None, :]
-        spectra *= scale[:, None]
-        return _ifft3(spectra.reshape((nu_grid.n_a,) + grid.shape), grid)
+        phi = spectra(idx)[:, back]
+        np.conjugate(phi, out=phi)
+        phi *= u_hat[None, :]
+        phi *= scale[:, None]
+        if partial:
+            block = np.zeros((nu_grid.n_a, grid.node_count), dtype=np.complex128)
+            block[:, support] = phi
+            phi = block
+        return _ifft3(phi.reshape((nu_grid.n_a,) + grid.shape), grid)
 
     values = np.empty((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
     for idx, slab in enumerate(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads)):

@@ -22,11 +22,9 @@ import numpy as np
 from .cwt import (
     ParameterGrid,
     WaveletCoefficients,
-    _distinct_wave_vectors,
     _map_ordered,
     _require_constant,
-    _rotated_spectra,
-    default_thread_count,
+    _sweep,
     resolution_kernel,
 )
 from .errors import GridMismatchError, ValidationError
@@ -64,22 +62,19 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         raise ValidationError("synthesis constant is zero")
     if not U.nu_grid.compatible_with(wavelet):
         raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
-    threads = threads or default_thread_count()
     g = U.nu_grid
     grid = g.field_grid
-    k_points, back = _distinct_wave_vectors(wavelet, grid.k_stack())
+    spectra, back = _sweep(wavelet, g, None)
     scale = g.a_nodes**1.5
 
     def one_rotation(idx):
         slab = _fft3(U.values[:, idx], grid).reshape(g.n_a, -1)
-        spectra = _rotated_spectra(wavelet, k_points, g.a_nodes, g.rotations[idx])[:, back]
-        spectra *= slab
+        phi = spectra(idx)[:, back]
+        phi *= slab
         weights = g.rotation_weights[idx] * g.a_weights * scale
-        return weights @ spectra
+        return weights @ phi
 
-    acc = np.zeros(grid.node_count, dtype=np.complex128)
-    for term in _map_ordered(one_rotation, range(g.n_rotations), threads):
-        acc += term
+    acc = sum(_map_ordered(one_rotation, range(g.n_rotations), threads))
     acc /= U.constant * g.constant_factor
     return SpectralField3(grid, acc.reshape(grid.shape))
 

@@ -267,11 +267,6 @@ class PhysicalWavelet:
             raise ValidationError("axis must be a finite nonzero 3-vector")
         object.__setattr__(self, "axis", tuple(ax / np.linalg.norm(ax)))
 
-    @property
-    def carrier_sign(self) -> float:
-        """Sign in exp(sign * i |k| c t): -1 for "plus", +1 for "minus"."""
-        return -1.0 if self.sign == "plus" else +1.0
-
     def spectral_on_grid(self, grid):
         from .fields import SpectralField3
 
@@ -325,12 +320,14 @@ def _check_angles(theta1, theta2, theta3):
 
 def _rot_z(t):
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    o, z = np.ones_like(c), np.zeros_like(c)
+    return np.stack([c, -s, z, s, c, z, z, z, o], axis=-1).reshape(np.shape(t) + (3, 3))
 
 
 def _rot_x(t):
     c, s = np.cos(t), np.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    o, z = np.ones_like(c), np.zeros_like(c)
+    return np.stack([o, z, z, z, c, -s, z, s, c], axis=-1).reshape(np.shape(t) + (3, 3))
 
 
 def _tilt_axis(axis) -> np.ndarray:

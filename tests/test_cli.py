@@ -55,6 +55,19 @@ class TestBasics:
         assert not out
         assert err[0]["error"] == "ValidationError"
 
+    def test_extent_takes_one_or_three_lengths(self, capsys, tmp_path):
+        out = tmp_path / "box.wfld"
+        for extent, grid in ((["16"], wc.Grid3.cubic(16, 16.0)),
+                             (["16", "12", "8"], wc.Grid3.box(16, (16.0, 12.0, 8.0)))):
+            code, _, _ = run_cli(capsys, "make-field", "--kind", "gaussian", "--n", "16",
+                                 "--extent", *extent, "--out", str(out))
+            assert code == 0
+            assert wc.read_field(out)[0].grid == grid
+        code, _, err = run_cli(capsys, "make-field", "--kind", "gaussian", "--n", "16",
+                               "--extent", "16", "12", "--out", str(out))
+        assert code == 1
+        assert err[0]["error"] == "ValidationError"
+
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "compare",
                                "--a", str(tmp_path / "nope.wfld"),

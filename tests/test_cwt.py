@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
 from wavecwt.cwt import _pool_size
+from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
 
 
@@ -59,6 +61,44 @@ class TestParameterGrid:
                 expected = wc.rotation_matrix(t1 % (2 * np.pi), t2)
                 assert np.allclose(pg.rotations[idx], expected, atol=1e-14)
                 idx += 1
+
+    def test_rotation_stacks_match_per_angle_loop(self, grid16):
+        def rodrigues(axis, angle):
+            x, y, z = np.asarray(axis) / np.linalg.norm(axis)
+            k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+            return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+        def rot_z(t):
+            c, s = np.cos(t), np.sin(t)
+            return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+        def rot_x(t):
+            c, s = np.cos(t), np.sin(t)
+            return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+        n1, n2, n3 = 5, 3, 4
+        mu, wmu = np.polynomial.legendre.leggauss(n2)
+        theta1 = 2.0 * np.pi * np.arange(n1) / n1
+        theta3 = 2.0 * np.pi * np.arange(n3) / n3
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        rotations, weights = [], []
+        for t1 in theta1:
+            for t2, w2 in zip(np.arccos(mu), wmu):
+                rotations.append(rodrigues(axis, t1) @ rodrigues(_tilt_axis(axis), t2))
+                weights.append((2.0 * np.pi / n1) * w2)
+        pg = wc.build_parameter_grid(grid16, "axial", axis, 0.5, 2.0, 2, n1, n2)
+        assert np.array_equal(pg.rotations, np.array(rotations))
+        assert np.array_equal(pg.rotation_weights, np.array(weights))
+
+        rotations, weights = [], []
+        for t1 in theta1:
+            for t2, w2 in zip(np.arccos(mu), wmu):
+                for t3 in theta3:
+                    rotations.append(rot_z(t1) @ rot_x(t2) @ rot_z(t3))
+                    weights.append((2.0 * np.pi / n1) * w2 * (2.0 * np.pi / n3))
+        pg = wc.build_parameter_grid(grid16, "none", axis, 0.5, 2.0, 2, n1, n2, n3)
+        assert np.array_equal(pg.rotations, np.array(rotations))
+        assert np.array_equal(pg.rotation_weights, np.array(weights))
 
     def test_validation(self, grid16, exp_sph):
         with pytest.raises(wc.ValidationError):
@@ -403,3 +443,52 @@ class TestShellRoute:
             points.clear()
             route()
             assert 0 < sum(points) <= pg.n_a * shells
+
+
+# non-cubic, off-centre lattice for the support properties below
+SUPPORT_GRID = wc.Grid3(8, 10, 12, 1.5, 1.25, 0.8, origin=(-7.0, -5.0, -3.2))
+SUPPORT_WAVELETS = {
+    "spherical": wc.exp_spherical_wavelet,
+    "axial": lambda: wc.gaussian_packet(40.0, 1.0, 0.5, 0.5),
+    "none": lambda: wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8}),
+}
+
+
+class TestSupport:
+    """``analyze`` evaluates the spectrum only where the data are nonzero."""
+
+    def test_analyze_evaluates_only_on_support(self, grid16, packet):
+        points = []
+
+        def spectral(kx, ky, kz):
+            points.append(np.size(kx))
+            return packet.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(packet, spectral=spectral)
+        pg = wc.make_parameter_grid(grid16, counted, 0.3, 2.0, 4, 4, 3)
+        u = band_limited_spectrum(grid16, 0.7, 1.6, 75)
+        assert 0 < np.count_nonzero(u.values) < grid16.node_count // 2
+        wc.analyze(u, counted.sign, counted, pg, constant=1.3)
+        assert 0 < sum(points) <= pg.n_a * pg.n_rotations * np.count_nonzero(u.values)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(symmetry=st.sampled_from(sorted(SUPPORT_WAVELETS)),
+           share_u=st.floats(0.0, 1.0), share_v=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), threads=st.sampled_from([1, 2]))
+    def test_materialized_pairing_matches_kernel(self, symmetry, share_u, share_v, seed,
+                                                 threads):
+        wavelet = SUPPORT_WAVELETS[symmetry]()
+        pg = wc.make_parameter_grid(SUPPORT_GRID, wavelet, 0.3, 2.0, 3, 3, 2, 2)
+        rng = np.random.default_rng(seed)
+
+        def masked(share):
+            shape = SUPPORT_GRID.shape
+            amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return wc.SpectralField3(SUPPORT_GRID, amp * (rng.random(shape) < share))
+
+        u, v = masked(share_u), masked(share_v)
+        U, V = (wc.analyze(x, wavelet.sign, wavelet, pg, constant=1.0, threads=threads)
+                for x in (u, v))
+        want = wc.transform_pairing(u, v, wavelet, pg, threads)
+        scale = np.sqrt(abs(wc.weighted_pairing(U, U) * wc.weighted_pairing(V, V)))
+        assert abs(wc.weighted_pairing(U, V) - want) <= 1e-12 * scale
