@@ -13,8 +13,8 @@ One executable with subcommands::
 All metric output is JSON lines on stdout; errors are one JSON line on
 stderr with exit code 1; usage problems exit 2.  Commands that write files
 also write ``<output>.manifest.json`` recording arguments, input/output
-hashes, wall time and thread count; reruns with identical inputs and thread
-count produce identical output hashes.
+hashes, wall time, thread count and peak resident memory; reruns with
+identical inputs and thread count produce identical output hashes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -91,6 +92,8 @@ def _write_manifest(out_path, args, inputs, outputs, started, threads):
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_time_s": round(time.time() - started, 6),
         "threads": threads,
+        # high-water mark of this process so far; Linux reports ru_maxrss in KiB
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

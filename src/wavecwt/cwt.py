@@ -32,6 +32,13 @@ one inverse transform per slice where coefficients are stored.  No time
 enters: coefficients of a frequency-pure solution are time independent.
 Routes that never store coefficients multiply by :func:`resolution_kernel`.
 
+Materialized routes (:func:`analyze` and synthesis) hand out work as
+(rotation, dilation block) tasks, rotation-major, each block holding as many
+slices as fit a 2 MiB working set (one slice at 64^3, four at 32^3, a whole
+rotation at 16^3).  The blocking depends on the field grid alone, never on
+the thread count, so a spherical grid with its single rotation still keeps
+every worker busy and the results do not depend on ``threads``.
+
 A "spherical" wavelet promises a radial spectrum (see
 :class:`~wavecwt.wavelets.PhysicalWavelet`), so ``PHI(a R^T k)`` takes one
 value per distinct |k|^2 of the lattice: every route evaluates it on those
@@ -42,8 +49,10 @@ dilation on a 64^3 cube).
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,9 +84,11 @@ def default_thread_count() -> int:
     """WAVECWT_THREADS when set, else the hardware count.
 
     A set value that is not a decimal integer >= 1 raises
-    :class:`ValidationError`, as ``--threads`` does.  Results are
-    bit-identical for any thread count: slices are reduced in a fixed order
-    regardless of which worker produced them.
+    :class:`ValidationError`, as ``--threads`` does.  Workers share
+    (rotation, dilation block) tasks in the materialized routes and
+    rotations in :func:`resolution_kernel`.  Results are bit-identical for
+    any thread count: tasks are cut from the grid alone and reduced in a
+    fixed order regardless of which worker produced them.
     """
     env = os.environ.get("WAVECWT_THREADS", "").strip()
     if not env:
@@ -282,8 +293,10 @@ class WaveletCoefficients:
             raise ValidationError(f"coefficient shape {self.values.shape} != {expected}")
         if self.sign not in ("plus", "minus"):
             raise ValidationError(f"bad sign {self.sign!r}")
-        if not np.isfinite(self.values.view(np.float64)).all():
-            raise ValidationError("coefficients contain non-finite values")
+        # one dilation at a time: the mask is 1/n_a of a whole-array scan's
+        for block in self.values:
+            if not np.isfinite(block.view(np.float64)).all():
+                raise ValidationError("coefficients contain non-finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +308,10 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[n
     """``(spectra, back)``: ``PHI(a R^T k)`` per rotation on the flagged lattice nodes.
 
     ``support`` is a boolean mask over the flattened field lattice, or None
-    for every node.  ``spectra(idx)`` is ``PHI(a R^T k)`` for all dilations
-    at rotation ``idx``, shape (n_a, M), and ``spectra(idx)[:, back]`` is
-    its value on each flagged node.  A "spherical" wavelet's spectrum
+    for every node.  ``spectra(idx, rows)`` is ``PHI(a R^T k)`` for the
+    dilations ``a_nodes[rows]`` (all of them by default) at rotation ``idx``,
+    shape (n_rows, M), and ``spectra(idx, rows)[:, back]`` is its value on
+    each flagged node.  A "spherical" wavelet's spectrum
     depends on |k| alone, so it is evaluated once per distinct float |k|^2
     ``s`` at ``(0, 0, sqrt(s))``; any other wavelet is evaluated at the
     flagged nodes themselves and ``back`` is ``slice(None)``: no copy.
@@ -312,13 +326,29 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[n
         k[2] = np.sqrt(shells)
     a = nu_grid.a_nodes
 
-    def spectra(idx):
+    def spectra(idx, rows=slice(None)):
         q = nu_grid.rotations[idx].T @ k
-        phi = wavelet.spectral(np.multiply.outer(a, q[0]), np.multiply.outer(a, q[1]),
-                               np.multiply.outer(a, q[2]))
+        ar = a[rows]
+        phi = wavelet.spectral(np.multiply.outer(ar, q[0]), np.multiply.outer(ar, q[1]),
+                               np.multiply.outer(ar, q[2]))
         return np.asarray(phi, dtype=np.complex128)
 
     return spectra, back
+
+
+_TASK_BYTES = 2 << 20  # one core's L2: the working set of one slice task
+
+
+def _slice_tasks(nu_grid: ParameterGrid):
+    """``(idx, rows)`` for every (rotation, dilation block), rotation-major.
+
+    A block holds ``max(1, 2 MiB // (16 N))`` dilations of an N-node field
+    grid, so its complex slab fits one core's cache; the list depends on the
+    grid alone, never on the thread count.
+    """
+    step = max(1, _TASK_BYTES // (16 * nu_grid.field_grid.node_count))
+    return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
+            for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
 
 
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
@@ -327,14 +357,24 @@ def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
 
 
 def _map_ordered(fn, items: Sequence, threads: Optional[int]):
-    """``fn`` over ``items``, results in order; ``threads=None`` is :func:`default_thread_count`."""
+    """``fn`` over ``items``, results in order; ``threads=None`` is :func:`default_thread_count`.
+
+    At most ``2 * workers`` tasks run or wait ahead of the consumer, so
+    finished results never pile up unconsumed.
+    """
     workers = _pool_size(threads or default_thread_count(), len(items), os.cpu_count())
     if workers == 1:
         for item in items:
             yield fn(item)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, items)
+        return
+    pending = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque(pool.submit(fn, item) for item in islice(pending, 2 * workers))
+        while window:
+            head = window.popleft()
+            for item in islice(pending, 1):
+                window.append(pool.submit(fn, item))
+            yield head.result()
 
 
 def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
@@ -383,7 +423,8 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     """Wavelet coefficients of a frequency-pure solution part.
 
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
-    (a, rotation) slice is produced by one inverse transform; the spectrum
+    (a, rotation) slice is produced by one inverse transform; each
+    (rotation, dilation block) task writes its own slices, and the spectrum
     is evaluated only where the data are nonzero.  Coefficients carry no
     time dependence.
     """
@@ -405,21 +446,22 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     if partial:
         u_hat = u_hat[support]
     scale = nu_grid.a_nodes**1.5
+    values = np.empty((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
 
-    def one_rotation(idx):
-        phi = spectra(idx)[:, back]
+    def one_block(task):
+        idx, rows = task
+        phi = spectra(idx, rows)[:, back]
         np.conjugate(phi, out=phi)
         phi *= u_hat[None, :]
-        phi *= scale[:, None]
+        phi *= scale[rows, None]
         if partial:
-            block = np.zeros((nu_grid.n_a, grid.node_count), dtype=np.complex128)
+            block = np.zeros((len(phi), grid.node_count), dtype=np.complex128)
             block[:, support] = phi
             phi = block
-        return _ifft3(phi.reshape((nu_grid.n_a,) + grid.shape), grid)
+        values[rows, idx] = _ifft3(phi.reshape((len(phi),) + grid.shape), grid)
 
-    values = np.empty((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
-    for idx, slab in enumerate(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads)):
-        values[:, idx] = slab
+    for _ in _map_ordered(one_block, _slice_tasks(nu_grid), threads):
+        pass
     return WaveletCoefficients(nu_grid, values, sign, constant,
                                wavelet.name, wavelet.params)
 

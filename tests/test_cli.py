@@ -229,3 +229,11 @@ class TestDeterminismAndManifest:
         manifest = json.loads((tmp_path / "u.wcf.manifest.json").read_text())
         assert manifest["inputs"][str(field)] == hashlib.sha256(field.read_bytes()).hexdigest()
         assert manifest["outputs"][str(coeffs)] == hashlib.sha256(coeffs.read_bytes()).hexdigest()
+
+    def test_manifest_records_peak_memory(self, tmp_path):
+        field = tmp_path / "u.wfld"
+        dispatch(["make-field", "--kind", "tone", "--n", "16", "--extent", "8",
+                  "--k-index", "1", "2", "0", "--out", str(field)])
+        manifest = json.loads((tmp_path / "u.wfld.manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mib"], float)
+        assert manifest["peak_rss_mib"] > 0

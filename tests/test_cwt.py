@@ -1,13 +1,19 @@
 """Parameter grids, coefficient transforms and the isometry property."""
 
 import dataclasses
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
-from wavecwt.cwt import _pool_size
+from wavecwt import cwt
+from wavecwt.cwt import _map_ordered, _pool_size, _slice_tasks, _sweep
+from wavecwt.fields import _fft3
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
 
@@ -492,3 +498,141 @@ class TestSupport:
         want = wc.transform_pairing(u, v, wavelet, pg, threads)
         scale = np.sqrt(abs(wc.weighted_pairing(U, U) * wc.weighted_pairing(V, V)))
         assert abs(wc.weighted_pairing(U, V) - want) <= 1e-12 * scale
+
+
+class TestSliceTasks:
+    """Materialized routes work in (rotation, dilation block) tasks cut from the grid alone."""
+
+    @staticmethod
+    def covered(pg):
+        tasks = _slice_tasks(pg)
+        pairs = [(idx, a) for idx, rows in tasks for a in range(pg.n_a)[rows]]
+        assert pairs == [(idx, a) for idx in range(pg.n_rotations) for a in range(pg.n_a)]
+        return tasks
+
+    def test_tasks_cover_every_slice_once_rotation_major(self, exp_sph, packet):
+        big = self.covered(wc.make_parameter_grid(wc.Grid3.cubic(64, 64.0), exp_sph, 0.08, 2.5, 24))
+        assert len(big) == 24
+        mid = self.covered(wc.make_parameter_grid(wc.Grid3.cubic(32, 32.0), packet, 0.3, 2.0, 10,
+                                                  2, 2))
+        assert [rows.stop - rows.start for _, rows in mid] == [4, 4, 2] * 4
+        small = wc.make_parameter_grid(wc.Grid3.cubic(16, 16.0), packet, 0.3, 2.0, 24, 4, 3)
+        assert self.covered(small) == [(idx, slice(0, 24)) for idx in range(12)]
+
+    def test_blocks_do_not_depend_on_threads(self, exp_sph):
+        grid = wc.Grid3.cubic(32, 32.0)
+        rows = []
+
+        def spectral(kx, ky, kz):
+            rows.append(np.shape(kx)[0])
+            return exp_sph.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(exp_sph, spectral=spectral)
+        pg = wc.make_parameter_grid(grid, counted, *EXP_SPH_A_RANGE, 10)
+        u = band_limited_spectrum(grid, 0.7, 1.6, 81)
+        blocks = []
+        for threads in (1, 2):
+            rows.clear()
+            wc.analyze(u, "minus", counted, pg, constant=1.3, threads=threads)
+            blocks.append(sorted(rows))
+        assert blocks[0] == blocks[1] == [2, 4, 4]
+
+    @pytest.mark.parametrize("name", ["exp-spherical", "packet"])
+    def test_split_blocks_are_bit_identical_across_threads(self, name, exp_sph, packet):
+        grid = wc.Grid3.cubic(32, 32.0)
+        if name == "packet":
+            wavelet = packet
+            pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 12, 2, 2)
+        else:
+            wavelet = exp_sph
+            pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)
+        assert len(_slice_tasks(pg)) > pg.n_rotations
+        u = band_limited_spectrum(grid, 0.7, 1.6, 82)
+        one, two = (wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=n)
+                    for n in (1, 2))
+        assert one.values.tobytes() == two.values.tobytes()
+        spectra = [wc.reconstruct_spectrum(one, wavelet, threads=n).values for n in (1, 2)]
+        assert spectra[0].tobytes() == spectra[1].tobytes()
+
+    def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph):
+        grid = wc.Grid3.cubic(32, 32.0)
+        pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)
+        u = band_limited_spectrum(grid, 0.7, 1.6, 83)
+        coeffs = wc.analyze(u, "minus", exp_sph, pg, constant=1.3)
+        spectra, back = _sweep(exp_sph, pg, None)
+        terms = []
+        for idx in range(pg.n_rotations):
+            # in place, as ``phi * slab`` would give phi a C layout and BLAS other rounding
+            phi = spectra(idx)[:, back]
+            phi *= _fft3(coeffs.values[:, idx], grid).reshape(pg.n_a, -1)
+            terms.append((pg.rotation_weights[idx] * pg.a_weights * pg.a_nodes**1.5) @ phi)
+        ref = sum(terms)
+        ref /= 1.3 * pg.constant_factor
+        for threads in (1, 2):
+            got = wc.reconstruct_spectrum(coeffs, exp_sph, threads=threads).values
+            assert got.tobytes() == ref.reshape(grid.shape).tobytes()
+
+    def test_shared_rotation_blocks_survive_thread_switches(self, monkeypatch, exp_sph, packet):
+        # more workers than tasks of one rotation, switching threads as often as possible:
+        # a block allocated twice or a row written to a lost block breaks byte equality
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 8)
+        grid = wc.Grid3.cubic(32, 32.0)
+        cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
+                 (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 12, 2, 2))]
+        u = band_limited_spectrum(grid, 0.7, 1.6, 84)
+        interval = sys.getswitchinterval()
+        try:
+            for wavelet, pg in cases:
+                coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=1)
+                want = wc.reconstruct_spectrum(coeffs, wavelet, threads=1).values.tobytes()
+                sys.setswitchinterval(1e-6)
+                again = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=8)
+                assert again.values.tobytes() == coeffs.values.tobytes()
+                for _ in range(10):
+                    got = wc.reconstruct_spectrum(coeffs, wavelet, threads=8).values
+                    assert got.tobytes() == want
+                sys.setswitchinterval(interval)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_map_ordered_bounds_results_in_flight(self, monkeypatch):
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 4)
+        workers = 3
+        lock = threading.Lock()
+        started = []
+
+        def fn(item):
+            with lock:
+                started.append(item)
+            return item * item
+
+        got = []
+        for i, value in enumerate(_map_ordered(fn, range(40), workers)):
+            with lock:
+                assert len(started) <= i + 2 * workers + 1
+            got.append(value)
+            time.sleep(0.002)  # a slow consumer: unbounded workers would run far ahead
+        assert got == [i * i for i in range(40)]
+
+
+class TestCoefficientChecks:
+    def test_finiteness_scan_allocates_one_dilation_mask(self, grid16, packet):
+        pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
+        shape = (pg.n_a, pg.n_rotations) + grid16.shape
+        values = np.ones(shape, dtype=np.complex128)
+        one_mask = 2 * values[0].size  # one bool per float64 of a dilation
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            wc.WaveletCoefficients(pg, values, "plus", 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.25 * one_mask
+
+    def test_nan_in_last_dilation_is_rejected(self, grid16, packet):
+        pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
+        values = np.ones((pg.n_a, pg.n_rotations) + grid16.shape, dtype=np.complex128)
+        values[-1, -1, -1, -1, -1] = complex(0.0, np.nan)
+        with pytest.raises(wc.ValidationError):
+            wc.WaveletCoefficients(pg, values, "plus", 1.0)
