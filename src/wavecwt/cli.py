@@ -83,6 +83,7 @@ def _parse_params(pairs):
 
 
 def _write_manifest(out_path, args, inputs, outputs, started, threads):
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "tool": "wavecwt",
         "version": __version__,
@@ -92,8 +93,10 @@ def _write_manifest(out_path, args, inputs, outputs, started, threads):
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_time_s": round(time.time() - started, 6),
         "threads": threads,
+        # user + system time of this process so far; above threads * wall means oversubscription
+        "cpu_time_s": round(usage.ru_utime + usage.ru_stime, 6),
         # high-water mark of this process so far; Linux reports ru_maxrss in KiB
-        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
     }
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

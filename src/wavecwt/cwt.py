@@ -37,7 +37,10 @@ Materialized routes (:func:`analyze` and synthesis) hand out work as
 slices as fit a 2 MiB working set (one slice at 64^3, four at 32^3, a whole
 rotation at 16^3).  The blocking depends on the field grid alone, never on
 the thread count, so a spherical grid with its single rotation still keeps
-every worker busy and the results do not depend on ``threads``.
+every worker busy and the results do not depend on ``threads``.  Each task
+reduces over its own dilations with ``np.einsum``, and ``R^T k`` is formed by
+broadcasting: no slice route calls BLAS, whose own thread pool would compete
+with the ``threads`` workers.
 
 A "spherical" wavelet promises a radial spectrum (see
 :class:`~wavecwt.wavelets.PhysicalWavelet`), so ``PHI(a R^T k)`` takes one
@@ -198,6 +201,8 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
     trap[0] *= 0.5
     trap[-1] *= 0.5
     a_nodes = np.exp(t)
+    # exp(log(x)) can miss x by an ulp; pinned ends make a recorded window rebuild these nodes
+    a_nodes[[0, -1]] = a_min, a_max
     a_weights = trap * a_nodes**-3.0  # da/a^4 = d(log a) * a^-3
 
     if symmetry == "spherical":
@@ -327,7 +332,8 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[n
     a = nu_grid.a_nodes
 
     def spectra(idx, rows=slice(None)):
-        q = nu_grid.rotations[idx].T @ k
+        r = nu_grid.rotations[idx]
+        q = r[0][:, None] * k[0] + r[1][:, None] * k[1] + r[2][:, None] * k[2]  # R^T k
         ar = a[rows]
         phi = wavelet.spectral(np.multiply.outer(ar, q[0]), np.multiply.outer(ar, q[1]),
                                np.multiply.outer(ar, q[2]))
@@ -388,8 +394,9 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     ``integral dmu U conj(V) = sum_k u_hat conj(v_hat) K / (N dV)``, and
     analysis followed by synthesis multiplies ``u_hat`` by ``K / (C factor)``.
     The antiderivative partner ``PSI = PHI / (-i c a|k|)`` gives
-    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Rotations are summed in
-    order, so the result does not depend on ``threads``.
+    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Each rotation's task sums
+    over dilations in a fixed order and rotations are summed in order, so
+    the result does not depend on ``threads``.
     """
     spectra, back = _sweep(wavelet, nu_grid, support)
     weights = nu_grid.a_weights * nu_grid.a_nodes**3
@@ -397,7 +404,7 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     def one_rotation(idx):
         phi = spectra(idx)
         power = phi.real**2 + phi.imag**2
-        return (nu_grid.rotation_weights[idx] * weights) @ power
+        return np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights, power)
 
     on_points = sum(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads))
     kernel = np.zeros(support.size)

@@ -55,9 +55,10 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     """t = 0 spectrum of ``(1/C) integral dmu U(nu) phi^nu``.
 
     One forward transform per slice, in (rotation, dilation block) tasks;
-    each rotation's slices are reduced over dilations in one product and
-    rotations are summed in order.  The synthesis wavelet must carry the
-    coefficients' sign tag.
+    each task returns its weighted sum over its dilations and the partial
+    sums are added in task order, so the result does not depend on
+    ``threads``.  The synthesis wavelet must carry the coefficients' sign
+    tag.
     """
     if wavelet.sign != U.sign:
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
@@ -69,32 +70,15 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     grid = g.field_grid
     spectra, back = _sweep(wavelet, g, None)
     scale = g.a_nodes**1.5
-    tasks = _slice_tasks(g)
-    # Each task writes its rows into its rotation's block, which has the
-    # layout ``spectra(idx)[:, back]`` has (Fortran for a gather index), so
-    # BLAS rounds ``weights @ phi`` the same however the rotation is cut.
-    order = "C" if isinstance(back, slice) else "F"
-    blocks = {}
 
     def one_block(task):
         idx, rows = task
-        rotation = blocks.get(idx)
-        if rotation is None:
-            shape = (g.n_a, grid.node_count)
-            rotation = blocks.setdefault(idx, np.empty(shape, dtype=np.complex128, order=order))
         phi = spectra(idx, rows)[:, back]
         phi *= _fft3(U.values[rows, idx], grid).reshape(len(phi), -1)
-        rotation[rows] = phi
-        return rotation
+        weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
+        return np.einsum("a,am->m", weights, phi)
 
-    def rotation_terms():
-        # results arrive in task order, so a rotation is whole at its last block
-        for (idx, rows), rotation in zip(tasks, _map_ordered(one_block, tasks, threads)):
-            if rows.stop == g.n_a:
-                del blocks[idx]
-                yield (g.rotation_weights[idx] * g.a_weights * scale) @ rotation
-
-    acc = sum(rotation_terms())
+    acc = sum(_map_ordered(one_block, _slice_tasks(g), threads))
     acc /= U.constant * g.constant_factor
     return SpectralField3(grid, acc.reshape(grid.shape))
 

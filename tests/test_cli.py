@@ -237,3 +237,5 @@ class TestDeterminismAndManifest:
         manifest = json.loads((tmp_path / "u.wfld.manifest.json").read_text())
         assert isinstance(manifest["peak_rss_mib"], float)
         assert manifest["peak_rss_mib"] > 0
+        assert isinstance(manifest["cpu_time_s"], float)
+        assert manifest["cpu_time_s"] >= 0

@@ -554,27 +554,33 @@ class TestSliceTasks:
         spectra = [wc.reconstruct_spectrum(one, wavelet, threads=n).values for n in (1, 2)]
         assert spectra[0].tobytes() == spectra[1].tobytes()
 
-    def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph):
+    def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
+        # reference: each (rotation, dilation block) task sums its weighted slices in
+        # dilation order, and the partial sums are added in task order; the spherical
+        # case gathers shell values, the packet's split 32^3 grid is the lattice route
         grid = wc.Grid3.cubic(32, 32.0)
-        pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)
+        cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
+                 (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2))]
         u = band_limited_spectrum(grid, 0.7, 1.6, 83)
-        coeffs = wc.analyze(u, "minus", exp_sph, pg, constant=1.3)
-        spectra, back = _sweep(exp_sph, pg, None)
-        terms = []
-        for idx in range(pg.n_rotations):
-            # in place, as ``phi * slab`` would give phi a C layout and BLAS other rounding
-            phi = spectra(idx)[:, back]
-            phi *= _fft3(coeffs.values[:, idx], grid).reshape(pg.n_a, -1)
-            terms.append((pg.rotation_weights[idx] * pg.a_weights * pg.a_nodes**1.5) @ phi)
-        ref = sum(terms)
-        ref /= 1.3 * pg.constant_factor
-        for threads in (1, 2):
-            got = wc.reconstruct_spectrum(coeffs, exp_sph, threads=threads).values
-            assert got.tobytes() == ref.reshape(grid.shape).tobytes()
+        for wavelet, pg in cases:
+            coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3)
+            spectra, back = _sweep(wavelet, pg, None)
+            scale = pg.a_nodes**1.5
+            ref = 0
+            for idx, rows in _slice_tasks(pg):
+                slab = _fft3(coeffs.values[rows, idx], grid).reshape(rows.stop - rows.start, -1)
+                part = 0
+                for a, row in zip(range(pg.n_a)[rows], spectra(idx, rows)[:, back] * slab):
+                    part = part + pg.rotation_weights[idx] * pg.a_weights[a] * scale[a] * row
+                ref = ref + part
+            ref /= 1.3 * pg.constant_factor
+            for threads in (1, 2):
+                got = wc.reconstruct_spectrum(coeffs, wavelet, threads=threads).values
+                assert got.tobytes() == ref.reshape(grid.shape).tobytes()
 
     def test_shared_rotation_blocks_survive_thread_switches(self, monkeypatch, exp_sph, packet):
         # more workers than tasks of one rotation, switching threads as often as possible:
-        # a block allocated twice or a row written to a lost block breaks byte equality
+        # a slice or partial sum that is lost or added out of order breaks byte equality
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 8)
         grid = wc.Grid3.cubic(32, 32.0)
         cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),

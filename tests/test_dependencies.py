@@ -1,4 +1,8 @@
-"""The package imports nothing beyond the standard library, numpy and itself."""
+"""The package imports nothing beyond the standard library, numpy and itself.
+
+Its slice paths also call no BLAS: numpy hands matrix products to a BLAS
+library that runs its own thread pool next to the ``threads`` workers.
+"""
 
 import ast
 import sys
@@ -33,3 +37,40 @@ def test_guard_flags_a_foreign_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_numpy_or_wavecwt(path):
     assert foreign_imports(path.read_text()) == []
+
+
+BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+SLICE_PATHS = [("cwt.py", "_sweep"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
+               ("synthesis.py", "reconstruct_spectrum")]
+
+
+def blas_calls(source: str, function: str):
+    """Matrix products in ``function`` of ``source``, nested functions included."""
+    found = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == function):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append("@")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in BLAS_CALLS:
+                    found.append(name)
+                elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                    found.append("einsum(optimize=...)")  # may contract through tensordot
+        return found
+    raise AssertionError(f"no function {function!r}")
+
+
+def test_guard_flags_matrix_products():
+    source = ("def f(a, b):\n    def g():\n        return a @ b\n    a @= b\n"
+              "    np.dot(a, b)\n    a.dot(b)\n    np.tensordot(a, b, 1)\n"
+              "    np.einsum('a,am->m', a, b)\n    np.einsum('ab,bc', a, b, optimize=True)\n")
+    assert sorted(blas_calls(source, "f")) == ["@", "@", "dot", "dot",
+                                              "einsum(optimize=...)", "tensordot"]
+
+
+@pytest.mark.parametrize("module, function", SLICE_PATHS, ids=lambda v: v)
+def test_slice_path_calls_no_blas(module, function):
+    assert blas_calls((PACKAGE / module).read_text(), function) == []

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wavecwt as wc
 from conftest import band_limited_spectrum
@@ -91,6 +92,21 @@ def test_axial_coefficients_round_trip(tmp_path, packet, packet_constant):
     assert back.nu_grid.angle_shape == (4, 2)
     assert np.array_equal(back.values, coeffs.values)
     assert dict(back.wavelet_params) == dict(coeffs.wavelet_params)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(lo=st.integers(1, 2999), width=st.integers(1, 2999), n_a=st.integers(2, 24))
+@example(lo=269, width=216, n_a=5)  # exp(log(0.485)) is 0.48499999999999993
+def test_parameter_grid_survives_wcf_round_trip(tmp_path_factory, exp_sph, lo, width, n_a):
+    grid = wc.Grid3.cubic(8, 8.0)
+    pg = wc.make_parameter_grid(grid, exp_sph, lo / 1000, (lo + width) / 1000, n_a)
+    coeffs = wc.WaveletCoefficients(pg, np.zeros((n_a, 1) + grid.shape, dtype=complex),
+                                    "minus", 1.0)
+    path = tmp_path_factory.mktemp("window") / "window.wcf"
+    wc.write_coefficients(path, coeffs)
+    back, _ = wc.read_coefficients(path)
+    assert back.nu_grid == pg
+    assert wc.weighted_pairing(back, coeffs) == 0
 
 
 @pytest.mark.parametrize("kind, extra", [("field", 16), ("coefficients", -16)])
