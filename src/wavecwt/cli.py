@@ -91,7 +91,7 @@ def _write_manifest(out_path, args, inputs, outputs, started, threads):
         "parameters": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
-        "wall_time_s": round(time.time() - started, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
         "threads": threads,
         # user + system time of this process so far; above threads * wall means oversubscription
         "cpu_time_s": round(usage.ru_utime + usage.ru_stime, 6),
@@ -161,7 +161,7 @@ def _cmd_admissibility(args):
 
 
 def _cmd_make_field(args):
-    started = time.time()
+    started = time.perf_counter()
     grid = _grid_from_args(args)
     X, Y, Z = grid.mesh()
     if args.kind == "tone":
@@ -188,7 +188,7 @@ def _cmd_make_field(args):
 
 
 def _cmd_analyze(args):
-    started = time.time()
+    started = time.perf_counter()
     threads = args.threads or default_thread_count()
     spectral, c, wavelet, pgrid = _spectral_input(args)
     coeffs = analyze(spectral, args.sign, wavelet, pgrid, tol=args.tol, threads=threads)
@@ -204,7 +204,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_synthesize(args):
-    started = time.time()
+    started = time.perf_counter()
     threads = args.threads or default_thread_count()
     coeffs, c = read_coefficients(args.coeffs)
     name = args.wavelet or coeffs.wavelet_name
@@ -220,7 +220,7 @@ def _cmd_synthesize(args):
 
 
 def _cmd_ivp(args):
-    started = time.time()
+    started = time.perf_counter()
     threads = args.threads or default_thread_count()
     w_field, c_w = read_field(args.w)
     v_field, _ = read_field(args.v)

@@ -40,7 +40,11 @@ the thread count, so a spherical grid with its single rotation still keeps
 every worker busy and the results do not depend on ``threads``.  Each task
 reduces over its own dilations with ``np.einsum``, and ``R^T k`` is formed by
 broadcasting: no slice route calls BLAS, whose own thread pool would compete
-with the ``threads`` workers.
+with the ``threads`` workers.  The Fourier layer's origin phase and cell
+volume are diagonal in k and independent of (a, R), so :func:`analyze`
+applies the inverse factor to ``u_hat`` once per call; each task writes
+``a^{3/2} conj(PHI) v`` straight into its coefficient rows and runs a bare
+inverse FFT on them in place.
 
 A "spherical" wavelet promises a radial spectrum (see
 :class:`~wavecwt.wavelets.PhysicalWavelet`), so ``PHI(a R^T k)`` takes one
@@ -62,7 +66,7 @@ import numpy as np
 
 from .admissibility import admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
-from .fields import ComplexField3, Grid3, SpectralField3, _ifft3
+from .fields import ComplexField3, Grid3, SpectralField3, _inverse_factor, _lattice_ifft
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis
 
 __all__ = [
@@ -430,10 +434,11 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     """Wavelet coefficients of a frequency-pure solution part.
 
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
-    (a, rotation) slice is produced by one inverse transform; each
-    (rotation, dilation block) task writes its own slices, and the spectrum
-    is evaluated only where the data are nonzero.  Coefficients carry no
-    time dependence.
+    (a, rotation) slice is produced by one bare inverse FFT, in place in the
+    coefficient array, of ``a^{3/2} conj(PHI) v`` with ``v`` the data times
+    the transform's k-factor, applied once; each (rotation, dilation block)
+    task writes its own slices, and the spectrum is evaluated only where the
+    data are nonzero.  Coefficients carry no time dependence.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
@@ -446,26 +451,34 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     constant = _require_constant(wavelet, constant, tol)
 
     grid = nu_grid.field_grid
-    u_hat = s_part.values.ravel()
-    support = u_hat != 0
+    support = s_part.values.ravel() != 0
     partial = not support.all()
     spectra, back = _sweep(wavelet, nu_grid, support if partial else None)
+    # the transform's k-factor does not depend on (a, R): apply it once, so every
+    # slice is a bare inverse FFT of a^1.5 conj(PHI) v
+    v = _inverse_factor(s_part.values, grid).ravel()
     if partial:
-        u_hat = u_hat[support]
+        v = v[support]
     scale = nu_grid.a_nodes**1.5
-    values = np.empty((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
+    # zeros come from calloc'd pages, so only a partial support pays for them
+    values = (np.zeros if partial else np.empty)(
+        (nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
+    flat = values.reshape(nu_grid.n_a, nu_grid.n_rotations, -1)
 
     def one_block(task):
         idx, rows = task
-        phi = spectra(idx, rows)[:, back]
-        np.conjugate(phi, out=phi)
-        phi *= u_hat[None, :]
-        phi *= scale[rows, None]
+        dest = flat[rows, idx]
+        phi = spectra(idx, rows)
+        if isinstance(back, np.ndarray):  # shell values back onto their nodes
+            phi = np.take(phi, back, axis=1, out=None if partial else dest, mode="clip")
+        prod = phi if partial else dest
+        np.conjugate(phi, out=prod)
+        prod *= v
+        prod *= scale[rows, None]
         if partial:
-            block = np.zeros((len(phi), grid.node_count), dtype=np.complex128)
-            block[:, support] = phi
-            phi = block
-        values[rows, idx] = _ifft3(phi.reshape((len(phi),) + grid.shape), grid)
+            dest[:, support] = prod
+        slab = values[rows, idx]
+        _lattice_ifft(slab, out=slab)
 
     for _ in _map_ordered(one_block, _slice_tasks(nu_grid), threads):
         pass

@@ -16,7 +16,13 @@ for a non-zero grid origin.  With this scaling the L2 pairing satisfies
 ``<f, g> = (2 pi)^-3 <F, G>`` to round-off (see :func:`inner_product`).
 The private ``_fft3``/``_ifft3`` act on the trailing ``grid.shape`` axes of
 an array with any leading batch axes; :func:`fft3`/:func:`ifft3` apply them
-to one field.
+to one field.  Each is the composition of two halves: the bare lattice FFT
+(``_lattice_fft``/``_lattice_ifft``; the inverse may write into an ``out``
+array, in place included) and the diagonal k-factor of origin phase and cell
+volume (``_forward_factor``/``_inverse_factor``, applied as three separable
+per-axis factors, never as a lattice-sized factor array).  The factor does
+not depend on any wavelet parameter, so routes that transform many slices
+of one spectrum apply it once per call rather than once per slice.
 
 A solution of ``u_tt = c^2 Lap(u)`` is stored as the pair of frequency-sign
 spectral parts: the "plus" part evolves with ``exp(-i|k|ct)`` and the "minus"
@@ -218,26 +224,51 @@ def _origin_phase(grid: Grid3, sign: int) -> tuple:
     return px, py, pz
 
 
-def _fft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Scaled, origin-phased forward transform over the trailing ``grid.shape`` axes."""
-    out = np.fft.fftn(values, axes=(-3, -2, -1))
+def _lattice_fft(values: np.ndarray) -> np.ndarray:
+    """Bare forward FFT over the trailing three axes."""
+    return np.fft.fftn(values, axes=(-3, -2, -1))
+
+
+def _lattice_ifft(values: np.ndarray, out=None) -> np.ndarray:
+    """Bare inverse FFT over the trailing three axes, into ``out`` when given."""
+    return np.fft.ifftn(values, axes=(-3, -2, -1), out=out)
+
+
+def _forward_factor(spectrum: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Scale a bare forward transform in place by ``cell_volume * exp(-i k.origin)``.
+
+    ``spectrum`` has ``grid.shape`` as its trailing axes; it is returned.
+    """
     px, py, pz = _origin_phase(grid, -1)
-    out *= grid.cell_volume
-    out *= px
+    spectrum *= grid.cell_volume
+    spectrum *= px
+    spectrum *= py
+    spectrum *= pz
+    return spectrum
+
+
+def _inverse_factor(spectrum: np.ndarray, grid: Grid3) -> np.ndarray:
+    """``spectrum * exp(+i k.origin) / cell_volume`` as a new array.
+
+    The bare inverse transform of the result is :func:`_ifft3` of ``spectrum``.
+    """
+    px, py, pz = _origin_phase(grid, +1)
+    out = spectrum * px
     out *= py
     out *= pz
+    out /= grid.cell_volume
     return out
+
+
+def _fft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Scaled, origin-phased forward transform over the trailing ``grid.shape`` axes."""
+    return _forward_factor(_lattice_fft(values), grid)
 
 
 def _ifft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
     """Inverse of :func:`_fft3` over the trailing ``grid.shape`` axes."""
-    px, py, pz = _origin_phase(grid, +1)
-    tmp = values * px
-    tmp *= py
-    tmp *= pz
-    out = np.fft.ifftn(tmp, axes=(-3, -2, -1))
-    out /= grid.cell_volume
-    return out
+    scaled = _inverse_factor(values, grid)
+    return _lattice_ifft(scaled, out=scaled)
 
 
 def fft3(f: ComplexField3) -> SpectralField3:

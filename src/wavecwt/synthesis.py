@@ -2,9 +2,12 @@
 
 Synthesis accumulates in the spectral domain: each (a, rotation) slice
 contributes ``weight * a^{3/2} PHI(a R^T k) * FFT_b[U]`` to a running t = 0
-spectrum.  The family's t/a dilation combines with the rescaled spectrum's
-carrier into one global factor exp(-/+ i|k|ct), so reconstruction at time t
-is :func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
+spectrum.  ``FFT_b`` is the bare lattice FFT; the Fourier layer's origin
+phase and cell volume do not depend on (a, R), so they multiply the summed
+spectrum once.  The family's t/a dilation combines with the rescaled
+spectrum's carrier into one global factor exp(-/+ i|k|ct), so reconstruction
+at time t is :func:`wavecwt.fields.propagate` of the reconstructed t = 0
+spectrum.
 
 Analysis followed by synthesis is a multiplier in k on each frequency-sign
 part: :func:`project` multiplies a spectrum by the resolution kernel of
@@ -33,7 +36,8 @@ from .fields import (
     ComplexField3,
     SolutionSpectrum,
     SpectralField3,
-    _fft3,
+    _forward_factor,
+    _lattice_fft,
     propagate,
     solution_from_minus,
     solution_from_plus,
@@ -54,11 +58,11 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
                          threads: Optional[int] = None) -> SpectralField3:
     """t = 0 spectrum of ``(1/C) integral dmu U(nu) phi^nu``.
 
-    One forward transform per slice, in (rotation, dilation block) tasks;
+    One bare forward FFT per slice, in (rotation, dilation block) tasks;
     each task returns its weighted sum over its dilations and the partial
     sums are added in task order, so the result does not depend on
-    ``threads``.  The synthesis wavelet must carry the coefficients' sign
-    tag.
+    ``threads``.  The transform's k-factor is applied once, to the sum.  The
+    synthesis wavelet must carry the coefficients' sign tag.
     """
     if wavelet.sign != U.sign:
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
@@ -74,13 +78,15 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     def one_block(task):
         idx, rows = task
         phi = spectra(idx, rows)[:, back]
-        phi *= _fft3(U.values[rows, idx], grid).reshape(len(phi), -1)
+        phi *= _lattice_fft(U.values[rows, idx]).reshape(len(phi), -1)
         weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
         return np.einsum("a,am->m", weights, phi)
 
-    acc = sum(_map_ordered(one_block, _slice_tasks(g), threads))
+    acc = sum(_map_ordered(one_block, _slice_tasks(g), threads)).reshape(grid.shape)
+    # the transform's k-factor does not depend on (a, R): applied once, to the sum
+    _forward_factor(acc, grid)
     acc /= U.constant * g.constant_factor
-    return SpectralField3(grid, acc.reshape(grid.shape))
+    return SpectralField3(grid, acc)
 
 
 def reconstruct(U: WaveletCoefficients, wavelet: PhysicalWavelet, t: float,

@@ -552,22 +552,53 @@ def gaussian_packet(p: float, gamma: float, eps1: float, eps2: float,
     amp0 = (2.0 * np.pi) ** 1.5 * p / np.sqrt(gamma)
 
     def spectral(kx, ky, kz):
+        # With k = |k|, s = kx + k, ks = k or 1, ss = s or 1 and
+        #   expo = -gamma ss/2 - p^2/(2 gamma ss) - (ky^2 eps1 + kz^2 eps2)/(2 ss),
+        # the value is 1j amp0 / (ks ss^1.5) exp(expo) where k > 0, s > 0 and
+        # expo > _EXP_FLOOR, else 0.  Evaluated in place on reused buffers with
+        # the operations and rounding of that expression: numpy's complex
+        # quotient 1j amp0 / d has real part +0 and imaginary part amp0 * (1 / d).
         kx = np.asarray(kx, dtype=float)
         ky = np.asarray(ky, dtype=float)
         kz = np.asarray(kz, dtype=float)
-        k = np.sqrt(kx**2 + ky**2 + kz**2)
-        s = kx + k
-        good = (k > 0) & (s > 0)
-        ss = np.where(good, s, 1.0)
-        ks = np.where(k > 0, k, 1.0)
-        expo = (
-            -gamma * ss / 2.0
-            - p**2 / (2.0 * gamma * ss)
-            - (ky**2 * eps1 + kz**2 * eps2) / (2.0 * ss)
-        )
-        ok = good & (expo > _EXP_FLOOR)
-        vals = 1j * amp0 / (ks * ss**1.5) * np.exp(np.where(ok, expo, 0.0))
-        return np.where(ok, vals, 0.0)
+        shape = np.broadcast_shapes(kx.shape, ky.shape, kz.shape)
+        k, s, expo, t, u = (np.empty(shape) for _ in range(5))
+        np.square(kx, out=k)
+        k += np.square(ky, out=t)
+        k += np.square(kz, out=t)
+        np.sqrt(k, out=k)
+        np.add(kx, k, out=s)
+        ok, flag = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        np.greater(s, 0.0, out=ok)
+        ok &= np.greater(k, 0.0, out=flag)
+        np.copyto(k, 1.0, where=np.logical_not(flag, out=flag))  # ks
+        np.copyto(s, 1.0, where=np.logical_not(ok, out=flag))  # ss
+        np.multiply(-gamma, s, out=expo)
+        expo /= 2.0
+        np.multiply(2.0 * gamma, s, out=t)
+        expo -= np.divide(p**2, t, out=t)
+        np.square(ky, out=t)
+        t *= eps1
+        np.square(kz, out=u)
+        u *= eps2
+        t += u
+        t /= np.multiply(2.0, s, out=u)
+        expo -= t
+        del u
+        ok &= np.greater(expo, _EXP_FLOOR, out=flag)
+        np.copyto(expo, 0.0, where=np.logical_not(ok, out=flag))
+        np.exp(expo, out=expo)
+        np.power(s, 1.5, out=t)
+        t *= k
+        if shape:
+            np.divide(1.0, t, out=t)
+            t *= amp0
+        else:  # all-scalar operands: the quotient is Python's, which divides once
+            np.divide(amp0, t, out=t)
+        t *= expo
+        vals = np.zeros(shape, dtype=np.complex128)
+        np.copyto(vals.imag, t, where=ok)
+        return vals
 
     symmetry = "axial" if eps1 == eps2 else "none"
     prm = (("eps1", float(eps1)), ("eps2", float(eps2)), ("gamma", float(gamma)), ("p", float(p)))

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavecwt as wc
+from wavecwt import cli
 from wavecwt.cli import dispatch
 from wavecwt.cwt import default_thread_count
 
@@ -239,3 +241,18 @@ class TestDeterminismAndManifest:
         assert manifest["peak_rss_mib"] > 0
         assert isinstance(manifest["cpu_time_s"], float)
         assert manifest["cpu_time_s"] >= 0
+
+    def test_manifest_wall_time_survives_a_clock_step(self, tmp_path, monkeypatch):
+        # the wall clock steps back an hour on every reading, as after an NTP correction
+        readings = iter(range(10**6))
+        monkeypatch.setattr(cli.time, "time", lambda: 2e9 - 3600.0 * next(readings))
+        field = tmp_path / "u.wfld"
+        coeffs = tmp_path / "u.wcf"
+        assert dispatch(["make-field", "--kind", "tone", "--n", "16", "--extent", "8",
+                         "--k-index", "1", "2", "0", "--out", str(field)]) == 0
+        assert dispatch(["analyze", "--input", str(field), "--wavelet", "exp-spherical",
+                         "--sign", "minus", "--a-min", "0.2", "--a-max", "2.0",
+                         "--n-a", "4", "--out", str(coeffs)]) == 0
+        for out in (field, coeffs):
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["wall_time_s"] >= 0

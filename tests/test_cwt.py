@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import wavecwt as wc
 from wavecwt import cwt
 from wavecwt.cwt import _map_ordered, _pool_size, _slice_tasks, _sweep
-from wavecwt.fields import _fft3
+from wavecwt.fields import _forward_factor
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
 
@@ -555,9 +555,10 @@ class TestSliceTasks:
         assert spectra[0].tobytes() == spectra[1].tobytes()
 
     def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
-        # reference: each (rotation, dilation block) task sums its weighted slices in
-        # dilation order, and the partial sums are added in task order; the spherical
-        # case gathers shell values, the packet's split 32^3 grid is the lattice route
+        # reference: each (rotation, dilation block) task sums its weighted PHI * fftn(U)
+        # slices in dilation order, the partial sums are added in task order, and the
+        # transform's k-factor is applied once to the sum; the spherical case gathers
+        # shell values, the packet's split 32^3 grid is the lattice route
         grid = wc.Grid3.cubic(32, 32.0)
         cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
                  (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2))]
@@ -568,15 +569,17 @@ class TestSliceTasks:
             scale = pg.a_nodes**1.5
             ref = 0
             for idx, rows in _slice_tasks(pg):
-                slab = _fft3(coeffs.values[rows, idx], grid).reshape(rows.stop - rows.start, -1)
+                slab = np.fft.fftn(coeffs.values[rows, idx], axes=(-3, -2, -1))
+                slab = slab.reshape(rows.stop - rows.start, -1)
                 part = 0
                 for a, row in zip(range(pg.n_a)[rows], spectra(idx, rows)[:, back] * slab):
                     part = part + pg.rotation_weights[idx] * pg.a_weights[a] * scale[a] * row
                 ref = ref + part
+            ref = _forward_factor(ref.reshape(grid.shape), grid)
             ref /= 1.3 * pg.constant_factor
             for threads in (1, 2):
                 got = wc.reconstruct_spectrum(coeffs, wavelet, threads=threads).values
-                assert got.tobytes() == ref.reshape(grid.shape).tobytes()
+                assert got.tobytes() == ref.tobytes()
 
     def test_shared_rotation_blocks_survive_thread_switches(self, monkeypatch, exp_sph, packet):
         # more workers than tasks of one rotation, switching threads as often as possible:
@@ -619,6 +622,40 @@ class TestSliceTasks:
             got.append(value)
             time.sleep(0.002)  # a slow consumer: unbounded workers would run far ahead
         assert got == [i * i for i in range(40)]
+
+
+class TestSliceMemory:
+    """Working memory of the materialized routes, in 512 KiB slabs of a 32^3 grid."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - start
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_slice_routes_stay_within_their_slabs(self, monkeypatch, packet, threads):
+        # analyze writes each product into its coefficient rows and transforms them in
+        # place (16.3 and 32.4 slabs beyond the coefficients when every task built its
+        # own zero block and transformed out of place); reconstruct_spectrum stays at or
+        # below the 28.5 and 54.5 slabs of a per-slice phase-and-volume transform
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
+        grid = wc.Grid3.cubic(32, 32.0)
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 8, 2, 2)
+        u = band_limited_spectrum(grid, 0.6, 1.8, 85)
+        slab = 16 * grid.node_count
+        coeffs, peak = self.traced_peak(
+            lambda: wc.analyze(u, "plus", packet, pg, constant=1.0, threads=threads))
+        beyond = (peak - coeffs.values.nbytes) / slab
+        assert beyond <= 4.0 * threads
+        _, peak = self.traced_peak(lambda: wc.reconstruct_spectrum(coeffs, packet, threads))
+        synthesis_slabs = peak / slab
+        assert synthesis_slabs <= {1: 28.5, 2: 54.5}[threads]
 
 
 class TestCoefficientChecks:

@@ -1,9 +1,12 @@
 """Catalog wavelets: rotations, family action, closed forms, derived wavelets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wavecwt as wc
+from wavecwt.wavelets import _EXP_FLOOR
 from conftest import rel_l2
 
 
@@ -282,6 +285,82 @@ class TestGaussianPacket:
             ))
         ratio = reports[0].rel_l2 / reports[1].rel_l2
         assert 3.5 <= ratio <= 4.5
+
+
+
+def expression_packet_spectrum(p, gamma, eps1, eps2):
+    """The packet spectrum in expression form: the reference for the in-place kernel."""
+    amp0 = (2.0 * np.pi) ** 1.5 * p / np.sqrt(gamma)
+
+    def spectral(kx, ky, kz):
+        kx = np.asarray(kx, dtype=float)
+        ky = np.asarray(ky, dtype=float)
+        kz = np.asarray(kz, dtype=float)
+        k = np.sqrt(kx**2 + ky**2 + kz**2)
+        s = kx + k
+        good = (k > 0) & (s > 0)
+        ss = np.where(good, s, 1.0)
+        ks = np.where(k > 0, k, 1.0)
+        expo = (
+            -gamma * ss / 2.0
+            - p**2 / (2.0 * gamma * ss)
+            - (ky**2 * eps1 + kz**2 * eps2) / (2.0 * ss)
+        )
+        ok = good & (expo > _EXP_FLOOR)
+        vals = 1j * amp0 / (ks * ss**1.5) * np.exp(np.where(ok, expo, 0.0))
+        return np.where(ok, vals, 0.0)
+
+    return spectral
+
+
+class TestPacketKernel:
+    """The in-place packet spectrum has the bytes of its expression form."""
+
+    PARAMS = [(40.0, 1.0, 0.5, 0.5), (3, 2, 0.3, 0.9), (1.5, 0.7, 2.0, 1.0)]
+
+    @staticmethod
+    def same(got, want):
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_matches_expression_form_bytewise(self, params):
+        new = wc.gaussian_packet(*params).spectral
+        ref = expression_packet_spectrum(*params)
+        rng = np.random.default_rng(11)
+        for scale in (0.05, 1.0, 8.0, 1e3):  # the tails fall below _EXP_FLOOR
+            k = scale * rng.normal(size=(3, 4, 2000))
+            self.same(new(*k), ref(*k))
+        x, y = rng.normal(size=(7, 1)), rng.normal(size=(1, 9))
+        self.same(new(x, y, 0.4), ref(x, y, 0.4))
+        for point in [(0.3, 0.2, -0.1), (0.0, 0.0, 0.0), (np.float64(2.0), 0.5, -1.0)]:
+            self.same(new(*point), ref(*point))
+            self.same(new(*map(np.array, point)), ref(*map(np.array, point)))
+        v = rng.normal(size=(3, 500))
+        m = np.sqrt((v**2).sum(axis=0))
+        zero = np.zeros_like(m)
+        self.same(new(zero, zero, zero), ref(zero, zero, zero))
+        self.same(new(-m, zero, zero), ref(-m, zero, zero))  # the half-line kx = -|k|
+        near = (-m * (1.0 - 1e-12), 1e-7 * v[1], 1e-7 * v[2])  # just off it
+        self.same(new(*near), ref(*near))
+        expo_low = ref(*near) == 0
+        assert expo_low.any()
+
+    def test_peak_memory_at_most_expression_form(self):
+        params = self.PARAMS[0]
+        k = np.random.default_rng(12).normal(size=(3, 4, 32768))
+        peaks = []
+        for spectral in (expression_packet_spectrum(*params), wc.gaussian_packet(*params).spectral):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                spectral(*k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - start)
+        assert peaks[1] <= peaks[0]
 
 
 class TestMorletAsymptote:
