@@ -13,8 +13,9 @@ One executable with subcommands::
 All metric output is JSON lines on stdout; errors are one JSON line on
 stderr with exit code 1; usage problems exit 2.  Commands that write files
 also write ``<output>.manifest.json`` recording arguments, input/output
-hashes, wall time, thread count and peak resident memory; reruns with
-identical inputs and thread count produce identical output hashes.
+hashes, wall and CPU time, thread count, peak resident memory and minor
+page faults; reruns with identical inputs and thread count produce
+identical output hashes.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def _write_manifest(out_path, args, inputs, outputs, started, threads):
         "cpu_time_s": round(usage.ru_utime + usage.ru_stime, 6),
         # high-water mark of this process so far; Linux reports ru_maxrss in KiB
         "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
+        # pages this process has had mapped in without disk I/O so far
+        "minor_faults": usage.ru_minflt,
     }
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

@@ -56,6 +56,7 @@ dilation on a 64^3 cube).
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -103,6 +104,22 @@ def default_thread_count() -> int:
     if not env.isdecimal() or int(env) < 1:
         raise ValidationError(f"WAVECWT_THREADS={env!r}: needs an integer >= 1")
     return int(env)
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """:class:`ValidationError` when ``nbytes`` exceed this machine's physical memory.
+
+    An array that large could only end in swapping or an out-of-memory
+    kill, so it is refused before anything is allocated.  Where
+    ``os.sysconf`` does not report the memory size nothing is checked.
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < physical < nbytes:
+        raise ValidationError(f"{what}: {nbytes / 2**30:.3g} GiB, more than the "
+                              f"{physical / 2**30:.3g} GiB of physical memory")
 
 
 def rotation_about(axis, angle) -> np.ndarray:
@@ -313,17 +330,43 @@ class WaveletCoefficients:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[np.ndarray]):
+class _Workspace(threading.local):
+    """One worker thread's buffers for one call, made on its first task.
+
+    ``rows(n)`` hands out ``(n, width)`` row views of one array per dtype,
+    kept for every later task the worker runs and grown when a task needs
+    more rows; the buffers go when the call drops the workspace.
+    """
+
+    def __init__(self, width: int, dtypes: Sequence):
+        self.width, self.dtypes, self.held = width, tuple(dtypes), None
+
+    def rows(self, n_rows: int):
+        if self.held is None or len(self.held[0]) < n_rows:
+            self.held = [np.empty((n_rows, self.width), dtype) for dtype in self.dtypes]
+        return [buf[:n_rows] for buf in self.held]
+
+
+def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[np.ndarray],
+           power: bool = False):
     """``(spectra, back)``: ``PHI(a R^T k)`` per rotation on the flagged lattice nodes.
 
     ``support`` is a boolean mask over the flattened field lattice, or None
     for every node.  ``spectra(idx, rows)`` is ``PHI(a R^T k)`` for the
     dilations ``a_nodes[rows]`` (all of them by default) at rotation ``idx``,
     shape (n_rows, M), and ``spectra(idx, rows)[:, back]`` is its value on
-    each flagged node.  A "spherical" wavelet's spectrum
-    depends on |k| alone, so it is evaluated once per distinct float |k|^2
-    ``s`` at ``(0, 0, sqrt(s))``; any other wavelet is evaluated at the
-    flagged nodes themselves and ``back`` is ``slice(None)``: no copy.
+    each flagged node; with ``power`` it is ``|PHI|^2`` instead.  A
+    "spherical" wavelet's spectrum depends on |k| alone, so it is evaluated
+    once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))``; any other
+    wavelet is evaluated at the flagged nodes themselves and ``back`` is
+    ``slice(None)``: no copy.
+
+    Each worker thread evaluates in its own :class:`_Workspace`, which lives
+    as long as ``spectra``: the three scaled wave-vector components and the
+    buffers of the wavelet's buffer form (see
+    :class:`~wavecwt.wavelets.PhysicalWavelet`); a wavelet without one
+    allocates its own values.  The result may be a view into the workspace,
+    valid until the same worker's next ``spectra`` call.
     """
     k = nu_grid.field_grid.k_stack()
     if support is not None:
@@ -334,14 +377,26 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[n
         k = np.zeros((3, shells.size))
         k[2] = np.sqrt(shells)
     a = nu_grid.a_nodes
+    into = getattr(wavelet.spectral, "into", None)
+    workspace = _Workspace(k.shape[1], (np.float64,) * 3 + (into.buffers if into else ()))
 
     def spectra(idx, rows=slice(None)):
         r = nu_grid.rotations[idx]
-        q = r[0][:, None] * k[0] + r[1][:, None] * k[1] + r[2][:, None] * k[2]  # R^T k
         ar = a[rows]
-        phi = wavelet.spectral(np.multiply.outer(ar, q[0]), np.multiply.outer(ar, q[1]),
-                               np.multiply.outer(ar, q[2]))
-        return np.asarray(phi, dtype=np.complex128)
+        kx, ky, kz, *buffers = workspace.rows(len(ar))
+        for i, scaled in enumerate((kx, ky, kz)):
+            q = r[0, i] * k[0] + r[1, i] * k[1] + r[2, i] * k[2]  # (R^T k)_i
+            np.multiply.outer(ar, q, out=scaled)
+        if into:
+            phi = into(kx, ky, kz, *buffers)
+        else:
+            phi = np.asarray(wavelet.spectral(kx, ky, kz), dtype=np.complex128)
+        if not power:
+            return phi
+        # phi.real**2 + phi.imag**2, in the spent wave-vector buffers
+        np.square(phi.real, out=kx)
+        kx += np.square(phi.imag, out=ky)
+        return kx
 
     return spectra, back
 
@@ -402,13 +457,11 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     over dilations in a fixed order and rotations are summed in order, so
     the result does not depend on ``threads``.
     """
-    spectra, back = _sweep(wavelet, nu_grid, support)
+    spectra, back = _sweep(wavelet, nu_grid, support, power=True)
     weights = nu_grid.a_weights * nu_grid.a_nodes**3
 
     def one_rotation(idx):
-        phi = spectra(idx)
-        power = phi.real**2 + phi.imag**2
-        return np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights, power)
+        return np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights, spectra(idx))
 
     on_points = sum(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads))
     kernel = np.zeros(support.size)
@@ -438,7 +491,9 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     coefficient array, of ``a^{3/2} conj(PHI) v`` with ``v`` the data times
     the transform's k-factor, applied once; each (rotation, dilation block)
     task writes its own slices, and the spectrum is evaluated only where the
-    data are nonzero.  Coefficients carry no time dependence.
+    data are nonzero.  Coefficients carry no time dependence.  Coefficients
+    larger than the machine's physical memory are refused up front with a
+    :class:`ValidationError`.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
@@ -448,6 +503,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
     if s_part.grid != nu_grid.field_grid:
         raise GridMismatchError("field grid of data and parameter grid differ")
+    _require_memory(16 * nu_grid.node_count, "coefficients")
     constant = _require_constant(wavelet, constant, tol)
 
     grid = nu_grid.field_grid

@@ -224,9 +224,9 @@ def _origin_phase(grid: Grid3, sign: int) -> tuple:
     return px, py, pz
 
 
-def _lattice_fft(values: np.ndarray) -> np.ndarray:
-    """Bare forward FFT over the trailing three axes."""
-    return np.fft.fftn(values, axes=(-3, -2, -1))
+def _lattice_fft(values: np.ndarray, out=None) -> np.ndarray:
+    """Bare forward FFT over the trailing three axes, into ``out`` when given."""
+    return np.fft.fftn(values, axes=(-3, -2, -1), out=out)
 
 
 def _lattice_ifft(values: np.ndarray, out=None) -> np.ndarray:

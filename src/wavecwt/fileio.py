@@ -23,7 +23,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .cwt import WaveletCoefficients, build_parameter_grid
+from .cwt import WaveletCoefficients, _require_memory, build_parameter_grid
 from .errors import ValidationError
 from .fields import ComplexField3, Grid3, SpectralField3
 
@@ -63,10 +63,15 @@ def _read_header(fh, path, what: str) -> dict:
 
 
 def _read_payload(fh, count: int, path) -> np.ndarray:
-    """``count`` complex samples read straight into one array, size checked first."""
+    """``count`` complex samples read straight into one array.
+
+    The payload size is checked against the header and against physical
+    memory before the array is allocated.
+    """
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size != 16 * count:
         raise ValidationError(f"{path}: payload holds {size} bytes, expected {16 * count}")
+    _require_memory(size, f"payload of {path}")
     values = np.empty(count, dtype="<c16")
     got = fh.readinto(values)
     if got != size:

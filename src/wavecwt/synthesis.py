@@ -25,6 +25,7 @@ import numpy as np
 from .cwt import (
     ParameterGrid,
     WaveletCoefficients,
+    _Workspace,
     _map_ordered,
     _require_constant,
     _slice_tasks,
@@ -73,12 +74,16 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     g = U.nu_grid
     grid = g.field_grid
     spectra, back = _sweep(wavelet, g, None)
+    slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     scale = g.a_nodes**1.5
 
     def one_block(task):
         idx, rows = task
+        block = U.values[rows, idx]
         phi = spectra(idx, rows)[:, back]
-        phi *= _lattice_fft(U.values[rows, idx]).reshape(len(phi), -1)
+        (slab,) = slabs.rows(len(block))
+        _lattice_fft(block, out=slab.reshape(block.shape))
+        phi *= slab
         weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
         return np.einsum("a,am->m", weights, phi)
 

@@ -244,6 +244,13 @@ class PhysicalWavelet:
     transforms evaluate ``spectral`` once per distinct |k| of the lattice
     instead of once per node.  Tag a wavelet "axial" or "none" when its
     spectrum is not radial.
+
+    ``spectral`` may carry a buffer form ``spectral.into(kx, ky, kz, *buffers)``:
+    the same values written into the last of ``buffers``, arrays with the
+    dtypes ``spectral.into.buffers``, which it returns.  Every argument is
+    a writable array of one shape and may be overwritten.  The transforms
+    evaluate such a wavelet in buffers each worker reuses from task to
+    task; ``spectral`` itself then runs the buffer form on fresh arrays.
     """
 
     sign: str
@@ -551,54 +558,59 @@ def gaussian_packet(p: float, gamma: float, eps1: float, eps2: float,
 
     amp0 = (2.0 * np.pi) ** 1.5 * p / np.sqrt(gamma)
 
-    def spectral(kx, ky, kz):
+    def into(kx, ky, kz, k, t, ok, flag, vals):
         # With k = |k|, s = kx + k, ks = k or 1, ss = s or 1 and
         #   expo = -gamma ss/2 - p^2/(2 gamma ss) - (ky^2 eps1 + kz^2 eps2)/(2 ss),
         # the value is 1j amp0 / (ks ss^1.5) exp(expo) where k > 0, s > 0 and
-        # expo > _EXP_FLOOR, else 0.  Evaluated in place on reused buffers with
-        # the operations and rounding of that expression: numpy's complex
-        # quotient 1j amp0 / d has real part +0 and imaginary part amp0 * (1 / d).
-        kx = np.asarray(kx, dtype=float)
-        ky = np.asarray(ky, dtype=float)
-        kz = np.asarray(kz, dtype=float)
-        shape = np.broadcast_shapes(kx.shape, ky.shape, kz.shape)
-        k, s, expo, t, u = (np.empty(shape) for _ in range(5))
+        # expo > _EXP_FLOOR, else 0.  Evaluated in place on five float buffers, two
+        # masks and the complex output, with the operations and rounding of that
+        # expression: numpy's complex quotient 1j amp0 / d has real part +0 and
+        # imaginary part amp0 * (1 / d).  s, the (ky, kz) term and expo take the
+        # places of kx, ky and kz after their last reads.
+        s, yz, expo = kx, ky, kz
         np.square(kx, out=k)
         k += np.square(ky, out=t)
         k += np.square(kz, out=t)
         np.sqrt(k, out=k)
         np.add(kx, k, out=s)
-        ok, flag = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         np.greater(s, 0.0, out=ok)
         ok &= np.greater(k, 0.0, out=flag)
         np.copyto(k, 1.0, where=np.logical_not(flag, out=flag))  # ks
         np.copyto(s, 1.0, where=np.logical_not(ok, out=flag))  # ss
+        np.square(ky, out=yz)
+        yz *= eps1
+        np.square(kz, out=t)
+        t *= eps2
+        yz += t
+        yz /= np.multiply(2.0, s, out=t)
         np.multiply(-gamma, s, out=expo)
         expo /= 2.0
         np.multiply(2.0 * gamma, s, out=t)
         expo -= np.divide(p**2, t, out=t)
-        np.square(ky, out=t)
-        t *= eps1
-        np.square(kz, out=u)
-        u *= eps2
-        t += u
-        t /= np.multiply(2.0, s, out=u)
-        expo -= t
-        del u
+        expo -= yz
         ok &= np.greater(expo, _EXP_FLOOR, out=flag)
         np.copyto(expo, 0.0, where=np.logical_not(ok, out=flag))
         np.exp(expo, out=expo)
         np.power(s, 1.5, out=t)
         t *= k
-        if shape:
+        if vals.shape:
             np.divide(1.0, t, out=t)
             t *= amp0
         else:  # all-scalar operands: the quotient is Python's, which divides once
             np.divide(amp0, t, out=t)
         t *= expo
-        vals = np.zeros(shape, dtype=np.complex128)
+        vals.fill(0.0)
         np.copyto(vals.imag, t, where=ok)
         return vals
+
+    into.buffers = (np.float64,) * 2 + (np.bool_,) * 2 + (np.complex128,)
+
+    def spectral(kx, ky, kz):
+        shape = np.broadcast_shapes(np.shape(kx), np.shape(ky), np.shape(kz))
+        kxyz = (np.array(np.broadcast_to(v, shape), dtype=float) for v in (kx, ky, kz))
+        return into(*kxyz, *(np.empty(shape, dtype) for dtype in into.buffers))
+
+    spectral.into = into
 
     symmetry = "axial" if eps1 == eps2 else "none"
     prm = (("eps1", float(eps1)), ("eps2", float(eps2)), ("gamma", float(gamma)), ("p", float(p)))

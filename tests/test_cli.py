@@ -241,6 +241,8 @@ class TestDeterminismAndManifest:
         assert manifest["peak_rss_mib"] > 0
         assert isinstance(manifest["cpu_time_s"], float)
         assert manifest["cpu_time_s"] >= 0
+        assert isinstance(manifest["minor_faults"], int)
+        assert manifest["minor_faults"] > 0
 
     def test_manifest_wall_time_survives_a_clock_step(self, tmp_path, monkeypatch):
         # the wall clock steps back an hour on every reading, as after an NTP correction
@@ -256,3 +258,25 @@ class TestDeterminismAndManifest:
         for out in (field, coeffs):
             manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
             assert manifest["wall_time_s"] >= 0
+
+
+def test_payload_larger_than_physical_memory_is_a_domain_error(capsys, tmp_path, monkeypatch):
+    field = tmp_path / "u.wfld"
+    coeffs = tmp_path / "u.wcf"
+    analyze = ["analyze", "--input", str(field), "--wavelet", "exp-spherical", "--sign", "minus",
+               "--a-min", "0.2", "--a-max", "2.0", "--n-a", "4", "--out", str(coeffs)]
+    assert dispatch(["make-field", "--kind", "tone", "--n", "16", "--extent", "8",
+                     "--out", str(field)]) == 0
+    assert dispatch(analyze) == 0  # 256 KiB of coefficients
+    capsys.readouterr()
+    coeffs.rename(tmp_path / "kept.wcf")
+    sysconf = os.sysconf
+    machine = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}  # 128 KiB, above the 64 KiB field
+    monkeypatch.setattr(os, "sysconf", lambda name: machine.get(name) or sysconf(name))
+    for argv in (analyze, ["synthesize", "--coeffs", str(tmp_path / "kept.wcf"), "--t", "0",
+                           "--out", str(tmp_path / "back.wfld")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == [] and len(err) == 1
+        assert err[0]["error"] == "ValidationError"
+        assert "physical memory" in err[0]["message"]
+    assert not coeffs.exists() and not (tmp_path / "back.wfld").exists()

@@ -347,6 +347,32 @@ class TestPacketKernel:
         expo_low = ref(*near) == 0
         assert expo_low.any()
 
+    @pytest.mark.parametrize("stale", ["nan", "random bits"])
+    def test_buffer_form_ignores_stale_buffers(self, stale):
+        # a reused workspace hands the kernel whatever the previous task left behind
+        spectral = wc.gaussian_packet(*self.PARAMS[0]).spectral
+        rng = np.random.default_rng(14)
+        k = rng.normal(size=(3, 4, 600)) * np.array([0.05, 1.0, 8.0, 1e3])[:, None]
+        k[0, 1, :100] = -np.sqrt((k[:, 1, :100] ** 2).sum(axis=0))  # the half-line kx = -|k|
+        k[1:, 1, :100] = 0.0
+        k[:, 1, 100:110] = 0.0
+        given = k.copy()
+        want = spectral(*k)
+        assert k.tobytes() == given.tobytes()  # the fresh path leaves its inputs alone
+        assert (want == 0).any() and (want != 0).any()
+        shape = k.shape[1:]
+        buffers = [np.empty(shape, dtype) for dtype in spectral.into.buffers]
+        if stale == "nan":
+            for buf in buffers:
+                buf[...] = True if buf.dtype == bool else np.nan
+        else:
+            for buf in buffers:
+                raw = buf.view(np.uint8)
+                raw[...] = rng.integers(0, 256, raw.shape, dtype=np.uint8)
+        got = spectral.into(*k, *buffers)
+        assert got is buffers[-1]
+        self.same(got, want)  # masked points included: +0 real and imaginary parts
+
     def test_peak_memory_at_most_expression_form(self):
         params = self.PARAMS[0]
         k = np.random.default_rng(12).normal(size=(3, 4, 32768))
