@@ -47,7 +47,6 @@ from .wavelets import CATALOG_NAMES, CATALOG_PARAMS, make_wavelet, time_reverse
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 1
-_EXIT_USAGE = 2
 
 
 def _emit(obj) -> None:
@@ -247,28 +246,10 @@ def _cmd_ivp(args):
 
 def _cmd_verify(args):
     if args.check == "compare":
-        a, _ = read_field(args.a)
-        b, _ = read_field(args.b)
-        report = compare(a, b)
-        result = {
-            "check": "compare",
-            "rel_l2": report.rel_l2,
-            "max_abs": report.max_abs,
-            "tol": args.tol,
-            "pass": report.rel_l2 <= args.tol,
-        }
+        report = compare(read_field(args.a)[0], read_field(args.b)[0])
     elif args.check == "residual":
-        before, _ = read_field(args.minus)
-        center, _ = read_field(args.center)
-        after, _ = read_field(args.plus)
-        report = dalembert_residual(before, center, after, args.c, args.dt)
-        result = {
-            "check": "residual",
-            "rel_l2": report.rel_l2,
-            "max_abs": report.max_abs,
-            "tol": args.tol,
-            "pass": report.rel_l2 <= args.tol,
-        }
+        snapshots = (read_field(path)[0] for path in (args.minus, args.center, args.plus))
+        report = dalembert_residual(*snapshots, args.c, args.dt)
     else:  # isometry
         spectral, _, wavelet, pgrid = _spectral_input(args)
         report = admissibility_constant(wavelet, tol=1e-8)
@@ -279,14 +260,21 @@ def _cmd_verify(args):
         ref = spectral_inner_product(spectral, spectral)
         lhs = pair / (report.value * pgrid.constant_factor)
         defect = abs(lhs - ref) / abs(ref) if abs(ref) > 1e-30 else abs(lhs - ref)
-        result = {
+        _emit({
             "check": "isometry",
             "defect": float(defect),
             "constant": report.value,
             "tol": args.tol,
             "pass": defect <= args.tol,
-        }
-    _emit(result)
+        })
+        return _EXIT_OK
+    _emit({
+        "check": args.check,
+        "rel_l2": report.rel_l2,
+        "max_abs": report.max_abs,
+        "tol": args.tol,
+        "pass": report.rel_l2 <= args.tol,
+    })
     return _EXIT_OK
 
 

@@ -65,10 +65,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admissibility import admissibility_constant
+from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
-from .fields import ComplexField3, Grid3, SpectralField3, _inverse_factor, _lattice_ifft
-from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis
+from .fields import ComplexField3, Grid3, SpectralField3, _inverse_factor, _lattice_ifft, fft3
+from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
     "ParameterGrid",
@@ -278,7 +278,6 @@ def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float, k_hi: float,
         raise ValidationError("need 0 < k_lo < k_hi")
     if not (0 < coverage < 1):
         raise ValidationError("coverage must be in (0, 1)")
-    from .admissibility import _angular_profile
 
     def pair(kx, ky, kz):
         return np.abs(wavelet.spectral(kx, ky, kz)) ** 2
@@ -368,17 +367,15 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[n
     allocates its own values.  The result may be a view into the workspace,
     valid until the same worker's next ``spectra`` call.
     """
-    k = nu_grid.field_grid.k_stack()
-    if support is not None:
-        k = k[:, support]
+    k = [K.ravel() if support is None else K.ravel()[support]
+         for K in nu_grid.field_grid.k_mesh()]
     back = slice(None)
     if wavelet.symmetry == "spherical":
         shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
-        k = np.zeros((3, shells.size))
-        k[2] = np.sqrt(shells)
+        k = [np.zeros(shells.size), np.zeros(shells.size), np.sqrt(shells)]
     a = nu_grid.a_nodes
     into = getattr(wavelet.spectral, "into", None)
-    workspace = _Workspace(k.shape[1], (np.float64,) * 3 + (into.buffers if into else ()))
+    workspace = _Workspace(k[0].size, (np.float64,) * 3 + (into.buffers if into else ()))
 
     def spectra(idx, rows=slice(None)):
         r = nu_grid.rotations[idx]
@@ -553,9 +550,6 @@ def analyze_initial_data(w: ComplexField3, v: ComplexField3, wavelet_plus: Physi
     velocity against the corresponding time-antiderivative wavelet, all at
     t = 0.  No frequency splitting of the data is performed.
     """
-    from .fields import fft3
-    from .wavelets import time_antiderivative_wavelet
-
     if w.grid != v.grid:
         raise GridMismatchError("initial data must share one grid")
     if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":

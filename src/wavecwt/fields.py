@@ -14,15 +14,20 @@ The transforms approximate the continuum pair
 by scaling the discrete FFT with the cell volume and applying the phase shift
 for a non-zero grid origin.  With this scaling the L2 pairing satisfies
 ``<f, g> = (2 pi)^-3 <F, G>`` to round-off (see :func:`inner_product`).
-The private ``_fft3``/``_ifft3`` act on the trailing ``grid.shape`` axes of
-an array with any leading batch axes; :func:`fft3`/:func:`ifft3` apply them
-to one field.  Each is the composition of two halves: the bare lattice FFT
-(``_lattice_fft``/``_lattice_ifft``; the inverse may write into an ``out``
-array, in place included) and the diagonal k-factor of origin phase and cell
-volume (``_forward_factor``/``_inverse_factor``, applied as three separable
-per-axis factors, never as a lattice-sized factor array).  The factor does
-not depend on any wavelet parameter, so routes that transform many slices
-of one spectrum apply it once per call rather than once per slice.
+:func:`fft3`/:func:`ifft3` are each the composition of two halves, both of
+which act on the trailing ``grid.shape`` axes of an array with any leading
+batch axes: the bare lattice FFT (``_lattice_fft``/``_lattice_ifft``, which
+may write into an ``out`` array, in place included) and the diagonal
+k-factor of origin phase and cell volume (``_forward_factor``/
+``_inverse_factor``, applied as three separable per-axis factors, never as a
+lattice-sized factor array).  The factor does not depend on any wavelet
+parameter, so routes that transform many slices of one spectrum apply it
+once per call and run only the bare FFT per slice.
+
+Every time derivative divides a spectrum by |k|, which needs a rule at
+k = 0.  ``_radius`` is the one place that forms |k|, its ``|k| > 0`` mask
+and the safe divisor ``|k| or 1``; the operations that divide by |k| store
+0 at k = 0.
 
 A solution of ``u_tt = c^2 Lap(u)`` is stored as the pair of frequency-sign
 spectral parts: the "plus" part evolves with ``exp(-i|k|ct)`` and the "minus"
@@ -138,13 +143,17 @@ class Grid3:
         return KX, KY, KZ
 
     def k_mag(self):
-        KX, KY, KZ = self.k_mesh()
-        return np.sqrt(KX**2 + KY**2 + KZ**2)
+        return _radius(*self.k_mesh())[0]
 
-    def k_stack(self):
-        """All lattice wave vectors as a (3, node_count) array."""
-        KX, KY, KZ = self.k_mesh()
-        return np.stack([KX.ravel(), KY.ravel(), KZ.ravel()])
+
+def _radius(x, y, z):
+    """``(r, r > 0, r or 1)`` for ``r = |(x, y, z)|``, elementwise.
+
+    The third item is a safe divisor: 1 where ``r`` is 0.
+    """
+    r = np.sqrt(np.asarray(x) ** 2 + np.asarray(y) ** 2 + np.asarray(z) ** 2)
+    positive = r > 0
+    return r, positive, np.where(positive, r, 1.0)
 
 
 def _check_values(grid: Grid3, values: np.ndarray, what: str) -> np.ndarray:
@@ -250,7 +259,7 @@ def _forward_factor(spectrum: np.ndarray, grid: Grid3) -> np.ndarray:
 def _inverse_factor(spectrum: np.ndarray, grid: Grid3) -> np.ndarray:
     """``spectrum * exp(+i k.origin) / cell_volume`` as a new array.
 
-    The bare inverse transform of the result is :func:`_ifft3` of ``spectrum``.
+    The bare inverse transform of the result is :func:`ifft3` of ``spectrum``.
     """
     px, py, pz = _origin_phase(grid, +1)
     out = spectrum * px
@@ -260,25 +269,15 @@ def _inverse_factor(spectrum: np.ndarray, grid: Grid3) -> np.ndarray:
     return out
 
 
-def _fft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Scaled, origin-phased forward transform over the trailing ``grid.shape`` axes."""
-    return _forward_factor(_lattice_fft(values), grid)
-
-
-def _ifft3(values: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Inverse of :func:`_fft3` over the trailing ``grid.shape`` axes."""
-    scaled = _inverse_factor(values, grid)
-    return _lattice_ifft(scaled, out=scaled)
-
-
 def fft3(f: ComplexField3) -> SpectralField3:
     """Forward transform with the continuum scaling described in the module docstring."""
-    return SpectralField3(f.grid, _fft3(f.values, f.grid))
+    return SpectralField3(f.grid, _forward_factor(_lattice_fft(f.values), f.grid))
 
 
 def ifft3(F: SpectralField3) -> ComplexField3:
     """Inverse of :func:`fft3`, including origin phase and ``(2 pi)^-3`` factor."""
-    return ComplexField3(F.grid, _ifft3(F.values, F.grid))
+    scaled = _inverse_factor(F.values, F.grid)
+    return ComplexField3(F.grid, _lattice_ifft(scaled, out=scaled))
 
 
 def inner_product(f: ComplexField3, g: ComplexField3) -> complex:
@@ -343,10 +342,9 @@ def split_ivp(w: ComplexField3, v: ComplexField3, c: float) -> SolutionSpectrum:
     W = fft3(w).values
     V = fft3(v).values
 
-    kmag = g.k_mag()
-    kmag_safe = np.where(kmag == 0.0, 1.0, kmag)
+    _, positive, kmag_safe = _radius(*g.k_mesh())
     correction = V / (1j * c * kmag_safe)
-    correction[kmag == 0.0] = 0.0
+    correction[~positive] = 0.0
 
     notes = ()
     v_scale = np.max(np.abs(V))

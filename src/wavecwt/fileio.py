@@ -135,22 +135,13 @@ def write_coefficients(path, coeffs: WaveletCoefficients, c: float = 1.0) -> Non
     """Write wavelet coefficients as WCF v1."""
     g = coeffs.nu_grid
     fg = g.field_grid
-    shape = list(g.angle_shape)
     header = {
         "version": 1,
         "sign": coeffs.sign,
         "c_const": [float(np.real(coeffs.constant)), float(np.imag(coeffs.constant))],
         "c": float(c),
         "wavelet": {"name": coeffs.wavelet_name, "params": dict(coeffs.wavelet_params)},
-        "nu_grid": {
-            "symmetry": g.symmetry,
-            "axis": list(g.axis),
-            "a_min": float(g.a_nodes[0]),
-            "a_max": float(g.a_nodes[-1]),
-            "n_a": int(g.n_a),
-            "angle_shape": shape,
-            "constant_factor": float(g.constant_factor),
-        },
+        "nu_grid": dict(g.describe(), constant_factor=float(g.constant_factor)),
         "field": {
             "n": [fg.n_x, fg.n_y, fg.n_z],
             "h": [fg.h_x, fg.h_y, fg.h_z],

@@ -41,6 +41,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import EvaluatorMissingError, ValidationError
+from .fields import ComplexField3, SpectralField3, _radius, solution_from_minus, solution_from_plus
 
 __all__ = [
     "ProxyWavelet",
@@ -275,14 +276,10 @@ class PhysicalWavelet:
         object.__setattr__(self, "axis", tuple(ax / np.linalg.norm(ax)))
 
     def spectral_on_grid(self, grid):
-        from .fields import SpectralField3
-
         KX, KY, KZ = grid.k_mesh()
         return SpectralField3(grid, np.asarray(self.spectral(KX, KY, KZ), dtype=np.complex128))
 
     def position_on_grid(self, grid, t: float = 0.0):
-        from .fields import ComplexField3
-
         if self.position is None:
             raise EvaluatorMissingError(f"wavelet {self.name or '<anonymous>'} has no position form")
         X, Y, Z = grid.mesh()
@@ -290,8 +287,6 @@ class PhysicalWavelet:
 
     def as_solution(self, grid):
         """Sample the t = 0 spectrum and wrap it as a one-sided solution."""
-        from .fields import solution_from_minus, solution_from_plus
-
         F = self.spectral_on_grid(grid)
         wrap = solution_from_plus if self.sign == "plus" else solution_from_minus
         return wrap(F, self.c)
@@ -393,7 +388,7 @@ def family_spectral(wavelet: PhysicalWavelet, nu: WaveletParams, kx, ky, kz):
 
 def _spherical_position_factory(proxy: ProxyWavelet, c: float):
     def position(x, y, z, t):
-        rho = np.sqrt(np.asarray(x) ** 2 + np.asarray(y) ** 2 + np.asarray(z) ** 2)
+        rho = _radius(x, y, z)[0]
         small = rho < _SMALL_RADIUS
         rho_safe = np.where(small, 1.0, rho)
         outer = proxy.time_profile(c * t + rho_safe)
@@ -426,9 +421,7 @@ def spherical_from_proxy(proxy: ProxyWavelet, c: float = 1.0, name: str = "",
         raise EvaluatorMissingError("spherical_from_proxy needs the proxy spectrum")
 
     def spectral(kx, ky, kz):
-        k = np.sqrt(np.asarray(kx) ** 2 + np.asarray(ky) ** 2 + np.asarray(kz) ** 2)
-        good = k > 0
-        ks = np.where(good, k, 1.0)
+        _, good, ks = _radius(kx, ky, kz)
         # minus branch coefficient: -P(|k|) / (2 i |k| c^2) = i P(|k|) / (2 |k| c^2)
         vals = 0.5j * proxy.spectrum(ks) / (ks * c**2)
         return np.where(good, vals, 0.0)
@@ -448,18 +441,14 @@ def kaiser_wavelet(alpha: float, c: float = 1.0) -> PhysicalWavelet:
     """
     if not (alpha > 0):
         raise ValidationError(f"kaiser wavelet needs alpha > 0, got {alpha}")
-    w = spherical_from_proxy(
-        kaiser_proxy(alpha, validate=False), c, name="kaiser", params=(("alpha", float(alpha)),)
-    )
+    position = _spherical_position_factory(kaiser_proxy(alpha, validate=False), c)
 
     def spectral(kx, ky, kz):
-        k = np.sqrt(np.asarray(kx) ** 2 + np.asarray(ky) ** 2 + np.asarray(kz) ** 2)
-        good = k > 0
-        ks = np.where(good, k, 1.0)
+        _, good, ks = _radius(kx, ky, kz)
         return np.where(good, 1j * ks ** (alpha - 2.0) * np.exp(-ks) / c**2, 0.0)
 
-    # same values as the generic path, written in closed form
-    return PhysicalWavelet("minus", spectral, w.position, "spherical", c,
+    # same values as spherical_from_proxy's spectrum, written in closed form
+    return PhysicalWavelet("minus", spectral, position, "spherical", c,
                            name="kaiser", params=(("alpha", float(alpha)),))
 
 
@@ -469,20 +458,17 @@ def exp_spherical_wavelet(c: float = 1.0) -> PhysicalWavelet:
     Spectrum i sqrt(pi) |k|^(-5/2) exp(-|k| - 1/|k|) / c^2; the essential zero
     at the origin gives it infinitely many vanishing moments.
     """
-    w = spherical_from_proxy(exponential_proxy(validate=False), c,
-                             name="exp-spherical", params=())
+    position = _spherical_position_factory(exponential_proxy(validate=False), c)
 
     def spectral(kx, ky, kz):
-        k = np.sqrt(np.asarray(kx) ** 2 + np.asarray(ky) ** 2 + np.asarray(kz) ** 2)
-        good = k > 0
-        ks = np.where(good, k, 1.0)
+        _, good, ks = _radius(kx, ky, kz)
         expo = -ks - 1.0 / ks
         ok = good & (expo > _EXP_FLOOR)
         kk = np.where(ok, ks, 1.0)
         vals = 1j * np.sqrt(np.pi) / c**2 * kk**-2.5 * np.exp(np.where(ok, expo, 0.0))
         return np.where(ok, vals, 0.0)
 
-    return PhysicalWavelet("minus", spectral, w.position, "spherical", c,
+    return PhysicalWavelet("minus", spectral, position, "spherical", c,
                            name="exp-spherical", params=())
 
 
@@ -514,15 +500,11 @@ def bateman_from_proxy(proxy: ProxyWavelet, eps1: float, eps2: float, c: float =
         raise EvaluatorMissingError("bateman construction needs the proxy spectrum")
 
     def spectral(kx, ky, kz):
-        kx = np.asarray(kx, dtype=float)
-        ky = np.asarray(ky, dtype=float)
-        kz = np.asarray(kz, dtype=float)
-        k = np.sqrt(kx**2 + ky**2 + kz**2)
+        k, positive, ks = _radius(kx, ky, kz)
         s = kx + k
-        good = (k > 0) & (s > 0)
+        good = positive & (s > 0)
         ss = np.where(good, s, 1.0)
-        ks = np.where(k > 0, k, 1.0)
-        expo = -(ky**2 * eps1 + kz**2 * eps2) / (2.0 * ss)
+        expo = -(np.asarray(ky) ** 2 * eps1 + np.asarray(kz) ** 2 * eps2) / (2.0 * ss)
         ok = good & (expo > _EXP_FLOOR)
         vals = 1j * np.pi * proxy.spectrum(ss / 2.0) / ks * np.exp(np.where(ok, expo, 0.0))
         return np.where(ok, vals, 0.0)
@@ -543,18 +525,15 @@ def gaussian_packet(p: float, gamma: float, eps1: float, eps2: float,
                     c: float = 1.0) -> PhysicalWavelet:
     """Exponentially localized packet moving along +x at speed c.
 
-    Position form exp(-p sqrt(1 - i phase/gamma)) / sqrt(w1 w2); the spectrum
-    is written in closed form below (it vanishes, with all derivatives, on
-    the half-line kx = -|k|).
+    Position form exp(-p sqrt(1 - i phase/gamma)) / sqrt(w1 w2), the Bateman
+    construction of :func:`gaussian_packet_proxy`; the spectrum is written in
+    closed form below (it vanishes, with all derivatives, on the half-line
+    kx = -|k|).
     """
     if not (p > 0 and gamma > 0 and eps1 > 0 and eps2 > 0):
         raise ValidationError("gaussian packet needs positive p, gamma, eps1, eps2")
-
-    def position(x, y, z, t):
-        w1, w2, theta = _bateman_phase(x, y, z, t, c, eps1, eps2)
-        return np.exp(-p * _principal_sqrt(1.0 - 1j * theta / gamma)) / (
-            _principal_sqrt(w1) * _principal_sqrt(w2)
-        )
+    proxy = gaussian_packet_proxy(p, gamma, validate=False)
+    position = bateman_from_proxy(proxy, eps1, eps2, c).position
 
     amp0 = (2.0 * np.pi) ** 1.5 * p / np.sqrt(gamma)
 
@@ -658,9 +637,7 @@ def time_antiderivative_wavelet(wavelet: PhysicalWavelet) -> PhysicalWavelet:
     c = wavelet.c
 
     def spectral(kx, ky, kz):
-        k = np.sqrt(np.asarray(kx) ** 2 + np.asarray(ky) ** 2 + np.asarray(kz) ** 2)
-        good = k > 0
-        ks = np.where(good, k, 1.0)
+        _, good, ks = _radius(kx, ky, kz)
         return np.where(good, base(kx, ky, kz) / (-1j * c * ks), 0.0)
 
     return PhysicalWavelet(wavelet.sign, spectral, None, wavelet.symmetry, c,
@@ -673,8 +650,7 @@ def time_derivative_wavelet(wavelet: PhysicalWavelet) -> PhysicalWavelet:
     c = wavelet.c
 
     def spectral(kx, ky, kz):
-        k = np.sqrt(np.asarray(kx) ** 2 + np.asarray(ky) ** 2 + np.asarray(kz) ** 2)
-        return -1j * c * k * base(kx, ky, kz)
+        return -1j * c * _radius(kx, ky, kz)[0] * base(kx, ky, kz)
 
     return PhysicalWavelet(wavelet.sign, spectral, None, wavelet.symmetry, c,
                            axis=wavelet.axis)

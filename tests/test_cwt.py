@@ -439,7 +439,7 @@ class TestShellRoute:
 
         counted = dataclasses.replace(exp_sph, spectral=spectral)
         pg = wc.make_parameter_grid(grid16, counted, *EXP_SPH_A_RANGE, 8)
-        k = grid16.k_stack()
+        k = [K.ravel() for K in grid16.k_mesh()]
         shells = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
         assert shells < grid16.node_count // 10
         u = band_limited_spectrum(grid16, 0.7, 1.6, 74)
@@ -706,7 +706,7 @@ class TestWorkspace:
         tasks = _slice_tasks(pg)[:4]
         assert [rows.stop - rows.start for _, rows in tasks] == [4, 4, 2, 4]
         support = band_limited_spectrum(grid, 0.6, 1.8, 91).values.ravel() != 0
-        k = grid.k_stack()[:, support]
+        k = [K.ravel()[support] for K in grid.k_mesh()]
 
         def fresh(idx, rows):
             r = pg.rotations[idx]

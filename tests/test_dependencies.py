@@ -1,7 +1,9 @@
 """The package imports nothing beyond the standard library, numpy and itself.
 
-Its slice paths also call no BLAS: numpy hands matrix products to a BLAS
-library that runs its own thread pool next to the ``threads`` workers.
+Every import sits at module level and every imported name is used, so an
+import cycle or the leftover of a deletion shows at once.  The slice paths
+also call no BLAS: numpy hands matrix products to a BLAS library that runs
+its own thread pool next to the ``threads`` workers.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wavecwt"
+MODULES = sorted(PACKAGE.rglob("*.py"))
 ALLOWED = {"numpy", "wavecwt"}
 
 
@@ -34,9 +37,63 @@ def test_guard_flags_a_foreign_import():
     assert foreign_imports("def f():\n    import hypothesis\n") == ["hypothesis"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_stdlib_numpy_or_wavecwt(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def function_level_imports(source: str):
+    """``function:line`` of every import inside a function body of ``source``."""
+    found = []
+    for top in ast.walk(ast.parse(source)):
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{top.name}:{node.lineno}" for statement in top.body
+                      for node in ast.walk(statement)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def test_guard_flags_a_function_level_import():
+    source = ("import os\nfrom .fields import fft3\n\n"
+              "def f():\n    from .cwt import analyze\n    return analyze\n\n"
+              "class A:\n    def g(self):\n        def h():\n            import json\n")
+    assert function_level_imports(source) == ["f:5", "g:11", "h:11"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_at_module_level(path):
+    assert function_level_imports(path.read_text()) == []
+
+
+def unused_imports(source: str):
+    """Names that ``source`` imports at module level but never reads or lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_guard_flags_an_unused_import():
+    source = ("from __future__ import annotations\nimport os\nimport numpy.fft\n"
+              "import sys as system\nfrom typing import Optional, Tuple\n"
+              "from .fields import fft3, ifft3\n__all__ = ['ifft3']\n\n"
+              "def f(x: Optional[int]) -> None:\n    return os.sep, numpy.fft\n")
+    assert unused_imports(source) == ["Tuple", "fft3", "system"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_imports_no_unused_name(path):
+    assert unused_imports(path.read_text()) == []
 
 
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}

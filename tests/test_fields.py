@@ -5,7 +5,6 @@ import pytest
 
 import wavecwt as wc
 from conftest import band_limited_spectrum, rel_l2
-from wavecwt.fields import _fft3, _ifft3
 
 
 def random_field(grid, seed=0):
@@ -64,23 +63,21 @@ class TestTransforms:
         f = random_field(g, 2)
         assert rel_l2(wc.ifft3(wc.fft3(f)).values, f.values) <= 1e-12
 
-    def test_batched_transforms_match_single_fields(self):
-        # non-unit cell and off-origin grid: a dropped cell_volume or a phase
-        # factor on the wrong axis moves the result far beyond round-off
-        g = wc.Grid3(16, 16, 16, 1.5, 1.25, 0.8, origin=(-12.0, -10.0, -6.4))
-        stack = np.stack([random_field(g, seed).values for seed in (21, 22, 23)])
-        batched = _fft3(stack, g)
-        single = np.stack([wc.fft3(wc.ComplexField3(g, f)).values for f in stack])
-        assert batched.tobytes() == single.tobytes()
+    def test_transforms_match_direct_formula(self):
+        # non-unit cell and an origin off every half-period multiple, so each axis
+        # has its own phase: a dropped cell_volume or a phase factor on the wrong
+        # axis moves the result far beyond round-off
+        g = wc.Grid3(16, 16, 16, 1.5, 1.25, 0.8, origin=(-11.3, -9.1, -5.7))
         KX, KY, KZ = g.k_mesh()
         ox, oy, oz = g.origin
         shift = np.exp(-1j * (KX * ox + KY * oy + KZ * oz))
-        direct = np.fft.fftn(stack, axes=(-3, -2, -1)) * g.cell_volume * shift
-        assert rel_l2(batched, direct) <= 1e-13
-        back = _ifft3(batched, g)
-        single_back = np.stack([wc.ifft3(wc.SpectralField3(g, F)).values for F in batched])
-        assert back.tobytes() == single_back.tobytes()
-        assert rel_l2(back, stack) <= 1e-13
+        for seed in (21, 22, 23):
+            f = random_field(g, seed)
+            F = wc.fft3(f)
+            assert rel_l2(F.values, np.fft.fftn(f.values) * g.cell_volume * shift) <= 1e-13
+            back = wc.ifft3(F).values
+            assert rel_l2(back, np.fft.ifftn(F.values / shift) / g.cell_volume) <= 1e-13
+            assert rel_l2(back, f.values) <= 1e-13
 
     def test_non_finite_rejected_with_index(self, grid16):
         values = np.ones(grid16.shape, dtype=complex)

@@ -1,5 +1,6 @@
 """WFLD and WCF binary formats: bit-exact round trips and error paths."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_axial_coefficients_round_trip(tmp_path, packet, packet_constant):
     assert back.nu_grid.angle_shape == (4, 2)
     assert np.array_equal(back.values, coeffs.values)
     assert dict(back.wavelet_params) == dict(coeffs.wavelet_params)
+
+
+@pytest.mark.parametrize("symmetry", ["spherical", "axial", "none"])
+def test_wcf_nu_grid_header_is_the_grid_description(tmp_path, symmetry):
+    grid = wc.Grid3.cubic(8, 8.0)
+    pg = wc.build_parameter_grid(grid, symmetry, (1.0, 0.0, 0.0), 0.3, 2.0, 3, 4, 2, 2)
+    coeffs = wc.WaveletCoefficients(pg, np.zeros((3, pg.n_rotations) + grid.shape, dtype=complex),
+                                    "plus", 1.0)
+    path = tmp_path / "grid.wcf"
+    wc.write_coefficients(path, coeffs)
+    head = path.read_bytes()
+    header = json.loads(head[:head.index(b"\x00")])
+    assert list(header["nu_grid"].items()) == list(
+        dict(pg.describe(), constant_factor=pg.constant_factor).items())
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -286,6 +286,22 @@ class TestGaussianPacket:
         ratio = reports[0].rel_l2 / reports[1].rel_l2
         assert 3.5 <= ratio <= 4.5
 
+    def test_position_is_the_bateman_construction_of_its_proxy(self):
+        p, gamma, eps1, eps2, c = 20.0, 1.5, 0.5, 0.8, 1.3
+        packet = wc.gaussian_packet(p, gamma, eps1, eps2, c)
+        proxy = wc.gaussian_packet_proxy(p, gamma)  # spot-checked against its spectrum
+        bateman = wc.bateman_from_proxy(proxy, eps1, eps2, c)
+        rng = np.random.default_rng(17)
+        x, y, z = rng.normal(size=(3, 40))
+        for t in (0.0, 0.6, -1.1):
+            got = packet.position(x, y, z, t)
+            assert got.tobytes() == bateman.position(x, y, z, t).tobytes()
+            # the closed form printed in the docstring
+            w1, w2 = x + c * t - 1j * eps1, x + c * t - 1j * eps2
+            theta = x - c * t + y**2 / w1 + z**2 / w2
+            want = np.exp(-p * np.sqrt(1.0 - 1j * theta / gamma)) / (np.sqrt(w1) * np.sqrt(w2))
+            assert rel_l2(got, want) <= 1e-14
+
 
 
 def expression_packet_spectrum(p, gamma, eps1, eps2):
@@ -450,6 +466,42 @@ class TestDerivedWavelets:
         # |psi_hat| ~ sqrt(pi) k^{-7/2} exp(-k - 1/k)
         ref = np.sqrt(np.pi) * k**-3.5 * np.exp(-k - 1.0 / k)
         assert rel_l2(np.abs(got), ref) <= 1e-12
+
+
+CATALOG = {
+    "kaiser": lambda: wc.make_wavelet("kaiser"),
+    "kaiser-2.5": lambda: wc.make_wavelet("kaiser", {"alpha": 2.5}, c=1.7),
+    "exp-spherical": lambda: wc.make_wavelet("exp-spherical"),
+    "bateman": lambda: wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8}),
+    "bateman-kaiser": lambda: wc.make_wavelet("bateman", {"proxy": "kaiser", "proxy_alpha": 3.5}),
+    "gaussian-packet": lambda: wc.make_wavelet("gaussian-packet"),
+}
+FORMS = {
+    "wavelet": lambda w: w,
+    "antiderivative": wc.time_antiderivative_wavelet,
+    "derivative": wc.time_derivative_wavelet,
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_spectra_are_finite_and_vanish_at_k0(name, form):
+    w = FORMS[form](CATALOG[name]())
+    # a lattice through the origin, the half-line kx = -|k|, small and large radii
+    KX, KY, KZ = wc.Grid3(16, 12, 10, 0.1, 0.3, 1.5, origin=(-0.8, 0.0, 2.0)).k_mesh()
+    radii = np.geomspace(1e-6, 1e3, 19)
+    zero = np.zeros_like(radii)
+    points = [(KX, KY, KZ), (-radii, zero, zero), (radii, zero, zero),
+              (radii, radii, -radii), (zero, zero, radii)]
+    for kx, ky, kz in points:
+        assert np.isfinite(w.spectral(kx, ky, kz)).all()
+    assert w.spectral(KX, KY, KZ)[0, 0, 0] == 0
+    for origin in ((0.0, 0.0, 0.0), (np.array(0.0), np.array(0.0), np.array(0.0)),
+                   (np.array(0.0), 0.0, np.float64(0.0))):
+        value = w.spectral(*origin)
+        assert np.shape(value) == () and value == 0
+    value = w.spectral(np.array(0.4), np.array(-0.3), np.array(1.2))
+    assert np.shape(value) == () and np.isfinite(value) and value != 0
 
 
 class TestTimeReverse:
