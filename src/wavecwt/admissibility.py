@@ -99,6 +99,8 @@ def _endpoint(series, total_scale):
 
 def _radial_integral(profile: Callable, tol: float) -> AdmissibilityReport:
     """integral profile(k) dk/k over (0, inf) with endpoint handling."""
+    if not (0 < tol < math.inf):
+        raise ValidationError(f"tolerance {tol} must be positive and finite")
     prev_total = None
     decades = None
     quad_err = np.inf

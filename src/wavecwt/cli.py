@@ -399,11 +399,16 @@ def dispatch(argv=None) -> int:
     try:
         return args.func(args)
     except WavecwtError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return _EXIT_DOMAIN
+        return _fail(type(exc).__name__, exc)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)}) + "\n")
-        return _EXIT_DOMAIN
+        return _fail("OSError", exc)
+    except MemoryError as exc:  # numpy's failed allocations included
+        return _fail("MemoryError", exc)
+
+
+def _fail(error: str, exc: BaseException) -> int:
+    sys.stderr.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
+    return _EXIT_DOMAIN
 
 
 def main() -> None:

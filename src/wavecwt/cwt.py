@@ -48,9 +48,10 @@ inverse FFT on them in place.
 
 A "spherical" wavelet promises a radial spectrum (see
 :class:`~wavecwt.wavelets.PhysicalWavelet`), so ``PHI(a R^T k)`` takes one
-value per distinct |k|^2 of the lattice: every route evaluates it on those
-shells and gathers the values back (4051 evaluations instead of 262144 per
-dilation on a 64^3 cube).
+value per distinct |k|^2 of the lattice (4051 evaluations instead of 262144
+per dilation on a 64^3 cube).  The sweep evaluates it on those shells and
+gathers the values onto the nodes in a reused buffer, so no route handles
+shells: every caller receives ``PHI(a R^T k)`` on its own nodes.
 """
 
 from __future__ import annotations
@@ -179,12 +180,18 @@ class ParameterGrid:
     def node_count(self) -> int:
         return self.n_a * self.n_rotations * self.field_grid.node_count
 
-    def compatible_with(self, wavelet: PhysicalWavelet) -> bool:
-        if wavelet.symmetry != self.symmetry:
-            return False
-        if self.symmetry == "axial":
-            return bool(np.allclose(wavelet.axis, self.axis, atol=1e-12))
-        return True
+    def check_route(self, wavelet: PhysicalWavelet, *parts) -> None:
+        """The preconditions of every slice route on this grid.
+
+        :class:`ValidationError` unless the grid was built for ``wavelet``'s
+        symmetry (and axis), :class:`GridMismatchError` unless every field
+        in ``parts`` lies on the grid's field lattice.
+        """
+        if wavelet.symmetry != self.symmetry or (
+                self.symmetry == "axial" and not np.allclose(wavelet.axis, self.axis, atol=1e-12)):
+            raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
+        if any(part.grid != self.field_grid for part in parts):
+            raise GridMismatchError("field grid of data and parameter grid differ")
 
     def describe(self) -> dict:
         return {
@@ -211,10 +218,12 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
     """Parameter grid from an explicit symmetry/axis description."""
     if symmetry not in ("spherical", "axial", "none"):
         raise ValidationError(f"unknown symmetry tag {symmetry!r}")
-    if not (0 < a_min < a_max):
-        raise ValidationError("need 0 < a_min < a_max")
+    if not (0 < a_min < a_max < np.inf):
+        raise ValidationError("need 0 < a_min < a_max < inf")
     if n_a < 2:
         raise ValidationError("need at least two dilation nodes")
+    if min(n_theta1, n_theta2, n_theta3) < 1:
+        raise ValidationError("need at least one node per rotation angle")
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis) if np.linalg.norm(axis) > 0 else np.array([0.0, 0.0, 1.0])
     t = np.linspace(np.log(a_min), np.log(a_max), n_a)
@@ -256,28 +265,26 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
                          rotations, rotation_weights, angle_shape, factor)
 
 
-def refine(grid: ParameterGrid, wavelet: PhysicalWavelet, factor: int = 2) -> ParameterGrid:
-    """Same ranges with every node count multiplied by ``factor``."""
+def refine(grid: ParameterGrid, wavelet: PhysicalWavelet) -> ParameterGrid:
+    """Same ranges with every node count doubled."""
     shape = grid.angle_shape + (8,) * (3 - len(grid.angle_shape))
     return make_parameter_grid(
         grid.field_grid, wavelet, float(grid.a_nodes[0]), float(grid.a_nodes[-1]),
-        factor * grid.n_a, factor * shape[0], factor * shape[1], factor * shape[2],
+        2 * grid.n_a, 2 * shape[0], 2 * shape[1], 2 * shape[2],
     )
 
 
-def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float, k_hi: float,
-                           coverage: float = 0.999) -> Tuple[float, float]:
+def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float,
+                           k_hi: float) -> Tuple[float, float]:
     """Dilation window so the rescaled spectrum covers the occupied band.
 
     The admissibility integrand in log radius is scale invariant, so the
     dilation sweep at a fixed wave vector reproduces the full constant
     exactly when a ranges over (0, inf).  This picks the log-radius window
-    holding ``coverage`` of that mass and maps its ends onto the band.
+    holding 99.9% of that mass and maps its ends onto the band.
     """
     if not (0 < k_lo < k_hi):
         raise ValidationError("need 0 < k_lo < k_hi")
-    if not (0 < coverage < 1):
-        raise ValidationError("coverage must be in (0, 1)")
 
     def pair(kx, ky, kz):
         return np.abs(wavelet.spectral(kx, ky, kz)) ** 2
@@ -289,7 +296,7 @@ def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float, k_hi: float,
     if cum[-1] <= 0:
         raise ValidationError("wavelet spectrum carries no mass on the probed range")
     cum /= cum[-1]
-    tail = 0.5 * (1.0 - coverage)
+    tail = 0.5 * (1.0 - 0.999)  # half the 0.1% of the mass outside the window
     q_lo = float(np.exp(t[np.searchsorted(cum, tail)]))
     q_hi = float(np.exp(t[min(np.searchsorted(cum, 1.0 - tail), len(t) - 1)]))
     return q_lo / k_hi, q_hi / k_lo
@@ -346,33 +353,32 @@ class _Workspace(threading.local):
         return [buf[:n_rows] for buf in self.held]
 
 
-def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[np.ndarray],
-           power: bool = False):
-    """``(spectra, back)``: ``PHI(a R^T k)`` per rotation on the flagged lattice nodes.
+def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: bool = False):
+    """``spectra(idx, rows)``: ``PHI(a R^T k)`` on the flagged lattice nodes.
 
-    ``support`` is a boolean mask over the flattened field lattice, or None
-    for every node.  ``spectra(idx, rows)`` is ``PHI(a R^T k)`` for the
-    dilations ``a_nodes[rows]`` (all of them by default) at rotation ``idx``,
-    shape (n_rows, M), and ``spectra(idx, rows)[:, back]`` is its value on
-    each flagged node; with ``power`` it is ``|PHI|^2`` instead.  A
-    "spherical" wavelet's spectrum depends on |k| alone, so it is evaluated
-    once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))``; any other
-    wavelet is evaluated at the flagged nodes themselves and ``back`` is
-    ``slice(None)``: no copy.
+    ``support`` is a boolean mask over the flattened field lattice, or
+    ``slice(None)`` for every node.  ``spectra(idx, rows)`` is
+    ``PHI(a R^T k)`` for the dilations ``a_nodes[rows]`` (all of them by
+    default) at rotation ``idx`` on the M flagged nodes, shape (n_rows, M);
+    with ``power`` it is ``|PHI|^2`` instead.  A "spherical" wavelet's
+    spectrum depends on |k| alone, so it is evaluated once per distinct
+    float |k|^2 ``s`` at ``(0, 0, sqrt(s))`` and the shell values are
+    gathered onto the nodes.
 
     Each worker thread evaluates in its own :class:`_Workspace`, which lives
-    as long as ``spectra``: the three scaled wave-vector components and the
+    as long as ``spectra``: the three scaled wave-vector components, the
     buffers of the wavelet's buffer form (see
-    :class:`~wavecwt.wavelets.PhysicalWavelet`); a wavelet without one
-    allocates its own values.  The result may be a view into the workspace,
-    valid until the same worker's next ``spectra`` call.
+    :class:`~wavecwt.wavelets.PhysicalWavelet`) and the gathered shell
+    values; a wavelet without a buffer form allocates its own values.  The
+    result may be a view into the workspace, which the caller may overwrite;
+    it is valid until the same worker's next ``spectra`` call.
     """
-    k = [K.ravel() if support is None else K.ravel()[support]
-         for K in nu_grid.field_grid.k_mesh()]
-    back = slice(None)
+    k = [K.ravel()[support] for K in nu_grid.field_grid.k_mesh()]
+    back = None
     if wavelet.symmetry == "spherical":
         shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
         k = [np.zeros(shells.size), np.zeros(shells.size), np.sqrt(shells)]
+        on_nodes = _Workspace(back.size, (np.float64 if power else np.complex128,))
     a = nu_grid.a_nodes
     into = getattr(wavelet.spectral, "into", None)
     workspace = _Workspace(k[0].size, (np.float64,) * 3 + (into.buffers if into else ()))
@@ -388,14 +394,17 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: Optional[n
             phi = into(kx, ky, kz, *buffers)
         else:
             phi = np.asarray(wavelet.spectral(kx, ky, kz), dtype=np.complex128)
-        if not power:
+        if power:
+            # phi.real**2 + phi.imag**2, in the spent wave-vector buffers
+            np.square(phi.real, out=kx)
+            kx += np.square(phi.imag, out=ky)
+            phi = kx
+        if back is None:
             return phi
-        # phi.real**2 + phi.imag**2, in the spent wave-vector buffers
-        np.square(phi.real, out=kx)
-        kx += np.square(phi.imag, out=ky)
-        return kx
+        (nodes,) = on_nodes.rows(len(ar))
+        return np.take(phi, back, axis=1, out=nodes, mode="clip")
 
-    return spectra, back
+    return spectra
 
 
 _TASK_BYTES = 2 << 20  # one core's L2: the working set of one slice task
@@ -454,15 +463,14 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     over dilations in a fixed order and rotations are summed in order, so
     the result does not depend on ``threads``.
     """
-    spectra, back = _sweep(wavelet, nu_grid, support, power=True)
+    spectra = _sweep(wavelet, nu_grid, support, power=True)
     weights = nu_grid.a_weights * nu_grid.a_nodes**3
 
     def one_rotation(idx):
         return np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights, spectra(idx))
 
-    on_points = sum(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads))
     kernel = np.zeros(support.size)
-    kernel[support] = on_points[back]
+    kernel[support] = sum(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads))
     return kernel
 
 
@@ -496,40 +504,29 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         raise ValidationError(f"bad sign {sign!r}")
     if wavelet.sign != sign:
         raise ValidationError(f"wavelet sign {wavelet.sign!r} does not match requested {sign!r}")
-    if not nu_grid.compatible_with(wavelet):
-        raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
-    if s_part.grid != nu_grid.field_grid:
-        raise GridMismatchError("field grid of data and parameter grid differ")
+    nu_grid.check_route(wavelet, s_part)
     _require_memory(16 * nu_grid.node_count, "coefficients")
     constant = _require_constant(wavelet, constant, tol)
 
     grid = nu_grid.field_grid
     support = s_part.values.ravel() != 0
-    partial = not support.all()
-    spectra, back = _sweep(wavelet, nu_grid, support if partial else None)
+    # a full support copies whole rows: cheaper than an all-True boolean scatter
+    nodes = slice(None) if support.all() else support
+    spectra = _sweep(wavelet, nu_grid, nodes)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v
-    v = _inverse_factor(s_part.values, grid).ravel()
-    if partial:
-        v = v[support]
+    v = _inverse_factor(s_part.values, grid).ravel()[nodes]
     scale = nu_grid.a_nodes**1.5
-    # zeros come from calloc'd pages, so only a partial support pays for them
-    values = (np.zeros if partial else np.empty)(
-        (nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
+    values = np.zeros((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
     flat = values.reshape(nu_grid.n_a, nu_grid.n_rotations, -1)
 
     def one_block(task):
         idx, rows = task
-        dest = flat[rows, idx]
-        phi = spectra(idx, rows)
-        if isinstance(back, np.ndarray):  # shell values back onto their nodes
-            phi = np.take(phi, back, axis=1, out=None if partial else dest, mode="clip")
-        prod = phi if partial else dest
-        np.conjugate(phi, out=prod)
+        prod = spectra(idx, rows)
+        np.conjugate(prod, out=prod)
         prod *= v
         prod *= scale[rows, None]
-        if partial:
-            dest[:, support] = prod
+        flat[rows, idx][:, nodes] = prod
         slab = values[rows, idx]
         _lattice_ifft(slab, out=slab)
 
@@ -601,8 +598,7 @@ def transform_pairing(u_part: SpectralField3, v_part: SpectralField3,
     nonzero; a self-pairing is exactly real.  Dividing by
     ``constant * constant_factor`` gives the isometry's left-hand side.
     """
-    if u_part.grid != nu_grid.field_grid or v_part.grid != nu_grid.field_grid:
-        raise GridMismatchError("field grid of data and parameter grid differ")
+    nu_grid.check_route(wavelet, u_part, v_part)
     grid = nu_grid.field_grid
     u_hat = u_part.values.ravel()
     if u_part is v_part or np.array_equal(u_part.values, v_part.values):

@@ -59,6 +59,12 @@ __all__ = [
 ]
 
 
+def _check_sizes(**sizes) -> None:
+    for name, n in sizes.items():
+        if int(n) != n or n < 8 or n % 2 != 0:
+            raise ValidationError(f"{name}={n}: grid sizes must be even integers >= 8")
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Uniform 3-D sampling lattice.
@@ -77,9 +83,7 @@ class Grid3:
     origin: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name, n in (("n_x", self.n_x), ("n_y", self.n_y), ("n_z", self.n_z)):
-            if int(n) != n or n < 8 or n % 2 != 0:
-                raise ValidationError(f"{name}={n}: grid sizes must be even integers >= 8")
+        _check_sizes(n_x=self.n_x, n_y=self.n_y, n_z=self.n_z)
         for name, h in (("h_x", self.h_x), ("h_y", self.h_y), ("h_z", self.h_z)):
             if not (h > 0):
                 raise ValidationError(f"{name}={h}: spacings must be positive")
@@ -88,17 +92,16 @@ class Grid3:
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
 
     @classmethod
-    def cubic(cls, n: int, extent: float, centered: bool = True) -> "Grid3":
-        """Cube with ``n`` samples per axis spanning ``extent`` length units."""
-        h = extent / n
-        orig = (-extent / 2.0,) * 3 if centered else (0.0, 0.0, 0.0)
-        return cls(n, n, n, h, h, h, orig)
+    def cubic(cls, n: int, extent: float) -> "Grid3":
+        """Cube with ``n`` samples per axis spanning ``extent`` length units, centred."""
+        return cls.box(n, (extent,) * 3)
 
     @classmethod
-    def box(cls, n: int, extents: Tuple[float, float, float], centered: bool = True) -> "Grid3":
+    def box(cls, n: int, extents: Tuple[float, float, float]) -> "Grid3":
+        """``n`` samples per axis spanning ``extents``, centred on the origin."""
+        _check_sizes(n=n)
         hx, hy, hz = (e / n for e in extents)
-        orig = tuple(-e / 2.0 for e in extents) if centered else (0.0, 0.0, 0.0)
-        return cls(n, n, n, hx, hy, hz, orig)  # type: ignore[arg-type]
+        return cls(n, n, n, hx, hy, hz, tuple(-e / 2.0 for e in extents))  # type: ignore[arg-type]
 
     @property
     def shape(self) -> Tuple[int, int, int]:

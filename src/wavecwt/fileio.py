@@ -91,7 +91,9 @@ def _grid_from_header(header: dict, path) -> Grid3:
 
 def write_field(path, field: Union[ComplexField3, SpectralField3],
                 c: Optional[float] = None) -> None:
-    """Write a position or spectral field as WFLD v1."""
+    """Write a position or spectral field as WFLD v1, with wave speed ``c`` if given."""
+    if c is not None and not (0 < c < np.inf):
+        raise ValidationError(f"wave speed c={c} must be positive and finite")
     if isinstance(field, ComplexField3):
         kind = "position"
     elif isinstance(field, SpectralField3):

@@ -32,7 +32,7 @@ from .cwt import (
     _sweep,
     resolution_kernel,
 )
-from .errors import GridMismatchError, ValidationError
+from .errors import ValidationError
 from .fields import (
     ComplexField3,
     SolutionSpectrum,
@@ -69,18 +69,17 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
     if abs(U.constant) == 0.0:
         raise ValidationError("synthesis constant is zero")
-    if not U.nu_grid.compatible_with(wavelet):
-        raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
+    U.nu_grid.check_route(wavelet)
     g = U.nu_grid
     grid = g.field_grid
-    spectra, back = _sweep(wavelet, g, None)
+    spectra = _sweep(wavelet, g, slice(None))
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     scale = g.a_nodes**1.5
 
     def one_block(task):
         idx, rows = task
         block = U.values[rows, idx]
-        phi = spectra(idx, rows)[:, back]
+        phi = spectra(idx, rows)
         (slab,) = slabs.rows(len(block))
         _lattice_fft(block, out=slab.reshape(block.shape))
         phi *= slab
@@ -131,12 +130,7 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
     where the spectrum is nonzero, so no coefficient is ever formed.
     Converges to the identity on the band the parameter grid covers.
     """
-    if wavelet.sign not in ("plus", "minus"):
-        raise ValidationError("bad wavelet sign")
-    if s_part.grid != nu_grid.field_grid:
-        raise GridMismatchError("field grid of data and parameter grid differ")
-    if not nu_grid.compatible_with(wavelet):
-        raise ValidationError("parameter grid was built for a different wavelet symmetry/axis")
+    nu_grid.check_route(wavelet, s_part)
     constant = _require_constant(wavelet, constant, tol)
     u_hat = s_part.values.ravel()
     kernel = resolution_kernel(wavelet, nu_grid, u_hat != 0, threads)

@@ -157,23 +157,7 @@ class ProxyWavelet:
 
 def exponential_proxy(validate: bool = True) -> ProxyWavelet:
     """p(t) = exp(-2 sqrt(1 - i t)); P(xi) = 2 sqrt(pi) xi^-3/2 exp(-xi - 1/xi)."""
-
-    def profile(t):
-        return np.exp(-2.0 * _principal_sqrt(1.0 - 1j * np.asarray(t)))
-
-    def profile_prime(t):
-        s = _principal_sqrt(1.0 - 1j * np.asarray(t))
-        return 1j * np.exp(-2.0 * s) / s
-
-    def spectrum(xi):
-        xi = np.asarray(xi, dtype=float)
-        xp = np.where(xi > 0, xi, 1.0)
-        expo = -xp - 1.0 / xp
-        ok = (xi > 0) & (expo > _EXP_FLOOR)
-        vals = 2.0 * np.sqrt(np.pi) * xp**-1.5 * np.exp(np.where(ok, expo, 0.0))
-        return np.where(ok, vals, 0.0)
-
-    return ProxyWavelet(profile, spectrum, True, profile_prime, validate)
+    return gaussian_packet_proxy(2.0, 1.0, validate)
 
 
 def kaiser_proxy(alpha: float, validate: bool = True) -> ProxyWavelet:

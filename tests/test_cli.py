@@ -280,3 +280,67 @@ def test_payload_larger_than_physical_memory_is_a_domain_error(capsys, tmp_path,
         assert err[0]["error"] == "ValidationError"
         assert "physical memory" in err[0]["message"]
     assert not coeffs.exists() and not (tmp_path / "back.wfld").exists()
+
+
+class TestBadValuesFailWhereTheyEnter:
+    """Each bad value is refused before any work: exit 1, one JSON line, no traceback."""
+
+    @staticmethod
+    def fails(capsys, *argv):
+        code = dispatch(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        return json.loads(line)
+
+    @pytest.fixture
+    def field(self, capsys, tmp_path):
+        path = tmp_path / "u.wfld"
+        assert dispatch(["make-field", "--kind", "gaussian", "--n", "16", "--extent", "16",
+                         "--k0", "1", "0", "0", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+
+    def test_zero_grid_size(self, capsys, tmp_path):
+        out = tmp_path / "u.wfld"
+        err = self.fails(capsys, "make-field", "--kind", "gaussian", "--n", "0", "--out", str(out))
+        assert err["error"] == "ValidationError" and "n=0" in err["message"]
+        assert not out.exists()
+
+    def test_non_finite_wave_speed_is_not_written(self, capsys, tmp_path):
+        out = tmp_path / "u.wfld"
+        err = self.fails(capsys, "make-field", "--kind", "gaussian", "--n", "16", "--c", "nan",
+                         "--out", str(out))
+        assert err["error"] == "ValidationError" and "wave speed" in err["message"]
+        assert not out.exists()
+
+    def test_non_finite_tolerance(self, capsys):
+        err = self.fails(capsys, "admissibility", "--wavelet", "exp-spherical", "--tol", "nan")
+        assert err["error"] == "ValidationError" and "tolerance" in err["message"]
+
+    @pytest.mark.parametrize("option, value, words", [
+        ("--n-theta1", "0", "rotation angle"),
+        ("--n-theta2", "-2", "rotation angle"),
+        ("--a-max", "inf", "a_max < inf"),
+    ])
+    def test_bad_parameter_grid(self, capsys, tmp_path, monkeypatch, field, option, value, words):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the transform ran")
+
+        monkeypatch.setattr(cli, "analyze", no_transform)
+        argv = {"--input": field, "--wavelet": "gaussian-packet", "--sign": "plus",
+                "--a-min": "0.3", "--a-max": "2", "--n-a": "2", "--n-theta1": "2",
+                "--n-theta2": "2", "--out": str(tmp_path / "u.wcf")}
+        argv[option] = value
+        err = self.fails(capsys, "analyze", *(item for pair in argv.items() for item in pair))
+        assert err["error"] == "ValidationError" and words in err["message"]
+
+    def test_out_of_memory(self, capsys, monkeypatch, field):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 18.3 GiB for an array")
+
+        monkeypatch.setattr(cli, "transform_pairing", too_large)
+        err = self.fails(capsys, "verify", "isometry", "--input", field,
+                         "--wavelet", "exp-spherical", "--sign", "minus",
+                         "--a-min", "0.2", "--a-max", "2", "--n-a", "4")
+        assert err == {"error": "MemoryError", "message": "Unable to allocate 18.3 GiB for an array"}

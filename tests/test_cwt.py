@@ -566,14 +566,14 @@ class TestSliceTasks:
         u = band_limited_spectrum(grid, 0.7, 1.6, 83)
         for wavelet, pg in cases:
             coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3)
-            spectra, back = _sweep(wavelet, pg, None)
+            spectra = _sweep(wavelet, pg, slice(None))
             scale = pg.a_nodes**1.5
             ref = 0
             for idx, rows in _slice_tasks(pg):
                 slab = np.fft.fftn(coeffs.values[rows, idx], axes=(-3, -2, -1))
                 slab = slab.reshape(rows.stop - rows.start, -1)
                 part = 0
-                for a, row in zip(range(pg.n_a)[rows], spectra(idx, rows)[:, back] * slab):
+                for a, row in zip(range(pg.n_a)[rows], spectra(idx, rows) * slab):
                     part = part + pg.rotation_weights[idx] * pg.a_weights[a] * scale[a] * row
                 ref = ref + part
             ref = _forward_factor(ref.reshape(grid.shape), grid)
@@ -699,7 +699,7 @@ def stale_workspace(seed):
 class TestWorkspace:
     """Per-worker buffers are reused from task to task without changing a bit."""
 
-    def test_short_last_block_takes_row_views(self, monkeypatch, packet):
+    def test_short_last_block_takes_row_views(self, monkeypatch, packet, exp_sph):
         monkeypatch.setattr(cwt, "_Workspace", stale_workspace(90))
         grid = wc.Grid3.cubic(32, 32.0)
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2)
@@ -715,7 +715,7 @@ class TestWorkspace:
 
         # in task order, and with the short block first so the buffers grow afterwards
         for order in (tasks, tasks[2:] + tasks[:2]):
-            spectra, _ = _sweep(packet, pg, support)
+            spectra = _sweep(packet, pg, support)
             got = []
             for idx, rows in order:
                 got.append(spectra(idx, rows))
@@ -724,10 +724,29 @@ class TestWorkspace:
             # one set of buffers, grown once when the short block came first
             grown = 0 if order is tasks else 1
             assert all(np.shares_memory(phi, got[grown]) for phi in got[grown:])
-            power, _ = _sweep(packet, pg, support, power=True)
+            power = _sweep(packet, pg, support, power=True)
             for idx, rows in order:
                 want = fresh(idx, rows)
                 assert power(idx, rows).tobytes() == (want.real**2 + want.imag**2).tobytes()
+
+        # a spherical wavelet's shell values are gathered into one set of node buffers
+        pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 10)
+        tasks = _slice_tasks(pg)
+        assert [rows.stop - rows.start for _, rows in tasks] == [4, 4, 2]
+        shells, shell_of = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
+        for order in (tasks, tasks[2:] + tasks[:2]):
+            spectra = _sweep(exp_sph, pg, support)
+            power = _sweep(exp_sph, pg, support, power=True)
+            got = []
+            for _, rows in order:
+                kz = np.multiply.outer(pg.a_nodes[rows], np.sqrt(shells))
+                want = exp_sph.spectral(np.zeros_like(kz), np.zeros_like(kz), kz)[:, shell_of]
+                got.append(spectra(0, rows))
+                assert got[-1].shape == (len(kz), np.count_nonzero(support))
+                assert got[-1].tobytes() == want.tobytes()
+                assert power(0, rows).tobytes() == (want.real**2 + want.imag**2).tobytes()
+            grown = 0 if order is tasks else 1
+            assert all(np.shares_memory(phi, got[grown]) for phi in got[grown:])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stale_buffers_change_no_output(self, monkeypatch, packet, exp_sph, threads):
@@ -770,6 +789,23 @@ def test_pairing_faults_do_not_grow_with_rotations(packet):
 
     few, many = faults(4, 4), faults(16, 8)
     assert many <= 1.5 * few + 1024
+
+
+def test_every_route_refuses_a_grid_built_for_another_wavelet(grid16, packet, exp_sph,
+                                                              exp_sph_pgrid):
+    # transform_pairing used to return a number where project refused the same inputs
+    u = band_limited_spectrum(grid16, 0.7, 1.6, 98)
+    coeffs = wc.analyze(u, "plus", wc.time_reverse(exp_sph), exp_sph_pgrid, constant=1.0)
+    routes = [lambda: wc.transform_pairing(u, u, packet, exp_sph_pgrid),
+              lambda: wc.project(u, packet, exp_sph_pgrid, constant=1.0),
+              lambda: wc.analyze(u, "plus", packet, exp_sph_pgrid, constant=1.0),
+              lambda: wc.reconstruct_spectrum(coeffs, packet)]
+    for route in routes:
+        with pytest.raises(wc.ValidationError, match="symmetry/axis"):
+            route()
+    other = band_limited_spectrum(wc.Grid3.cubic(16, 12.0), 0.7, 1.6, 99)
+    with pytest.raises(wc.GridMismatchError):
+        wc.transform_pairing(u, other, exp_sph, exp_sph_pgrid)
 
 
 class TestCoefficientChecks:
