@@ -63,9 +63,9 @@ class AdmissibilityReport:
         return float(np.real(self.constant))
 
 
-def _decade_sums(profile: Callable, panels_per_decade: int, gl_order: int = 16):
-    """Panel-quadrature sums of integral profile(k) dk/k over each decade."""
-    nodes, wts = np.polynomial.legendre.leggauss(gl_order)
+def _decade_sums(profile: Callable, panels_per_decade: int):
+    """Panel-quadrature sums of integral profile(k) dk/k over each decade, 16 nodes a panel."""
+    nodes, wts = np.polynomial.legendre.leggauss(16)
     n_dec = int(round(math.log10(RADIAL_HI / RADIAL_LO)))
     t_edges = np.log(RADIAL_LO) + math.log(10.0) * np.arange(0, n_dec * panels_per_decade + 1) / panels_per_decade
     # all panel nodes at once: dk/k = dt with t = ln k
@@ -74,7 +74,7 @@ def _decade_sums(profile: Callable, panels_per_decade: int, gl_order: int = 16):
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * wts[None, :]).ravel()
     vals = profile(np.exp(t)) * w
-    panel = vals.reshape(len(mid), gl_order).sum(axis=1)
+    panel = vals.reshape(len(mid), len(nodes)).sum(axis=1)
     return panel.reshape(n_dec, panels_per_decade).sum(axis=1)
 
 

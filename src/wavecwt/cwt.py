@@ -32,26 +32,27 @@ one inverse transform per slice where coefficients are stored.  No time
 enters: coefficients of a frequency-pure solution are time independent.
 Routes that never store coefficients multiply by :func:`resolution_kernel`.
 
-Materialized routes (:func:`analyze` and synthesis) hand out work as
-(rotation, dilation block) tasks, rotation-major, each block holding as many
-slices as fit a 2 MiB working set (one slice at 64^3, four at 32^3, a whole
-rotation at 16^3).  The blocking depends on the field grid alone, never on
-the thread count, so a spherical grid with its single rotation still keeps
-every worker busy and the results do not depend on ``threads``.  Each task
-reduces over its own dilations with ``np.einsum``, and ``R^T k`` is formed by
-broadcasting: no slice route calls BLAS, whose own thread pool would compete
-with the ``threads`` workers.  The Fourier layer's origin phase and cell
-volume are diagonal in k and independent of (a, R), so :func:`analyze`
-applies the inverse factor to ``u_hat`` once per call; each task writes
-``a^{3/2} conj(PHI) v`` straight into its coefficient rows and runs a bare
-inverse FFT on them in place.
+Every slice route (:func:`analyze`, synthesis, :func:`resolution_kernel`)
+runs (rotation, dilation block) tasks, rotation-major, each block holding as
+many dilations as fit a 2 MiB working set of the points evaluated per
+dilation: the field's nodes where coefficients are stored (one slice at
+64^3, four at 32^3), else the kernel's support nodes or |k| shells.  Tasks
+never depend on the thread count, so a spherical grid's single rotation
+still keeps every worker busy and results do not depend on ``threads``.
+Each task reduces over its own dilations with ``np.einsum`` and ``R^T k`` is
+formed by broadcasting: no slice route calls BLAS, whose own thread pool
+would compete with the ``threads`` workers.  The Fourier layer's origin
+phase and cell volume are diagonal in k and independent of (a, R), so
+:func:`analyze` applies the inverse factor to ``u_hat`` once per call; each
+task writes ``a^{3/2} conj(PHI) v`` into its coefficient rows and runs a
+bare inverse FFT on them in place.
 
 A "spherical" wavelet promises a radial spectrum (see
 :class:`~wavecwt.wavelets.PhysicalWavelet`), so ``PHI(a R^T k)`` takes one
 value per distinct |k|^2 of the lattice (4051 evaluations instead of 262144
-per dilation on a 64^3 cube).  The sweep evaluates it on those shells and
-gathers the values onto the nodes in a reused buffer, so no route handles
-shells: every caller receives ``PHI(a R^T k)`` on its own nodes.
+per dilation on a 64^3 cube).  The sweep evaluates it on those shells, where
+the kernel's share is also reduced, and gathers the values onto the nodes,
+so no route handles shells: every caller receives values on its own nodes.
 """
 
 from __future__ import annotations
@@ -94,10 +95,10 @@ def default_thread_count() -> int:
 
     A set value that is not a decimal integer >= 1 raises
     :class:`ValidationError`, as ``--threads`` does.  Workers share
-    (rotation, dilation block) tasks in the materialized routes and
-    rotations in :func:`resolution_kernel`.  Results are bit-identical for
-    any thread count: tasks are cut from the grid alone and reduced in a
-    fixed order regardless of which worker produced them.
+    (rotation, dilation block) tasks in every slice route.  Results are
+    bit-identical for any thread count: tasks are cut from the grid and the
+    points evaluated per dilation, and reduced in a fixed order regardless of
+    which worker produced them.
     """
     env = os.environ.get("WAVECWT_THREADS", "").strip()
     if not env:
@@ -358,32 +359,34 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
 
     ``support`` is a boolean mask over the flattened field lattice, or
     ``slice(None)`` for every node.  ``spectra(idx, rows)`` is
-    ``PHI(a R^T k)`` for the dilations ``a_nodes[rows]`` (all of them by
-    default) at rotation ``idx`` on the M flagged nodes, shape (n_rows, M);
-    with ``power`` it is ``|PHI|^2`` instead.  A "spherical" wavelet's
-    spectrum depends on |k| alone, so it is evaluated once per distinct
-    float |k|^2 ``s`` at ``(0, 0, sqrt(s))`` and the shell values are
-    gathered onto the nodes.
+    ``PHI(a R^T k)`` for the dilations ``a_nodes[rows]`` at rotation ``idx``
+    on the M flagged nodes, shape (n_rows, M); with ``power`` it is the
+    task's share of :func:`resolution_kernel`, a new (M,) array
+    ``w_R sum_{a in rows} w_a a^3 |PHI(a R^T k)|^2``.  A "spherical"
+    wavelet's spectrum depends on |k| alone, so it is evaluated and reduced
+    once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))``, then gathered
+    onto the nodes.  ``spectra.width`` counts the points evaluated per
+    dilation: M, or the shells.
 
     Each worker thread evaluates in its own :class:`_Workspace`, which lives
     as long as ``spectra``: the three scaled wave-vector components, the
     buffers of the wavelet's buffer form (see
-    :class:`~wavecwt.wavelets.PhysicalWavelet`) and the gathered shell
-    values; a wavelet without a buffer form allocates its own values.  The
-    result may be a view into the workspace, which the caller may overwrite;
-    it is valid until the same worker's next ``spectra`` call.
+    :class:`~wavecwt.wavelets.PhysicalWavelet`; without one it allocates its
+    own values) and the gathered shell values.  ``PHI`` may be a workspace
+    view, which the caller may overwrite until that worker's next call.
     """
     k = [K.ravel()[support] for K in nu_grid.field_grid.k_mesh()]
     back = None
     if wavelet.symmetry == "spherical":
         shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
         k = [np.zeros(shells.size), np.zeros(shells.size), np.sqrt(shells)]
-        on_nodes = _Workspace(back.size, (np.float64 if power else np.complex128,))
+        on_nodes = _Workspace(back.size, (np.complex128,))
     a = nu_grid.a_nodes
+    weights = nu_grid.a_weights * a**3
     into = getattr(wavelet.spectral, "into", None)
     workspace = _Workspace(k[0].size, (np.float64,) * 3 + (into.buffers if into else ()))
 
-    def spectra(idx, rows=slice(None)):
+    def spectra(idx, rows):
         r = nu_grid.rotations[idx]
         ar = a[rows]
         kx, ky, kz, *buffers = workspace.rows(len(ar))
@@ -398,26 +401,28 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
             # phi.real**2 + phi.imag**2, in the spent wave-vector buffers
             np.square(phi.real, out=kx)
             kx += np.square(phi.imag, out=ky)
-            phi = kx
+            share = np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights[rows], kx)
+            return share if back is None else share[back]
         if back is None:
             return phi
         (nodes,) = on_nodes.rows(len(ar))
         return np.take(phi, back, axis=1, out=nodes, mode="clip")
 
+    spectra.width = k[0].size
     return spectra
 
 
 _TASK_BYTES = 2 << 20  # one core's L2: the working set of one slice task
 
 
-def _slice_tasks(nu_grid: ParameterGrid):
+def _slice_tasks(nu_grid: ParameterGrid, width: int):
     """``(idx, rows)`` for every (rotation, dilation block), rotation-major.
 
-    A block holds ``max(1, 2 MiB // (16 N))`` dilations of an N-node field
-    grid, so its complex slab fits one core's cache; the list depends on the
-    grid alone, never on the thread count.
+    A block holds ``max(1, 2 MiB // (16 width))`` dilations of ``width``
+    points each, so its complex slab fits one core's cache; the list depends
+    on the grid and ``width`` alone, never on the thread count.
     """
-    step = max(1, _TASK_BYTES // (16 * nu_grid.field_grid.node_count))
+    step = max(1, _TASK_BYTES // (16 * max(width, 1)))
     return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
             for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
 
@@ -459,18 +464,14 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     ``integral dmu U conj(V) = sum_k u_hat conj(v_hat) K / (N dV)``, and
     analysis followed by synthesis multiplies ``u_hat`` by ``K / (C factor)``.
     The antiderivative partner ``PSI = PHI / (-i c a|k|)`` gives
-    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Each rotation's task sums
-    over dilations in a fixed order and rotations are summed in order, so
-    the result does not depend on ``threads``.
+    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Each (rotation, dilation
+    block) task sums its dilations in a fixed order and tasks are summed in
+    order, so the result does not depend on ``threads``.
     """
     spectra = _sweep(wavelet, nu_grid, support, power=True)
-    weights = nu_grid.a_weights * nu_grid.a_nodes**3
-
-    def one_rotation(idx):
-        return np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights, spectra(idx))
-
     kernel = np.zeros(support.size)
-    kernel[support] = sum(_map_ordered(one_rotation, range(nu_grid.n_rotations), threads))
+    kernel[support] = sum(_map_ordered(lambda task: spectra(*task),
+                                       _slice_tasks(nu_grid, spectra.width), threads))
     return kernel
 
 
@@ -530,7 +531,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         slab = values[rows, idx]
         _lattice_ifft(slab, out=slab)
 
-    for _ in _map_ordered(one_block, _slice_tasks(nu_grid), threads):
+    for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count), threads):
         pass
     return WaveletCoefficients(nu_grid, values, sign, constant,
                                wavelet.name, wavelet.params)

@@ -37,13 +37,13 @@ def fourier_ivp(w: ComplexField3, v: ComplexField3, c: float, t: float) -> Compl
 
 
 def dalembert_residual(before: ComplexField3, center: ComplexField3, after: ComplexField3,
-                       c: float, dt: float, margin: int = 2) -> ErrorReport:
+                       c: float, dt: float) -> ErrorReport:
     """Discrete wave-operator residual from three equally spaced snapshots.
 
     Second-order central differences in time and space; the norm ratio
     ``|u_tt - c^2 Lap u| / |u_tt|`` is reported over the grid interior,
-    excluding ``margin`` cells per face (grid truncation of non-compact
-    wavelets pollutes the edges).
+    excluding two cells per face (grid truncation of non-compact wavelets
+    pollutes the edges).
     """
     if before.grid != center.grid or center.grid != after.grid:
         raise GridMismatchError("snapshots must share one grid")
@@ -58,27 +58,24 @@ def dalembert_residual(before: ComplexField3, center: ComplexField3, after: Comp
         + (np.roll(u, 1, axis=0) - 2.0 * u + np.roll(u, -1, axis=0)) / g.h_z**2
     )
     box = utt - c**2 * lap
-    m = margin
-    core = (slice(m, -m or None),) * 3
+    core = (slice(2, -2),) * 3
     denom = np.linalg.norm(utt[core])
     if denom == 0.0:
         return ErrorReport(0.0, float(np.max(np.abs(box[core]))), "zero field")
     return ErrorReport(
         float(np.linalg.norm(box[core]) / denom),
         float(np.max(np.abs(box[core]))),
-        f"dt={dt}, h=({g.h_x},{g.h_y},{g.h_z}), margin={m}",
+        f"dt={dt}, h=({g.h_x},{g.h_y},{g.h_z}), margin=2",
     )
 
 
-def compare(a: ComplexField3, b: ComplexField3, context: str = "") -> ErrorReport:
+def compare(a: ComplexField3, b: ComplexField3) -> ErrorReport:
     """Relative L2 and pointwise gap between two fields on one grid."""
     if a.grid != b.grid:
         raise GridMismatchError("compare requires fields on one grid")
     diff = a.values - b.values
     denom = max(np.linalg.norm(a.values), np.linalg.norm(b.values), 1e-300)
-    return ErrorReport(
-        float(np.linalg.norm(diff) / denom), float(np.max(np.abs(diff))), context
-    )
+    return ErrorReport(float(np.linalg.norm(diff) / denom), float(np.max(np.abs(diff))))
 
 
 def spectrum_selfcheck(wavelet: PhysicalWavelet, grid) -> ErrorReport:

@@ -86,9 +86,9 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
         return np.einsum("a,am->m", weights, phi)
 
-    acc = sum(_map_ordered(one_block, _slice_tasks(g), threads)).reshape(grid.shape)
+    acc = sum(_map_ordered(one_block, _slice_tasks(g, grid.node_count), threads))
     # the transform's k-factor does not depend on (a, R): applied once, to the sum
-    _forward_factor(acc, grid)
+    acc = _forward_factor(acc.reshape(grid.shape), grid)
     acc /= U.constant * g.constant_factor
     return SpectralField3(grid, acc)
 

@@ -335,6 +335,30 @@ class TestBadValuesFailWhereTheyEnter:
         err = self.fails(capsys, "analyze", *(item for pair in argv.items() for item in pair))
         assert err["error"] == "ValidationError" and words in err["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("check", ["compare", "residual", "isometry"])
+    def test_bad_verify_tolerance(self, capsys, monkeypatch, field, check, value):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli, "read_field", no_read)
+        argv = {"compare": ["--a", field, "--b", field],
+                "residual": ["--minus", field, "--center", field, "--plus", field, "--dt", "0.1"],
+                "isometry": ["--input", field, "--wavelet", "exp-spherical", "--sign", "minus",
+                             "--a-min", "0.2", "--a-max", "2", "--n-a", "4"]}[check]
+        err = self.fails(capsys, "verify", check, *argv, "--tol", value)
+        assert err["error"] == "ValidationError" and "--tol" in err["message"]
+
+    def test_inadmissible_isometry_wavelet(self, capsys, monkeypatch, field):
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("the pairing ran")
+
+        monkeypatch.setattr(cli, "transform_pairing", no_pairing)
+        err = self.fails(capsys, "verify", "isometry", "--input", field, "--wavelet", "kaiser",
+                         "--param", "alpha=1", "--sign", "minus",
+                         "--a-min", "0.2", "--a-max", "2", "--n-a", "4")
+        assert err["error"] == "AdmissibilityError" and "origin" in err["message"]
+
     def test_out_of_memory(self, capsys, monkeypatch, field):
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 18.3 GiB for an array")

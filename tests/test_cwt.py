@@ -478,6 +478,15 @@ class TestSupport:
         wc.analyze(u, counted.sign, counted, pg, constant=1.3)
         assert 0 < sum(points) <= pg.n_a * pg.n_rotations * np.count_nonzero(u.values)
 
+    @pytest.mark.parametrize("symmetry", sorted(SUPPORT_WAVELETS))
+    def test_zero_data_evaluate_nothing(self, symmetry):
+        # an empty support has no points per dilation to cut dilation blocks from
+        wavelet = SUPPORT_WAVELETS[symmetry]()
+        pg = wc.make_parameter_grid(SUPPORT_GRID, wavelet, 0.3, 2.0, 3, 3, 2, 2)
+        zero = wc.SpectralField3(SUPPORT_GRID, np.zeros(SUPPORT_GRID.shape, dtype=complex))
+        assert wc.transform_pairing(zero, zero, wavelet, pg, threads=2) == 0
+        assert not wc.project(zero, wavelet, pg, constant=1.0, threads=2).values.any()
+
     @settings(max_examples=30, deadline=None, database=None)
     @given(symmetry=st.sampled_from(sorted(SUPPORT_WAVELETS)),
            share_u=st.floats(0.0, 1.0), share_v=st.floats(0.0, 1.0),
@@ -502,23 +511,30 @@ class TestSupport:
 
 
 class TestSliceTasks:
-    """Materialized routes work in (rotation, dilation block) tasks cut from the grid alone."""
+    """Slice routes work in (rotation, dilation block) tasks cut from the grid and a width.
+
+    The width is the number of points evaluated per dilation: the field's node
+    count for the materialized routes, the support nodes or |k| shells for the
+    resolution kernel.
+    """
 
     @staticmethod
-    def covered(pg):
-        tasks = _slice_tasks(pg)
+    def covered(pg, width):
+        tasks = _slice_tasks(pg, width)
         pairs = [(idx, a) for idx, rows in tasks for a in range(pg.n_a)[rows]]
         assert pairs == [(idx, a) for idx in range(pg.n_rotations) for a in range(pg.n_a)]
         return tasks
 
     def test_tasks_cover_every_slice_once_rotation_major(self, exp_sph, packet):
-        big = self.covered(wc.make_parameter_grid(wc.Grid3.cubic(64, 64.0), exp_sph, 0.08, 2.5, 24))
-        assert len(big) == 24
-        mid = self.covered(wc.make_parameter_grid(wc.Grid3.cubic(32, 32.0), packet, 0.3, 2.0, 10,
-                                                  2, 2))
-        assert [rows.stop - rows.start for _, rows in mid] == [4, 4, 2] * 4
+        big = wc.make_parameter_grid(wc.Grid3.cubic(64, 64.0), exp_sph, 0.08, 2.5, 24)
+        assert len(self.covered(big, 64**3)) == 24
+        # the 4051 |k| shells of the same cube: one block of 32 dilations at most
+        assert self.covered(big, 4051) == [(0, slice(0, 24))]
+        mid = wc.make_parameter_grid(wc.Grid3.cubic(32, 32.0), packet, 0.3, 2.0, 10, 2, 2)
+        assert [rows.stop - rows.start for _, rows in self.covered(mid, 32**3)] == [4, 4, 2] * 4
+        assert self.covered(mid, 0) == [(idx, slice(0, 10)) for idx in range(4)]
         small = wc.make_parameter_grid(wc.Grid3.cubic(16, 16.0), packet, 0.3, 2.0, 24, 4, 3)
-        assert self.covered(small) == [(idx, slice(0, 24)) for idx in range(12)]
+        assert self.covered(small, 16**3) == [(idx, slice(0, 24)) for idx in range(12)]
 
     def test_blocks_do_not_depend_on_threads(self, exp_sph):
         grid = wc.Grid3.cubic(32, 32.0)
@@ -543,17 +559,25 @@ class TestSliceTasks:
         grid = wc.Grid3.cubic(32, 32.0)
         if name == "packet":
             wavelet = packet
-            pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 12, 2, 2)
+            pg = kernel_pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 12, 2, 2)
         else:
             wavelet = exp_sph
             pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)
-        assert len(_slice_tasks(pg)) > pg.n_rotations
+            # 827 |k| shells take 158 dilations per block
+            kernel_pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 200)
+        assert len(_slice_tasks(pg, grid.node_count)) > pg.n_rotations
         u = band_limited_spectrum(grid, 0.7, 1.6, 82)
         one, two = (wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=n)
                     for n in (1, 2))
         assert one.values.tobytes() == two.values.tobytes()
         spectra = [wc.reconstruct_spectrum(one, wavelet, threads=n).values for n in (1, 2)]
         assert spectra[0].tobytes() == spectra[1].tobytes()
+        # the kernel's blocks are cut from the points it evaluates per dilation
+        full = np.ones(grid.node_count, dtype=bool)
+        width = _sweep(wavelet, kernel_pg, full, power=True).width
+        assert len(_slice_tasks(kernel_pg, width)) > kernel_pg.n_rotations
+        kernels = [cwt.resolution_kernel(wavelet, kernel_pg, full, threads=n) for n in (1, 2)]
+        assert kernels[0].tobytes() == kernels[1].tobytes()
 
     def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
         # reference: each (rotation, dilation block) task sums its weighted PHI * fftn(U)
@@ -569,7 +593,7 @@ class TestSliceTasks:
             spectra = _sweep(wavelet, pg, slice(None))
             scale = pg.a_nodes**1.5
             ref = 0
-            for idx, rows in _slice_tasks(pg):
+            for idx, rows in _slice_tasks(pg, grid.node_count):
                 slab = np.fft.fftn(coeffs.values[rows, idx], axes=(-3, -2, -1))
                 slab = slab.reshape(rows.stop - rows.start, -1)
                 part = 0
@@ -590,17 +614,21 @@ class TestSliceTasks:
         cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
                  (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 12, 2, 2))]
         u = band_limited_spectrum(grid, 0.7, 1.6, 84)
+        full = np.ones(grid.node_count, dtype=bool)
         interval = sys.getswitchinterval()
         try:
             for wavelet, pg in cases:
                 coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=1)
                 want = wc.reconstruct_spectrum(coeffs, wavelet, threads=1).values.tobytes()
+                kernel = cwt.resolution_kernel(wavelet, pg, full, threads=1).tobytes()
                 sys.setswitchinterval(1e-6)
                 again = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=8)
                 assert again.values.tobytes() == coeffs.values.tobytes()
                 for _ in range(10):
                     got = wc.reconstruct_spectrum(coeffs, wavelet, threads=8).values
                     assert got.tobytes() == want
+                for _ in range(3):
+                    assert cwt.resolution_kernel(wavelet, pg, full, threads=8).tobytes() == kernel
                 sys.setswitchinterval(interval)
         finally:
             sys.setswitchinterval(interval)
@@ -680,6 +708,17 @@ class TestSliceMemory:
         assert (peak - start) / slab <= {1: 4.43, 2: 7.7}[threads]
         assert kept - start <= 0.01 * slab
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_full_support_kernel_stays_within_its_blocks(self, monkeypatch, packet, threads):
+        # each task reduces its block of dilations before the next starts: 18.8 and
+        # 35.1 slabs, where one task per rotation over all 24 dilations took 91 and 179
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
+        grid = wc.Grid3.cubic(32, 32.0)
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 24, 4, 2)
+        full = np.ones(grid.node_count, dtype=bool)
+        _, peak = self.traced_peak(lambda: cwt.resolution_kernel(packet, pg, full, threads))
+        assert peak / (16 * grid.node_count) <= {1: 24.0, 2: 45.0}[threads]
+
 
 def stale_workspace(seed):
     """A workspace that hands out every buffer full of random bits, as a previous task may."""
@@ -696,6 +735,11 @@ def stale_workspace(seed):
     return Stale
 
 
+def weights(pg):
+    """The kernel's dilation weights ``w_a a^3``."""
+    return pg.a_weights * pg.a_nodes**3
+
+
 class TestWorkspace:
     """Per-worker buffers are reused from task to task without changing a bit."""
 
@@ -703,7 +747,7 @@ class TestWorkspace:
         monkeypatch.setattr(cwt, "_Workspace", stale_workspace(90))
         grid = wc.Grid3.cubic(32, 32.0)
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2)
-        tasks = _slice_tasks(pg)[:4]
+        tasks = _slice_tasks(pg, grid.node_count)[:4]
         assert [rows.stop - rows.start for _, rows in tasks] == [4, 4, 2, 4]
         support = band_limited_spectrum(grid, 0.6, 1.8, 91).values.ravel() != 0
         k = [K.ravel()[support] for K in grid.k_mesh()]
@@ -727,11 +771,13 @@ class TestWorkspace:
             power = _sweep(packet, pg, support, power=True)
             for idx, rows in order:
                 want = fresh(idx, rows)
-                assert power(idx, rows).tobytes() == (want.real**2 + want.imag**2).tobytes()
+                share = np.einsum("a,am->m", pg.rotation_weights[idx] * weights(pg)[rows],
+                                  want.real**2 + want.imag**2)
+                assert power(idx, rows).tobytes() == share.tobytes()
 
         # a spherical wavelet's shell values are gathered into one set of node buffers
         pg = wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 10)
-        tasks = _slice_tasks(pg)
+        tasks = _slice_tasks(pg, grid.node_count)
         assert [rows.stop - rows.start for _, rows in tasks] == [4, 4, 2]
         shells, shell_of = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
         for order in (tasks, tasks[2:] + tasks[:2]):
@@ -740,11 +786,14 @@ class TestWorkspace:
             got = []
             for _, rows in order:
                 kz = np.multiply.outer(pg.a_nodes[rows], np.sqrt(shells))
-                want = exp_sph.spectral(np.zeros_like(kz), np.zeros_like(kz), kz)[:, shell_of]
+                on_shells = exp_sph.spectral(np.zeros_like(kz), np.zeros_like(kz), kz)
                 got.append(spectra(0, rows))
                 assert got[-1].shape == (len(kz), np.count_nonzero(support))
-                assert got[-1].tobytes() == want.tobytes()
-                assert power(0, rows).tobytes() == (want.real**2 + want.imag**2).tobytes()
+                assert got[-1].tobytes() == on_shells[:, shell_of].tobytes()
+                # the kernel's share is reduced on the shells, then gathered
+                share = np.einsum("a,am->m", pg.rotation_weights[0] * weights(pg)[rows],
+                                  on_shells.real**2 + on_shells.imag**2)[shell_of]
+                assert power(0, rows).tobytes() == share.tobytes()
             grown = 0 if order is tasks else 1
             assert all(np.shares_memory(phi, got[grown]) for phi in got[grown:])
 

@@ -3,7 +3,8 @@
 Every import sits at module level and every imported name is used, so an
 import cycle or the leftover of a deletion shows at once.  The slice paths
 also call no BLAS: numpy hands matrix products to a BLAS library that runs
-its own thread pool next to the ``threads`` workers.
+its own thread pool next to the ``threads`` workers, and every worker pool
+runs (rotation, dilation block) tasks from one task model.
 """
 
 import ast
@@ -131,3 +132,26 @@ def test_guard_flags_matrix_products():
 @pytest.mark.parametrize("module, function", SLICE_PATHS, ids=lambda v: v)
 def test_slice_path_calls_no_blas(module, function):
     assert blas_calls((PACKAGE / module).read_text(), function) == []
+
+
+def untasked_pools(source: str):
+    """Lines of ``_map_ordered`` calls in ``source`` whose items are not ``_slice_tasks(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_map_ordered":
+            items = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(items, ast.Call) and getattr(items.func, "id", None) == "_slice_tasks"):
+                found.append(node.lineno)
+    return found
+
+
+def test_guard_flags_a_pool_without_slice_tasks():
+    source = ("def f(g, n):\n    sum(_map_ordered(h, range(n), 2))\n"
+              "    tasks = _slice_tasks(g, n)\n    list(_map_ordered(h, tasks, 2))\n"
+              "    list(_map_ordered(h, _slice_tasks(g, n), 2))\n")
+    assert untasked_pools(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_pool_runs_slice_tasks(path):
+    assert untasked_pools(path.read_text()) == []
