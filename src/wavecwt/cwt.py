@@ -373,7 +373,7 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
     buffers of the wavelet's buffer form (see
     :class:`~wavecwt.wavelets.PhysicalWavelet`; without one it allocates its
     own values) and the gathered shell values.  ``PHI`` may be a workspace
-    view, which the caller may overwrite until that worker's next call.
+    view: the caller may overwrite it, and it lasts until that worker's next call.
     """
     k = [K.ravel()[support] for K in nu_grid.field_grid.k_mesh()]
     back = None

@@ -479,7 +479,7 @@ class TestSupport:
         assert 0 < sum(points) <= pg.n_a * pg.n_rotations * np.count_nonzero(u.values)
 
     @pytest.mark.parametrize("symmetry", sorted(SUPPORT_WAVELETS))
-    def test_zero_data_evaluate_nothing(self, symmetry):
+    def test_zero_data_give_zero_kernel_routes(self, symmetry):
         # an empty support has no points per dilation to cut dilation blocks from
         wavelet = SUPPORT_WAVELETS[symmetry]()
         pg = wc.make_parameter_grid(SUPPORT_GRID, wavelet, 0.3, 2.0, 3, 3, 2, 2)
