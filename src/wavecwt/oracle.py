@@ -18,7 +18,6 @@ __all__ = ["ErrorReport", "fourier_ivp", "dalembert_residual", "compare", "spect
 class ErrorReport:
     rel_l2: float
     max_abs: float
-    context: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.rel_l2) and np.isfinite(self.max_abs)):
@@ -61,12 +60,8 @@ def dalembert_residual(before: ComplexField3, center: ComplexField3, after: Comp
     core = (slice(2, -2),) * 3
     denom = np.linalg.norm(utt[core])
     if denom == 0.0:
-        return ErrorReport(0.0, float(np.max(np.abs(box[core]))), "zero field")
-    return ErrorReport(
-        float(np.linalg.norm(box[core]) / denom),
-        float(np.max(np.abs(box[core]))),
-        f"dt={dt}, h=({g.h_x},{g.h_y},{g.h_z}), margin=2",
-    )
+        return ErrorReport(0.0, float(np.max(np.abs(box[core]))))
+    return ErrorReport(float(np.linalg.norm(box[core]) / denom), float(np.max(np.abs(box[core]))))
 
 
 def compare(a: ComplexField3, b: ComplexField3) -> ErrorReport:
@@ -84,8 +79,4 @@ def spectrum_selfcheck(wavelet: PhysicalWavelet, grid) -> ErrorReport:
     closed = wavelet.spectral_on_grid(grid)
     diff = sampled.values - closed.values
     denom = max(np.linalg.norm(sampled.values), np.linalg.norm(closed.values), 1e-300)
-    return ErrorReport(
-        float(np.linalg.norm(diff) / denom),
-        float(np.max(np.abs(diff))),
-        f"{wavelet.name or 'wavelet'} position-vs-spectrum on {grid.shape}",
-    )
+    return ErrorReport(float(np.linalg.norm(diff) / denom), float(np.max(np.abs(diff))))

@@ -230,6 +230,14 @@ class PhysicalWavelet:
     instead of once per node.  Tag a wavelet "axial" or "none" when its
     spectrum is not radial.
 
+    The "axial" tag promises ``PHI(Q q) = PHI(q)`` for every rotation ``Q``
+    about ``axis`` and every ``q``: the spectrum depends on ``axis . q`` and
+    ``|q|`` alone.  Its parameter grid sweeps two angles, and the resolution
+    kernel tabulates the spectrum against the direction cosine on each |k|
+    shell instead of evaluating it per node and rotation.  The Bateman
+    constructions with ``eps1 == eps2`` carry it, as do the wavelets derived
+    from them; tag a wavelet "none" when it has no such symmetry.
+
     ``spectral`` may carry a buffer form ``spectral.into(kx, ky, kz, *buffers)``:
     the same values written into the last of ``buffers``, arrays with the
     dtypes ``spectral.into.buffers``, which it returns.  Every argument is

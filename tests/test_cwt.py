@@ -452,6 +452,90 @@ class TestShellRoute:
             assert 0 < sum(points) <= pg.n_a * shells
 
 
+def direct_kernel(wavelet, pg, support):
+    """The kernel as the direct sweep sums it: each task's share of ``|PHI(a R^T k)|^2``, in order."""
+    spectra = _sweep(wavelet, pg, support, power=True)
+    kernel = np.zeros(support.size)
+    kernel[support] = sum(spectra(*task) for task in _slice_tasks(pg, spectra.width))
+    return kernel
+
+
+def packet_grid(packet, n_a, n_theta1, n_theta2):
+    """A 32^3 parameter grid on the dilation window of the acceptance band."""
+    a_range = wc.suggest_dilation_range(packet, 0.6, 1.8)
+    return wc.make_parameter_grid(wc.Grid3.cubic(32, 32.0), packet, *a_range, n_a, n_theta1,
+                                  n_theta2)
+
+
+class TestAxialTable:
+    """An axial kernel from per-shell Chebyshev series in the direction cosine.
+
+    The route is taken only when every shell's series is certified; it then
+    agrees with the direct sweep to round-off, and otherwise the direct sweep
+    runs unchanged.
+    """
+
+    def test_isometry_kernel_matches_the_direct_sweep(self, packet):
+        # acceptance criterion 4's input at its reference settings
+        pg = packet_grid(packet, 24, 16, 8)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 401).values.ravel() != 0
+        assert cwt._axial_series(packet, pg, support) is not None
+        table = cwt.resolution_kernel(packet, pg, support, threads=2)
+        direct = direct_kernel(packet, pg, support)
+        assert not table[~support].any()
+        assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
+
+    def test_projection_matches_the_direct_sweep(self, monkeypatch, packet, packet_constant):
+        # acceptance criterion 5's packet input, through project
+        pg = packet_grid(packet, 24, 16, 8)
+        u = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 502)
+        support = u.values != 0
+        table = wc.project(u, packet, pg, constant=packet_constant, threads=2).values
+        monkeypatch.setattr(cwt, "_axial_series", lambda *args: None)
+        direct = wc.project(u, packet, pg, constant=packet_constant, threads=2).values
+        assert not table[~support].any()
+        assert np.max(np.abs(table - direct)[support] / np.abs(direct[support])) <= 1e-12
+
+    @pytest.mark.parametrize("derive", [wc.time_derivative_wavelet,
+                                        wc.time_antiderivative_wavelet])
+    def test_wavelets_without_a_buffer_form(self, packet, derive):
+        wavelet = derive(packet)
+        pg = packet_grid(wavelet, 24, 4, 2)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 403).values.ravel() != 0
+        assert cwt._axial_series(wavelet, pg, support) is not None
+        table = cwt.resolution_kernel(wavelet, pg, support, threads=1)
+        direct = direct_kernel(wavelet, pg, support)
+        assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
+
+    def test_uncertified_series_leave_the_direct_sweep(self, packet):
+        # on the whole 32^3 lattice the outer shells' series do not converge at 48 nodes
+        pg = packet_grid(packet, 24, 4, 2)
+        full = np.ones(pg.field_grid.node_count, dtype=bool)
+        assert cwt._axial_series(packet, pg, full) is None
+        got = cwt.resolution_kernel(packet, pg, full, threads=2)
+        assert got.tobytes() == direct_kernel(packet, pg, full).tobytes()
+
+    def test_table_counts_shells_nodes_and_dilations(self, packet):
+        calls = []
+
+        def spectral(kx, ky, kz):
+            calls.append(np.size(kx))
+            return packet.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(packet, spectral=spectral)
+        pg = packet_grid(packet, 24, 4, 2)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 404).values.ravel() != 0
+        k = [K.ravel()[support] for K in pg.field_grid.k_mesh()]
+        shells = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
+        assert (shells, np.count_nonzero(support)) == (87, 3116)
+        cwt.resolution_kernel(counted, pg, support, threads=2)
+        assert sum(calls) == shells * cwt._CHEB_NODES * pg.n_a  # 100,224
+        # the direct sweep evaluates every dilation, rotation and node: 598,272
+        calls.clear()
+        direct_kernel(counted, pg, support)
+        assert sum(calls) == pg.n_a * pg.n_rotations * np.count_nonzero(support)
+
+
 # non-cubic, off-centre lattice for the support properties below
 SUPPORT_GRID = wc.Grid3(8, 10, 12, 1.5, 1.25, 0.8, origin=(-7.0, -5.0, -3.2))
 SUPPORT_WAVELETS = {
@@ -515,7 +599,8 @@ class TestSliceTasks:
 
     The width is the number of points evaluated per dilation: the field's node
     count for the materialized routes, the support nodes or |k| shells for the
-    resolution kernel.
+    resolution kernel, and 0 for its axial table route, whose tasks evaluate no
+    spectrum.
     """
 
     @staticmethod
@@ -630,6 +715,14 @@ class TestSliceTasks:
                 for _ in range(3):
                     assert cwt.resolution_kernel(wavelet, pg, full, threads=8).tobytes() == kernel
                 sys.setswitchinterval(interval)
+            # the axial table route on the band's support
+            pg = packet_grid(packet, 24, 4, 2)
+            band = u.values.ravel() != 0
+            assert cwt._axial_series(packet, pg, band) is not None
+            kernel = cwt.resolution_kernel(packet, pg, band, threads=1).tobytes()
+            sys.setswitchinterval(1e-6)
+            for threads in (2, 8, 2, 8):
+                assert cwt.resolution_kernel(packet, pg, band, threads).tobytes() == kernel
         finally:
             sys.setswitchinterval(interval)
 
@@ -718,6 +811,22 @@ class TestSliceMemory:
         full = np.ones(grid.node_count, dtype=bool)
         _, peak = self.traced_peak(lambda: cwt.resolution_kernel(packet, pg, full, threads))
         assert peak / (16 * grid.node_count) <= {1: 24.0, 2: 45.0}[threads]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_axial_table_peaks_below_the_direct_sweep(self, monkeypatch, packet, threads):
+        # isometry settings: the direct sweep holds (24, 3116) evaluation buffers per
+        # worker, the table route (1, 87 x 48) of them and 48 coefficients per node
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
+        pg = packet_grid(packet, 24, 16, 8)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 86).values.ravel() != 0
+
+        def kernel():
+            return cwt.resolution_kernel(packet, pg, support, threads)
+
+        _, table = self.traced_peak(kernel)
+        monkeypatch.setattr(cwt, "_axial_series", lambda *args: None)
+        _, direct = self.traced_peak(kernel)
+        assert table <= direct
 
 
 def stale_workspace(seed):

@@ -98,7 +98,8 @@ def test_module_imports_no_unused_name(path):
 
 
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
-SLICE_PATHS = [("cwt.py", "_sweep"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
+SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_series"),
+               ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("synthesis.py", "reconstruct_spectrum")]
 
 

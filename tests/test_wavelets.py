@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
+from wavecwt.cwt import rotation_about
 from wavecwt.wavelets import _EXP_FLOOR
 from conftest import rel_l2
 
@@ -545,3 +547,42 @@ class TestCatalogFactory:
                                         "eps1": 1.0, "eps2": 1.0})
         assert w.symmetry == "axial"
         assert ("proxy", "kaiser") in w.params
+
+
+AXIAL_WAVELETS = {
+    "gaussian-packet": lambda: wc.gaussian_packet(40.0, 1.0, 0.5, 0.5),
+    "bateman-exp": lambda: wc.make_wavelet("bateman", {"eps1": 0.7, "eps2": 0.7}),
+    "bateman-kaiser": lambda: wc.make_wavelet("bateman", {"proxy": "kaiser", "proxy_alpha": 4.0,
+                                                          "eps1": 1.0, "eps2": 1.0}),
+}
+DERIVED = {
+    "itself": lambda w: w,
+    "time-derivative": wc.time_derivative_wavelet,
+    "time-antiderivative": wc.time_antiderivative_wavelet,
+}
+
+
+class TestAxialContract:
+    """An "axial" tag promises ``PHI(Q q) = PHI(q)`` for every rotation ``Q`` about the axis."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(AXIAL_WAVELETS)), derive=st.sampled_from(sorted(DERIVED)),
+           angle=st.floats(0.0, 2.0 * np.pi),
+           q=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
+    def test_spectrum_is_invariant_about_the_axis(self, name, derive, angle, q):
+        w = DERIVED[derive](AXIAL_WAVELETS[name]())
+        assert w.symmetry == "axial"
+        # the spectrum's scale: its largest value along the axis
+        radii = np.geomspace(1e-2, 1e2, 400)
+        peak = np.abs(w.spectral(*np.multiply.outer(w.axis, radii))).max()
+        q = np.array(q)
+        turned = rotation_about(w.axis, angle) @ q
+        base, rotated = (w.spectral(*v[:, None])[0] for v in (q, turned))
+        assert abs(rotated - base) <= 1e-12 * abs(base) + 1e-14 * peak
+
+    @pytest.mark.parametrize("derive", sorted(DERIVED))
+    def test_eccentric_wavelets_stay_untagged(self, derive):
+        for w in (wc.gaussian_packet(40.0, 1.0, 0.5, 0.8),
+                  wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8}),
+                  wc.make_wavelet("bateman", {"proxy": "kaiser", "eps1": 1.0, "eps2": 1.2})):
+            assert DERIVED[derive](w).symmetry == "none"
