@@ -50,7 +50,14 @@ from .fields import (
     spectral_inner_product,
     split_ivp,
 )
-from .fileio import read_coefficients, read_field, write_coefficients, write_field
+from .fileio import (
+    create_coefficients,
+    open_coefficients,
+    read_coefficients,
+    read_field,
+    write_coefficients,
+    write_field,
+)
 from .oracle import ErrorReport, compare, dalembert_residual, fourier_ivp, spectrum_selfcheck
 from .synthesis import project, reconstruct, reconstruct_cross, reconstruct_spectrum, solve_ivp
 from .wavelets import (

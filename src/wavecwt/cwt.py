@@ -193,6 +193,11 @@ class ParameterGrid:
     def node_count(self) -> int:
         return self.n_a * self.n_rotations * self.field_grid.node_count
 
+    @property
+    def coefficient_shape(self) -> Tuple[int, ...]:
+        """``(n_a, n_rotations) + field grid shape``: the shape of coefficients on this grid."""
+        return (self.n_a, self.n_rotations) + self.field_grid.shape
+
     def check_route(self, wavelet: PhysicalWavelet, *parts) -> None:
         """The preconditions of every slice route on this grid.
 
@@ -321,27 +326,42 @@ class WaveletCoefficients:
 
     values has shape (n_a, n_rotations) + field grid shape, C-ordered so the
     flat layout is (a slowest, then angles in theta1-major order, then b in
-    field linear order).  ``constant`` is the admissibility (or cross)
-    constant to be used at synthesis, before the grid's constant_factor.
+    field linear order).  It is an array, or the
+    :class:`~wavecwt.fileio.Payload` of a WCF file, which the slice routes
+    read one task block at a time and the whole-array routes refuse.
+    ``constant`` is the admissibility (or cross) constant to be used at
+    synthesis, before the grid's constant_factor.
     """
 
     nu_grid: ParameterGrid
-    values: np.ndarray
+    values: np.ndarray  # or a fileio.Payload
     sign: str
     constant: complex
     wavelet_name: str = ""
     wavelet_params: Tuple = ()
 
     def __post_init__(self):
-        expected = (self.nu_grid.n_a, self.nu_grid.n_rotations) + self.nu_grid.field_grid.shape
+        expected = self.nu_grid.coefficient_shape
         if self.values.shape != expected:
             raise ValidationError(f"coefficient shape {self.values.shape} != {expected}")
         if self.sign not in ("plus", "minus"):
             raise ValidationError(f"bad sign {self.sign!r}")
-        # one dilation at a time: the mask is 1/n_a of a whole-array scan's
-        for block in self.values:
+        # one dilation at a time: the mask is 1/n_a of a whole-array scan's, and a
+        # payload is read into one buffer
+        values = self.values
+        held = isinstance(values, np.ndarray)
+        buffer = None if held else np.empty(expected[1:], dtype=np.complex128)
+        for a in range(self.nu_grid.n_a):
+            block = values[a] if held else values.read(a, buffer)
             if not np.isfinite(block.view(np.float64)).all():
                 raise ValidationError("coefficients contain non-finite values")
+
+
+def _in_memory(*sets: WaveletCoefficients) -> None:
+    """:class:`ValidationError` unless every set's values are an array, not a file payload."""
+    if not all(isinstance(U.values, np.ndarray) for U in sets):
+        raise ValidationError("this route needs coefficients in memory: "
+                              "use read_coefficients, not open_coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +497,19 @@ def _slice_tasks(nu_grid: ParameterGrid, width: int):
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
     """Worker threads for ``n_items`` tasks: at most the request, the CPUs and the tasks."""
     return max(1, min(requested, cpus or 1, n_items))
+
+
+def _working_set(nu_grid: ParameterGrid, threads: Optional[int]) -> int:
+    """Bytes of two complex slabs of a (rotation, dilation block) task per worker.
+
+    What the materialized routes hold beyond their inputs and the
+    coefficients: a task's spectra and the slab it transforms.
+    """
+    n = nu_grid.field_grid.node_count
+    tasks = _slice_tasks(nu_grid, n)
+    rows = tasks[0][1]
+    workers = _pool_size(threads or default_thread_count(), len(tasks), os.cpu_count())
+    return workers * 2 * 16 * (rows.stop - rows.start) * n
 
 
 def _map_ordered(fn, items: Sequence, threads: Optional[int]):
@@ -621,37 +654,74 @@ def _require_constant(wavelet: PhysicalWavelet, constant, tol: float):
 
 def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             nu_grid: ParameterGrid, constant: Optional[complex] = None,
-            tol: float = 1e-8, threads: Optional[int] = None) -> WaveletCoefficients:
+            tol: float = 1e-8, threads: Optional[int] = None, out=None) -> WaveletCoefficients:
     """Wavelet coefficients of a frequency-pure solution part.
 
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
-    (a, rotation) slice is produced by one bare inverse FFT, in place in the
-    coefficient array, of ``a^{3/2} conj(PHI) v`` with ``v`` the data times
-    the transform's k-factor, applied once; each (rotation, dilation block)
-    task writes its own slices, and the spectrum is evaluated only where the
-    data are nonzero.  Coefficients carry no time dependence.  Coefficients
-    larger than the machine's physical memory are refused up front with a
-    :class:`ValidationError`.
+    (a, rotation) slice is one bare inverse FFT of ``a^{3/2} conj(PHI) v``
+    with ``v`` the data times the transform's k-factor, applied once; each
+    (rotation, dilation block) task writes its own slices, and the spectrum
+    is evaluated only where the data are nonzero.  Coefficients carry no
+    time dependence.
+
+    ``out`` is the destination.  With None the coefficients are a new array
+    and each task transforms in place in its own rows; coefficients larger
+    than the machine's physical memory are refused up front with a
+    :class:`ValidationError`.  A :class:`~wavecwt.fileio.Payload` (see
+    :func:`~wavecwt.fileio.create_coefficients`) of the coefficients' shape
+    makes each task transform in its worker's slab, zero off the support
+    (on a full support, in its spectra), and store it there; then only two
+    task slabs per worker need to fit in memory, and the result is backed by
+    ``out``.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
     if wavelet.sign != sign:
         raise ValidationError(f"wavelet sign {wavelet.sign!r} does not match requested {sign!r}")
     nu_grid.check_route(wavelet, s_part)
-    _require_memory(16 * nu_grid.node_count, "coefficients")
+    grid = nu_grid.field_grid
+    shape = nu_grid.coefficient_shape
+    if out is None:
+        _require_memory(16 * nu_grid.node_count, "coefficients")
+    else:
+        if tuple(out.shape) != shape:
+            raise ValidationError(f"destination shape {tuple(out.shape)} != {shape}")
+        _require_memory(_working_set(nu_grid, threads), "analyze working set")
     constant = _require_constant(wavelet, constant, tol)
 
-    grid = nu_grid.field_grid
     support = s_part.values.ravel() != 0
+    full = bool(support.all())
     # a full support copies whole rows: cheaper than an all-True boolean scatter
-    nodes = slice(None) if support.all() else support
+    nodes = slice(None) if full else support
     spectra = _sweep(wavelet, nu_grid, nodes)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v
     v = _inverse_factor(s_part.values, grid).ravel()[nodes]
     scale = nu_grid.a_nodes**1.5
-    values = np.zeros((nu_grid.n_a, nu_grid.n_rotations) + grid.shape, dtype=np.complex128)
-    flat = values.reshape(nu_grid.n_a, nu_grid.n_rotations, -1)
+    if out is None:
+        out = np.zeros(shape, dtype=np.complex128)
+        flat = out.reshape(nu_grid.n_a, nu_grid.n_rotations, -1)
+
+        def slab_of(idx, rows, prod):  # the task's own coefficient rows
+            slab = flat[rows, idx]
+            slab[:, nodes] = prod
+            return slab
+
+        def store(idx, rows, cube):
+            pass
+    else:
+        slabs = _Workspace(grid.node_count, (np.complex128,))
+
+        def slab_of(idx, rows, prod):  # the worker's slab, zero off the support
+            if full:  # the spectra cover every node: they are the slab
+                return prod
+            (slab,) = slabs.rows(len(prod))
+            slab.fill(0)
+            slab[:, nodes] = prod
+            return slab
+
+        def store(idx, rows, cube):
+            out[rows, idx] = cube
 
     def one_block(task):
         idx, rows = task
@@ -659,14 +729,13 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         np.conjugate(prod, out=prod)
         prod *= v
         prod *= scale[rows, None]
-        flat[rows, idx][:, nodes] = prod
-        slab = values[rows, idx]
-        _lattice_ifft(slab, out=slab)
+        cube = slab_of(idx, rows, prod).reshape((-1,) + grid.shape)
+        _lattice_ifft(cube, out=cube)
+        store(idx, rows, cube)
 
     for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count), threads):
         pass
-    return WaveletCoefficients(nu_grid, values, sign, constant,
-                               wavelet.name, wavelet.params)
+    return WaveletCoefficients(nu_grid, out, sign, constant, wavelet.name, wavelet.params)
 
 
 def analyze_initial_data(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
@@ -713,6 +782,7 @@ def combine_initial_coefficients(w_coeffs: WaveletCoefficients,
         raise ValidationError("coefficient sets live on different parameter grids")
     if w_coeffs.sign != v_coeffs.sign:
         raise ValidationError("coefficient sets carry different signs")
+    _in_memory(w_coeffs, v_coeffs)
     sgn = -1.0 if w_coeffs.sign == "plus" else +1.0
     a = w_coeffs.nu_grid.a_nodes[:, None, None, None, None]
     values = 0.5 * w_coeffs.values + (sgn * 0.5) * a * v_coeffs.values
@@ -746,6 +816,7 @@ def weighted_pairing(U: WaveletCoefficients, V: WaveletCoefficients) -> complex:
     """``integral dmu U conj(V)`` from materialized coefficients."""
     if U.nu_grid != V.nu_grid:
         raise GridMismatchError("coefficient sets live on different parameter grids")
+    _in_memory(U, V)
     g = U.nu_grid
     per_node = np.einsum("arxyz,arxyz->ar", U.values, np.conj(V.values))
     total = np.einsum("a,r,ar->", g.a_weights, g.rotation_weights, per_node)

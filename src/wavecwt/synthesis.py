@@ -28,8 +28,10 @@ from .cwt import (
     _Workspace,
     _map_ordered,
     _require_constant,
+    _require_memory,
     _slice_tasks,
     _sweep,
+    _working_set,
     resolution_kernel,
 )
 from .errors import ValidationError
@@ -63,7 +65,11 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     each task returns its weighted sum over its dilations and the partial
     sums are added in task order, so the result does not depend on
     ``threads``.  The transform's k-factor is applied once, to the sum.  The
-    synthesis wavelet must carry the coefficients' sign tag.
+    synthesis wavelet must carry the coefficients' sign tag.  Coefficients
+    backed by a WCF payload are read one task block at a time into the
+    worker's slab and transformed there, with the same result; the working
+    set of two task slabs per worker is checked against physical memory
+    first.
     """
     if wavelet.sign != U.sign:
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
@@ -71,17 +77,20 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         raise ValidationError("synthesis constant is zero")
     U.nu_grid.check_route(wavelet)
     g = U.nu_grid
+    _require_memory(_working_set(g, threads), "synthesis working set")
     grid = g.field_grid
     spectra = _sweep(wavelet, g, slice(None))
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     scale = g.a_nodes**1.5
+    held = isinstance(U.values, np.ndarray)
 
     def one_block(task):
         idx, rows = task
-        block = U.values[rows, idx]
         phi = spectra(idx, rows)
-        (slab,) = slabs.rows(len(block))
-        _lattice_fft(block, out=slab.reshape(block.shape))
+        (slab,) = slabs.rows(rows.stop - rows.start)
+        cube = slab.reshape((-1,) + grid.shape)
+        block = U.values[rows, idx] if held else U.values.read((rows, idx), cube)
+        _lattice_fft(block, out=cube)
         phi *= slab
         weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
         return np.einsum("a,am->m", weights, phi)

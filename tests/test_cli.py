@@ -1,17 +1,20 @@
 """Command-line interface: subcommands, exit codes, determinism, manifests."""
 
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import wavecwt as wc
-from wavecwt import cli
+from wavecwt import cli, fileio
 from wavecwt.cli import dispatch
 from wavecwt.cwt import default_thread_count
 
@@ -368,3 +371,105 @@ class TestBadValuesFailWhereTheyEnter:
                          "--wavelet", "exp-spherical", "--sign", "minus",
                          "--a-min", "0.2", "--a-max", "2", "--n-a", "4")
         assert err == {"error": "MemoryError", "message": "Unable to allocate 18.3 GiB for an array"}
+
+
+class TestStreamedCoefficientFiles:
+    """``analyze`` writes and ``synthesize`` reads the WCF one task slab at a time."""
+
+    @pytest.fixture
+    def field(self, capsys, tmp_path):
+        path = tmp_path / "u.wfld"
+        assert dispatch(["make-field", "--kind", "gaussian", "--n", "32", "--extent", "32",
+                         "--sigma", "2", "--k0", "1", "0.3", "0", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def analyze(field, out):
+        # 32^3, 24 dilations of a spherical wavelet: a 12 MiB payload
+        return ["analyze", "--input", str(field), "--wavelet", "exp-spherical", "--sign", "plus",
+                "--a-min", "0.08", "--a-max", "2.5", "--n-a", "24", "--threads", "1",
+                "--out", str(out)]
+
+    @staticmethod
+    def synthesize(coeffs, out):
+        return ["synthesize", "--coeffs", str(coeffs), "--t", "0", "--threads", "1",
+                "--out", str(out)]
+
+    @staticmethod
+    def in_memory(field):
+        spectral = wc.fft3(wc.read_field(field)[0])
+        wavelet = wc.time_reverse(wc.exp_spherical_wavelet())
+        pg = wc.make_parameter_grid(spectral.grid, wavelet, 0.08, 2.5, 24)
+        return spectral, wavelet, pg
+
+    def test_symlinked_out_gets_the_eager_bytes(self, capsys, tmp_path, field):
+        spectral, wavelet, pg = self.in_memory(field)
+        wc.write_coefficients(tmp_path / "eager.wcf",
+                              wc.analyze(spectral, "plus", wavelet, pg, threads=1))
+        target = tmp_path / "target.wcf"
+        target.write_bytes(b"old contents")
+        link = tmp_path / "link.wcf"
+        link.symlink_to(target)
+        assert dispatch(self.analyze(field, link)) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == (tmp_path / "eager.wcf").read_bytes()
+
+    def test_streams_a_payload_larger_than_physical_memory(self, capsys, tmp_path, monkeypatch,
+                                                           field):
+        sysconf = os.sysconf
+        machine = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}  # 8 MiB
+        monkeypatch.setattr(os, "sysconf", lambda name: machine.get(name) or sysconf(name))
+        coeffs = tmp_path / "u.wcf"
+        assert dispatch(self.analyze(field, coeffs)) == 0
+        assert coeffs.stat().st_size > 8 << 20
+        assert dispatch(self.synthesize(coeffs, tmp_path / "back.wfld")) == 0
+        code, out, _ = run_cli(capsys, "verify", "compare", "--a", str(field),
+                               "--b", str(tmp_path / "back.wfld"), "--tol", "0.05")
+        assert code == 0 and out[-1]["pass"] is True
+        spectral, wavelet, pg = self.in_memory(field)
+        for call in (lambda: wc.analyze(spectral, "plus", wavelet, pg, threads=1),
+                     lambda: wc.read_coefficients(coeffs)):
+            with pytest.raises(wc.ValidationError, match="physical memory"):
+                call()
+
+    def test_full_disk_is_refused_before_any_write(self, capsys, tmp_path, monkeypatch, field):
+        coeffs = tmp_path / "u.wcf"
+        coeffs.write_bytes(b"old contents")
+        disk = SimpleNamespace(f_blocks=1 << 20, f_bavail=1024, f_frsize=4096)  # 4 MiB free
+        monkeypatch.setattr(os, "statvfs", lambda path: disk)
+        code, out, err = run_cli(capsys, *self.analyze(field, coeffs))
+        assert code == 1 and out == [] and len(err) == 1
+        assert err[0]["error"] == "ValidationError" and "free on disk" in err[0]["message"]
+        assert coeffs.read_bytes() == b"old contents"
+
+    def test_failed_write_removes_the_partial_file(self, capsys, tmp_path, monkeypatch, field):
+        store = fileio.Payload.__setitem__
+        stored = []
+
+        def second_store_fails(payload, key, block):
+            if stored:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            stored.append(key)
+            store(payload, key, block)
+
+        monkeypatch.setattr(fileio.Payload, "__setitem__", second_store_fails)
+        coeffs = tmp_path / "u.wcf"
+        code, out, err = run_cli(capsys, *self.analyze(field, coeffs))
+        assert code == 1 and out == [] and len(err) == 1
+        assert err[0]["error"] == "OSError" and "No space left" in err[0]["message"]
+        assert stored and not coeffs.exists()
+
+    def test_commands_hold_a_fraction_of_the_payload(self, capsys, tmp_path, field):
+        # a task holds two 2 MiB slabs here (its spectra and its transformed block), so
+        # the floor is a third of the payload; holding the set took 1.38 and 1.46 times it
+        coeffs = tmp_path / "u.wcf"
+        for argv in (self.analyze(field, coeffs), self.synthesize(coeffs, tmp_path / "b.wfld")):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                assert dispatch(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - start <= 0.5 * (coeffs.stat().st_size)

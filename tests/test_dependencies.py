@@ -101,25 +101,36 @@ BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
 SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_series"),
                ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("synthesis.py", "reconstruct_spectrum")]
+# modules whose reductions serve the references and the CLI's checks: BLAS would wake its
+# thread pool, which then spins idle beside the caller
+BLAS_FREE_MODULES = ["fields.py", "oracle.py"]
 
 
-def blas_calls(source: str, function: str):
-    """Matrix products in ``function`` of ``source``, nested functions included."""
+def blas_calls(source: str, function=None):
+    """Matrix products in ``function`` of ``source``, nested functions included, or in all of it.
+
+    ``np.linalg.norm`` counts: it reduces complex arrays with ``dot``.
+    """
+    tree = ast.parse(source)
+    if function is not None:
+        tops = [top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == function]
+        if not tops:
+            raise AssertionError(f"no function {function!r}")
+        tree = tops[0]
     found = []
-    for top in ast.parse(source).body:
-        if not (isinstance(top, ast.FunctionDef) and top.name == function):
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                found.append("@")
-            elif isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in BLAS_CALLS:
-                    found.append(name)
-                elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
-                    found.append("einsum(optimize=...)")  # may contract through tensordot
-        return found
-    raise AssertionError(f"no function {function!r}")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS:
+                found.append(name)
+            elif name == "norm" and getattr(getattr(node.func, "value", None), "attr", None) == "linalg":
+                found.append("linalg.norm")
+            elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                found.append("einsum(optimize=...)")  # may contract through tensordot
+    return found
 
 
 def test_guard_flags_matrix_products():
@@ -133,6 +144,17 @@ def test_guard_flags_matrix_products():
 @pytest.mark.parametrize("module, function", SLICE_PATHS, ids=lambda v: v)
 def test_slice_path_calls_no_blas(module, function):
     assert blas_calls((PACKAGE / module).read_text(), function) == []
+
+
+def test_guard_flags_blas_reductions_in_a_whole_module():
+    source = ("import numpy as np\nr = np.vdot(a, b)\n\n"
+              "def f(a):\n    return np.linalg.norm(a) + a.dot(a) + norm(a) + np.sum(a * a)\n")
+    assert sorted(blas_calls(source)) == ["dot", "linalg.norm", "vdot"]
+
+
+@pytest.mark.parametrize("module", BLAS_FREE_MODULES)
+def test_module_calls_no_blas(module):
+    assert blas_calls((PACKAGE / module).read_text()) == []
 
 
 def untasked_pools(source: str):

@@ -1,6 +1,8 @@
 """WFLD and WCF binary formats: bit-exact round trips and error paths."""
 
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import wavecwt as wc
 from conftest import band_limited_spectrum
+from wavecwt import cli, cwt, fileio, synthesis
 
 
 def test_position_field_round_trip(tmp_path, grid16):
@@ -196,3 +199,171 @@ def test_coefficient_io_allocates_no_payload_copy(tmp_path, grid16):
     read, (back, _) = peak_above_start(lambda: wc.read_coefficients(path))
     assert read <= 1.25 * payload
     assert np.array_equal(back.values, coeffs.values)
+
+
+# ---------------------------------------------------------------------------
+# streamed coefficient files
+# ---------------------------------------------------------------------------
+
+STREAM_WAVELETS = {
+    "spherical": wc.exp_spherical_wavelet(),
+    "axial": wc.gaussian_packet(40.0, 1.0, 0.5, 0.5),
+    "none": wc.gaussian_packet(40.0, 1.0, 0.5, 0.8),
+}
+
+
+def stream(path, u, wavelet, pg, threads, c=1.0):
+    """``analyze`` straight into a new WCF file; returns the payload-backed set."""
+    with wc.create_coefficients(path, wavelet, pg, 2.0, c) as payload:
+        return wc.analyze(u, wavelet.sign, wavelet, pg, constant=2.0, threads=threads,
+                          out=payload)
+
+
+def random_spectrum(grid, rng, masked):
+    values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    if masked:
+        values[rng.random(grid.shape) < 0.8] = 0
+    return wc.SpectralField3(grid, values)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(symmetry=st.sampled_from(sorted(STREAM_WAVELETS)),
+       n=st.tuples(*[st.sampled_from([8, 10, 12])] * 3), masked=st.booleans(),
+       threads=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**16))
+def test_streamed_file_equals_the_eager_one(tmp_path_factory, symmetry, n, masked, threads, seed):
+    wavelet = STREAM_WAVELETS[symmetry]
+    grid = wc.Grid3(*n, 1.0, 1.25, 0.8, origin=(-4.0, -5.0, -3.2))
+    pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 3, 3, 2, 2)
+    u = random_spectrum(grid, np.random.default_rng(seed), masked)
+    path = tmp_path_factory.mktemp("stream")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cwt.os, "cpu_count", lambda: 3)
+        eager = wc.analyze(u, wavelet.sign, wavelet, pg, constant=2.0, threads=threads)
+        wc.write_coefficients(path / "eager.wcf", eager, c=1.5)
+        stream(path / "streamed.wcf", u, wavelet, pg, threads, c=1.5)
+        opened, c = wc.open_coefficients(path / "streamed.wcf")
+        from_file = wc.reconstruct_spectrum(opened, wavelet, threads)
+        from_memory = wc.reconstruct_spectrum(eager, wavelet, threads)
+    assert (path / "streamed.wcf").read_bytes() == (path / "eager.wcf").read_bytes()
+    assert c == 1.5 and opened.nu_grid == pg and opened.constant == eager.constant
+    assert from_file.values.tobytes() == from_memory.values.tobytes()
+
+
+@pytest.mark.parametrize("wavelet", ["spherical", "axial"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_streamed_bytes_at_every_thread_count(tmp_path, monkeypatch, wavelet, masked):
+    # 10 dilations on 32^3: blocks of 4, 4 and 2 per rotation
+    wavelet = STREAM_WAVELETS[wavelet]
+    monkeypatch.setattr(cwt.os, "cpu_count", lambda: 8)
+    grid = wc.Grid3.cubic(32, 32.0)
+    pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 10, 2, 1)
+    u = (band_limited_spectrum(grid, 0.6, 1.8, 5) if masked
+         else random_spectrum(grid, np.random.default_rng(5), False))
+    wc.write_coefficients(tmp_path / "eager.wcf",
+                          wc.analyze(u, wavelet.sign, wavelet, pg, constant=2.0, threads=1))
+    expected = (tmp_path / "eager.wcf").read_bytes()
+    for threads in (1, 2, 8):
+        stream(tmp_path / f"t{threads}.wcf", u, wavelet, pg, threads)
+        assert (tmp_path / f"t{threads}.wcf").read_bytes() == expected
+
+
+def test_payload_moves_blocks_by_key(tmp_path):
+    shape = (5, 3, 4, 3, 2)
+    rng = np.random.default_rng(8)
+    source = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    path = tmp_path / "raw.bin"
+    path.write_bytes(b"head" + bytes(source.nbytes))
+    with open(path, "r+b") as fh:
+        payload = fileio.Payload(fh.fileno(), 4, shape, path)
+        for idx in range(3):
+            for lo in (0, 2, 4):
+                payload[lo:lo + 2, idx] = source[lo:lo + 2, idx]
+        for key in [(slice(1, 4), 2), 3, slice(0, 5), (4, slice(1, 3)), (slice(2, 4), slice(0, 3))]:
+            out = np.empty(source[key].shape, dtype=np.complex128)
+            assert payload.read(key, out) is out
+            assert np.array_equal(out, source[key])
+        with pytest.raises(wc.ValidationError, match="C-contiguous"):
+            payload.read((slice(0, 2), 0), np.empty((2, 4, 3, 2), dtype=np.complex64))
+    assert path.read_bytes() == b"head" + source.astype("<c16").tobytes()
+    path.write_bytes(path.read_bytes()[:-16])
+    with open(path, "rb") as fh:
+        payload = fileio.Payload(fh.fileno(), 4, shape, path)
+        with pytest.raises(wc.ValidationError, match="payload ends"):
+            payload.read(4, np.empty(shape[1:], dtype=np.complex128))
+
+
+@pytest.mark.parametrize("damage", ["nan", "truncated"])
+def test_damaged_payload_is_refused_when_opened(tmp_path, monkeypatch, grid16, exp_sph,
+                                                exp_sph_pgrid, damage):
+    u = band_limited_spectrum(grid16, 0.7, 1.6, 6)
+    path = tmp_path / "u.wcf"
+    stream(path, u, exp_sph, exp_sph_pgrid, 1)
+    blob = path.read_bytes()
+    if damage == "nan":
+        blob = blob[:-8] + np.float64(np.nan).tobytes()
+    else:
+        blob = blob[:-16]
+    path.write_bytes(blob)
+    with pytest.raises(wc.ValidationError, match="non-finite" if damage == "nan" else "payload"):
+        wc.open_coefficients(path)
+
+    def no_task(*args, **kwargs):
+        raise AssertionError("a reconstruct task ran")
+
+    monkeypatch.setattr(synthesis, "_sweep", no_task)
+    out = tmp_path / "back.wfld"
+    assert cli.dispatch(["synthesize", "--coeffs", str(path), "--t", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_opened_set_keeps_its_bytes_when_the_path_is_rewritten(tmp_path, grid16, exp_sph,
+                                                               exp_sph_pgrid):
+    first = wc.analyze(band_limited_spectrum(grid16, 0.7, 1.6, 7), "minus", exp_sph,
+                       exp_sph_pgrid, constant=2.0)
+    path = tmp_path / "u.wcf"
+    wc.write_coefficients(path, first)
+    opened, _ = wc.open_coefficients(path)
+    second = wc.analyze(band_limited_spectrum(grid16, 0.7, 1.6, 8), "minus", exp_sph,
+                        exp_sph_pgrid, constant=2.0)
+    wc.write_coefficients(path, second)
+    assert np.array_equal(wc.read_coefficients(path)[0].values, second.values)
+    assert (wc.reconstruct_spectrum(opened, exp_sph).values.tobytes()
+            == wc.reconstruct_spectrum(first, exp_sph).values.tobytes())
+
+
+def test_whole_array_routes_refuse_an_opened_set(tmp_path, grid16, exp_sph, exp_sph_pgrid):
+    u = band_limited_spectrum(grid16, 0.7, 1.6, 9)
+    opened = stream(tmp_path / "u.wcf", u, exp_sph, exp_sph_pgrid, 1)
+    eager, _ = wc.read_coefficients(tmp_path / "u.wcf")
+    assert wc.weighted_pairing(eager, eager).real > 0
+    for route in (lambda: wc.weighted_pairing(opened, eager),
+                  lambda: wc.isometry_defect(eager, opened, 1.0),
+                  lambda: wc.combine_initial_coefficients(opened, eager)):
+        with pytest.raises(wc.ValidationError, match="in memory"):
+            route()
+
+
+def test_streamed_set_is_closed_with_its_file(tmp_path, grid16, exp_sph, exp_sph_pgrid):
+    written = stream(tmp_path / "u.wcf", band_limited_spectrum(grid16, 0.7, 1.6, 11), exp_sph,
+                     exp_sph_pgrid, 1)
+    with open(tmp_path / "u.wcf", "rb"):  # may take the closed descriptor's number
+        with pytest.raises(OSError):
+            wc.reconstruct_spectrum(written, exp_sph)
+
+
+def test_failed_stream_leaves_no_file(tmp_path, exp_sph, exp_sph_pgrid):
+    path = tmp_path / "u.wcf"
+    with pytest.raises(RuntimeError, match="task failed"):
+        with wc.create_coefficients(path, exp_sph, exp_sph_pgrid, 2.0) as payload:
+            payload[0:2, 0] = np.ones((2,) + exp_sph_pgrid.field_grid.shape)
+            assert path.exists()
+            raise RuntimeError("task failed")
+    assert not path.exists()
+
+
+def test_writers_replace_only_regular_files(tmp_path, grid16):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with pytest.raises(wc.ValidationError, match="not a regular file"):
+        wc.write_field(fifo, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)))
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
