@@ -60,10 +60,14 @@ cosine ``x = (R e).k / |k|`` alone.  :func:`resolution_kernel` then tabulates
 ``G(x, |k|) = sum_a w_a a^3 |PHI|^2`` at 48 Chebyshev nodes in ``x`` per
 distinct |k|^2 of the support (87 x 48 x 24 = 100,224 evaluations instead of
 24 x 128 x 3116 = 9,572,352 at the isometry settings) and each rotation's
-task sums the shells' Chebyshev series at its nodes' ``x``.  The route is
-taken only when every shell's last four coefficients are below 1e-14 of
-its largest; otherwise the kernel runs the direct sweep.  The materialized
-routes always run the direct sweep.
+task sums the shells' Chebyshev series at its nodes' ``x`` with Clenshaw,
+47 steps.  Rotations come in antipodal pairs when ``n_theta1`` is even:
+``R' e = -R e`` with equal weights, so ``x_R' = -x_R`` and the odd terms
+cancel, ``w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1)``.
+A pair's first task sums that even half in 23 steps and its partner's
+task adds nothing.  The route is taken only when every shell's last four
+coefficients are below 1e-14 of its largest; otherwise the kernel runs the
+direct sweep.  The materialized routes always run the direct sweep.
 """
 
 from __future__ import annotations
@@ -341,20 +345,38 @@ class WaveletCoefficients:
     wavelet_params: Tuple = ()
 
     def __post_init__(self):
+        self._check_form()
+        # one dilation at a time: the mask is 1/n_a of a whole-array scan's, and a
+        # payload is read into one buffer
+        values = self.values
+        held = isinstance(values, np.ndarray)
+        buffer = None if held else np.empty(values.shape[1:], dtype=np.complex128)
+        for a in range(self.nu_grid.n_a):
+            block = values[a] if held else values.read(a, buffer)
+            if not np.isfinite(block.view(np.float64)).all():
+                raise ValidationError("coefficients contain non-finite values")
+
+    def _check_form(self) -> None:
         expected = self.nu_grid.coefficient_shape
         if self.values.shape != expected:
             raise ValidationError(f"coefficient shape {self.values.shape} != {expected}")
         if self.sign not in ("plus", "minus"):
             raise ValidationError(f"bad sign {self.sign!r}")
-        # one dilation at a time: the mask is 1/n_a of a whole-array scan's, and a
-        # payload is read into one buffer
-        values = self.values
-        held = isinstance(values, np.ndarray)
-        buffer = None if held else np.empty(expected[1:], dtype=np.complex128)
-        for a in range(self.nu_grid.n_a):
-            block = values[a] if held else values.read(a, buffer)
-            if not np.isfinite(block.view(np.float64)).all():
-                raise ValidationError("coefficients contain non-finite values")
+
+
+def _prechecked(nu_grid: ParameterGrid, values, sign: str, constant: complex,
+                wavelet_name: str, wavelet_params: Tuple) -> WaveletCoefficients:
+    """A :class:`WaveletCoefficients` whose ``values`` are known to be finite.
+
+    Built without the constructor's finiteness scan, which would read every
+    value once more (a payload from its file); shape and sign are checked.
+    For values the caller has just checked, or taken from another set.
+    """
+    coeffs = object.__new__(WaveletCoefficients)  # frozen: fill the fields past __init__
+    coeffs.__dict__.update(nu_grid=nu_grid, values=values, sign=sign, constant=constant,
+                           wavelet_name=wavelet_name, wavelet_params=wavelet_params)
+    coeffs._check_form()
+    return coeffs
 
 
 def _in_memory(*sets: WaveletCoefficients) -> None:
@@ -537,26 +559,24 @@ _CHEB_NODES = 48  # J: Chebyshev nodes in the direction cosine per |k| shell
 _CHEB_TAIL = 1e-14  # certificate: a shell's last four coefficients over its largest
 
 
-def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
-    """An "axial" kernel's ``spectra(idx, rows)`` from per-shell Chebyshev series, or None.
+def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.ndarray):
+    """Per-shell Chebyshev coefficients of an "axial" kernel's dilation sums, or None.
 
     With ``e`` the wavelet's axis and ``p = _tilt_axis(e)``, the axial
     contract gives ``PHI(a R^T k) = PHI(a r (x e + sqrt(1 - x^2) p))`` with
-    ``r = |k|`` and ``x = (R e).k / r``.  On every distinct float |k|^2 of the
-    support, ``G(x, r) = sum_{a in rows} w_a a^3 |PHI(...)|^2`` is tabulated
-    at the J first-kind Chebyshev nodes, one dilation per evaluation, and
-    turned into the coefficients of its Chebyshev series.  ``spectra(idx,
-    rows)`` sums its block's series with Clenshaw at each node's ``x`` and
-    times ``w_R``: the task's share of :func:`resolution_kernel`, as
-    :func:`_sweep` gives it with ``power``, from ``S J n_a`` spectral
-    evaluations instead of ``n_a n_R M``.  The tasks evaluate no spectrum, so
-    ``spectra.width`` is 0.
+    ``r = |k|`` and ``x = (R e).k / r``.  On every distinct float |k|^2 in
+    ``shells``, ``G(x, r) = sum_{a in rows} w_a a^3 |PHI(...)|^2`` is
+    tabulated at the J first-kind Chebyshev nodes, one dilation per
+    evaluation (``S J n_a`` evaluations for S shells), and turned into the
+    coefficients ``c_n`` of its Chebyshev series, so that
+    ``G(x, r) = sum_n c_n T_n(x)``.  Returns ``{rows.start: (J, S) array}``
+    for the dilation blocks of :func:`_slice_tasks` at width 0: row ``n``
+    holds ``c_n`` of every shell.  The table depends on the dilations and
+    the shells alone, never on the rotations.
 
     None unless every shell's series is certified: its last four
     coefficients are at most ``_CHEB_TAIL`` times its largest.
     """
-    k = _lattice_points(nu_grid.field_grid, support)
-    shells, back = _shells(k)
     axis = np.asarray(wavelet.axis)
     theta = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
     along = np.multiply.outer(np.sqrt(shells), np.cos(theta)).ravel()  # r x, shell-major
@@ -564,43 +584,122 @@ def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
     phi = _evaluator(wavelet, [along * e + across * t for e, t in zip(axis, _tilt_axis(axis))])
     a = nu_grid.a_nodes
     weights = nu_grid.a_weights * a**3
-    # c_n = (2 / J) sum_j G(x_j) cos(n theta_j), c_0 halved: row n of each block's
-    # (J, S) coefficients holds c_n of every shell
+    # c_n = (2 / J) sum_j G(x_j) cos(n theta_j), c_0 halved
     dct = np.cos(np.multiply.outer(np.arange(_CHEB_NODES), theta)) * (2.0 / _CHEB_NODES)
     dct[0] *= 0.5
     identity = np.eye(3)
     series = {}
-    for _, rows in _slice_tasks(nu_grid, 0):
-        if rows.start in series:
-            continue
+    for rows in {rows.start: rows for _, rows in _slice_tasks(nu_grid, 0)}.values():
         table = np.zeros(along.size)
         for i in range(rows.start, rows.stop):  # one dilation at a time: S J points
             table += weights[i] * phi(identity, a[i:i + 1], power=True)[0]
         coeffs = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, _CHEB_NODES))
         if (np.abs(coeffs[-4:]).max(axis=0) > _CHEB_TAIL * np.abs(coeffs).max(axis=0)).any():
             return None
-        series[rows.start] = coeffs[:, back]  # (J, M): each node's coefficients, row-major
-    directions = np.einsum("rij,j->ri", nu_grid.rotations, axis)  # n_R = R e
+        series[rows.start] = coeffs
+    return series
+
+
+def _antipodal_partners(nu_grid: ParameterGrid) -> np.ndarray:
+    """Each rotation's antipodal partner on an "axial" grid, or -1 where it has none.
+
+    Rotations ``R`` and ``R'`` are partners when ``R' e = -R e`` to 1e-12
+    and their weights agree to a few ulps.  ``(theta1 + pi, pi - theta2)``
+    is the partner of ``(theta1, theta2)`` on every grid with an even
+    ``n_theta1``, since the Gauss-Legendre nodes are symmetric with equal
+    weights; with an odd one no rotation has a partner.  The match is made
+    on the directions and weights, never on the index layout, each rotation
+    taking the first unmatched partner after it.  Candidates come from one
+    sorted projection of the directions, so the search takes
+    ``O(n log n)`` time and ``O(n)`` memory.
+    """
+    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(nu_grid.axis))
+    w = nu_grid.rotation_weights
+    # |g . (d + d')| <= |g|_1 max|d + d'|: a partner's projection lies within 2e-12 of -p
+    p = np.einsum("ri,i->r", directions, np.array([0.48, 0.6, 0.64]))
+    order = np.argsort(p)
+    ranked = p[order]
+    lo = np.searchsorted(ranked, -p - 2e-12, "left")
+    hi = np.searchsorted(ranked, -p + 2e-12, "right")
+    partner = np.full(len(w), -1)
+    for i in range(len(w)):
+        for j in sorted(order[lo[i]:hi[i]]):
+            if (i < j and partner[i] < 0 and partner[j] < 0
+                    and np.abs(directions[i] + directions[j]).max() <= 1e-12
+                    and abs(w[i] - w[j]) <= 4 * np.finfo(float).eps * max(w[i], w[j])):
+                partner[i], partner[j] = j, i
+    return partner
+
+
+def _clenshaw(coeffs, x, work):
+    """``sum_n coeffs[n] T_n(x)`` at every point, summed in ``work``.
+
+    ``coeffs`` holds two or more rows of ``x``'s length and ``work`` four
+    float buffers of that length; the sum is one of them.  Clenshaw's
+    recurrence ``b_n = c_n + 2 x b_{n+1} - b_{n+2}`` takes ``len(coeffs) - 1``
+    steps, and the sum is ``c_0 + x b_1 - b_2``.
+    """
+    x2, b1, b2, t = work
+    np.add(x, x, out=x2)
+    b1[:] = coeffs[-1]
+    b2.fill(0.0)
+    for c in coeffs[-2:0:-1]:
+        np.subtract(c, b2, out=t)
+        np.multiply(x2, b1, out=b2)
+        t += b2
+        b1, b2, t = t, b1, b2
+    np.multiply(x, b1, out=t)
+    t -= b2
+    t += coeffs[0]
+    return t
+
+
+def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
+    """An "axial" kernel's ``spectra(idx, rows)`` from :func:`_axial_table`, or None.
+
+    ``spectra(idx, rows)`` is the task's share of :func:`resolution_kernel`,
+    as :func:`_sweep` gives it with ``power``: the block's series ``G`` at
+    each node's ``x = (R e).k / |k|``, times ``w_R``, from :func:`_clenshaw`
+    in 47 steps.  When every rotation has an antipodal partner
+    (:func:`_antipodal_partners`, every grid with an even ``n_theta1``),
+    ``x_R'(k) = -x_R(k)`` at every node, and ``T_n(-x) = (-1)^n T_n(x)`` and
+    ``T_2j(x) = T_j(2 x^2 - 1)`` give
+
+        w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1),
+
+    so only the even coefficients are gathered onto the nodes, the first
+    rotation of each pair sums them at ``2 x^2 - 1`` in 23 steps and its
+    partner's share is 0.  The tasks evaluate no spectrum, so
+    ``spectra.width`` is 0.
+
+    None when :func:`_axial_table` is.
+    """
+    k = _lattice_points(nu_grid.field_grid, support)
+    shells, back = _shells(k)
+    table = _axial_table(wavelet, nu_grid, shells)
+    if table is None:
+        return None
+    partner = _antipodal_partners(nu_grid)
+    paired = bool((partner >= 0).all())  # otherwise (odd n_theta1) no rotation pairs
+    # each node's coefficients, row-major
+    series = {start: coeffs[::2 if paired else 1, back] for start, coeffs in table.items()}
+    weights = nu_grid.rotation_weights
+    if paired:
+        weights = weights + weights[partner]  # w_R + w_R'
+    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(wavelet.axis))  # R e
     unit = np.stack(k) / _radius(*k)[2]
     buffers = _Workspace(back.size, (np.float64,) * 5)
 
     def spectra(idx, rows):
-        coeffs = series[rows.start]
-        x, x2, b1, b2, t = (buf[0] for buf in buffers.rows(1))
+        if paired and partner[idx] < idx:  # summed by its partner's task
+            return 0.0
+        x, *work = (buf[0] for buf in buffers.rows(1))
         np.einsum("im,i->m", unit, directions[idx], out=x)
-        np.add(x, x, out=x2)
-        # Clenshaw: b_n = c_n + 2 x b_{n+1} - b_{n+2}; the sum is c_0 + x b_1 - b_2
-        b1[:] = coeffs[-1]
-        b2.fill(0.0)
-        for c in coeffs[-2:0:-1]:
-            np.subtract(c, b2, out=t)
-            np.multiply(x2, b1, out=b2)
-            t += b2
-            b1, b2, t = t, b1, b2
-        np.multiply(x, b1, out=t)
-        t -= b2
-        t += coeffs[0]
-        return nu_grid.rotation_weights[idx] * t
+        if paired:  # T_2j(x) = T_j(2 x^2 - 1)
+            np.multiply(x, x, out=x)
+            x *= 2.0
+            x -= 1.0
+        return weights[idx] * _clenshaw(series[rows.start], x, work)
 
     spectra.width = 0
     return spectra
@@ -624,15 +723,20 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     An "axial" wavelet takes its tasks' shares from per-shell Chebyshev
     series in the direction cosine (:func:`_axial_series`) when every
     shell's series is certified, and runs them in order on the calling
-    thread; the result is then within about 1e-14 relative of the direct
-    sweep.  Otherwise, and for every other symmetry, each task evaluates
-    ``PHI(a R^T k)`` on the support through :func:`_sweep`.
+    thread: a Clenshaw sum of 47 steps per rotation, or of 23 steps over
+    the even half of the series per antipodal pair of rotations.  The
+    result then differs from the direct sweep's by about 1e-14 of K's
+    largest value over the support; where K is many orders below that
+    value, the relative difference is larger (1.3e-8 at nodes where K is
+    4e-8 of its largest, on a 24 x 2 x 2 grid).  Otherwise, and for every
+    other symmetry, each task evaluates ``PHI(a R^T k)`` on the support
+    through :func:`_sweep`.
     """
     spectra = _axial_series(wavelet, nu_grid, support) if wavelet.symmetry == "axial" else None
     if spectra is None:
         spectra = _sweep(wavelet, nu_grid, support, power=True)
     else:
-        # a task is ~150 numpy calls on M points: a second worker only adds GIL hand-offs
+        # a task is 70-150 numpy calls on M points: a second worker only adds GIL hand-offs
         threads = 1
     kernel = np.zeros(support.size)
     kernel[support] = sum(_map_ordered(lambda task: spectra(*task),
@@ -731,11 +835,16 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         prod *= scale[rows, None]
         cube = slab_of(idx, rows, prod).reshape((-1,) + grid.shape)
         _lattice_ifft(cube, out=cube)
+        # NaN survives min and max, and an infinity is one of them: two passes, no mask
+        reals = cube.view(np.float64)
+        if not (np.isfinite(reals.min()) and np.isfinite(reals.max())):
+            raise ValidationError("coefficients contain non-finite values")
         store(idx, rows, cube)
 
     for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count), threads):
         pass
-    return WaveletCoefficients(nu_grid, out, sign, constant, wavelet.name, wavelet.params)
+    # every task checked its slab: no second scan, which would read a payload back
+    return _prechecked(nu_grid, out, sign, constant, wavelet.name, wavelet.params)
 
 
 def analyze_initial_data(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,

@@ -29,6 +29,7 @@ from .cwt import (
     _map_ordered,
     _require_constant,
     _require_memory,
+    _prechecked,
     _slice_tasks,
     _sweep,
     _working_set,
@@ -124,8 +125,9 @@ def reconstruct_cross(U: WaveletCoefficients, synthesis_wavelet: PhysicalWavelet
     """
     if abs(cross_constant) == 0.0:
         raise ValidationError("cross constant is zero; the pair cannot reconstruct")
-    swapped = WaveletCoefficients(U.nu_grid, U.values, U.sign, complex(cross_constant),
-                                  U.wavelet_name, U.wavelet_params)
+    # U's values were checked when U was built: a second scan would read a payload again
+    swapped = _prechecked(U.nu_grid, U.values, U.sign, complex(cross_constant), U.wavelet_name,
+                          U.wavelet_params)
     return reconstruct(swapped, synthesis_wavelet, t, threads)
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wavecwt as wc
 from wavecwt import cwt, synthesis
@@ -515,6 +515,44 @@ class TestAxialTable:
         got = cwt.resolution_kernel(packet, pg, full, threads=2)
         assert got.tobytes() == direct_kernel(packet, pg, full).tobytes()
 
+    def test_coarse_angles_agree_to_round_off_of_the_largest_value(self, packet):
+        # the benchmark's warm-up grid: at nodes where K is ~4e-8 of its maximum the table
+        # and the sweep differ by ~1e-8 relative, but never by more than round-off of max K
+        pg = packet_grid(packet, 24, 2, 2)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 405).values.ravel() != 0
+        assert cwt._axial_series(packet, pg, support) is not None
+        table = cwt.resolution_kernel(packet, pg, support, threads=1)
+        direct = direct_kernel(packet, pg, support)
+        assert np.max(np.abs(table - direct)) <= 1e-13 * np.max(direct)
+
+    @pytest.mark.parametrize("n_theta1, n_theta2", [(2, 1), (2, 2), (4, 3), (6, 5), (16, 8)])
+    def test_every_rotation_pairs_when_n_theta1_is_even(self, packet, n_theta1, n_theta2):
+        pg = packet_grid(packet, 2, n_theta1, n_theta2)
+        partner = cwt._antipodal_partners(pg)
+        assert sorted(partner) == list(range(pg.n_rotations))
+        assert (partner[partner] == np.arange(pg.n_rotations)).all()
+        directions = pg.rotations[:, :, 0]  # R e for the packet's x axis
+        np.testing.assert_allclose(directions[partner], -directions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pg.rotation_weights[partner], pg.rotation_weights, rtol=1e-15)
+
+    @pytest.mark.parametrize("n_theta1, n_theta2", [(1, 1), (1, 4), (3, 2), (5, 3), (7, 4)])
+    def test_no_rotation_pairs_when_n_theta1_is_odd(self, packet, n_theta1, n_theta2):
+        assert (cwt._antipodal_partners(packet_grid(packet, 2, n_theta1, n_theta2)) == -1).all()
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(n_theta1=st.integers(1, 12), n_theta2=st.integers(1, 6))
+    def test_paired_and_unpaired_sums_match_the_direct_sweep(self, packet, n_theta1, n_theta2):
+        pg = packet_grid(packet, 24, n_theta1, n_theta2)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 406).values.ravel() != 0
+        assume(cwt._axial_series(packet, pg, support) is not None)
+        one, two = (cwt.resolution_kernel(packet, pg, support, threads) for threads in (1, 2))
+        assert one.tobytes() == two.tobytes()
+        direct = direct_kernel(packet, pg, support)
+        error = np.abs(one - direct)
+        assert np.max(error) <= 1e-13 * np.max(direct)
+        large = direct >= 1e-3 * np.max(direct)
+        assert np.max(error[large] / direct[large]) <= 1e-12
+
     def test_table_counts_shells_nodes_and_dilations(self, packet):
         calls = []
 
@@ -998,6 +1036,41 @@ class TestCoefficientChecks:
         finally:
             tracemalloc.stop()
         assert peak - start <= 1.25 * one_mask
+
+    def test_analyze_checks_every_task_slab(self, grid16, packet):
+        pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
+        u = band_limited_spectrum(grid16, 0.6, 1.8, 97)
+        tasks = len(_slice_tasks(pg, grid16.node_count))
+        calls = []
+
+        def spectral(kx, ky, kz):  # one call per task: the last task's last dilation is NaN
+            calls.append(1)
+            values = np.array(packet.spectral(kx, ky, kz))
+            if len(calls) == tasks:
+                values[-1, -1] = np.nan
+            return values
+
+        broken = dataclasses.replace(packet, spectral=spectral)
+        with pytest.raises(wc.ValidationError, match="non-finite"):
+            wc.analyze(u, "plus", broken, pg, constant=1.0, threads=1)
+        assert len(calls) == tasks
+
+    def test_checked_sets_are_not_scanned_again(self, monkeypatch, grid16, packet):
+        # analyze checks its tasks' slabs and reconstruct_cross swaps the constant of a
+        # checked set: neither builds its result through the constructor's scan
+        pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
+        u = band_limited_spectrum(grid16, 0.6, 1.8, 97)
+        want = wc.analyze(u, "plus", packet, pg, constant=1.0)
+        field = wc.reconstruct(want, packet, 0.5)
+
+        def scan(self):
+            raise AssertionError("coefficients scanned again")
+
+        monkeypatch.setattr(wc.WaveletCoefficients, "__post_init__", scan)
+        coeffs = wc.analyze(u, "plus", packet, pg, constant=1.0)
+        assert coeffs.values.tobytes() == want.values.tobytes()
+        assert wc.reconstruct_cross(coeffs, packet, 1.0, 0.5).values.tobytes() == \
+            field.values.tobytes()
 
     def test_nan_in_last_dilation_is_rejected(self, grid16, packet):
         pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)

@@ -98,8 +98,9 @@ def test_module_imports_no_unused_name(path):
 
 
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
-SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_series"),
-               ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
+SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_table"),
+               ("cwt.py", "_antipodal_partners"), ("cwt.py", "_clenshaw"),
+               ("cwt.py", "_axial_series"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("synthesis.py", "reconstruct_spectrum")]
 # modules whose reductions serve the references and the CLI's checks: BLAS would wake its
 # thread pool, which then spins idle beside the caller

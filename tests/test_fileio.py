@@ -1,5 +1,6 @@
 """WFLD and WCF binary formats: bit-exact round trips and error paths."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -367,3 +368,58 @@ def test_writers_replace_only_regular_files(tmp_path, grid16):
     with pytest.raises(wc.ValidationError, match="not a regular file"):
         wc.write_field(fifo, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)))
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def counted_reads(monkeypatch):
+    """Every key ``Payload.read`` is called with from now on, in call order."""
+    keys = []
+    read = fileio.Payload.read
+
+    def counting(self, key, out):
+        keys.append(key)
+        return read(self, key, out)
+
+    monkeypatch.setattr(fileio.Payload, "read", counting)
+    return keys
+
+
+def test_streamed_analyze_reads_nothing_back(tmp_path, monkeypatch, grid16, exp_sph,
+                                             exp_sph_pgrid):
+    # every task checks its slab before storing it, so the returned set is not scanned
+    u = band_limited_spectrum(grid16, 0.7, 1.6, 12)
+    reads = counted_reads(monkeypatch)
+    stream(tmp_path / "u.wcf", u, exp_sph, exp_sph_pgrid, 2)
+    assert reads == []
+    wc.write_coefficients(tmp_path / "eager.wcf",
+                          wc.analyze(u, exp_sph.sign, exp_sph, exp_sph_pgrid, constant=2.0))
+    assert (tmp_path / "u.wcf").read_bytes() == (tmp_path / "eager.wcf").read_bytes()
+
+
+def test_non_finite_slab_leaves_no_file(tmp_path, grid16, packet):
+    pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
+
+    def spectral(kx, ky, kz):
+        values = np.array(packet.spectral(kx, ky, kz))
+        values[-1, -1] = np.nan
+        return values
+
+    broken = dataclasses.replace(packet, spectral=spectral)
+    path = tmp_path / "u.wcf"
+    with pytest.raises(wc.ValidationError, match="non-finite"):
+        stream(path, band_limited_spectrum(grid16, 0.6, 1.8, 13), broken, pg, 2)
+    assert not path.exists()
+
+
+def test_cross_reconstruction_reads_only_its_task_blocks(tmp_path, monkeypatch, grid16, exp_sph,
+                                                         exp_sph_pgrid):
+    u = band_limited_spectrum(grid16, 0.7, 1.6, 14)
+    path = tmp_path / "u.wcf"
+    stream(path, u, exp_sph, exp_sph_pgrid, 1)
+    eager, _ = wc.read_coefficients(path)
+    opened, _ = wc.open_coefficients(path)
+    reads = counted_reads(monkeypatch)
+    got = wc.reconstruct_cross(opened, exp_sph, 2.0, 0.5, threads=2)
+    tasks = cwt._slice_tasks(exp_sph_pgrid, grid16.node_count)
+    assert sorted((rows.start, rows.stop, idx) for rows, idx in reads) == \
+        [(rows.start, rows.stop, idx) for idx, rows in tasks]
+    assert got.values.tobytes() == wc.reconstruct(eager, exp_sph, 0.5).values.tobytes()
