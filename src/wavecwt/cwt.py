@@ -36,9 +36,12 @@ Every slice route (:func:`analyze`, synthesis, :func:`resolution_kernel`)
 runs (rotation, dilation block) tasks, rotation-major, each block holding as
 many dilations as fit a 2 MiB working set of the points evaluated per
 dilation: the field's nodes where coefficients are stored (one slice at
-64^3, four at 32^3), else the kernel's support nodes or |k| shells.  Tasks
-never depend on the thread count, so a spherical grid's single rotation
-still keeps every worker busy and results do not depend on ``threads``.
+64^3, four at 32^3), else the kernel's support nodes or |k| shells.  The
+materialized routes run (orbit, dilation block) tasks instead (see below),
+whose blocks hold half as many dilations when the orbit has two or more
+rotations.  Tasks never depend on the thread count, so a spherical grid's
+single rotation still keeps every worker busy and results do not depend on
+``threads``.
 Each task reduces over its own dilations with ``np.einsum`` and ``R^T k`` is
 formed by broadcasting: no slice route calls BLAS, whose own thread pool
 would compete with the ``threads`` workers.  The Fourier layer's origin
@@ -67,7 +70,29 @@ cancel, ``w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1)``.
 A pair's first task sums that even half in 23 steps and its partner's
 task adds nothing.  The route is taken only when every shell's last four
 coefficients are below 1e-14 of its largest; otherwise the kernel runs the
-direct sweep.  The materialized routes always run the direct sweep.
+direct sweep.
+
+The materialized routes (:func:`analyze` and
+:func:`~wavecwt.synthesis.reconstruct_spectrum`) use the same contract on
+the lattice itself (:mod:`wavecwt.orbits`).  A signed permutation ``A`` of
+the lattice axes (axes of equal count and spacing may swap, any axis may
+be negated) maps the wave vectors onto themselves, and when
+``R_q e = A^T R_r e`` with equal weights the orbit identity
+
+    PHI(a R_q^T k) = PHI(a R_r^T A k)
+
+makes rotation ``q``'s values a gather of rotation ``r``'s: a transpose
+and per-axis reflections ``i -> -i mod n`` of the lattice slab.  The
+rotations fall into orbits under these permutations (6 orbits of 8 or 16
+from 12 x 6 angles on a cube); each task evaluates its orbit's
+representative and gathers every other member.  Only two sets of
+nodes are evaluated directly (the Nyquist rule): a node on the Nyquist
+plane of a negated axis, where ``-k`` is no lattice wave vector since
+every count is even, and, in :func:`analyze`, a node whose image ``A k``
+leaves the data's support.  Gathered values agree with evaluated ones to
+round-off (1.2e-14 of max |PHI| for the packet), so results differ from a
+per-rotation sweep at that level; spherical and "none" wavelets, and grids
+where no rotation has a match, run the per-rotation tasks unchanged.
 """
 
 from __future__ import annotations
@@ -86,6 +111,7 @@ from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _lattice_ifft, _radius,
                      fft3)
+from .orbits import _image, _orbit_gathers, _orbits
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
@@ -111,10 +137,10 @@ def default_thread_count() -> int:
 
     A set value that is not a decimal integer >= 1 raises
     :class:`ValidationError`, as ``--threads`` does.  Workers share
-    (rotation, dilation block) tasks in every slice route.  Results are
-    bit-identical for any thread count: tasks are cut from the grid and the
-    points evaluated per dilation, and reduced in a fixed order regardless of
-    which worker produced them.
+    (rotation or orbit, dilation block) tasks in every slice route.  Results
+    are bit-identical for any thread count: tasks are cut from the grid and
+    the points evaluated per dilation, and reduced in a fixed order
+    regardless of which worker produced them.
     """
     env = os.environ.get("WAVECWT_THREADS", "").strip()
     if not env:
@@ -422,27 +448,36 @@ def _shells(k):
     return np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
 
 
-def _evaluator(wavelet: PhysicalWavelet, k):
-    """``phi(r, ar, power)``: ``PHI(a r^T k)`` on the points ``k`` for the dilations ``ar``.
+def _evaluator(wavelet: PhysicalWavelet, k, width: Optional[int] = None):
+    """``phi(r, ar, power, at)``: ``PHI(a r^T k)`` on the points ``k`` for the dilations ``ar``.
 
     ``k`` holds the three wave-vector components of P points and ``r`` is a
     rotation matrix; the values have shape (len(ar), P).  With ``power`` they
-    are ``|PHI|^2``, squared in the spent wave-vector buffers.
+    are ``|PHI|^2``, squared in the spent wave-vector buffers.  With an
+    index array ``at`` they are taken on the points ``k[:, at]`` alone, at
+    most ``width`` of them.
 
     Each worker thread evaluates in its own :class:`_Workspace`, which lives
     as long as ``phi``: the three scaled wave-vector components and the
     buffers of the wavelet's buffer form (see
     :class:`~wavecwt.wavelets.PhysicalWavelet`; without one it allocates its
-    own values).  The values may be a workspace view: the caller may
-    overwrite them, and they last until that worker's next call.
+    own values), ``width`` points per row (all P by default).  The values
+    may be a workspace view: the caller may overwrite them, and they last
+    until that worker's next call.
     """
     into = getattr(wavelet.spectral, "into", None)
-    workspace = _Workspace(k[0].size, (np.float64,) * 3 + (into.buffers if into else ()))
+    workspace = _Workspace(k[0].size if width is None else width,
+                           (np.float64,) * 3 + (into.buffers if into else ()))
 
-    def phi(r, ar, power=False):
+    def phi(r, ar, power=False, at=None):
         kx, ky, kz, *buffers = workspace.rows(len(ar))
+        points = k
+        if at is not None:  # contiguous (len(ar), at.size) heads of the row buffers
+            points = [c[at] for c in k]
+            kx, ky, kz, *buffers = (buf.reshape(-1)[:len(ar) * at.size].reshape(len(ar), at.size)
+                                    for buf in (kx, ky, kz, *buffers))
         for i, scaled in enumerate((kx, ky, kz)):
-            q = r[0, i] * k[0] + r[1, i] * k[1] + r[2, i] * k[2]  # (R^T k)_i
+            q = r[0, i] * points[0] + r[1, i] * points[1] + r[2, i] * points[2]  # (R^T k)_i
             np.multiply.outer(ar, q, out=scaled)
         if into:
             values = into(kx, ky, kz, *buffers)
@@ -458,7 +493,8 @@ def _evaluator(wavelet: PhysicalWavelet, k):
     return phi
 
 
-def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: bool = False):
+def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: bool = False,
+           direct: int = 0):
     """``spectra(idx, rows)``: ``PHI(a R^T k)`` on the flagged lattice nodes.
 
     ``support`` is a boolean mask over the flattened field lattice, or
@@ -476,6 +512,12 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
     workspaces, as are the gathered shell values: ``PHI`` may be a workspace
     view, which the caller may overwrite and which lasts until that
     worker's next call.
+
+    With ``direct`` (never for a "spherical" wavelet) ``spectra.at(idx,
+    rows, points)`` is ``PHI(a R^T k)`` on up to ``direct`` of the M nodes,
+    given by their indices among them: the nodes an orbit's gather cannot
+    reach (:func:`~wavecwt.orbits._orbit_gathers`).  One evaluator, with
+    workspaces of its own, serves every rotation of the call.
     """
     k = _lattice_points(nu_grid.field_grid, support)
     back = None
@@ -497,6 +539,9 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
         (nodes,) = on_nodes.rows(len(values))
         return np.take(values, back, axis=1, out=nodes, mode="clip")
 
+    if direct:
+        phi_at = _evaluator(wavelet, k, direct)
+        spectra.at = lambda idx, rows, points: phi_at(nu_grid.rotations[idx], a[rows], at=points)
     spectra.width = k[0].size
     return spectra
 
@@ -504,16 +549,25 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
 _TASK_BYTES = 2 << 20  # one core's L2: the working set of one slice task
 
 
-def _slice_tasks(nu_grid: ParameterGrid, width: int):
+def _slice_tasks(nu_grid: ParameterGrid, width: int, orbits=None):
     """``(idx, rows)`` for every (rotation, dilation block), rotation-major.
 
     A block holds ``max(1, 2 MiB // (16 width))`` dilations of ``width``
     points each, so its complex slab fits one core's cache; the list depends
-    on the grid and ``width`` alone, never on the thread count.
+    on the grid and ``width`` alone, never on the thread count.  With
+    ``orbits`` (see :func:`~wavecwt.orbits._orbits`) the tasks are
+    ``(orbit, rows)`` for every (orbit, dilation block), in orbit order; an
+    orbit of two or more rotations holds three slabs at once, so its blocks
+    hold half as many dilations, and a lone rotation's blocks are as above.
     """
     step = max(1, _TASK_BYTES // (16 * max(width, 1)))
-    return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
-            for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
+    if orbits is None:
+        return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
+                for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
+    half = max(1, _TASK_BYTES // (32 * max(width, 1)))
+    return [(orbit, slice(lo, min(lo + size, nu_grid.n_a)))
+            for orbit in orbits for size in [step if len(orbit) == 1 else half]
+            for lo in range(0, nu_grid.n_a, size)]
 
 
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
@@ -521,17 +575,18 @@ def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
     return max(1, min(requested, cpus or 1, n_items))
 
 
-def _working_set(nu_grid: ParameterGrid, threads: Optional[int]) -> int:
-    """Bytes of two complex slabs of a (rotation, dilation block) task per worker.
+def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits) -> int:
+    """Bytes of the complex slabs of the largest (orbit, dilation block) task, per worker.
 
     What the materialized routes hold beyond their inputs and the
-    coefficients: a task's spectra and the slab it transforms.
+    coefficients: a lone rotation's task holds its spectra and the slab it
+    transforms, an orbit's task also one member's gathered values.
     """
     n = nu_grid.field_grid.node_count
-    tasks = _slice_tasks(nu_grid, n)
-    rows = tasks[0][1]
+    tasks = _slice_tasks(nu_grid, n, orbits)
+    slabs = max((2 if len(orbit) == 1 else 3) * (rows.stop - rows.start) for orbit, rows in tasks)
     workers = _pool_size(threads or default_thread_count(), len(tasks), os.cpu_count())
-    return workers * 2 * 16 * (rows.stop - rows.start) * n
+    return workers * slabs * 16 * n
 
 
 def _map_ordered(fn, items: Sequence, threads: Optional[int]):
@@ -603,32 +658,14 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
 def _antipodal_partners(nu_grid: ParameterGrid) -> np.ndarray:
     """Each rotation's antipodal partner on an "axial" grid, or -1 where it has none.
 
-    Rotations ``R`` and ``R'`` are partners when ``R' e = -R e`` to 1e-12
-    and their weights agree to a few ulps.  ``(theta1 + pi, pi - theta2)``
-    is the partner of ``(theta1, theta2)`` on every grid with an even
-    ``n_theta1``, since the Gauss-Legendre nodes are symmetric with equal
-    weights; with an odd one no rotation has a partner.  The match is made
-    on the directions and weights, never on the index layout, each rotation
-    taking the first unmatched partner after it.  Candidates come from one
-    sorted projection of the directions, so the search takes
-    ``O(n log n)`` time and ``O(n)`` memory.
+    The :func:`~wavecwt.orbits._image` under ``-I``: rotations ``R`` and
+    ``R'`` are partners when ``R' e = -R e`` to 1e-12 and their weights
+    agree to a few ulps.
+    ``(theta1 + pi, pi - theta2)`` is the partner of ``(theta1, theta2)`` on
+    every grid with an even ``n_theta1``, since the Gauss-Legendre nodes are
+    symmetric with equal weights; with an odd one no rotation has a partner.
     """
-    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(nu_grid.axis))
-    w = nu_grid.rotation_weights
-    # |g . (d + d')| <= |g|_1 max|d + d'|: a partner's projection lies within 2e-12 of -p
-    p = np.einsum("ri,i->r", directions, np.array([0.48, 0.6, 0.64]))
-    order = np.argsort(p)
-    ranked = p[order]
-    lo = np.searchsorted(ranked, -p - 2e-12, "left")
-    hi = np.searchsorted(ranked, -p + 2e-12, "right")
-    partner = np.full(len(w), -1)
-    for i in range(len(w)):
-        for j in sorted(order[lo[i]:hi[i]]):
-            if (i < j and partner[i] < 0 and partner[j] < 0
-                    and np.abs(directions[i] + directions[j]).max() <= 1e-12
-                    and abs(w[i] - w[j]) <= 4 * np.finfo(float).eps * max(w[i], w[j])):
-                partner[i], partner[j] = j, i
-    return partner
+    return _image(nu_grid, -np.eye(3))
 
 
 def _clenshaw(coeffs, x, work):
@@ -764,19 +801,24 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
     (a, rotation) slice is one bare inverse FFT of ``a^{3/2} conj(PHI) v``
     with ``v`` the data times the transform's k-factor, applied once; each
-    (rotation, dilation block) task writes its own slices, and the spectrum
-    is evaluated only where the data are nonzero.  Coefficients carry no
-    time dependence.
+    (orbit, dilation block) task writes its own slices, and the spectrum
+    is evaluated only where the data are nonzero.  An orbit's task
+    (:func:`~wavecwt.orbits._orbits`) evaluates its representative's
+    spectrum, writes ``a^{3/2} conj(PHI)`` onto the lattice, zero off the
+    support, and gathers every other member's slice from it before
+    multiplying by ``v``; the nodes the gather cannot reach
+    (:func:`~wavecwt.orbits._orbit_gathers`) are evaluated directly.
+    Coefficients carry no time dependence.
 
     ``out`` is the destination.  With None the coefficients are a new array
     and each task transforms in place in its own rows; coefficients larger
     than the machine's physical memory are refused up front with a
     :class:`ValidationError`.  A :class:`~wavecwt.fileio.Payload` (see
     :func:`~wavecwt.fileio.create_coefficients`) of the coefficients' shape
-    makes each task transform in its worker's slab, zero off the support
-    (on a full support, in its spectra), and store it there; then only two
-    task slabs per worker need to fit in memory, and the result is backed by
-    ``out``.
+    makes each task transform in its worker's slabs, zero off the support
+    (on a full support, in its spectra), and store them there; then only
+    the task slabs of each worker (:func:`_working_set`) need to fit in
+    memory, and the result is backed by ``out``.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
@@ -785,22 +827,25 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     nu_grid.check_route(wavelet, s_part)
     grid = nu_grid.field_grid
     shape = nu_grid.coefficient_shape
+    orbits, maps = _orbits(nu_grid)
     if out is None:
         _require_memory(16 * nu_grid.node_count, "coefficients")
     else:
         if tuple(out.shape) != shape:
             raise ValidationError(f"destination shape {tuple(out.shape)} != {shape}")
-        _require_memory(_working_set(nu_grid, threads), "analyze working set")
+        _require_memory(_working_set(nu_grid, threads, orbits), "analyze working set")
     constant = _require_constant(wavelet, constant, tol)
 
     support = s_part.values.ravel() != 0
     full = bool(support.all())
     # a full support copies whole rows: cheaper than an all-True boolean scatter
     nodes = slice(None) if full else support
-    spectra = _sweep(wavelet, nu_grid, nodes)
+    gathers, width = _orbit_gathers(grid, maps, nodes)
+    spectra = _sweep(wavelet, nu_grid, nodes, direct=width)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v
-    v = _inverse_factor(s_part.values, grid).ravel()[nodes]
+    v_lattice = _inverse_factor(s_part.values, grid).ravel()
+    v = v_lattice[nodes]
     scale = nu_grid.a_nodes**1.5
     if out is None:
         out = np.zeros(shape, dtype=np.complex128)
@@ -811,10 +856,14 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             slab[:, nodes] = prod
             return slab
 
+        def member_slab(idx, rows):
+            return flat[rows, idx]
+
         def store(idx, rows, cube):
             pass
     else:
         slabs = _Workspace(grid.node_count, (np.complex128,))
+        members = _Workspace(grid.node_count, (np.complex128,))
 
         def slab_of(idx, rows, prod):  # the worker's slab, zero off the support
             if full:  # the spectra cover every node: they are the slab
@@ -824,16 +873,14 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             slab[:, nodes] = prod
             return slab
 
+        def member_slab(idx, rows):  # a second slab: the representative's holds the first
+            return members.rows(rows.stop - rows.start)[0]
+
         def store(idx, rows, cube):
             out[rows, idx] = cube
 
-    def one_block(task):
-        idx, rows = task
-        prod = spectra(idx, rows)
-        np.conjugate(prod, out=prod)
-        prod *= v
-        prod *= scale[rows, None]
-        cube = slab_of(idx, rows, prod).reshape((-1,) + grid.shape)
+    def transform(idx, rows, slab):
+        cube = slab.reshape((-1,) + grid.shape)
         _lattice_ifft(cube, out=cube)
         # NaN survives min and max, and an infinity is one of them: two passes, no mask
         reals = cube.view(np.float64)
@@ -841,7 +888,36 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             raise ValidationError("coefficients contain non-finite values")
         store(idx, rows, cube)
 
-    for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count), threads):
+    def one_block(task):
+        orbit, rows = task
+        prod = spectra(orbit[0], rows)
+        np.conjugate(prod, out=prod)
+        if len(orbit) == 1:
+            prod *= v
+            prod *= scale[rows, None]
+            transform(orbit[0], rows, slab_of(orbit[0], rows, prod))
+            return
+        # conj and a^1.5 commute with the gather: the representative's lattice slab
+        # serves every member, and each slab is multiplied by v on its own
+        prod *= scale[rows, None]
+        rep = slab_of(orbit[0], rows, prod)
+        cube = (len(prod),) + grid.shape
+        for idx in orbit[1:]:
+            gather, lattice, points = gathers[idx]
+            slab = member_slab(idx, rows)
+            gather(rep.reshape(cube), slab.reshape(cube))
+            slab *= v_lattice
+            if lattice.size:
+                values = spectra.at(idx, rows, points)
+                np.conjugate(values, out=values)
+                values *= v[points]
+                values *= scale[rows, None]
+                slab[:, lattice] = values
+            transform(idx, rows, slab)
+        rep *= v_lattice
+        transform(orbit[0], rows, rep)
+
+    for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count, orbits), threads):
         pass
     # every task checked its slab: no second scan, which would read a payload back
     return _prechecked(nu_grid, out, sign, constant, wavelet.name, wavelet.params)

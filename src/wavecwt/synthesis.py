@@ -4,10 +4,12 @@ Synthesis accumulates in the spectral domain: each (a, rotation) slice
 contributes ``weight * a^{3/2} PHI(a R^T k) * FFT_b[U]`` to a running t = 0
 spectrum.  ``FFT_b`` is the bare lattice FFT; the Fourier layer's origin
 phase and cell volume do not depend on (a, R), so they multiply the summed
-spectrum once.  The family's t/a dilation combines with the rescaled
-spectrum's carrier into one global factor exp(-/+ i|k|ct), so reconstruction
-at time t is :func:`wavecwt.fields.propagate` of the reconstructed t = 0
-spectrum.
+spectrum once.  For an "axial" wavelet ``PHI`` is evaluated once per
+rotation orbit under the lattice's signed permutations and gathered for
+the orbit's other rotations (see :mod:`wavecwt.orbits`).  The family's t/a
+dilation combines with the rescaled spectrum's carrier into one global
+factor exp(-/+ i|k|ct), so reconstruction at time t is
+:func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
 
 Analysis followed by synthesis is a multiplier in k on each frequency-sign
 part: :func:`project` multiplies a spectrum by the resolution kernel of
@@ -47,6 +49,7 @@ from .fields import (
     solution_from_plus,
     split_ivp,
 )
+from .orbits import _orbit_gathers, _orbits
 from .wavelets import PhysicalWavelet
 
 __all__ = [
@@ -62,14 +65,19 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
                          threads: Optional[int] = None) -> SpectralField3:
     """t = 0 spectrum of ``(1/C) integral dmu U(nu) phi^nu``.
 
-    One bare forward FFT per slice, in (rotation, dilation block) tasks;
-    each task returns its weighted sum over its dilations and the partial
-    sums are added in task order, so the result does not depend on
-    ``threads``.  The transform's k-factor is applied once, to the sum.  The
-    synthesis wavelet must carry the coefficients' sign tag.  Coefficients
-    backed by a WCF payload are read one task block at a time into the
-    worker's slab and transformed there, with the same result; the working
-    set of two task slabs per worker is checked against physical memory
+    One bare forward FFT per slice, in (orbit, dilation block) tasks (see
+    :func:`~wavecwt.orbits._orbits`); each task returns its weighted sum over
+    its dilations, rotation by rotation in orbit order, and the partial sums
+    are added in task order, so the result does not depend on ``threads``.
+    An orbit's task evaluates ``PHI`` for its representative alone: every
+    other member's values are the representative's gathered at ``A k``
+    (:func:`~wavecwt.orbits._gatherer`), evaluated directly only on the
+    Nyquist planes of the negated axes.  The transform's k-factor is
+    applied once, to the sum.  The synthesis wavelet must carry the
+    coefficients' sign tag.  Coefficients backed by a WCF payload are read
+    one block at a time into the worker's slab and transformed there, with
+    the same result; the working set of the task slabs per worker (two for
+    a lone rotation, three for an orbit) is checked against physical memory
     first.
     """
     if wavelet.sign != U.sign:
@@ -78,25 +86,50 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         raise ValidationError("synthesis constant is zero")
     U.nu_grid.check_route(wavelet)
     g = U.nu_grid
-    _require_memory(_working_set(g, threads), "synthesis working set")
+    orbits, maps = _orbits(g)
+    _require_memory(_working_set(g, threads, orbits), "synthesis working set")
     grid = g.field_grid
-    spectra = _sweep(wavelet, g, slice(None))
+    gathers, width = _orbit_gathers(grid, maps, slice(None))
+    spectra = _sweep(wavelet, g, slice(None), direct=width)
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
+    members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's products
     scale = g.a_nodes**1.5
     held = isinstance(U.values, np.ndarray)
 
     def one_block(task):
-        idx, rows = task
-        phi = spectra(idx, rows)
+        orbit, rows = task
+        phi = spectra(orbit[0], rows)
         (slab,) = slabs.rows(rows.stop - rows.start)
         cube = slab.reshape((-1,) + grid.shape)
-        block = U.values[rows, idx] if held else U.values.read((rows, idx), cube)
-        _lattice_fft(block, out=cube)
-        phi *= slab
-        weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
-        return np.einsum("a,am->m", weights, phi)
 
-    acc = sum(_map_ordered(one_block, _slice_tasks(g, grid.node_count), threads))
+        def transformed(idx):  # rotation idx's FFT'd block in the slab, and its weights
+            block = U.values[rows, idx] if held else U.values.read((rows, idx), cube)
+            _lattice_fft(block, out=cube)
+            return g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
+
+        if len(orbit) == 1:
+            weights = transformed(orbit[0])
+            phi *= slab
+            return np.einsum("a,am->m", weights, phi)
+        (prod,) = members.rows(len(phi))
+        part = None
+        for idx in orbit:  # each member's PHI gathered from the representative's
+            weights = transformed(idx)
+            gather, nodes, _ = gathers[idx]
+            gather(phi.reshape(cube.shape), prod.reshape(cube.shape))
+            prod *= slab
+            if nodes.size:  # where A k is no lattice node: PHI evaluated directly
+                values = spectra.at(idx, rows, nodes)
+                values *= slab[:, nodes]
+                prod[:, nodes] = values
+            share = np.einsum("a,am->m", weights, prod)
+            if part is None:
+                part = share
+            else:
+                part += share
+        return part
+
+    acc = sum(_map_ordered(one_block, _slice_tasks(g, grid.node_count, orbits), threads))
     # the transform's k-factor does not depend on (a, R): applied once, to the sum
     acc = _forward_factor(acc.reshape(grid.shape), grid)
     acc /= U.constant * g.constant_factor
@@ -143,10 +176,18 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
     """
     nu_grid.check_route(wavelet, s_part)
     constant = _require_constant(wavelet, constant, tol)
-    u_hat = s_part.values.ravel()
-    kernel = resolution_kernel(wavelet, nu_grid, u_hat != 0, threads)
+    kernel = resolution_kernel(wavelet, nu_grid, s_part.values.ravel() != 0, threads)
+    return _projected(s_part, kernel, constant, nu_grid)
+
+
+def _projected(s_part: SpectralField3, kernel: np.ndarray, constant: complex,
+               nu_grid: ParameterGrid) -> SpectralField3:
+    """``s_part`` times ``kernel / (Re C * constant_factor)``: :func:`project` given its kernel.
+
+    ``kernel`` must cover the spectrum's support; it is divided in place.
+    """
     kernel /= np.real(constant) * nu_grid.constant_factor
-    return SpectralField3(s_part.grid, (u_hat * kernel).reshape(s_part.grid.shape))
+    return SpectralField3(s_part.grid, (s_part.values.ravel() * kernel).reshape(s_part.grid.shape))
 
 
 def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
@@ -162,6 +203,12 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
     of both sign branches.  As in :func:`~wavecwt.oracle.fourier_ivp`, the
     k = 0 bin of ``V/|k|`` is set to zero, with a RuntimeWarning when V(0)
     is not negligible: a constant velocity cannot be represented.
+
+    When both wavelets share one spectrum, symmetry and axis (the minus
+    wavelet is the :func:`~wavecwt.wavelets.time_reverse` of the plus one),
+    the resolution kernel is evaluated once, over the union of the two
+    parts' supports, and so is the admissibility constant unless
+    ``constants`` are given.
     """
     if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
         raise ValidationError("solve_ivp needs a (plus, minus) wavelet pair")
@@ -169,6 +216,17 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
         raise ValidationError("wavelet pair must share one wave speed")
     split = split_ivp(w, v, wavelet_plus.c)
     c_plus, c_minus = constants if constants else (None, None)
-    plus = project(split.plus, wavelet_plus, nu_grid, c_plus, tol, threads)
-    minus = project(split.minus, wavelet_minus, nu_grid, c_minus, tol, threads)
+    if (wavelet_minus.spectral is not wavelet_plus.spectral
+            or wavelet_minus.symmetry != wavelet_plus.symmetry
+            or wavelet_minus.axis != wavelet_plus.axis):
+        plus = project(split.plus, wavelet_plus, nu_grid, c_plus, tol, threads)
+        minus = project(split.minus, wavelet_minus, nu_grid, c_minus, tol, threads)
+        return propagate(SolutionSpectrum(plus, minus, split.c), t)
+    nu_grid.check_route(wavelet_plus, split.plus, split.minus)
+    c_plus = _require_constant(wavelet_plus, c_plus, tol)
+    c_minus = _require_constant(wavelet_minus, c_minus, tol) if constants else c_plus
+    support = (split.plus.values != 0) | (split.minus.values != 0)
+    kernel = resolution_kernel(wavelet_plus, nu_grid, support.ravel(), threads)
+    plus = _projected(split.plus, kernel.copy(), c_plus, nu_grid)
+    minus = _projected(split.minus, kernel, c_minus, nu_grid)
     return propagate(SolutionSpectrum(plus, minus, split.c), t)

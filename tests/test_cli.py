@@ -310,6 +310,25 @@ class TestBadValuesFailWhereTheyEnter:
         assert err["error"] == "ValidationError" and "n=0" in err["message"]
         assert not out.exists()
 
+    def test_meshes_beyond_physical_memory_are_refused_first(self, capsys, monkeypatch,
+                                                               tmp_path):
+        sysconf = os.sysconf
+        machine = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+        monkeypatch.setattr(wc.cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
+        out = tmp_path / "u.wfld"
+        for kind in ("gaussian", "tone", "wavelet"):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                err = self.fails(capsys, "make-field", "--kind", kind, "--wavelet", "kaiser",
+                                 "--n", "64", "--out", str(out))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert err["error"] == "ValidationError" and "physical memory" in err["message"]
+            assert peak - start < 8 * 64**3  # no mesh was allocated
+            assert not out.exists()
+
     def test_non_finite_wave_speed_is_not_written(self, capsys, tmp_path):
         out = tmp_path / "u.wfld"
         err = self.fails(capsys, "make-field", "--kind", "gaussian", "--n", "16", "--c", "nan",

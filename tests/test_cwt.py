@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import wavecwt as wc
 from wavecwt import cwt, synthesis
 from wavecwt.cwt import _map_ordered, _pool_size, _slice_tasks, _sweep
+from wavecwt.orbits import _gatherer, _lattice_symmetries, _orbit_gathers, _orbits
 from wavecwt.fields import _forward_factor
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
@@ -703,25 +704,47 @@ class TestSliceTasks:
         assert kernels[0].tobytes() == kernels[1].tobytes()
 
     def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
-        # reference: each (rotation, dilation block) task sums its weighted PHI * fftn(U)
-        # slices in dilation order, the partial sums are added in task order, and the
-        # transform's k-factor is applied once to the sum; the spherical case gathers
-        # shell values, the packet's split 32^3 grid is the lattice route
+        # reference: each (orbit, dilation block) task sums, member by member in orbit
+        # order, its weighted PHI * fftn(U) slices in dilation order; the partial sums are
+        # added in task order, and the transform's k-factor is applied once to the sum.
+        # The spherical case gathers shell values; the packet's 2 x 2 angles form one
+        # orbit, whose members take the representative's PHI at A k, or PHI evaluated
+        # directly where A k is no lattice wave vector
         grid = wc.Grid3.cubic(32, 32.0)
         cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
                  (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2))]
         u = band_limited_spectrum(grid, 0.7, 1.6, 83)
+        k = [K.ravel() for K in grid.k_mesh()]
+        axes = grid.k_axes()
         for wavelet, pg in cases:
             coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3)
+            orbits, maps = _orbits(pg)
+            assert [len(orbit) for orbit in orbits] == ([1] if wavelet is exp_sph else [4])
             spectra = _sweep(wavelet, pg, slice(None))
             scale = pg.a_nodes**1.5
             ref = 0
-            for idx, rows in _slice_tasks(pg, grid.node_count):
-                slab = np.fft.fftn(coeffs.values[rows, idx], axes=(-3, -2, -1))
-                slab = slab.reshape(rows.stop - rows.start, -1)
-                part = 0
-                for a, row in zip(range(pg.n_a)[rows], spectra(idx, rows) * slab):
-                    part = part + pg.rotation_weights[idx] * pg.a_weights[a] * scale[a] * row
+            for orbit, rows in _slice_tasks(pg, grid.node_count, orbits):
+                phi = spectra(orbit[0], rows).copy()
+                part = None
+                for idx in orbit:
+                    # A k by index arithmetic; nodes where it leaves the lattice are direct
+                    image = np.einsum("ij,jm->im", maps[idx], np.array(k))
+                    at = [np.rint(image[i] / axes[i][1]).astype(int) % len(axes[i])
+                          for i in range(3)]
+                    exact = np.all([axes[i][at[i]] == image[i] for i in range(3)], axis=0)
+                    values = phi[:, (at[2] * grid.n_y + at[1]) * grid.n_x + at[0]]
+                    if not exact.all():
+                        r = pg.rotations[idx]
+                        q = [r[0, i] * k[0][~exact] + r[1, i] * k[1][~exact]
+                             + r[2, i] * k[2][~exact] for i in range(3)]
+                        values[:, ~exact] = wavelet.spectral(
+                            *(np.multiply.outer(pg.a_nodes[rows], q[i]) for i in range(3)))
+                    slab = np.fft.fftn(coeffs.values[rows, idx], axes=(-3, -2, -1))
+                    share = 0
+                    for a, row in zip(range(pg.n_a)[rows],
+                                      values * slab.reshape(rows.stop - rows.start, -1)):
+                        share = share + pg.rotation_weights[idx] * pg.a_weights[a] * scale[a] * row
+                    part = share if part is None else part + share
                 ref = ref + part
             ref = _forward_factor(ref.reshape(grid.shape), grid)
             ref /= 1.3 * pg.constant_factor
@@ -1040,7 +1063,8 @@ class TestCoefficientChecks:
     def test_analyze_checks_every_task_slab(self, grid16, packet):
         pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
         u = band_limited_spectrum(grid16, 0.6, 1.8, 97)
-        tasks = len(_slice_tasks(pg, grid16.node_count))
+        # the 2 x 2 angles form one orbit: its representative's values serve every member
+        tasks = len(_slice_tasks(pg, grid16.node_count, _orbits(pg)[0]))
         calls = []
 
         def spectral(kx, ky, kz):  # one call per task: the last task's last dilation is NaN
@@ -1078,3 +1102,157 @@ class TestCoefficientChecks:
         values[-1, -1, -1, -1, -1] = complex(0.0, np.nan)
         with pytest.raises(wc.ValidationError):
             wc.WaveletCoefficients(pg, values, "plus", 1.0)
+
+
+def lone_rotations(pg):
+    """Every rotation its own orbit: the per-rotation tasks, each evaluating its own PHI."""
+    return [(idx,) for idx in range(pg.n_rotations)], [np.eye(3)] * pg.n_rotations
+
+
+def masked_spectrum(grid, share, seed):
+    """A random spectrum on a random, asymmetric share of the lattice."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    return wc.SpectralField3(grid, values * (rng.random(grid.shape) < share))
+
+
+class TestOrbits:
+    """Rotation orbits under the lattice's signed permutations in the materialized routes.
+
+    An orbit's representative is evaluated and gathered at ``A k`` for its
+    other members; only nodes the gather cannot reach are evaluated directly.
+    """
+
+    @pytest.mark.parametrize("grid, elements", [
+        (wc.Grid3.cubic(8, 8.0), 48), (wc.Grid3(12, 10, 8, 1.0, 0.7, 1.3), 8),
+        (wc.Grid3(8, 12, 12, 1.0, 1.3, 1.3), 16), (wc.Grid3(8, 8, 8, 1.0, 1.0, 1.1), 16),
+    ])
+    def test_gather_reads_the_value_at_a_k(self, grid, elements):
+        axes = grid.k_axes()
+        k = np.stack(grid.k_mesh())
+        src = np.random.default_rng(11).normal(size=(2,) + grid.shape)
+        group = _lattice_symmetries(grid)
+        assert len(group) == elements
+        assert np.array_equal(group[0], np.eye(3))
+        for a in group:
+            gather = _gatherer(a)
+            out = gather(src, np.empty_like(src))
+            image = np.einsum("ij,j...->i...", a, k)
+            at = [np.rint(image[i] / axes[i][1]).astype(int) % len(axes[i]) for i in range(3)]
+            lattice = np.all([axes[i][at[i]] == image[i] for i in range(3)], axis=0)
+            nyquist = np.zeros(grid.shape, dtype=bool)
+            for d in gather.flipped:
+                nyquist[(slice(None),) * (d - 1) + (grid.shape[d - 1] // 2,)] = True
+            assert np.array_equal(~lattice, nyquist)  # A k leaves the lattice only there
+            assert np.array_equal(out[:, lattice], src[:, at[2], at[1], at[0]][:, lattice])
+
+    @pytest.mark.parametrize("grid, angles, sizes", [
+        (wc.Grid3.cubic(32, 32.0), (12, 6), {8: 3, 16: 3}),
+        (wc.Grid3.cubic(32, 32.0), (16, 8), {8: 8, 16: 4}),
+        (wc.Grid3.cubic(32, 32.0), (2, 2), {4: 1}),
+        (wc.Grid3.cubic(32, 32.0), (11, 6), {2: 3, 4: 15}),
+        (wc.Grid3(32, 24, 20, 1.0, 1.0, 1.0), (12, 6), {4: 6, 8: 6}),
+        (wc.Grid3.cubic(32, 32.0), (1, 1), {1: 1}),
+    ])
+    def test_orbits_map_each_member_to_its_representative(self, packet, grid, angles, sizes):
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 2, *angles)
+        orbits, maps = _orbits(pg)
+        assert sorted(idx for orbit in orbits for idx in orbit) == list(range(pg.n_rotations))
+        assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+        counts = {}
+        for orbit in orbits:
+            counts[len(orbit)] = counts.get(len(orbit), 0) + 1
+            assert list(orbit) == sorted(orbit)
+            rep = pg.rotations[orbit[0], :, 0]  # R e for the packet's x axis
+            for idx in orbit:
+                np.testing.assert_allclose(pg.rotations[idx, :, 0], maps[idx].T @ rep,
+                                           rtol=0, atol=1e-12)
+                assert abs(pg.rotation_weights[idx] - pg.rotation_weights[orbit[0]]) <= \
+                    4 * np.finfo(float).eps * pg.rotation_weights[idx]
+            assert np.array_equal(maps[orbit[0]], np.eye(3))
+        assert counts == sizes
+
+    def test_other_symmetries_have_no_orbits(self, grid16, exp_sph):
+        none = wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8})
+        for wavelet in (exp_sph, none):
+            pg = wc.make_parameter_grid(grid16, wavelet, 0.3, 2.0, 4, 4, 2, 2)
+            assert _orbits(pg)[0] == [(idx,) for idx in range(pg.n_rotations)]
+
+    # orbits depend on the lattice's symmetry, not its size: the 32^3 cube at 2 x 2 angles,
+    # a 16^3 one at the larger angle grids and a non-cubic, off-centre box
+    @pytest.mark.parametrize("angles, grid", [
+        ((2, 2), wc.Grid3.cubic(32, 32.0)), ((12, 6), wc.Grid3.cubic(16, 16.0)),
+        ((16, 8), wc.Grid3.cubic(16, 16.0)), ((11, 6), wc.Grid3.cubic(16, 16.0)),
+        ((12, 6), wc.Grid3(16, 12, 10, 1.0, 1.1, 0.9, (3.0, -2.0, 1.0))),
+    ])
+    def test_routes_match_the_per_rotation_reference(self, monkeypatch, packet, angles, grid):
+        pg = wc.make_parameter_grid(grid, packet, *wc.suggest_dilation_range(packet, 0.6, 1.8),
+                                    2, *angles)
+        inputs = [band_limited_spectrum(grid, 0.6, 1.8, 12), masked_spectrum(grid, 1.0, 13),
+                  masked_spectrum(grid, 0.3, 14)]
+
+        def routes():
+            out = []
+            for u in inputs:
+                coeffs = wc.analyze(u, "plus", packet, pg, constant=1.3, threads=2)
+                out += [coeffs.values, wc.reconstruct_spectrum(coeffs, packet, threads=2).values]
+            return out
+
+        got = routes()
+        monkeypatch.setattr(cwt, "_orbits", lone_rotations)
+        monkeypatch.setattr(synthesis, "_orbits", lone_rotations)
+        for one, ref in zip(got, routes()):
+            assert np.linalg.norm(one - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.max(np.abs(one - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_evaluation_per_orbit_and_threads_agree(self, monkeypatch, packet):
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 8)
+        grid = wc.Grid3.cubic(16, 16.0)
+        points = []
+
+        def spectral(kx, ky, kz):
+            points.append(np.size(kx))
+            return packet.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(packet, spectral=spectral)
+        pg = wc.make_parameter_grid(grid, counted, 0.3, 2.0, 6, 4, 2)
+        orbits, maps = _orbits(pg)
+        assert len(orbits) < pg.n_rotations
+        u = masked_spectrum(grid, 0.4, 15)
+        support = u.values.ravel() != 0
+        results = []
+        for threads in (1, 2, 8):
+            points.clear()
+            coeffs = wc.analyze(u, "plus", counted, pg, constant=1.3, threads=threads)
+            analyzed = sum(points)
+            points.clear()
+            spectrum = wc.reconstruct_spectrum(coeffs, counted, threads=threads)
+            results.append((coeffs.values.tobytes(), spectrum.values.tobytes()))
+            # the representatives on every node, plus what the gathers cannot reach
+            for evaluated, nodes in ((analyzed, support), (sum(points), slice(None))):
+                gathers, _ = _orbit_gathers(grid, maps, nodes)
+                direct = sum(gathers[idx][1].size for orbit in orbits for idx in orbit[1:])
+                width = np.count_nonzero(np.ones(grid.node_count)[nodes])
+                assert evaluated == pg.n_a * (len(orbits) * width + direct)
+        assert results[0] == results[1] == results[2]
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(box=st.sampled_from([(8, 8, 8, 1.0, 1.0, 1.0), (8, 8, 12, 1.0, 1.0, 0.8),
+                                (12, 8, 8, 1.2, 0.9, 0.9), (10, 8, 12, 1.0, 1.1, 0.7)]),
+           n_theta1=st.integers(1, 5), n_theta2=st.integers(1, 3),
+           shares=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+           coefficients=st.tuples(*[st.floats(-2.0, 2.0)] * 4), seed=st.integers(0, 2**16))
+    def test_analyze_is_linear(self, packet, box, n_theta1, n_theta2, shares, coefficients,
+                               seed):
+        # random supports are rarely symmetric under the lattice's permutations, so the
+        # nodes whose images leave the support are evaluated directly; odd counts and the
+        # one-rotation grid leave some rotations, or all, without an orbit
+        grid = wc.Grid3(*box, origin=(0.5, -1.0, 0.25))
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 3, n_theta1, n_theta2)
+        u, v = (masked_spectrum(grid, share, seed + i) for i, share in enumerate(shares))
+        alpha, beta = complex(*coefficients[:2]), complex(*coefficients[2:])
+        mixed = wc.SpectralField3(grid, alpha * u.values + beta * v.values)
+        U, V, W = (wc.analyze(x, "plus", packet, pg, constant=1.0, threads=2).values
+                   for x in (u, v, mixed))
+        scale = abs(alpha) * np.linalg.norm(U) + abs(beta) * np.linalg.norm(V)
+        assert np.linalg.norm(W - (alpha * U + beta * V)) <= 1e-12 * scale

@@ -101,7 +101,11 @@ BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
 SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_table"),
                ("cwt.py", "_antipodal_partners"), ("cwt.py", "_clenshaw"),
                ("cwt.py", "_axial_series"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
-               ("synthesis.py", "reconstruct_spectrum")]
+               ("cwt.py", "_slice_tasks"), ("cwt.py", "_working_set"),
+               ("orbits.py", "_lattice_symmetries"), ("orbits.py", "_image"),
+               ("orbits.py", "_orbits"), ("orbits.py", "_gatherer"),
+               ("orbits.py", "_orbit_gathers"), ("synthesis.py", "reconstruct_spectrum"),
+               ("synthesis.py", "solve_ivp"), ("synthesis.py", "_projected")]
 # modules whose reductions serve the references and the CLI's checks: BLAS would wake its
 # thread pool, which then spins idle beside the caller
 BLAS_FREE_MODULES = ["fields.py", "oracle.py"]

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import wavecwt as wc
 from conftest import band_limited_spectrum
 from wavecwt import cli, cwt, fileio, synthesis
+from wavecwt.orbits import _orbits
 
 
 def test_position_field_round_trip(tmp_path, grid16):
@@ -419,7 +420,45 @@ def test_cross_reconstruction_reads_only_its_task_blocks(tmp_path, monkeypatch, 
     opened, _ = wc.open_coefficients(path)
     reads = counted_reads(monkeypatch)
     got = wc.reconstruct_cross(opened, exp_sph, 2.0, 0.5, threads=2)
-    tasks = cwt._slice_tasks(exp_sph_pgrid, grid16.node_count)
+    tasks = cwt._slice_tasks(exp_sph_pgrid, grid16.node_count, _orbits(exp_sph_pgrid)[0])
     assert sorted((rows.start, rows.stop, idx) for rows, idx in reads) == \
-        [(rows.start, rows.stop, idx) for idx, rows in tasks]
+        sorted((rows.start, rows.stop, idx) for orbit, rows in tasks for idx in orbit)
     assert got.values.tobytes() == wc.reconstruct(eager, exp_sph, 0.5).values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def small_wcf(tmp_path_factory):
+    """A packet WCF on an 8^3 grid (2 x 2 angles, 2 dilations): its bytes and header length."""
+    grid = wc.Grid3.cubic(8, 8.0)
+    packet = wc.gaussian_packet(40.0, 1.0, 0.5, 0.5)
+    pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 2, 2, 2)
+    path = tmp_path_factory.mktemp("wcf") / "u.wcf"
+    wc.write_coefficients(path, wc.analyze(band_limited_spectrum(grid, 0.6, 1.8, 15), "plus",
+                                           packet, pg, constant=1.0), c=1.5)
+    blob = path.read_bytes()
+    return blob, blob.index(b"\x00") + 1
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_flipped_header_bit_is_refused_or_reads_a_consistent_set(tmp_path_factory, small_wcf,
+                                                                  data):
+    # the header has no checksum: a flipped bit either breaks it, which is refused with a
+    # ValidationError, or leaves a header that describes another consistent set (another
+    # a_min or c_const, say), which reads; no other exception escapes
+    blob, header = small_wcf
+    bit = data.draw(st.integers(0, 8 * header - 1), label="bit")
+    damaged = bytearray(blob)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / "flipped.wcf"
+    path.write_bytes(bytes(damaged))
+    payload = np.frombuffer(blob, dtype="<c16", offset=header)
+    for read in (wc.read_coefficients, wc.open_coefficients):
+        try:
+            coeffs, _ = read(path)
+        except wc.ValidationError:
+            continue
+        shape = coeffs.nu_grid.coefficient_shape
+        assert coeffs.values.shape == shape and np.prod(shape) == payload.size
+        if read is wc.read_coefficients:
+            assert coeffs.values.tobytes() == payload.tobytes()
