@@ -247,11 +247,7 @@ def _cmd_ivp(args):
     else:
         params = _parse_params(args.param)
         wav_plus = _signed_wavelet(args.wavelet_plus, params, c, "plus")
-        # one wavelet for both signs: its time reverse shares the spectrum, and the kernel
-        if args.wavelet_minus == args.wavelet_plus:
-            wav_minus = time_reverse(wav_plus)
-        else:
-            wav_minus = _signed_wavelet(args.wavelet_minus, params, c, "minus")
+        wav_minus = _signed_wavelet(args.wavelet_minus, params, c, "minus")
         pgrid = _parameter_grid_from_args(args, w_field.grid, wav_plus)
         out = solve_ivp(w_field, v_field, wav_plus, wav_minus, pgrid, args.t,
                         tol=args.tol, threads=threads)

@@ -36,12 +36,12 @@ Every slice route (:func:`analyze`, synthesis, :func:`resolution_kernel`)
 runs (rotation, dilation block) tasks, rotation-major, each block holding as
 many dilations as fit a 2 MiB working set of the points evaluated per
 dilation: the field's nodes where coefficients are stored (one slice at
-64^3, four at 32^3), else the kernel's support nodes or |k| shells.  The
-materialized routes run (orbit, dilation block) tasks instead (see below),
-whose blocks hold half as many dilations when the orbit has two or more
-rotations.  Tasks never depend on the thread count, so a spherical grid's
-single rotation still keeps every worker busy and results do not depend on
-``threads``.
+64^3, four at 32^3), else the kernel's support nodes or |k| shells.
+:func:`~wavecwt.synthesis.reconstruct_spectrum` runs (orbit, dilation
+block) tasks instead (see below), whose blocks hold half as many dilations
+when the orbit has two or more rotations.  Tasks never depend on the
+thread count, so a spherical grid's single rotation still keeps every
+worker busy and results do not depend on ``threads``.
 Each task reduces over its own dilations with ``np.einsum`` and ``R^T k`` is
 formed by broadcasting: no slice route calls BLAS, whose own thread pool
 would compete with the ``threads`` workers.  The Fourier layer's origin
@@ -72,8 +72,7 @@ task adds nothing.  The route is taken only when every shell's last four
 coefficients are below 1e-14 of its largest; otherwise the kernel runs the
 direct sweep.
 
-The materialized routes (:func:`analyze` and
-:func:`~wavecwt.synthesis.reconstruct_spectrum`) use the same contract on
+:func:`~wavecwt.synthesis.reconstruct_spectrum` uses the same contract on
 the lattice itself (:mod:`wavecwt.orbits`).  A signed permutation ``A`` of
 the lattice axes (axes of equal count and spacing may swap, any axis may
 be negated) maps the wave vectors onto themselves, and when
@@ -85,14 +84,15 @@ makes rotation ``q``'s values a gather of rotation ``r``'s: a transpose
 and per-axis reflections ``i -> -i mod n`` of the lattice slab.  The
 rotations fall into orbits under these permutations (6 orbits of 8 or 16
 from 12 x 6 angles on a cube); each task evaluates its orbit's
-representative and gathers every other member.  Only two sets of
-nodes are evaluated directly (the Nyquist rule): a node on the Nyquist
-plane of a negated axis, where ``-k`` is no lattice wave vector since
-every count is even, and, in :func:`analyze`, a node whose image ``A k``
-leaves the data's support.  Gathered values agree with evaluated ones to
-round-off (1.2e-14 of max |PHI| for the packet), so results differ from a
-per-rotation sweep at that level; spherical and "none" wavelets, and grids
-where no rotation has a match, run the per-rotation tasks unchanged.
+representative and gathers every other member.  Only the nodes on the
+Nyquist plane of a negated axis are evaluated directly (the Nyquist rule):
+there ``-k`` is no lattice wave vector, since every count is even.
+Gathered values agree with evaluated ones to round-off (1.2e-14 of max
+|PHI| for the packet), so results differ from a per-rotation sweep at that
+level; spherical and "none" wavelets, and grids where no rotation has a
+match, run the per-rotation tasks unchanged.  :func:`analyze` evaluates
+every rotation: on a band support, gathering whole lattice slabs costs
+about what evaluating the support's nodes does.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _lattice_ifft, _radius,
                      fft3)
-from .orbits import _image, _orbit_gathers, _orbits
+from .orbits import _image
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
@@ -448,6 +448,12 @@ def _shells(k):
     return np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
 
 
+def _evaluator_dtypes(wavelet: PhysicalWavelet):
+    """The dtypes of an :func:`_evaluator` workspace: three wave-vector components, the buffers."""
+    into = getattr(wavelet.spectral, "into", None)
+    return (np.float64,) * 3 + (into.buffers if into else ())
+
+
 def _evaluator(wavelet: PhysicalWavelet, k, width: Optional[int] = None):
     """``phi(r, ar, power, at)``: ``PHI(a r^T k)`` on the points ``k`` for the dilations ``ar``.
 
@@ -466,8 +472,7 @@ def _evaluator(wavelet: PhysicalWavelet, k, width: Optional[int] = None):
     until that worker's next call.
     """
     into = getattr(wavelet.spectral, "into", None)
-    workspace = _Workspace(k[0].size if width is None else width,
-                           (np.float64,) * 3 + (into.buffers if into else ()))
+    workspace = _Workspace(k[0].size if width is None else width, _evaluator_dtypes(wavelet))
 
     def phi(r, ar, power=False, at=None):
         kx, ky, kz, *buffers = workspace.rows(len(ar))
@@ -517,7 +522,8 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
     rows, points)`` is ``PHI(a R^T k)`` on up to ``direct`` of the M nodes,
     given by their indices among them: the nodes an orbit's gather cannot
     reach (:func:`~wavecwt.orbits._orbit_gathers`).  One evaluator, with
-    workspaces of its own, serves every rotation of the call.
+    workspaces of its own (``direct`` points per dilation, see
+    :func:`_working_set`), serves every rotation of the call.
     """
     k = _lattice_points(nu_grid.field_grid, support)
     back = None
@@ -575,18 +581,25 @@ def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
     return max(1, min(requested, cpus or 1, n_items))
 
 
-def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits) -> int:
-    """Bytes of the complex slabs of the largest (orbit, dilation block) task, per worker.
+def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits=None,
+                 direct: int = 0) -> int:
+    """Bytes the largest task of a materialized route holds, times the workers.
 
-    What the materialized routes hold beyond their inputs and the
-    coefficients: a lone rotation's task holds its spectra and the slab it
-    transforms, an orbit's task also one member's gathered values.
+    What :func:`analyze` and :func:`~wavecwt.synthesis.reconstruct_spectrum`
+    hold beyond their inputs and the coefficients: a rotation's task (no
+    ``orbits``, or a lone rotation) holds its spectra and the slab it
+    transforms.  An orbit's task (see :func:`_slice_tasks`) also holds one
+    member's gathered values and ``direct`` bytes per dilation for the nodes
+    evaluated directly: the direct evaluator's workspace and the slab's
+    values there.
     """
     n = nu_grid.field_grid.node_count
     tasks = _slice_tasks(nu_grid, n, orbits)
-    slabs = max((2 if len(orbit) == 1 else 3) * (rows.stop - rows.start) for orbit, rows in tasks)
+    one, shared = 2 * 16 * n, 3 * 16 * n + direct  # bytes per dilation
+    per_task = max((rows.stop - rows.start) * (shared if orbits and len(task) > 1 else one)
+                   for task, rows in tasks)
     workers = _pool_size(threads or default_thread_count(), len(tasks), os.cpu_count())
-    return workers * slabs * 16 * n
+    return workers * per_task
 
 
 def _map_ordered(fn, items: Sequence, threads: Optional[int]):
@@ -801,24 +814,19 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
     (a, rotation) slice is one bare inverse FFT of ``a^{3/2} conj(PHI) v``
     with ``v`` the data times the transform's k-factor, applied once; each
-    (orbit, dilation block) task writes its own slices, and the spectrum
-    is evaluated only where the data are nonzero.  An orbit's task
-    (:func:`~wavecwt.orbits._orbits`) evaluates its representative's
-    spectrum, writes ``a^{3/2} conj(PHI)`` onto the lattice, zero off the
-    support, and gathers every other member's slice from it before
-    multiplying by ``v``; the nodes the gather cannot reach
-    (:func:`~wavecwt.orbits._orbit_gathers`) are evaluated directly.
-    Coefficients carry no time dependence.
+    (rotation, dilation block) task writes its own slices, and the spectrum
+    is evaluated only where the data are nonzero.  Coefficients carry no
+    time dependence.
 
     ``out`` is the destination.  With None the coefficients are a new array
     and each task transforms in place in its own rows; coefficients larger
     than the machine's physical memory are refused up front with a
     :class:`ValidationError`.  A :class:`~wavecwt.fileio.Payload` (see
     :func:`~wavecwt.fileio.create_coefficients`) of the coefficients' shape
-    makes each task transform in its worker's slabs, zero off the support
-    (on a full support, in its spectra), and store them there; then only
-    the task slabs of each worker (:func:`_working_set`) need to fit in
-    memory, and the result is backed by ``out``.
+    makes each task transform in its worker's slab, zero off the support
+    (on a full support, in its spectra), and store it there; then only two
+    task slabs per worker need to fit in memory, and the result is backed by
+    ``out``.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
@@ -827,25 +835,22 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     nu_grid.check_route(wavelet, s_part)
     grid = nu_grid.field_grid
     shape = nu_grid.coefficient_shape
-    orbits, maps = _orbits(nu_grid)
     if out is None:
         _require_memory(16 * nu_grid.node_count, "coefficients")
     else:
         if tuple(out.shape) != shape:
             raise ValidationError(f"destination shape {tuple(out.shape)} != {shape}")
-        _require_memory(_working_set(nu_grid, threads, orbits), "analyze working set")
+        _require_memory(_working_set(nu_grid, threads), "analyze working set")
     constant = _require_constant(wavelet, constant, tol)
 
     support = s_part.values.ravel() != 0
     full = bool(support.all())
     # a full support copies whole rows: cheaper than an all-True boolean scatter
     nodes = slice(None) if full else support
-    gathers, width = _orbit_gathers(grid, maps, nodes)
-    spectra = _sweep(wavelet, nu_grid, nodes, direct=width)
+    spectra = _sweep(wavelet, nu_grid, nodes)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v
-    v_lattice = _inverse_factor(s_part.values, grid).ravel()
-    v = v_lattice[nodes]
+    v = _inverse_factor(s_part.values, grid).ravel()[nodes]
     scale = nu_grid.a_nodes**1.5
     if out is None:
         out = np.zeros(shape, dtype=np.complex128)
@@ -856,14 +861,10 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             slab[:, nodes] = prod
             return slab
 
-        def member_slab(idx, rows):
-            return flat[rows, idx]
-
         def store(idx, rows, cube):
             pass
     else:
         slabs = _Workspace(grid.node_count, (np.complex128,))
-        members = _Workspace(grid.node_count, (np.complex128,))
 
         def slab_of(idx, rows, prod):  # the worker's slab, zero off the support
             if full:  # the spectra cover every node: they are the slab
@@ -873,14 +874,16 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             slab[:, nodes] = prod
             return slab
 
-        def member_slab(idx, rows):  # a second slab: the representative's holds the first
-            return members.rows(rows.stop - rows.start)[0]
-
         def store(idx, rows, cube):
             out[rows, idx] = cube
 
-    def transform(idx, rows, slab):
-        cube = slab.reshape((-1,) + grid.shape)
+    def one_block(task):
+        idx, rows = task
+        prod = spectra(idx, rows)
+        np.conjugate(prod, out=prod)
+        prod *= v
+        prod *= scale[rows, None]
+        cube = slab_of(idx, rows, prod).reshape((-1,) + grid.shape)
         _lattice_ifft(cube, out=cube)
         # NaN survives min and max, and an infinity is one of them: two passes, no mask
         reals = cube.view(np.float64)
@@ -888,36 +891,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             raise ValidationError("coefficients contain non-finite values")
         store(idx, rows, cube)
 
-    def one_block(task):
-        orbit, rows = task
-        prod = spectra(orbit[0], rows)
-        np.conjugate(prod, out=prod)
-        if len(orbit) == 1:
-            prod *= v
-            prod *= scale[rows, None]
-            transform(orbit[0], rows, slab_of(orbit[0], rows, prod))
-            return
-        # conj and a^1.5 commute with the gather: the representative's lattice slab
-        # serves every member, and each slab is multiplied by v on its own
-        prod *= scale[rows, None]
-        rep = slab_of(orbit[0], rows, prod)
-        cube = (len(prod),) + grid.shape
-        for idx in orbit[1:]:
-            gather, lattice, points = gathers[idx]
-            slab = member_slab(idx, rows)
-            gather(rep.reshape(cube), slab.reshape(cube))
-            slab *= v_lattice
-            if lattice.size:
-                values = spectra.at(idx, rows, points)
-                np.conjugate(values, out=values)
-                values *= v[points]
-                values *= scale[rows, None]
-                slab[:, lattice] = values
-            transform(idx, rows, slab)
-        rep *= v_lattice
-        transform(orbit[0], rows, rep)
-
-    for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count, orbits), threads):
+    for _ in _map_ordered(one_block, _slice_tasks(nu_grid, grid.node_count), threads):
         pass
     # every task checked its slab: no second scan, which would read a payload back
     return _prechecked(nu_grid, out, sign, constant, wavelet.name, wavelet.params)

@@ -15,9 +15,8 @@ but for the Nyquist plane of a negated axis, where ``-k`` is no lattice
 wave vector (every count is even).  :func:`_orbits` groups a grid's
 rotations into orbits under these permutations; :func:`_orbit_gathers`
 gives each rotation its gather and the nodes it must evaluate directly.
-The materialized routes (:func:`~wavecwt.cwt.analyze`,
-:func:`~wavecwt.synthesis.reconstruct_spectrum`) evaluate one
-representative per orbit and gather the rest; the resolution kernel pairs
+:func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
+representative per orbit and gathers the rest; the resolution kernel pairs
 antipodal rotations (the image under ``-I``) in its own way.  No function
 here calls BLAS.
 """
@@ -150,35 +149,27 @@ def _gatherer(a: np.ndarray):
     return gather
 
 
-def _orbit_gathers(grid: Grid3, maps, support):
-    """``(gathers, width)``: how each rotation's values follow from its representative's.
+def _orbit_gathers(grid: Grid3, maps):
+    """``(gathers, width, nbytes)``: how each rotation's values follow from its representative's.
 
-    ``gathers[q]`` is ``(gather, nodes, points)`` for ``maps[q]`` (see
-    :func:`_orbits` and :func:`_gatherer`).  ``nodes`` are the flat lattice
-    indices the gather cannot reach, which are evaluated directly: the
-    nodes of ``support`` on the Nyquist plane of a negated axis, and those
-    whose image ``A k`` leaves ``support``.  ``points`` are the same nodes
-    counted among the support's (``support`` is a boolean mask over the
-    flattened lattice, or ``slice(None)`` for every node).  ``width`` is
-    the largest count of them.  Rotations sharing a map share its entry.
+    ``gathers[q]`` is ``(gather, nodes)`` for ``maps[q]`` (see
+    :func:`_orbits` and :func:`_gatherer`): ``nodes`` are the flat lattice
+    indices the gather cannot reach, the Nyquist planes of the negated
+    axes, which are evaluated directly.  ``width`` is the largest count of
+    them and ``nbytes`` what the index arrays hold.  Rotations sharing a
+    map share its entry.
     """
-    full = isinstance(support, slice)
-    mask = np.ones(grid.shape, dtype=bool) if full else support.reshape(grid.shape)
-    flagged = None if full else np.flatnonzero(support)
     by_map, gathers = {}, []
     for a in maps:
         key = a.tobytes()
         if key not in by_map:
             gather = _gatherer(a)
-            direct = np.zeros((1,) + grid.shape, dtype=bool)
-            for d in gather.flipped:  # the Nyquist planes of the negated axes
-                plane = [slice(None)] * 4
-                plane[d] = grid.shape[d - 1] // 2
+            direct = np.zeros(grid.shape, dtype=bool)
+            for d in gather.flipped:  # storage axis d of a (rows,) + grid.shape slab
+                plane = [slice(None)] * 3
+                plane[d - 1] = grid.shape[d - 1] // 2
                 direct[tuple(plane)] = True
-            if not full:
-                direct |= ~gather(mask[None], np.empty_like(direct))
-                direct &= mask
-            nodes = np.flatnonzero(direct)
-            by_map[key] = (gather, nodes, nodes if full else np.searchsorted(flagged, nodes))
+            by_map[key] = (gather, np.flatnonzero(direct))
         gathers.append(by_map[key])
-    return gathers, max(nodes.size for _, nodes, _ in gathers)
+    return (gathers, max(nodes.size for _, nodes in gathers),
+            sum(nodes.nbytes for _, nodes in by_map.values()))

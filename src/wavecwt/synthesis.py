@@ -28,6 +28,7 @@ from .cwt import (
     ParameterGrid,
     WaveletCoefficients,
     _Workspace,
+    _evaluator_dtypes,
     _map_ordered,
     _require_constant,
     _require_memory,
@@ -67,18 +68,19 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
 
     One bare forward FFT per slice, in (orbit, dilation block) tasks (see
     :func:`~wavecwt.orbits._orbits`); each task returns its weighted sum over
-    its dilations, rotation by rotation in orbit order, and the partial sums
-    are added in task order, so the result does not depend on ``threads``.
-    An orbit's task evaluates ``PHI`` for its representative alone: every
-    other member's values are the representative's gathered at ``A k``
+    its dilations, rotation by rotation (the orbit's other members in
+    order, then its representative), and the partial sums are added in task
+    order, so the result does not depend on ``threads``.  An orbit's task
+    evaluates ``PHI`` for its representative alone: every other member's
+    values are the representative's gathered at ``A k``
     (:func:`~wavecwt.orbits._gatherer`), evaluated directly only on the
     Nyquist planes of the negated axes.  The transform's k-factor is
     applied once, to the sum.  The synthesis wavelet must carry the
     coefficients' sign tag.  Coefficients backed by a WCF payload are read
     one block at a time into the worker's slab and transformed there, with
-    the same result; the working set of the task slabs per worker (two for
-    a lone rotation, three for an orbit) is checked against physical memory
-    first.
+    the same result.  What the tasks hold beyond the coefficients (see
+    :func:`~wavecwt.cwt._working_set`) and the gathers' index arrays are
+    checked against physical memory first.
     """
     if wavelet.sign != U.sign:
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
@@ -86,13 +88,15 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         raise ValidationError("synthesis constant is zero")
     U.nu_grid.check_route(wavelet)
     g = U.nu_grid
-    orbits, maps = _orbits(g)
-    _require_memory(_working_set(g, threads, orbits), "synthesis working set")
     grid = g.field_grid
-    gathers, width = _orbit_gathers(grid, maps, slice(None))
+    orbits, maps = _orbits(g)
+    gathers, width, indices = _orbit_gathers(grid, maps)
+    # per dilation, the direct evaluator's workspace of width points
+    direct = width * sum(np.dtype(t).itemsize for t in _evaluator_dtypes(wavelet))
+    _require_memory(_working_set(g, threads, orbits, direct) + indices, "synthesis working set")
     spectra = _sweep(wavelet, g, slice(None), direct=width)
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
-    members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's products
+    members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's gathered values
     scale = g.a_nodes**1.5
     held = isinstance(U.values, np.ndarray)
 
@@ -101,28 +105,20 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         phi = spectra(orbit[0], rows)
         (slab,) = slabs.rows(rows.stop - rows.start)
         cube = slab.reshape((-1,) + grid.shape)
-
-        def transformed(idx):  # rotation idx's FFT'd block in the slab, and its weights
+        part = None
+        for idx in orbit[1:] + orbit[:1]:  # the other members, then the representative
+            values = phi
+            if idx != orbit[0]:  # PHI gathered from the representative's
+                gather, nodes = gathers[idx]
+                (values,) = members.rows(len(phi))
+                gather(phi.reshape(cube.shape), values.reshape(cube.shape))
+                if nodes.size:  # where A k is no lattice node: PHI evaluated directly
+                    values[:, nodes] = spectra.at(idx, rows, nodes)
             block = U.values[rows, idx] if held else U.values.read((rows, idx), cube)
             _lattice_fft(block, out=cube)
-            return g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
-
-        if len(orbit) == 1:
-            weights = transformed(orbit[0])
-            phi *= slab
-            return np.einsum("a,am->m", weights, phi)
-        (prod,) = members.rows(len(phi))
-        part = None
-        for idx in orbit:  # each member's PHI gathered from the representative's
-            weights = transformed(idx)
-            gather, nodes, _ = gathers[idx]
-            gather(phi.reshape(cube.shape), prod.reshape(cube.shape))
-            prod *= slab
-            if nodes.size:  # where A k is no lattice node: PHI evaluated directly
-                values = spectra.at(idx, rows, nodes)
-                values *= slab[:, nodes]
-                prod[:, nodes] = values
-            share = np.einsum("a,am->m", weights, prod)
+            values *= slab
+            weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
+            share = np.einsum("a,am->m", weights, values)
             if part is None:
                 part = share
             else:
@@ -176,18 +172,10 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
     """
     nu_grid.check_route(wavelet, s_part)
     constant = _require_constant(wavelet, constant, tol)
-    kernel = resolution_kernel(wavelet, nu_grid, s_part.values.ravel() != 0, threads)
-    return _projected(s_part, kernel, constant, nu_grid)
-
-
-def _projected(s_part: SpectralField3, kernel: np.ndarray, constant: complex,
-               nu_grid: ParameterGrid) -> SpectralField3:
-    """``s_part`` times ``kernel / (Re C * constant_factor)``: :func:`project` given its kernel.
-
-    ``kernel`` must cover the spectrum's support; it is divided in place.
-    """
+    u_hat = s_part.values.ravel()
+    kernel = resolution_kernel(wavelet, nu_grid, u_hat != 0, threads)
     kernel /= np.real(constant) * nu_grid.constant_factor
-    return SpectralField3(s_part.grid, (s_part.values.ravel() * kernel).reshape(s_part.grid.shape))
+    return SpectralField3(s_part.grid, (u_hat * kernel).reshape(s_part.grid.shape))
 
 
 def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
@@ -203,12 +191,6 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
     of both sign branches.  As in :func:`~wavecwt.oracle.fourier_ivp`, the
     k = 0 bin of ``V/|k|`` is set to zero, with a RuntimeWarning when V(0)
     is not negligible: a constant velocity cannot be represented.
-
-    When both wavelets share one spectrum, symmetry and axis (the minus
-    wavelet is the :func:`~wavecwt.wavelets.time_reverse` of the plus one),
-    the resolution kernel is evaluated once, over the union of the two
-    parts' supports, and so is the admissibility constant unless
-    ``constants`` are given.
     """
     if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
         raise ValidationError("solve_ivp needs a (plus, minus) wavelet pair")
@@ -216,17 +198,6 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
         raise ValidationError("wavelet pair must share one wave speed")
     split = split_ivp(w, v, wavelet_plus.c)
     c_plus, c_minus = constants if constants else (None, None)
-    if (wavelet_minus.spectral is not wavelet_plus.spectral
-            or wavelet_minus.symmetry != wavelet_plus.symmetry
-            or wavelet_minus.axis != wavelet_plus.axis):
-        plus = project(split.plus, wavelet_plus, nu_grid, c_plus, tol, threads)
-        minus = project(split.minus, wavelet_minus, nu_grid, c_minus, tol, threads)
-        return propagate(SolutionSpectrum(plus, minus, split.c), t)
-    nu_grid.check_route(wavelet_plus, split.plus, split.minus)
-    c_plus = _require_constant(wavelet_plus, c_plus, tol)
-    c_minus = _require_constant(wavelet_minus, c_minus, tol) if constants else c_plus
-    support = (split.plus.values != 0) | (split.minus.values != 0)
-    kernel = resolution_kernel(wavelet_plus, nu_grid, support.ravel(), threads)
-    plus = _projected(split.plus, kernel.copy(), c_plus, nu_grid)
-    minus = _projected(split.minus, kernel, c_minus, nu_grid)
+    plus = project(split.plus, wavelet_plus, nu_grid, c_plus, tol, threads)
+    minus = project(split.minus, wavelet_minus, nu_grid, c_minus, tol, threads)
     return propagate(SolutionSpectrum(plus, minus, split.c), t)

@@ -704,9 +704,10 @@ class TestSliceTasks:
         assert kernels[0].tobytes() == kernels[1].tobytes()
 
     def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
-        # reference: each (orbit, dilation block) task sums, member by member in orbit
-        # order, its weighted PHI * fftn(U) slices in dilation order; the partial sums are
-        # added in task order, and the transform's k-factor is applied once to the sum.
+        # reference: each (orbit, dilation block) task sums, member by member (the other
+        # members in orbit order, then the representative), its weighted PHI * fftn(U)
+        # slices in dilation order; the partial sums are added in task order, and the
+        # transform's k-factor is applied once to the sum.
         # The spherical case gathers shell values; the packet's 2 x 2 angles form one
         # orbit, whose members take the representative's PHI at A k, or PHI evaluated
         # directly where A k is no lattice wave vector
@@ -726,7 +727,7 @@ class TestSliceTasks:
             for orbit, rows in _slice_tasks(pg, grid.node_count, orbits):
                 phi = spectra(orbit[0], rows).copy()
                 part = None
-                for idx in orbit:
+                for idx in orbit[1:] + orbit[:1]:
                     # A k by index arithmetic; nodes where it leaves the lattice are direct
                     image = np.einsum("ij,jm->im", maps[idx], np.array(k))
                     at = [np.rint(image[i] / axes[i][1]).astype(int) % len(axes[i])
@@ -1063,8 +1064,7 @@ class TestCoefficientChecks:
     def test_analyze_checks_every_task_slab(self, grid16, packet):
         pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 2, 2)
         u = band_limited_spectrum(grid16, 0.6, 1.8, 97)
-        # the 2 x 2 angles form one orbit: its representative's values serve every member
-        tasks = len(_slice_tasks(pg, grid16.node_count, _orbits(pg)[0]))
+        tasks = len(_slice_tasks(pg, grid16.node_count))
         calls = []
 
         def spectral(kx, ky, kz):  # one call per task: the last task's last dilation is NaN
@@ -1117,7 +1117,7 @@ def masked_spectrum(grid, share, seed):
 
 
 class TestOrbits:
-    """Rotation orbits under the lattice's signed permutations in the materialized routes.
+    """Rotation orbits under the lattice's signed permutations in ``reconstruct_spectrum``.
 
     An orbit's representative is evaluated and gathered at ``A k`` for its
     other members; only nodes the gather cannot reach are evaluated directly.
@@ -1199,7 +1199,6 @@ class TestOrbits:
             return out
 
         got = routes()
-        monkeypatch.setattr(cwt, "_orbits", lone_rotations)
         monkeypatch.setattr(synthesis, "_orbits", lone_rotations)
         for one, ref in zip(got, routes()):
             assert np.linalg.norm(one - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -1228,13 +1227,41 @@ class TestOrbits:
             points.clear()
             spectrum = wc.reconstruct_spectrum(coeffs, counted, threads=threads)
             results.append((coeffs.values.tobytes(), spectrum.values.tobytes()))
-            # the representatives on every node, plus what the gathers cannot reach
-            for evaluated, nodes in ((analyzed, support), (sum(points), slice(None))):
-                gathers, _ = _orbit_gathers(grid, maps, nodes)
-                direct = sum(gathers[idx][1].size for orbit in orbits for idx in orbit[1:])
-                width = np.count_nonzero(np.ones(grid.node_count)[nodes])
-                assert evaluated == pg.n_a * (len(orbits) * width + direct)
+            # analyze evaluates every rotation on the support; synthesis the representatives
+            # on every node, plus what the gathers cannot reach
+            assert analyzed == pg.n_a * pg.n_rotations * np.count_nonzero(support)
+            gathers, _, _ = _orbit_gathers(grid, maps)
+            direct = sum(gathers[idx][1].size for orbit in orbits for idx in orbit[1:])
+            assert sum(points) == pg.n_a * (len(orbits) * grid.node_count + direct)
         assert results[0] == results[1] == results[2]
+
+    def test_synthesis_preflight_counts_the_direct_nodes(self, monkeypatch, packet):
+        # an orbit's task also holds the direct evaluator's workspace for the Nyquist nodes,
+        # and the call the gathers' index arrays: a machine with room for the task slabs
+        # alone is refused before any task runs
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
+        grid = wc.Grid3.cubic(16, 16.0)
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 12, 6)
+        coeffs = wc.analyze(band_limited_spectrum(grid, 0.6, 1.8, 16), "plus", packet, pg,
+                            constant=1.0)
+        orbits, maps = _orbits(pg)
+        gathers, width, indices = _orbit_gathers(grid, maps)
+        assert width > 0 and indices == sum({id(n): n.nbytes for _, n in gathers}.values())
+        slabs = cwt._working_set(pg, 2, orbits)
+        workspace = width * sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(packet))
+        needed = cwt._working_set(pg, 2, orbits, workspace) + indices
+        assert needed > slabs + indices
+        sysconf = cwt.os.sysconf
+        machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
+        monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
+        ran, fft = [], synthesis._lattice_fft
+        monkeypatch.setattr(synthesis, "_lattice_fft", lambda *a, **k: ran.append(1) or fft(*a, **k))
+        with pytest.raises(wc.ValidationError, match="physical memory"):
+            wc.reconstruct_spectrum(coeffs, packet, threads=2)
+        assert not ran
+        machine["SC_PHYS_PAGES"] = needed
+        wc.reconstruct_spectrum(coeffs, packet, threads=2)  # exactly fits
+        assert ran
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(box=st.sampled_from([(8, 8, 8, 1.0, 1.0, 1.0), (8, 8, 12, 1.0, 1.0, 0.8),
@@ -1244,9 +1271,8 @@ class TestOrbits:
            coefficients=st.tuples(*[st.floats(-2.0, 2.0)] * 4), seed=st.integers(0, 2**16))
     def test_analyze_is_linear(self, packet, box, n_theta1, n_theta2, shares, coefficients,
                                seed):
-        # random supports are rarely symmetric under the lattice's permutations, so the
-        # nodes whose images leave the support are evaluated directly; odd counts and the
-        # one-rotation grid leave some rotations, or all, without an orbit
+        # random asymmetric supports on cubes and boxes, odd and even counts, and angle
+        # grids from one rotation up
         grid = wc.Grid3(*box, origin=(0.5, -1.0, 0.25))
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 3, n_theta1, n_theta2)
         u, v = (masked_spectrum(grid, share, seed + i) for i, share in enumerate(shares))

@@ -1,12 +1,9 @@
 """Reconstruction, cross-wavelet synthesis and the wavelet-route IVP."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import wavecwt as wc
-from wavecwt import cli, synthesis
 from conftest import band_limited_spectrum, rel_l2
 
 
@@ -187,62 +184,3 @@ class TestSolveIVP:
         with pytest.raises(wc.ValidationError):
             wc.solve_ivp(w_field, w_field, exp_sph, exp_sph, exp_sph_pgrid, 0.0,
                          constants=(1.0, 1.0))
-
-
-class TestSharedSpectrumIVP:
-    """A (plus, minus) pair with one spectrum evaluates one kernel over both supports."""
-
-    @staticmethod
-    def counted_kernels(monkeypatch):
-        supports = []
-        kernel = synthesis.resolution_kernel
-
-        def counting(wavelet, nu_grid, support, threads=None):
-            supports.append(support.copy())
-            return kernel(wavelet, nu_grid, support, threads)
-
-        monkeypatch.setattr(synthesis, "resolution_kernel", counting)
-        return supports
-
-    @pytest.mark.parametrize("name", ["exp-spherical", "packet"])
-    def test_time_reversed_pair_shares_one_kernel(self, monkeypatch, grid16, name, packet):
-        wavelet = wc.exp_spherical_wavelet() if name == "exp-spherical" else packet
-        pg = wc.make_parameter_grid(grid16, wavelet, 0.1, 2.5, 12, 4, 2)
-        w, v = (wc.ifft3(band_limited_spectrum(grid16, 0.6, 1.8, seed)) for seed in (65, 66))
-        # sign parts on different halves of the band: the kernel must cover both
-        split = wc.split_ivp(w, v, wavelet.c)
-        half = np.random.default_rng(67).random(grid16.shape) < 0.5
-        split = wc.SolutionSpectrum(wc.SpectralField3(grid16, split.plus.values * half),
-                                    wc.SpectralField3(grid16, split.minus.values * ~half), split.c)
-        monkeypatch.setattr(synthesis, "split_ivp", lambda *args: split)
-        plus = wavelet if wavelet.sign == "plus" else wc.time_reverse(wavelet)
-        supports = self.counted_kernels(monkeypatch)
-        # two separately built wavelets: one kernel per sign, as before
-        apart = wc.solve_ivp(w, v, plus, dataclasses.replace(wc.time_reverse(plus),
-                                                             spectral=lambda *k: plus.spectral(*k)),
-                             pg, 0.7, threads=2)
-        assert len(supports) == 2
-        assert np.array_equal(supports[0], split.plus.values.ravel() != 0)
-        supports.clear()
-        shared = wc.solve_ivp(w, v, plus, wc.time_reverse(plus), pg, 0.7, threads=2)
-        assert len(supports) == 1
-        assert np.array_equal(supports[0], (split.plus.values != 0).ravel()
-                              | (split.minus.values != 0).ravel())
-        assert np.max(np.abs(shared.values - apart.values)) <= 1e-12 * np.max(np.abs(apart.values))
-
-    @pytest.mark.filterwarnings("ignore:split_ivp")  # the Gaussian velocity has a mean
-    def test_cli_ivp_builds_the_minus_wavelet_by_time_reversal(self, monkeypatch, tmp_path):
-        supports = self.counted_kernels(monkeypatch)
-        paths = {name: tmp_path / f"{name}.wfld" for name in ("w", "v", "u")}
-        for name, sigma in (("w", "2"), ("v", "2.5")):
-            assert cli.dispatch(["make-field", "--kind", "gaussian", "--n", "16", "--extent", "16",
-                                 "--sigma", sigma, "--out", str(paths[name])]) == 0
-        nu = ["--a-min", "0.1", "--a-max", "2.5", "--n-a", "8"]
-        argv = ["ivp", "--w", str(paths["w"]), "--v", str(paths["v"]), "--t", "1",
-                "--method", "wavelet", "--out", str(paths["u"])] + nu
-        assert cli.dispatch(argv) == 0
-        assert len(supports) == 1
-        supports.clear()
-        # two catalog names: one kernel per sign
-        assert cli.dispatch(argv + ["--wavelet-minus", "kaiser"]) == 0
-        assert len(supports) == 2
