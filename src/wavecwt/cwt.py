@@ -590,8 +590,7 @@ def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits=None,
     ``orbits``, or a lone rotation) holds its spectra and the slab it
     transforms.  An orbit's task (see :func:`_slice_tasks`) also holds one
     member's gathered values and ``direct`` bytes per dilation for the nodes
-    evaluated directly: the direct evaluator's workspace and the slab's
-    values there.
+    evaluated directly, the direct evaluator's workspace.
     """
     n = nu_grid.field_grid.node_count
     tasks = _slice_tasks(nu_grid, n, orbits)
