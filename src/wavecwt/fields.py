@@ -22,7 +22,12 @@ k-factor of origin phase and cell volume (``_forward_factor``/
 ``_inverse_factor``, applied as three separable per-axis factors, never as a
 lattice-sized factor array).  The factor does not depend on any wavelet
 parameter, so routes that transform many slices of one spectrum apply it
-once per call and run only the bare FFT per slice.
+once per call and run only the bare FFT per slice.  ``_pruned_ifft`` is the
+bare inverse transform for data that vanish off a support: it runs
+``ifftn``'s three one-axis passes (x, then y, then z) only on the lines that
+can hold nonzeros, taken from the runs of the support's projections on z
+and y (``_support_runs``), and gives ``_lattice_ifft``'s bytes.  No other
+module calls ``numpy.fft``.
 
 Every time derivative divides a spectrum by |k|, which needs a rule at
 k = 0.  ``_radius`` is the one place that forms |k|, its ``|k| > 0`` mask
@@ -244,6 +249,41 @@ def _lattice_fft(values: np.ndarray, out=None) -> np.ndarray:
 def _lattice_ifft(values: np.ndarray, out=None) -> np.ndarray:
     """Bare inverse FFT over the trailing three axes, into ``out`` when given."""
     return np.fft.ifftn(values, axes=(-3, -2, -1), out=out)
+
+
+def _runs(flags: np.ndarray) -> Tuple[slice, ...]:
+    """The runs of True in a 1-D boolean array, as slices in increasing order."""
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    return tuple(slice(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2]))
+
+
+def _support_runs(support: np.ndarray) -> Tuple[Tuple[slice, ...], Tuple[slice, ...]]:
+    """``(z runs, y runs)``: the runs of a ``grid.shape`` mask's projections on z and y.
+
+    The runs of :func:`_pruned_ifft`: every flagged node lies on an x line
+    whose z index is in a z run and whose y index is in a y run.
+    """
+    return _runs(support.any(axis=(1, 2))), _runs(support.any(axis=(0, 2)))
+
+
+def _pruned_ifft(cube: np.ndarray, runs) -> np.ndarray:
+    """:func:`_lattice_ifft` of ``cube`` in place, for data zero off the lines of ``runs``.
+
+    ``cube`` has ``grid.shape`` as its trailing axes and ``runs`` is
+    :func:`_support_runs` of a mask holding its nonzero nodes.  The passes
+    keep ``ifftn``'s axis order, x then y then z, and skip only lines that
+    are zero: the x pass runs on the lines of the z runs' y runs, the y pass
+    on the planes of the z runs, and the z pass on every line.  A zero line
+    transforms to zeros, so the result is ``_lattice_ifft``'s, byte for byte.
+    """
+    z_runs, y_runs = runs
+    for z in z_runs:
+        for y in y_runs:
+            lines = cube[..., z, y, :]
+            np.fft.ifftn(lines, axes=(-1,), out=lines)
+        planes = cube[..., z, :, :]
+        np.fft.ifftn(planes, axes=(-2,), out=planes)
+    return np.fft.ifftn(cube, axes=(-3,), out=cube)
 
 
 def _forward_factor(spectrum: np.ndarray, grid: Grid3) -> np.ndarray:

@@ -28,7 +28,6 @@ from .cwt import (
     ParameterGrid,
     WaveletCoefficients,
     _Workspace,
-    _evaluator_dtypes,
     _map_ordered,
     _require_constant,
     _require_memory,
@@ -36,6 +35,7 @@ from .cwt import (
     _slice_tasks,
     _sweep,
     _working_set,
+    _workspace_bytes,
     resolution_kernel,
 )
 from .errors import ValidationError
@@ -91,10 +91,11 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     grid = g.field_grid
     orbits, maps = _orbits(g)
     gathers, width, indices = _orbit_gathers(grid, maps)
-    # per dilation, the direct evaluator's workspace of width points
-    direct = width * sum(np.dtype(t).itemsize for t in _evaluator_dtypes(wavelet))
-    _require_memory(_working_set(g, threads, orbits, direct) + indices, "synthesis working set")
     spectra = _sweep(wavelet, g, slice(None), direct=width)
+    # per dilation, the sweep evaluator's workspace and the direct one's of width points
+    _require_memory(_working_set(g, threads, orbits, _workspace_bytes(wavelet, width),
+                                 _workspace_bytes(wavelet, spectra.width)) + indices,
+                    "synthesis working set")
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's gathered values
     scale = g.a_nodes**1.5
@@ -118,9 +119,14 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
             _lattice_fft(block, out=cube)
             values *= slab
             weights = g.rotation_weights[idx] * g.a_weights[rows] * scale[rows]
-            share = np.einsum("a,am->m", weights, values)
+            # real weights scale each row's real and imaginary parts; rows add up in order
+            reals = values.view(np.float64)
+            reals *= weights[:, None]
+            share = values[0]
+            for row in values[1:]:
+                share += row
             if part is None:
-                part = share
+                part = share.copy()
             else:
                 part += share
         return part

@@ -15,7 +15,7 @@ import wavecwt as wc
 from wavecwt import cwt, synthesis
 from wavecwt.cwt import _map_ordered, _pool_size, _slice_tasks, _sweep
 from wavecwt.orbits import _gatherer, _lattice_symmetries, _orbit_gathers, _orbits
-from wavecwt.fields import _forward_factor
+from wavecwt.fields import _forward_factor, _lattice_ifft
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
 
@@ -633,6 +633,60 @@ class TestSupport:
         assert abs(wc.weighted_pairing(U, V) - want) <= 1e-12 * scale
 
 
+PRUNE_GRIDS = {"cube32": wc.Grid3.cubic(32, 32.0),
+               "box": wc.Grid3(16, 12, 10, 1.0, 1.3, 0.9, origin=(1.5, -2.0, 0.7))}
+
+
+def support_case(grid, kind, seed=5):
+    """Data on a |k| band, a random 10% of the nodes, two corners of the lattice, or all of it."""
+    if kind == "band":
+        return band_limited_spectrum(grid, 0.6, 1.8, seed)
+    if kind == "corner":  # a block at k = 0 and one node at the far corner, Nyquist planes
+        values = np.zeros(grid.shape, dtype=complex)
+        values[:3, :2, :4] = 1.0 + 2.0j
+        values[-1, grid.n_y // 2, -1] = -3.0
+        return wc.SpectralField3(grid, values)
+    return masked_spectrum(grid, {"random": 0.1, "full": 1.1}[kind], seed)
+
+
+class TestPrunedAnalyze:
+    """``analyze`` transforms only the lattice lines its support reaches."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["band", "random", "corner", "full"])
+    @pytest.mark.parametrize("name", sorted(PRUNE_GRIDS))
+    def test_coefficients_equal_the_plain_transform(self, monkeypatch, tmp_path, packet, name,
+                                                     kind, threads):
+        grid = PRUNE_GRIDS[name]
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 2, 2)
+        u = support_case(grid, kind)
+        pruned = wc.analyze(u, "plus", packet, pg, constant=1.0, threads=threads).values
+        with wc.create_coefficients(tmp_path / "u.wcf", packet, pg, 1.0) as payload:
+            wc.analyze(u, "plus", packet, pg, constant=1.0, threads=threads, out=payload)
+        streamed = wc.read_coefficients(tmp_path / "u.wcf")[0].values
+        monkeypatch.setattr(cwt, "_pruned_ifft", lambda cube, runs: _lattice_ifft(cube, out=cube))
+        plain = wc.analyze(u, "plus", packet, pg, constant=1.0, threads=threads).values
+        assert pruned.tobytes() == plain.tobytes() == streamed.tobytes()
+
+    def test_band_support_transforms_at_most_two_lattices_per_slice(self, monkeypatch, packet):
+        # each one-axis pass counts the points it transforms: the plain transform 3 N per slice
+        grid = PRUNE_GRIDS["cube32"]
+        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 2, 2)
+        points, ifftn = [], np.fft.ifftn
+
+        def counted(a, s=None, axes=None, **kwargs):
+            points.append(a.size * len(axes))
+            return ifftn(a, s, axes, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counted)
+        slices = pg.n_a * pg.n_rotations * grid.node_count
+        wc.analyze(support_case(grid, "band"), "plus", packet, pg, constant=1.0)
+        assert sum(points) <= 2.0 * slices
+        points.clear()
+        wc.analyze(support_case(grid, "full"), "plus", packet, pg, constant=1.0)
+        assert sum(points) == 3 * slices  # a full support keeps the plain transform
+
+
 class TestSliceTasks:
     """Slice routes work in (rotation, dilation block) tasks cut from the grid and a width.
 
@@ -1236,9 +1290,9 @@ class TestOrbits:
         assert results[0] == results[1] == results[2]
 
     def test_synthesis_preflight_counts_the_direct_nodes(self, monkeypatch, packet):
-        # an orbit's task also holds the direct evaluator's workspace for the Nyquist nodes,
-        # and the call the gathers' index arrays: a machine with room for the task slabs
-        # alone is refused before any task runs
+        # an orbit's task also holds the direct evaluator's workspace for the Nyquist nodes
+        # and the sweep evaluator's on every node, and the call the gathers' index arrays: a
+        # machine with room for the task slabs alone is refused before any task runs
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         grid = wc.Grid3.cubic(16, 16.0)
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 12, 6)
@@ -1247,10 +1301,13 @@ class TestOrbits:
         orbits, maps = _orbits(pg)
         gathers, width, indices = _orbit_gathers(grid, maps)
         assert width > 0 and indices == sum({id(n): n.nbytes for _, n in gathers}.values())
+        per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(packet))
+        assert per_point == 58  # three wave-vector components and the packet's five buffers
         slabs = cwt._working_set(pg, 2, orbits)
-        workspace = width * sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(packet))
-        needed = cwt._working_set(pg, 2, orbits, workspace) + indices
-        assert needed > slabs + indices
+        direct = cwt._working_set(pg, 2, orbits, width * per_point)
+        needed = cwt._working_set(pg, 2, orbits, width * per_point,
+                                  grid.node_count * per_point) + indices
+        assert needed > direct + indices > slabs + indices
         sysconf = cwt.os.sysconf
         machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
         monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
@@ -1262,6 +1319,40 @@ class TestOrbits:
         machine["SC_PHYS_PAGES"] = needed
         wc.reconstruct_spectrum(coeffs, packet, threads=2)  # exactly fits
         assert ran
+
+    @pytest.mark.parametrize("symmetry", ["axial", "spherical"])
+    def test_analyze_preflight_counts_the_evaluator_workspace(self, monkeypatch, tmp_path,
+                                                              packet, exp_sph, symmetry):
+        # analyze into a payload: each worker's task also holds its evaluator's workspace on
+        # the support's nodes, or its |k| shells for a spherical wavelet; a machine with room
+        # for the task slabs alone is refused before any FFT
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
+        wavelet = packet if symmetry == "axial" else exp_sph
+        grid = wc.Grid3.cubic(16, 16.0)
+        pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 4, 4, 2)
+        u = band_limited_spectrum(grid, 0.6, 1.8, 16)
+        support = u.values.ravel() != 0
+        k = [K.ravel()[support] for K in grid.k_mesh()]
+        width = support.sum()
+        if symmetry == "spherical":
+            width = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
+            assert width < support.sum()
+        per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(wavelet))
+        slabs = cwt._working_set(pg, 2)
+        needed = cwt._working_set(pg, 2, evaluated=width * per_point)
+        assert needed > slabs
+        sysconf = cwt.os.sysconf
+        machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
+        monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
+        ran, ifftn = [], np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: ran.append(1) or ifftn(*a, **k))
+        with wc.create_coefficients(tmp_path / "u.wcf", wavelet, pg, 1.0) as payload:
+            with pytest.raises(wc.ValidationError, match="physical memory"):
+                wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.0, threads=2, out=payload)
+            assert not ran
+            machine["SC_PHYS_PAGES"] = needed
+            wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.0, threads=2, out=payload)
+        assert ran  # exactly fits
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(box=st.sampled_from([(8, 8, 8, 1.0, 1.0, 1.0), (8, 8, 12, 1.0, 1.0, 0.8),

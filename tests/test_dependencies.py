@@ -4,7 +4,9 @@ Every import sits at module level and every imported name is used, so an
 import cycle or the leftover of a deletion shows at once.  The slice paths
 also call no BLAS: numpy hands matrix products to a BLAS library that runs
 its own thread pool next to the ``threads`` workers, and every worker pool
-runs (rotation, dilation block) tasks from one task model.
+runs (rotation, dilation block) tasks from one task model.  ``numpy.fft`` is
+called in ``fields.py`` alone, the one owner of the lattice transforms, so
+rebinding its functions (as a traced benchmark run does) sees every FFT.
 """
 
 import ast
@@ -182,3 +184,31 @@ def test_guard_flags_a_pool_without_slice_tasks():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_pool_runs_slice_tasks(path):
     assert untasked_pools(path.read_text()) == []
+
+
+def fft_uses(source: str):
+    """Lines of ``source`` that call ``np.fft``/``numpy.fft`` functions or import from ``numpy.fft``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "fft"
+                    and getattr(owner.value, "id", None) in ("np", "numpy")):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.startswith("numpy.fft")
+                or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+            found.append(node.lineno)
+    return found
+
+
+def test_guard_flags_fft_calls_outside_fields():
+    source = ("import numpy as np\nimport numpy\nfrom numpy.fft import ifftn\n"
+              "from numpy import fft as f, sum\n\n"
+              "def f(a):\n    np.fft.fftn(a)\n    return numpy.fft.ifftn(a, out=a), np.sum(a), a.fft()\n")
+    assert fft_uses(source) == [3, 4, 7, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fields_calls_numpy_fft(path):
+    assert bool(fft_uses(path.read_text())) == (path.name == "fields.py")

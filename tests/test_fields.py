@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
 from conftest import band_limited_spectrum, rel_l2
+from wavecwt.fields import _lattice_ifft, _pruned_ifft, _runs, _support_runs
 
 
 def random_field(grid, seed=0):
@@ -84,6 +86,57 @@ class TestTransforms:
         values[3, 2, 1] = np.nan
         with pytest.raises(wc.NonFiniteFieldError, match=r"ix=1, iy=2, iz=3"):
             wc.ComplexField3(grid16, values)
+
+
+def pruned_equals_plain(mask, seed=0, rows=2):
+    """Whether :func:`_pruned_ifft` of random data on ``mask`` is ``_lattice_ifft``'s, byte for byte."""
+    rng = np.random.default_rng(seed)
+    cube = np.zeros((rows,) + mask.shape, dtype=np.complex128)
+    count = np.count_nonzero(mask)
+    cube[:, mask] = rng.normal(size=(rows, count)) + 1j * rng.normal(size=(rows, count))
+    expected = _lattice_ifft(cube)
+    assert _pruned_ifft(cube, _support_runs(mask)) is cube
+    return cube.tobytes() == expected.tobytes()
+
+
+class TestPrunedInverse:
+    """The support-pruned bare inverse transform of ``analyze``'s slabs."""
+
+    SHAPES = [(8, 8, 8), (16, 16, 16), (10, 12, 16)]  # the last is a 16 x 12 x 10 box
+
+    def test_runs(self):
+        flags = np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=bool)
+        assert _runs(flags) == (slice(0, 2), slice(4, 5), slice(6, 8))
+        assert _runs(np.zeros(6, dtype=bool)) == ()
+        assert _runs(np.ones(6, dtype=bool)) == (slice(0, 6),)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("case", ["empty", "nyquist", "wrap", "x-line", "z-line", "full"])
+    def test_edge_masks_match_the_plain_transform(self, shape, case):
+        nz, ny, nx = shape
+        mask = np.zeros(shape, dtype=bool)
+        if case == "nyquist":  # one node on all three Nyquist planes
+            mask[nz // 2, ny // 2, nx // 2] = True
+        elif case == "wrap":  # runs at both ends of z and y, as a |k| band's projections
+            mask[np.r_[0:2, nz - 2:nz][:, None], np.r_[0:3, ny - 1:ny], 1] = True
+        elif case == "x-line":
+            mask[nz - 1, 3, :] = True
+        elif case == "z-line":
+            mask[:, ny // 2, 0] = True
+        elif case == "full":
+            mask[:] = True
+        assert pruned_equals_plain(mask)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shape=st.sampled_from(SHAPES), shares=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+           seed=st.integers(0, 2**16))
+    def test_random_masks_match_the_plain_transform(self, shape, shares, seed):
+        # random nodes on random z planes and y rows: any pattern of runs, sparse to full
+        rng = np.random.default_rng(seed)
+        planes, rows, nodes = shares
+        mask = ((rng.random(shape) < nodes) & (rng.random(shape[0]) < planes)[:, None, None]
+                & (rng.random(shape[1]) < rows)[None, :, None])
+        assert pruned_equals_plain(mask, seed)
 
 
 class TestInnerProduct:
