@@ -113,8 +113,8 @@ import numpy as np
 
 from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
-from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _lattice_ifft,
-                     _pruned_ifft, _radius, _support_runs, fft3)
+from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
+                     _radius, _support_runs, fft3)
 from .orbits import _image
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
@@ -828,10 +828,10 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     (a, rotation) slice is the bare inverse FFT of ``a^{3/2} conj(PHI) v``
     with ``v`` the data times the transform's k-factor, applied once; each
     (rotation, dilation block) task writes its own slices.  The spectrum is
-    evaluated only where the data are nonzero, and unless they are nonzero
-    everywhere the transform skips the x and y lines the support's
-    projections miss (:func:`~wavecwt.fields._pruned_ifft`, byte-identical
-    to the whole transform).  Coefficients carry no time dependence.
+    evaluated only where the data are nonzero, and the transform skips the
+    x and y lines the support's projections miss
+    (:func:`~wavecwt.fields._pruned_ifft`, byte-identical to the whole
+    transform; on a full support its passes are the whole transform's).  Coefficients carry no time dependence.
 
     ``out`` is the destination.  With None the coefficients are a new array
     and each task transforms in place in its own rows; coefficients larger
@@ -840,9 +840,10 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     :func:`~wavecwt.fileio.create_coefficients`) of the coefficients' shape
     makes each task transform in its worker's slab, zero off the support
     (on a full support, in its spectra), and store it there; then only two
-    task slabs per worker and its evaluator's workspace on the support's
-    nodes (or |k| shells) need to fit in memory, which is checked before any
-    transform, and the result is backed by ``out``.
+    task slabs per worker and its evaluator's workspace need to fit in
+    memory, which is checked before the spectrum or any transform is set
+    up, and the result is backed by ``out``.  The workspace is counted on the
+    support's nodes, which bounds a spherical wavelet's |k| shells.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError(f"bad sign {sign!r}")
@@ -860,12 +861,13 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     full = bool(support.all())
     # a full support copies whole rows; otherwise an index scatter, cheaper than a boolean one
     nodes = slice(None) if full else np.flatnonzero(support)
+    if out is not None:  # the support's node count bounds a spherical wavelet's shells
+        width = grid.node_count if full else nodes.size
+        _require_memory(_working_set(nu_grid, threads,
+                                     evaluated=_workspace_bytes(wavelet, width)),
+                        "analyze working set")
     runs = _support_runs(support)  # the lattice lines the data reach
     spectra = _sweep(wavelet, nu_grid, nodes)
-    if out is not None:
-        _require_memory(_working_set(nu_grid, threads,
-                                     evaluated=_workspace_bytes(wavelet, spectra.width)),
-                        "analyze working set")
     constant = _require_constant(wavelet, constant, tol)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v
@@ -903,10 +905,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
         prod *= v
         prod *= scale[rows, None]
         cube = slab_of(idx, rows, prod).reshape((-1,) + grid.shape)
-        if full:
-            _lattice_ifft(cube, out=cube)
-        else:  # skips the x and y lines the support's projections miss
-            _pruned_ifft(cube, runs)
+        _pruned_ifft(cube, runs)  # skips the x and y lines the support's projections miss
         # NaN survives min and max, and an infinity is one of them: two passes, no mask
         reals = cube.view(np.float64)
         if not (np.isfinite(reals.min()) and np.isfinite(reals.max())):

@@ -684,7 +684,7 @@ class TestPrunedAnalyze:
         assert sum(points) <= 2.0 * slices
         points.clear()
         wc.analyze(support_case(grid, "full"), "plus", packet, pg, constant=1.0)
-        assert sum(points) == 3 * slices  # a full support keeps the plain transform
+        assert sum(points) == 3 * slices  # a full support's passes cover the whole lattice
 
 
 class TestSliceTasks:
@@ -1323,20 +1323,15 @@ class TestOrbits:
     @pytest.mark.parametrize("symmetry", ["axial", "spherical"])
     def test_analyze_preflight_counts_the_evaluator_workspace(self, monkeypatch, tmp_path,
                                                               packet, exp_sph, symmetry):
-        # analyze into a payload: each worker's task also holds its evaluator's workspace on
-        # the support's nodes, or its |k| shells for a spherical wavelet; a machine with room
-        # for the task slabs alone is refused before any FFT
+        # analyze into a payload: each worker's task also holds its evaluator's workspace,
+        # counted on the support's nodes (a bound on a spherical wavelet's |k| shells); a
+        # machine with room for the task slabs alone is refused before the sweep is built
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         wavelet = packet if symmetry == "axial" else exp_sph
         grid = wc.Grid3.cubic(16, 16.0)
         pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 4, 4, 2)
         u = band_limited_spectrum(grid, 0.6, 1.8, 16)
-        support = u.values.ravel() != 0
-        k = [K.ravel()[support] for K in grid.k_mesh()]
-        width = support.sum()
-        if symmetry == "spherical":
-            width = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
-            assert width < support.sum()
+        width = np.count_nonzero(u.values)
         per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(wavelet))
         slabs = cwt._working_set(pg, 2)
         needed = cwt._working_set(pg, 2, evaluated=width * per_point)
@@ -1344,8 +1339,9 @@ class TestOrbits:
         sysconf = cwt.os.sysconf
         machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
         monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
-        ran, ifftn = [], np.fft.ifftn
+        ran, ifftn, sweep = [], np.fft.ifftn, cwt._sweep
         monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: ran.append(1) or ifftn(*a, **k))
+        monkeypatch.setattr(cwt, "_sweep", lambda *a, **k: ran.append(0) or sweep(*a, **k))
         with wc.create_coefficients(tmp_path / "u.wcf", wavelet, pg, 1.0) as payload:
             with pytest.raises(wc.ValidationError, match="physical memory"):
                 wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.0, threads=2, out=payload)
