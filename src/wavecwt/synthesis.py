@@ -91,11 +91,12 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     grid = g.field_grid
     orbits, maps = _orbits(g)
     gathers, width, indices = _orbit_gathers(grid, maps)
-    spectra = _sweep(wavelet, g, slice(None), direct=width)
-    # per dilation, the sweep evaluator's workspace and the direct one's of width points
+    # per dilation, the direct evaluator's workspace of width points and the sweep's,
+    # counted on every node (a bound on a spherical wavelet's |k| shells)
     _require_memory(_working_set(g, threads, orbits, _workspace_bytes(wavelet, width),
-                                 _workspace_bytes(wavelet, spectra.width)) + indices,
+                                 _workspace_bytes(wavelet, grid.node_count)) + indices,
                     "synthesis working set")
+    spectra = _sweep(wavelet, g, slice(None), direct=width)
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's gathered values
     scale = g.a_nodes**1.5

@@ -1292,7 +1292,7 @@ class TestOrbits:
     def test_synthesis_preflight_counts_the_direct_nodes(self, monkeypatch, packet):
         # an orbit's task also holds the direct evaluator's workspace for the Nyquist nodes
         # and the sweep evaluator's on every node, and the call the gathers' index arrays: a
-        # machine with room for the task slabs alone is refused before any task runs
+        # machine with room for the task slabs alone is refused before the sweep is built
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         grid = wc.Grid3.cubic(16, 16.0)
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 12, 6)
@@ -1311,8 +1311,9 @@ class TestOrbits:
         sysconf = cwt.os.sysconf
         machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
         monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
-        ran, fft = [], synthesis._lattice_fft
+        ran, fft, sweep = [], synthesis._lattice_fft, synthesis._sweep
         monkeypatch.setattr(synthesis, "_lattice_fft", lambda *a, **k: ran.append(1) or fft(*a, **k))
+        monkeypatch.setattr(synthesis, "_sweep", lambda *a, **k: ran.append(0) or sweep(*a, **k))
         with pytest.raises(wc.ValidationError, match="physical memory"):
             wc.reconstruct_spectrum(coeffs, packet, threads=2)
         assert not ran
