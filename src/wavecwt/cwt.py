@@ -599,7 +599,8 @@ def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits=None,
     hold beyond their inputs and the coefficients: a rotation's task (no
     ``orbits``, or a lone rotation) holds its spectra on the lattice, the
     slab it transforms and ``evaluated`` bytes per dilation, its sweep
-    evaluator's workspace (:func:`_workspace_bytes` at ``spectra.width``).
+    evaluator's workspace (:func:`_workspace_bytes` at a bound on
+    ``spectra.width``, so that the check can run before the sweep is built).
     A buffer form leaves the spectra in that workspace, so they may be
     counted twice: the count is an upper bound.  An orbit's task
     (see :func:`_slice_tasks`) also holds one member's gathered values and
