@@ -36,10 +36,11 @@ Every slice route (:func:`analyze`, synthesis, :func:`resolution_kernel`)
 runs (rotation, dilation block) tasks, rotation-major, each block holding as
 many dilations as fit a 2 MiB working set of the points evaluated per
 dilation: the field's nodes where coefficients are stored (one slice at
-64^3, four at 32^3), else the kernel's support nodes or |k| shells.
-:func:`~wavecwt.synthesis.reconstruct_spectrum` runs (orbit, dilation
-block) tasks instead (see below), whose blocks hold half as many dilations
-when the orbit has two or more rotations.  Tasks never depend on the
+64^3, four at 32^3), else the kernel's support nodes or |k| shells.  A
+task that evaluates no point per dilation (the axial kernel's, below)
+covers every dilation.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
+runs (orbit, dilation block) tasks instead (see below), whose blocks hold
+half as many dilations on an "axial" grid.  Tasks never depend on the
 thread count, so a spherical grid's single rotation still keeps every
 worker busy and results do not depend on ``threads``.
 Each task reduces over its own dilations (``np.einsum`` in the kernel, real
@@ -79,22 +80,21 @@ direct sweep.
 :func:`~wavecwt.synthesis.reconstruct_spectrum` uses the same contract on
 the lattice itself (:mod:`wavecwt.orbits`).  A signed permutation ``A`` of
 the lattice axes (axes of equal count and spacing may swap, any axis may
-be negated) maps the wave vectors onto themselves, and when
-``R_q e = A^T R_r e`` with equal weights the orbit identity
+be negated) maps the lattice's wave vectors into the negation-closed
+lattice, whose axes also hold ``+pi/h``, and when ``R_q e = A^T R_r e``
+with equal weights the orbit identity
 
     PHI(a R_q^T k) = PHI(a R_r^T A k)
 
-makes rotation ``q``'s values a gather of rotation ``r``'s: a transpose
-and per-axis reflections ``i -> -i mod n`` of the lattice slab.  The
-rotations fall into orbits under these permutations (6 orbits of 8 or 16
-from 12 x 6 angles on a cube); each task evaluates its orbit's
-representative and gathers every other member.  Only the nodes on the
-Nyquist plane of a negated axis are evaluated directly (the Nyquist rule):
-there ``-k`` is no lattice wave vector, since every count is even.
-Gathered values agree with evaluated ones to round-off (1.2e-14 of max
-|PHI| for the packet), so results differ from a per-rotation sweep at that
-level; spherical and "none" wavelets, and grids where no rotation has a
-match, run the per-rotation tasks unchanged.  :func:`analyze` evaluates
+makes rotation ``q``'s values a gather of rotation ``r``'s on the closed
+lattice: a transpose and per-axis slice copies.  The rotations fall into
+orbits under these permutations (6 orbits of 8 or 16 from 12 x 6 angles on
+a cube); each task evaluates its orbit's representative on the closed
+lattice ((n + 1)^3 nodes on an n^3 cube) and gathers every member from it,
+the representative included.  Gathered values agree with evaluated ones to
+round-off (1.2e-14 of max |PHI| for the packet), so results differ from a
+per-rotation sweep at that level; spherical and "none" wavelets run the
+per-rotation tasks on the lattice unchanged.  :func:`analyze` evaluates
 every rotation: on a band support, gathering whole lattice slabs costs
 about what evaluating the support's nodes does.
 """
@@ -115,7 +115,7 @@ from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
                      _radius, _support_runs, fft3)
-from .orbits import _image
+from .orbits import _closed_shape, _image
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
@@ -464,35 +464,28 @@ def _workspace_bytes(wavelet: PhysicalWavelet, width: int) -> int:
     return width * sum(np.dtype(t).itemsize for t in _evaluator_dtypes(wavelet))
 
 
-def _evaluator(wavelet: PhysicalWavelet, k, width: Optional[int] = None):
-    """``phi(r, ar, power, at)``: ``PHI(a r^T k)`` on the points ``k`` for the dilations ``ar``.
+def _evaluator(wavelet: PhysicalWavelet, k):
+    """``phi(r, ar, power)``: ``PHI(a r^T k)`` on the points ``k`` for the dilations ``ar``.
 
     ``k`` holds the three wave-vector components of P points and ``r`` is a
     rotation matrix; the values have shape (len(ar), P).  With ``power`` they
-    are ``|PHI|^2``, squared in the spent wave-vector buffers.  With an
-    index array ``at`` they are taken on the points ``k[:, at]`` alone, at
-    most ``width`` of them.
+    are ``|PHI|^2``, squared in the spent wave-vector buffers.
 
     Each worker thread evaluates in its own :class:`_Workspace`, which lives
     as long as ``phi``: the three scaled wave-vector components and the
     buffers of the wavelet's buffer form (see
     :class:`~wavecwt.wavelets.PhysicalWavelet`; without one it allocates its
-    own values), ``width`` points per row (all P by default).  The values
+    own values), P points per row.  The values
     may be a workspace view: the caller may overwrite them, and they last
     until that worker's next call.
     """
     into = getattr(wavelet.spectral, "into", None)
-    workspace = _Workspace(k[0].size if width is None else width, _evaluator_dtypes(wavelet))
+    workspace = _Workspace(k[0].size, _evaluator_dtypes(wavelet))
 
-    def phi(r, ar, power=False, at=None):
+    def phi(r, ar, power=False):
         kx, ky, kz, *buffers = workspace.rows(len(ar))
-        points = k
-        if at is not None:  # contiguous (len(ar), at.size) heads of the row buffers
-            points = [c[at] for c in k]
-            kx, ky, kz, *buffers = (buf.reshape(-1)[:len(ar) * at.size].reshape(len(ar), at.size)
-                                    for buf in (kx, ky, kz, *buffers))
         for i, scaled in enumerate((kx, ky, kz)):
-            q = r[0, i] * points[0] + r[1, i] * points[1] + r[2, i] * points[2]  # (R^T k)_i
+            q = r[0, i] * k[0] + r[1, i] * k[1] + r[2, i] * k[2]  # (R^T k)_i
             np.multiply.outer(ar, q, out=scaled)
         if into:
             values = into(kx, ky, kz, *buffers)
@@ -508,34 +501,26 @@ def _evaluator(wavelet: PhysicalWavelet, k, width: Optional[int] = None):
     return phi
 
 
-def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: bool = False,
-           direct: int = 0):
-    """``spectra(idx, rows)``: ``PHI(a R^T k)`` on the flagged lattice nodes.
+def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k, power: bool = False):
+    """``spectra(idx, rows)``: ``PHI(a R^T k)`` on the wave vectors ``k``.
 
-    ``support`` flags lattice nodes as :func:`_lattice_points` takes them.
-    ``spectra(idx, rows)`` is ``PHI(a R^T k)`` for the dilations
-    ``a_nodes[rows]`` at rotation ``idx`` on the M flagged nodes, shape
-    (n_rows, M); with ``power`` it is the task's share of
+    ``k`` holds the three components of M wave vectors: the flagged lattice
+    nodes (:func:`_lattice_points`) or the closed lattice
+    (:func:`~wavecwt.orbits._closed_points`).  ``spectra(idx, rows)`` is
+    ``PHI(a R^T k)`` for the dilations ``a_nodes[rows]`` at rotation ``idx``
+    on the M points, shape (n_rows, M); with ``power`` it is the task's share of
     :func:`resolution_kernel`, a new (M,) array
     ``w_R sum_{a in rows} w_a a^3 |PHI(a R^T k)|^2``.  A "spherical"
     wavelet's spectrum depends on |k| alone, so it is evaluated and reduced
     once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))``, then gathered
-    onto the nodes.  ``spectra.width`` counts the points evaluated per
+    onto the points.  ``spectra.width`` counts the points evaluated per
     dilation: M, or the shells.
 
     The wavelet is evaluated by :func:`_evaluator`, in per-worker
     workspaces, as are the gathered shell values: ``PHI`` may be a workspace
     view, which the caller may overwrite and which lasts until that
     worker's next call.
-
-    With ``direct`` (never for a "spherical" wavelet) ``spectra.at(idx,
-    rows, points)`` is ``PHI(a R^T k)`` on up to ``direct`` of the M nodes,
-    given by their indices among them: the nodes an orbit's gather cannot
-    reach (:func:`~wavecwt.orbits._orbit_gathers`).  One evaluator, with
-    workspaces of its own (``direct`` points per dilation, see
-    :func:`_working_set`), serves every rotation of the call.
     """
-    k = _lattice_points(nu_grid.field_grid, support)
     back = None
     if wavelet.symmetry == "spherical":
         shells, back = _shells(k)
@@ -555,9 +540,6 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support, power: boo
         (nodes,) = on_nodes.rows(len(values))
         return np.take(values, back, axis=1, out=nodes, mode="clip")
 
-    if direct:
-        phi_at = _evaluator(wavelet, k, direct)
-        spectra.at = lambda idx, rows, points: phi_at(nu_grid.rotations[idx], a[rows], at=points)
     spectra.width = k[0].size
     return spectra
 
@@ -569,21 +551,22 @@ def _slice_tasks(nu_grid: ParameterGrid, width: int, orbits=None):
     """``(idx, rows)`` for every (rotation, dilation block), rotation-major.
 
     A block holds ``max(1, 2 MiB // (16 width))`` dilations of ``width``
-    points each, so its complex slab fits one core's cache; the list depends
-    on the grid and ``width`` alone, never on the thread count.  With
-    ``orbits`` (see :func:`~wavecwt.orbits._orbits`) the tasks are
-    ``(orbit, rows)`` for every (orbit, dilation block), in orbit order; an
-    orbit of two or more rotations holds three slabs at once, so its blocks
-    hold half as many dilations, and a lone rotation's blocks are as above.
+    points each, so its complex slab fits one core's cache, and a task of
+    width 0 evaluates nothing per dilation and covers them all; the list
+    depends on the grid and ``width`` alone, never on the thread count.
+    With ``orbits`` (see :func:`~wavecwt.orbits._orbits`) the tasks are
+    ``(orbit, rows)`` for every (orbit, dilation block), in orbit order; on
+    an "axial" grid a task holds three slabs at once (see
+    :func:`_working_set`), so its blocks hold half as many dilations.
     """
-    step = max(1, _TASK_BYTES // (16 * max(width, 1)))
+    step = max(1, _TASK_BYTES // (16 * width)) if width else nu_grid.n_a
     if orbits is None:
         return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
                 for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
-    half = max(1, _TASK_BYTES // (32 * max(width, 1)))
-    return [(orbit, slice(lo, min(lo + size, nu_grid.n_a)))
-            for orbit in orbits for size in [step if len(orbit) == 1 else half]
-            for lo in range(0, nu_grid.n_a, size)]
+    if nu_grid.symmetry == "axial":
+        step = max(1, step // 2)
+    return [(orbit, slice(lo, min(lo + step, nu_grid.n_a)))
+            for orbit in orbits for lo in range(0, nu_grid.n_a, step)]
 
 
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
@@ -592,28 +575,30 @@ def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
 
 
 def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits=None,
-                 direct: int = 0, evaluated: int = 0) -> int:
+                 evaluated: int = 0) -> int:
     """Bytes the largest task of a materialized route holds, times the workers.
 
     What :func:`analyze` and :func:`~wavecwt.synthesis.reconstruct_spectrum`
-    hold beyond their inputs and the coefficients: a rotation's task (no
-    ``orbits``, or a lone rotation) holds its spectra on the lattice, the
-    slab it transforms and ``evaluated`` bytes per dilation, its sweep
-    evaluator's workspace (:func:`_workspace_bytes` at a bound on
-    ``spectra.width``, so that the check can run before the sweep is built).
-    A buffer form leaves the spectra in that workspace, so they may be
-    counted twice: the count is an upper bound.  An orbit's task
-    (see :func:`_slice_tasks`) also holds one member's gathered values and
-    ``direct`` bytes per dilation for the nodes evaluated directly, the
-    direct evaluator's workspace.
+    hold beyond their inputs and the coefficients, per dilation: a
+    rotation's task holds its spectra on the lattice, the slab it
+    transforms and ``evaluated`` bytes, its sweep evaluator's workspace
+    (:func:`_workspace_bytes` at a bound on ``spectra.width``, so that the
+    check can run before the sweep is built).  With ``orbits`` on an
+    "axial" grid (see :func:`_slice_tasks`) the spectra are the
+    representative's on the closed lattice
+    (:func:`~wavecwt.orbits._closed_shape`) and the task also holds one
+    member's gathered values.  A buffer form leaves the spectra in the
+    evaluator's workspace, so they may be counted twice: the count is an
+    upper bound.
     """
-    n = nu_grid.field_grid.node_count
-    tasks = _slice_tasks(nu_grid, n, orbits)
-    one, shared = 2 * 16 * n + evaluated, 3 * 16 * n + direct + evaluated  # bytes per dilation
-    per_task = max((rows.stop - rows.start) * (shared if orbits and len(task) > 1 else one)
-                   for task, rows in tasks)
+    grid = nu_grid.field_grid
+    tasks = _slice_tasks(nu_grid, grid.node_count, orbits)
+    spectra, slabs = grid.node_count, 1
+    if orbits is not None and nu_grid.symmetry == "axial":
+        spectra, slabs = int(np.prod(_closed_shape(grid))), 2
+    block = max(rows.stop - rows.start for _, rows in tasks)
     workers = _pool_size(threads or default_thread_count(), len(tasks), os.cpu_count())
-    return workers * per_task
+    return workers * block * (16 * (spectra + slabs * grid.node_count) + evaluated)
 
 
 def _map_ordered(fn, items: Sequence, threads: Optional[int]):
@@ -647,12 +632,12 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     With ``e`` the wavelet's axis and ``p = _tilt_axis(e)``, the axial
     contract gives ``PHI(a R^T k) = PHI(a r (x e + sqrt(1 - x^2) p))`` with
     ``r = |k|`` and ``x = (R e).k / r``.  On every distinct float |k|^2 in
-    ``shells``, ``G(x, r) = sum_{a in rows} w_a a^3 |PHI(...)|^2`` is
+    ``shells``, ``G(x, r) = sum_a w_a a^3 |PHI(...)|^2`` over every
+    dilation (the one block of :func:`_slice_tasks` at width 0) is
     tabulated at the J first-kind Chebyshev nodes, one dilation per
     evaluation (``S J n_a`` evaluations for S shells), and turned into the
     coefficients ``c_n`` of its Chebyshev series, so that
-    ``G(x, r) = sum_n c_n T_n(x)``.  Returns ``{rows.start: (J, S) array}``
-    for the dilation blocks of :func:`_slice_tasks` at width 0: row ``n``
+    ``G(x, r) = sum_n c_n T_n(x)``.  Returns a (J, S) array: row ``n``
     holds ``c_n`` of every shell.  The table depends on the dilations and
     the shells alone, never on the rotations.
 
@@ -670,16 +655,13 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     dct = np.cos(np.multiply.outer(np.arange(_CHEB_NODES), theta)) * (2.0 / _CHEB_NODES)
     dct[0] *= 0.5
     identity = np.eye(3)
-    series = {}
-    for rows in {rows.start: rows for _, rows in _slice_tasks(nu_grid, 0)}.values():
-        table = np.zeros(along.size)
-        for i in range(rows.start, rows.stop):  # one dilation at a time: S J points
-            table += weights[i] * phi(identity, a[i:i + 1], power=True)[0]
-        coeffs = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, _CHEB_NODES))
-        if (np.abs(coeffs[-4:]).max(axis=0) > _CHEB_TAIL * np.abs(coeffs).max(axis=0)).any():
-            return None
-        series[rows.start] = coeffs
-    return series
+    table = np.zeros(along.size)
+    for i in range(nu_grid.n_a):  # one dilation at a time: S J points
+        table += weights[i] * phi(identity, a[i:i + 1], power=True)[0]
+    coeffs = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, _CHEB_NODES))
+    if (np.abs(coeffs[-4:]).max(axis=0) > _CHEB_TAIL * np.abs(coeffs).max(axis=0)).any():
+        return None
+    return coeffs
 
 
 def _antipodal_partners(nu_grid: ParameterGrid) -> np.ndarray:
@@ -722,7 +704,7 @@ def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
     """An "axial" kernel's ``spectra(idx, rows)`` from :func:`_axial_table`, or None.
 
     ``spectra(idx, rows)`` is the task's share of :func:`resolution_kernel`,
-    as :func:`_sweep` gives it with ``power``: the block's series ``G`` at
+    as :func:`_sweep` gives it with ``power``: the series ``G`` at
     each node's ``x = (R e).k / |k|``, times ``w_R``, from :func:`_clenshaw`
     in 47 steps.  When every rotation has an antipodal partner
     (:func:`_antipodal_partners`, every grid with an even ``n_theta1``),
@@ -734,7 +716,8 @@ def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
     so only the even coefficients are gathered onto the nodes, the first
     rotation of each pair sums them at ``2 x^2 - 1`` in 23 steps and its
     partner's share is 0.  The tasks evaluate no spectrum, so
-    ``spectra.width`` is 0.
+    ``spectra.width`` is 0 and each rotation's one task covers every
+    dilation.
 
     None when :func:`_axial_table` is.
     """
@@ -746,7 +729,7 @@ def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
     partner = _antipodal_partners(nu_grid)
     paired = bool((partner >= 0).all())  # otherwise (odd n_theta1) no rotation pairs
     # each node's coefficients, row-major
-    series = {start: coeffs[::2 if paired else 1, back] for start, coeffs in table.items()}
+    series = table[::2 if paired else 1, back]
     weights = nu_grid.rotation_weights
     if paired:
         weights = weights + weights[partner]  # w_R + w_R'
@@ -763,7 +746,7 @@ def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
             np.multiply(x, x, out=x)
             x *= 2.0
             x -= 1.0
-        return weights[idx] * _clenshaw(series[rows.start], x, work)
+        return weights[idx] * _clenshaw(series, x, work)
 
     spectra.width = 0
     return spectra
@@ -798,7 +781,8 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     """
     spectra = _axial_series(wavelet, nu_grid, support) if wavelet.symmetry == "axial" else None
     if spectra is None:
-        spectra = _sweep(wavelet, nu_grid, support, power=True)
+        spectra = _sweep(wavelet, nu_grid, _lattice_points(nu_grid.field_grid, support),
+                         power=True)
     else:
         # a task is 70-150 numpy calls on M points: a second worker only adds GIL hand-offs
         threads = 1
@@ -868,7 +852,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
                                      evaluated=_workspace_bytes(wavelet, width)),
                         "analyze working set")
     runs = _support_runs(support)  # the lattice lines the data reach
-    spectra = _sweep(wavelet, nu_grid, nodes)
+    spectra = _sweep(wavelet, nu_grid, _lattice_points(grid, nodes))
     constant = _require_constant(wavelet, constant, tol)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v

@@ -2,23 +2,23 @@
 
 An "axial" wavelet's ``PHI(a R^T k)`` depends on ``(R e).k`` and |k| alone
 (see :class:`~wavecwt.wavelets.PhysicalWavelet`).  A signed permutation
-``A`` of the lattice axes maps lattice wave vectors to lattice wave
-vectors: two axes of equal count and spacing carry one wave-number array,
-and ``fftfreq`` negates onto itself but for its Nyquist node.  When two
-rotations of a parameter grid have ``R_q e = A^T R_r e`` and equal weights,
+``A`` of the lattice axes maps lattice wave vectors to wave vectors of the
+negation-closed lattice (:func:`_closed_points`): each axis's wave numbers
+with ``+pi/h``, the negated Nyquist value, inserted, so that two axes of
+equal count and spacing carry one array and ``i -> -i mod (n + 1)`` negates
+every one of them bit for bit.  When two rotations of a parameter grid
+have ``R_q e = A^T R_r e`` and equal weights,
 
     PHI(a R_q^T k) = PHI(a R_r^T A k),
 
-so rotation ``q``'s values on the lattice are rotation ``r``'s, transposed
-and reflected (``i -> -i mod n``): a gather of strided slice copies, exact
-but for the Nyquist plane of a negated axis, where ``-k`` is no lattice
-wave vector (every count is even).  :func:`_orbits` groups a grid's
-rotations into orbits under these permutations; :func:`_orbit_gathers`
-gives each rotation its gather and the nodes it must evaluate directly.
-:func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
-representative per orbit and gathers the rest; the resolution kernel pairs
-antipodal rotations (the image under ``-I``) in its own way.  No function
-here calls BLAS.
+so rotation ``q``'s values on the lattice are rotation ``r``'s on the
+closed lattice, transposed and reflected: a gather of strided slice
+copies, exact on every node.  :func:`_orbits` groups a grid's rotations
+into orbits under these permutations; :func:`_orbit_gathers` gives each
+rotation its gather.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
+evaluates one representative per orbit on the closed lattice and gathers
+every member from it; the resolution kernel pairs antipodal rotations (the
+image under ``-I``) in its own way.  No function here calls BLAS.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def _lattice_symmetries(grid: Grid3):
     Each is a 3 x 3 matrix ``A`` with ``(A k)_i = s_i k_p(i)``.  Two axes
     may be swapped only when they have equal counts and equal spacings, so
     that their wave numbers are one array; any axis may be negated, which
-    maps its wave numbers onto themselves but for the Nyquist node (every
-    count is even).  A cube allows 48, any other grid the 8 sign flips.
-    The identity comes first.
+    maps its wave numbers onto the closed lattice's (:func:`_closed_points`).
+    A cube allows 48, any other grid the 8 sign flips.  The identity comes
+    first.
     """
     axes = [(grid.n_x, grid.h_x), (grid.n_y, grid.h_y), (grid.n_z, grid.h_z)]
     group = []
@@ -95,8 +95,7 @@ def _orbits(nu_grid):
     :func:`_image`), the one with the fewest negated axes; a
     representative's is the identity.  Then
     ``PHI(s R_q^T k) = PHI(s R_r^T A k)`` for an "axial" wavelet, and
-    ``A k`` is a lattice node unless ``k`` lies on the Nyquist plane of a
-    negated axis.  An orbit holds the images of its representative under
+    ``A k`` is a node of the closed lattice.  An orbit holds the images of its representative under
     every element of the group.  Only an "axial" grid has orbits: every
     other grid's rotations are each their own.
     """
@@ -118,26 +117,52 @@ def _orbits(nu_grid):
     return [tuple(orbit) for orbit in orbits.values()], [group[i] for i in element]
 
 
-def _gatherer(a: np.ndarray):
-    """``gather(src, out)``: ``out[:, k] = src[:, A k]`` on ``(rows,) + grid.shape`` slabs.
+def _closed_shape(grid: Grid3):
+    """``(n_z + 1, n_y + 1, n_x + 1)``: the storage shape of the closed lattice."""
+    return tuple(n + 1 for n in grid.shape)
 
-    The gather is a transpose of the source's axes and, on each negated
-    axis, the reflection ``i -> -i mod n``: at most eight strided slice
-    copies, no index array.  (A product inside the copy would run numpy's
-    strided loops; a contiguous product afterwards is cheaper.)  On the
-    Nyquist plane of a negated axis ``-k`` is not a lattice node, and what
-    lands there is ``src`` at ``k``'s own index.  ``gather.flipped`` lists
-    the negated storage axes.
+
+def _closed_points(grid: Grid3):
+    """The wave vectors of the negation-closed lattice: three flat arrays, z slowest.
+
+    Each axis holds ``grid.k_axes()``'s n wave numbers with ``+pi/h``, the
+    negation of the Nyquist entry, inserted at index n/2: n + 1 numbers
+    ordered ``0..n/2, -n/2..-1``, which ``i -> -i mod (n + 1)`` negates bit
+    for bit.  Dropping index n/2 on every axis leaves ``grid.k_mesh()``.
+    """
+    closed = []
+    for k in grid.k_axes():
+        half = k.size // 2
+        closed.append(np.concatenate([k[:half], -k[half:half + 1], k[half:]]))
+    KZ, KY, KX = np.meshgrid(closed[2], closed[1], closed[0], indexing="ij")
+    return [KX.ravel(), KY.ravel(), KZ.ravel()]
+
+
+def _gatherer(a: np.ndarray, shape):
+    """``gather(src, out)``: ``out[:, k] = src[:, A k]``, closed lattice to lattice.
+
+    ``src`` is a ``(rows,) + _closed_shape`` slab on the closed lattice
+    (:func:`_closed_points`), ``out`` a ``(rows,) + shape`` slab on the
+    lattice of ``shape``.  The gather is a transpose of the source's axes
+    and, per storage axis, strided slice copies: two on a kept axis, around
+    the inserted index n/2, and three on a negated one, the reflection
+    ``i -> -i mod (n + 1)``.  At most 27 copies, no index array.  (A
+    product inside the copy would run numpy's strided loops; a contiguous
+    product afterwards is cheaper.)
     """
     # storage axis d of a (rows, nz, ny, nx) slab holds component c = 3 - d; out's
     # component c reads src's component m = p^-1(c), reflected when s_m < 0
     source = [int(np.flatnonzero(a[:, c])[0]) for c in (2, 1, 0)]
     axes = (0,) + tuple(3 - m for m in source)
-    flipped = [d + 1 for d, (m, c) in enumerate(zip(source, (2, 1, 0))) if a[m, c] < 0]
-    keep = ((slice(None), slice(None)),)
-    reflect = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    pieces = [tuple((slice(None),) + side for side in zip(*piece))  # (out's, src's) slices
-              for piece in product(*(reflect if d in flipped else keep for d in (1, 2, 3)))]
+    runs = []  # per storage axis, (out's, src's) index runs
+    for n, m, c in zip(shape, source, (2, 1, 0)):
+        h = n // 2
+        if a[m, c] > 0:
+            runs.append(((slice(0, h), slice(0, h)), (slice(h, n), slice(h + 1, n + 1))))
+        else:
+            runs.append(((slice(0, 1), slice(0, 1)), (slice(1, h), slice(n, h + 1, -1)),
+                         (slice(h, n), slice(h, 0, -1))))
+    pieces = [tuple((slice(None),) + side for side in zip(*piece)) for piece in product(*runs)]
 
     def gather(src, out):
         view = src.transpose(axes)
@@ -145,31 +170,17 @@ def _gatherer(a: np.ndarray):
             out[dst] = view[at]
         return out
 
-    gather.flipped = flipped
     return gather
 
 
 def _orbit_gathers(grid: Grid3, maps):
-    """``(gathers, width, nbytes)``: how each rotation's values follow from its representative's.
+    """Each rotation's gather from its representative's values on the closed lattice.
 
-    ``gathers[q]`` is ``(gather, nodes)`` for ``maps[q]`` (see
-    :func:`_orbits` and :func:`_gatherer`): ``nodes`` are the flat lattice
-    indices the gather cannot reach, the Nyquist planes of the negated
-    axes, which are evaluated directly.  ``width`` is the largest count of
-    them and ``nbytes`` what the index arrays hold.  Rotations sharing a
-    map share its entry.
+    Entry ``q`` is :func:`_gatherer` of ``maps[q]`` (see :func:`_orbits`)
+    onto ``grid``; rotations sharing a map share its gather.
     """
-    by_map, gathers = {}, []
+    gathers = {}
     for a in maps:
-        key = a.tobytes()
-        if key not in by_map:
-            gather = _gatherer(a)
-            direct = np.zeros(grid.shape, dtype=bool)
-            for d in gather.flipped:  # storage axis d of a (rows,) + grid.shape slab
-                plane = [slice(None)] * 3
-                plane[d - 1] = grid.shape[d - 1] // 2
-                direct[tuple(plane)] = True
-            by_map[key] = (gather, np.flatnonzero(direct))
-        gathers.append(by_map[key])
-    return (gathers, max(nodes.size for _, nodes in gathers),
-            sum(nodes.nbytes for _, nodes in by_map.values()))
+        if a.tobytes() not in gathers:
+            gathers[a.tobytes()] = _gatherer(a, grid.shape)
+    return [gathers[a.tobytes()] for a in maps]

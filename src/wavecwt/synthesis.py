@@ -5,8 +5,9 @@ contributes ``weight * a^{3/2} PHI(a R^T k) * FFT_b[U]`` to a running t = 0
 spectrum.  ``FFT_b`` is the bare lattice FFT; the Fourier layer's origin
 phase and cell volume do not depend on (a, R), so they multiply the summed
 spectrum once.  For an "axial" wavelet ``PHI`` is evaluated once per
-rotation orbit under the lattice's signed permutations and gathered for
-the orbit's other rotations (see :mod:`wavecwt.orbits`).  The family's t/a
+rotation orbit under the lattice's signed permutations, on the
+negation-closed lattice, and gathered for each of the orbit's rotations
+(see :mod:`wavecwt.orbits`).  The family's t/a
 dilation combines with the rescaled spectrum's carrier into one global
 factor exp(-/+ i|k|ct), so reconstruction at time t is
 :func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
@@ -31,6 +32,7 @@ from .cwt import (
     _map_ordered,
     _require_constant,
     _require_memory,
+    _lattice_points,
     _prechecked,
     _slice_tasks,
     _sweep,
@@ -50,7 +52,7 @@ from .fields import (
     solution_from_plus,
     split_ivp,
 )
-from .orbits import _orbit_gathers, _orbits
+from .orbits import _closed_points, _closed_shape, _orbit_gathers, _orbits
 from .wavelets import PhysicalWavelet
 
 __all__ = [
@@ -68,19 +70,20 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
 
     One bare forward FFT per slice, in (orbit, dilation block) tasks (see
     :func:`~wavecwt.orbits._orbits`); each task returns its weighted sum over
-    its dilations, rotation by rotation (the orbit's other members in
-    order, then its representative), and the partial sums are added in task
-    order, so the result does not depend on ``threads``.  An orbit's task
-    evaluates ``PHI`` for its representative alone: every other member's
-    values are the representative's gathered at ``A k``
-    (:func:`~wavecwt.orbits._gatherer`), evaluated directly only on the
-    Nyquist planes of the negated axes.  The transform's k-factor is
+    its dilations, rotation by rotation in orbit order, and the partial sums
+    are added in task order, so the result does not depend on ``threads``.
+    On an "axial" grid an orbit's task evaluates ``PHI`` for its
+    representative alone, on the negation-closed lattice
+    (:func:`~wavecwt.orbits._closed_points`), and every member's values,
+    the representative's included, are those gathered at ``A k``
+    (:func:`~wavecwt.orbits._gatherer`).  Other grids' orbits are single
+    rotations, evaluated on the lattice.  The transform's k-factor is
     applied once, to the sum.  The synthesis wavelet must carry the
     coefficients' sign tag.  Coefficients backed by a WCF payload are read
     one block at a time into the worker's slab and transformed there, with
     the same result.  What the tasks hold beyond the coefficients (see
-    :func:`~wavecwt.cwt._working_set`) and the gathers' index arrays are
-    checked against physical memory first.
+    :func:`~wavecwt.cwt._working_set`) is checked against physical memory
+    first.
     """
     if wavelet.sign != U.sign:
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
@@ -90,13 +93,17 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     g = U.nu_grid
     grid = g.field_grid
     orbits, maps = _orbits(g)
-    gathers, width, indices = _orbit_gathers(grid, maps)
-    # per dilation, the direct evaluator's workspace of width points and the sweep's,
-    # counted on every node (a bound on a spherical wavelet's |k| shells)
-    _require_memory(_working_set(g, threads, orbits, _workspace_bytes(wavelet, width),
-                                 _workspace_bytes(wavelet, grid.node_count)) + indices,
+    axial = g.symmetry == "axial"  # the condition under which _orbits groups rotations
+    closed = _closed_shape(grid)
+    # per dilation, the sweep's workspace, counted on every point it is given (a bound on a
+    # spherical wavelet's |k| shells)
+    width = int(np.prod(closed)) if axial else grid.node_count
+    _require_memory(_working_set(g, threads, orbits, _workspace_bytes(wavelet, width)),
                     "synthesis working set")
-    spectra = _sweep(wavelet, g, slice(None), direct=width)
+    # the points are the sweep's alone: a spherical sweep keeps only their |k| shells
+    spectra = _sweep(wavelet, g,
+                     _closed_points(grid) if axial else _lattice_points(grid, slice(None)))
+    gathers = _orbit_gathers(grid, maps)
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's gathered values
     scale = g.a_nodes**1.5
@@ -108,14 +115,11 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         (slab,) = slabs.rows(rows.stop - rows.start)
         cube = slab.reshape((-1,) + grid.shape)
         part = None
-        for idx in orbit[1:] + orbit[:1]:  # the other members, then the representative
+        for idx in orbit:
             values = phi
-            if idx != orbit[0]:  # PHI gathered from the representative's
-                gather, nodes = gathers[idx]
+            if axial:  # PHI gathered from the representative's on the closed lattice
                 (values,) = members.rows(len(phi))
-                gather(phi.reshape(cube.shape), values.reshape(cube.shape))
-                if nodes.size:  # where A k is no lattice node: PHI evaluated directly
-                    values[:, nodes] = spectra.at(idx, rows, nodes)
+                gathers[idx](phi.reshape((-1,) + closed), values.reshape(cube.shape))
             block = U.values[rows, idx] if held else U.values.read((rows, idx), cube)
             _lattice_fft(block, out=cube)
             values *= slab

@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import wavecwt as wc
 from wavecwt import cwt, synthesis
-from wavecwt.cwt import _map_ordered, _pool_size, _slice_tasks, _sweep
-from wavecwt.orbits import _gatherer, _lattice_symmetries, _orbit_gathers, _orbits
+from wavecwt.cwt import _lattice_points, _map_ordered, _pool_size, _slice_tasks, _sweep
+from wavecwt.orbits import (_closed_points, _closed_shape, _gatherer, _lattice_symmetries,
+                            _orbits)
 from wavecwt.fields import _forward_factor, _lattice_ifft
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
@@ -455,7 +456,7 @@ class TestShellRoute:
 
 def direct_kernel(wavelet, pg, support):
     """The kernel as the direct sweep sums it: each task's share of ``|PHI(a R^T k)|^2``, in order."""
-    spectra = _sweep(wavelet, pg, support, power=True)
+    spectra = _sweep(wavelet, pg, _lattice_points(pg.field_grid, support), power=True)
     kernel = np.zeros(support.size)
     kernel[support] = sum(spectra(*task) for task in _slice_tasks(pg, spectra.width))
     return kernel
@@ -711,6 +712,9 @@ class TestSliceTasks:
         mid = wc.make_parameter_grid(wc.Grid3.cubic(32, 32.0), packet, 0.3, 2.0, 10, 2, 2)
         assert [rows.stop - rows.start for _, rows in self.covered(mid, 32**3)] == [4, 4, 2] * 4
         assert self.covered(mid, 0) == [(idx, slice(0, 10)) for idx in range(4)]
+        # a task that evaluates nothing per dilation covers them all, however many
+        many = wc.make_parameter_grid(wc.Grid3.cubic(8, 8.0), packet, 0.3, 2.0, 200_000, 1, 1)
+        assert self.covered(many, 0) == [(0, slice(0, 200_000))]
         small = wc.make_parameter_grid(wc.Grid3.cubic(16, 16.0), packet, 0.3, 2.0, 24, 4, 3)
         assert self.covered(small, 16**3) == [(idx, slice(0, 24)) for idx in range(12)]
 
@@ -752,48 +756,37 @@ class TestSliceTasks:
         assert spectra[0].tobytes() == spectra[1].tobytes()
         # the kernel's blocks are cut from the points it evaluates per dilation
         full = np.ones(grid.node_count, dtype=bool)
-        width = _sweep(wavelet, kernel_pg, full, power=True).width
+        width = _sweep(wavelet, kernel_pg, _lattice_points(grid, full), power=True).width
         assert len(_slice_tasks(kernel_pg, width)) > kernel_pg.n_rotations
         kernels = [cwt.resolution_kernel(wavelet, kernel_pg, full, threads=n) for n in (1, 2)]
         assert kernels[0].tobytes() == kernels[1].tobytes()
 
     def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
-        # reference: each (orbit, dilation block) task sums, member by member (the other
-        # members in orbit order, then the representative), its weighted PHI * fftn(U)
-        # slices in dilation order; the partial sums are added in task order, and the
-        # transform's k-factor is applied once to the sum.
-        # The spherical case gathers shell values; the packet's 2 x 2 angles form one
-        # orbit, whose members take the representative's PHI at A k, or PHI evaluated
-        # directly where A k is no lattice wave vector
+        # reference: each (orbit, dilation block) task sums, member by member in orbit order,
+        # its weighted PHI * fftn(U) slices in dilation order; the partial sums are added in
+        # task order, and the transform's k-factor is applied once to the sum.
+        # The spherical case gathers shell values on the lattice; the packet's 2 x 2 angles
+        # form one orbit, whose representative is evaluated on the closed lattice and every
+        # member takes its values at A k
         grid = wc.Grid3.cubic(32, 32.0)
         cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
                  (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2))]
         u = band_limited_spectrum(grid, 0.7, 1.6, 83)
-        k = [K.ravel() for K in grid.k_mesh()]
-        axes = grid.k_axes()
+        k = np.array([K.ravel() for K in grid.k_mesh()])
         for wavelet, pg in cases:
             coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3)
             orbits, maps = _orbits(pg)
-            assert [len(orbit) for orbit in orbits] == ([1] if wavelet is exp_sph else [4])
-            spectra = _sweep(wavelet, pg, slice(None))
+            axial = wavelet is packet
+            assert [len(orbit) for orbit in orbits] == ([4] if axial else [1])
+            spectra = _sweep(wavelet, pg, _closed_points(grid) if axial else list(k))
+            at = [closed_index(grid, np.einsum("ij,jm->im", a, k)) for a in maps]
             scale = pg.a_nodes**1.5
             ref = 0
             for orbit, rows in _slice_tasks(pg, grid.node_count, orbits):
                 phi = spectra(orbit[0], rows).copy()
                 part = None
-                for idx in orbit[1:] + orbit[:1]:
-                    # A k by index arithmetic; nodes where it leaves the lattice are direct
-                    image = np.einsum("ij,jm->im", maps[idx], np.array(k))
-                    at = [np.rint(image[i] / axes[i][1]).astype(int) % len(axes[i])
-                          for i in range(3)]
-                    exact = np.all([axes[i][at[i]] == image[i] for i in range(3)], axis=0)
-                    values = phi[:, (at[2] * grid.n_y + at[1]) * grid.n_x + at[0]]
-                    if not exact.all():
-                        r = pg.rotations[idx]
-                        q = [r[0, i] * k[0][~exact] + r[1, i] * k[1][~exact]
-                             + r[2, i] * k[2][~exact] for i in range(3)]
-                        values[:, ~exact] = wavelet.spectral(
-                            *(np.multiply.outer(pg.a_nodes[rows], q[i]) for i in range(3)))
+                for idx in orbit:
+                    values = phi[:, at[idx]] if axial else phi
                     slab = np.fft.fftn(coeffs.values[rows, idx], axes=(-3, -2, -1))
                     share = 0
                     for a, row in zip(range(pg.n_a)[rows],
@@ -984,7 +977,7 @@ class TestWorkspace:
 
         # in task order, and with the short block first so the buffers grow afterwards
         for order in (tasks, tasks[2:] + tasks[:2]):
-            spectra = _sweep(packet, pg, support)
+            spectra = _sweep(packet, pg, k)
             got = []
             for idx, rows in order:
                 got.append(spectra(idx, rows))
@@ -993,7 +986,7 @@ class TestWorkspace:
             # one set of buffers, grown once when the short block came first
             grown = 0 if order is tasks else 1
             assert all(np.shares_memory(phi, got[grown]) for phi in got[grown:])
-            power = _sweep(packet, pg, support, power=True)
+            power = _sweep(packet, pg, k, power=True)
             for idx, rows in order:
                 want = fresh(idx, rows)
                 share = np.einsum("a,am->m", pg.rotation_weights[idx] * weights(pg)[rows],
@@ -1006,8 +999,8 @@ class TestWorkspace:
         assert [rows.stop - rows.start for _, rows in tasks] == [4, 4, 2]
         shells, shell_of = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
         for order in (tasks, tasks[2:] + tasks[:2]):
-            spectra = _sweep(exp_sph, pg, support)
-            power = _sweep(exp_sph, pg, support, power=True)
+            spectra = _sweep(exp_sph, pg, k)
+            power = _sweep(exp_sph, pg, k, power=True)
             got = []
             for _, rows in order:
                 kz = np.multiply.outer(pg.a_nodes[rows], np.sqrt(shells))
@@ -1158,6 +1151,19 @@ class TestCoefficientChecks:
             wc.WaveletCoefficients(pg, values, "plus", 1.0)
 
 
+def closed_index(grid, image):
+    """Flat indices on the closed lattice of the wave vectors ``image`` (3, M), checked exactly.
+
+    Axis ``i`` of the closed lattice holds ``m dk_i`` at index ``m mod (n_i + 1)`` for
+    ``m = -n_i/2 .. n_i/2``.
+    """
+    shape = _closed_shape(grid)
+    at = [np.rint(image[i] / grid.k_axes()[i][1]).astype(int) % shape[2 - i] for i in range(3)]
+    flat = (at[2] * shape[1] + at[1]) * shape[2] + at[0]
+    assert np.array_equal(np.stack(_closed_points(grid))[:, flat], image)
+    return flat
+
+
 def lone_rotations(pg):
     """Every rotation its own orbit: the per-rotation tasks, each evaluating its own PHI."""
     return [(idx,) for idx in range(pg.n_rotations)], [np.eye(3)] * pg.n_rotations
@@ -1173,8 +1179,8 @@ def masked_spectrum(grid, share, seed):
 class TestOrbits:
     """Rotation orbits under the lattice's signed permutations in ``reconstruct_spectrum``.
 
-    An orbit's representative is evaluated and gathered at ``A k`` for its
-    other members; only nodes the gather cannot reach are evaluated directly.
+    An orbit's representative is evaluated on the negation-closed lattice and
+    gathered at ``A k`` for every member, itself included, on every node.
     """
 
     @pytest.mark.parametrize("grid, elements", [
@@ -1182,23 +1188,29 @@ class TestOrbits:
         (wc.Grid3(8, 12, 12, 1.0, 1.3, 1.3), 16), (wc.Grid3(8, 8, 8, 1.0, 1.0, 1.1), 16),
     ])
     def test_gather_reads_the_value_at_a_k(self, grid, elements):
-        axes = grid.k_axes()
-        k = np.stack(grid.k_mesh())
-        src = np.random.default_rng(11).normal(size=(2,) + grid.shape)
+        k = np.array([K.ravel() for K in grid.k_mesh()])
+        src = np.random.default_rng(11).normal(size=(2,) + _closed_shape(grid))
         group = _lattice_symmetries(grid)
         assert len(group) == elements
         assert np.array_equal(group[0], np.eye(3))
         for a in group:
-            gather = _gatherer(a)
-            out = gather(src, np.empty_like(src))
-            image = np.einsum("ij,j...->i...", a, k)
-            at = [np.rint(image[i] / axes[i][1]).astype(int) % len(axes[i]) for i in range(3)]
-            lattice = np.all([axes[i][at[i]] == image[i] for i in range(3)], axis=0)
-            nyquist = np.zeros(grid.shape, dtype=bool)
-            for d in gather.flipped:
-                nyquist[(slice(None),) * (d - 1) + (grid.shape[d - 1] // 2,)] = True
-            assert np.array_equal(~lattice, nyquist)  # A k leaves the lattice only there
-            assert np.array_equal(out[:, lattice], src[:, at[2], at[1], at[0]][:, lattice])
+            out = _gatherer(a, grid.shape)(src, np.empty((2,) + grid.shape))
+            # A k is a closed-lattice wave vector at every node, and the gather reads it there
+            at = closed_index(grid, np.einsum("ij,jm->im", a, k))
+            assert np.array_equal(out.reshape(2, -1), src.reshape(2, -1)[:, at])
+
+    @pytest.mark.parametrize("grid", [wc.Grid3.cubic(16, 16.0), wc.Grid3(12, 10, 8, 1.0, 0.7, 1.3),
+                                      wc.Grid3(16, 12, 10, 1.0, 1.1, 0.9, (3.0, -2.0, 1.0))])
+    def test_closed_lattice_is_negation_closed_and_holds_the_lattice(self, grid):
+        shape = _closed_shape(grid)
+        assert shape == tuple(n + 1 for n in grid.shape)
+        closed = [c.reshape(shape) for c in _closed_points(grid)]
+        negate = np.ix_(*((-np.arange(n)) % n for n in shape))  # i -> -i mod (n + 1)
+        keep = np.ix_(*(np.delete(np.arange(n + 1), n // 2) for n in grid.shape))
+        for c, K in zip(closed, grid.k_mesh()):
+            # equal values are equal bits but for the sign of zero, which is the origin's
+            assert np.array_equal(c[negate], -c)
+            assert c[keep].tobytes() == K.tobytes()
 
     @pytest.mark.parametrize("grid, angles, sizes", [
         (wc.Grid3.cubic(32, 32.0), (12, 6), {8: 3, 16: 3}),
@@ -1269,7 +1281,7 @@ class TestOrbits:
 
         counted = dataclasses.replace(packet, spectral=spectral)
         pg = wc.make_parameter_grid(grid, counted, 0.3, 2.0, 6, 4, 2)
-        orbits, maps = _orbits(pg)
+        orbits, _ = _orbits(pg)
         assert len(orbits) < pg.n_rotations
         u = masked_spectrum(grid, 0.4, 15)
         support = u.values.ravel() != 0
@@ -1282,32 +1294,29 @@ class TestOrbits:
             spectrum = wc.reconstruct_spectrum(coeffs, counted, threads=threads)
             results.append((coeffs.values.tobytes(), spectrum.values.tobytes()))
             # analyze evaluates every rotation on the support; synthesis the representatives
-            # on every node, plus what the gathers cannot reach
+            # on every node of the closed lattice, and nothing else
             assert analyzed == pg.n_a * pg.n_rotations * np.count_nonzero(support)
-            gathers, _, _ = _orbit_gathers(grid, maps)
-            direct = sum(gathers[idx][1].size for orbit in orbits for idx in orbit[1:])
-            assert sum(points) == pg.n_a * (len(orbits) * grid.node_count + direct)
+            assert sum(points) == pg.n_a * len(orbits) * int(np.prod(_closed_shape(grid)))
         assert results[0] == results[1] == results[2]
 
-    def test_synthesis_preflight_counts_the_direct_nodes(self, monkeypatch, packet):
-        # an orbit's task also holds the direct evaluator's workspace for the Nyquist nodes
-        # and the sweep evaluator's on every node, and the call the gathers' index arrays: a
-        # machine with room for the task slabs alone is refused before the sweep is built
+    def test_synthesis_preflight_counts_the_closed_lattice(self, monkeypatch, packet):
+        # per dilation, an orbit's task holds the representative's values on the closed
+        # lattice, a member's gathered values, the FFT slab and the sweep evaluator's
+        # workspace on the closed lattice: a machine one byte short is refused before the
+        # sweep is built and before any transform
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         grid = wc.Grid3.cubic(16, 16.0)
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 12, 6)
         coeffs = wc.analyze(band_limited_spectrum(grid, 0.6, 1.8, 16), "plus", packet, pg,
                             constant=1.0)
-        orbits, maps = _orbits(pg)
-        gathers, width, indices = _orbit_gathers(grid, maps)
-        assert width > 0 and indices == sum({id(n): n.nbytes for _, n in gathers}.values())
+        orbits, _ = _orbits(pg)
+        closed = int(np.prod(_closed_shape(grid)))
         per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(packet))
         assert per_point == 58  # three wave-vector components and the packet's five buffers
-        slabs = cwt._working_set(pg, 2, orbits)
-        direct = cwt._working_set(pg, 2, orbits, width * per_point)
-        needed = cwt._working_set(pg, 2, orbits, width * per_point,
-                                  grid.node_count * per_point) + indices
-        assert needed > direct + indices > slabs + indices
+        block = max(rows.stop - rows.start
+                    for _, rows in _slice_tasks(pg, grid.node_count, orbits))
+        needed = cwt._working_set(pg, 2, orbits, closed * per_point)
+        assert needed == 2 * block * (16 * closed + 2 * 16 * grid.node_count + per_point * closed)
         sysconf = cwt.os.sysconf
         machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
         monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))

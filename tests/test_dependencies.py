@@ -105,8 +105,9 @@ SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axia
                ("cwt.py", "_axial_series"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("cwt.py", "_slice_tasks"), ("cwt.py", "_working_set"),
                ("orbits.py", "_lattice_symmetries"), ("orbits.py", "_image"),
-               ("orbits.py", "_orbits"), ("orbits.py", "_gatherer"),
-               ("orbits.py", "_orbit_gathers"), ("synthesis.py", "reconstruct_spectrum")]
+               ("orbits.py", "_orbits"), ("orbits.py", "_closed_points"),
+               ("orbits.py", "_gatherer"), ("orbits.py", "_orbit_gathers"),
+               ("synthesis.py", "reconstruct_spectrum")]
 # modules whose reductions serve the references and the CLI's checks: BLAS would wake its
 # thread pool, which then spins idle beside the caller
 BLAS_FREE_MODULES = ["fields.py", "oracle.py"]
