@@ -37,8 +37,8 @@ runs (rotation, dilation block) tasks, rotation-major, each block holding as
 many dilations as fit a 2 MiB working set of the points evaluated per
 dilation: the field's nodes where coefficients are stored (one slice at
 64^3, four at 32^3), else the kernel's support nodes or |k| shells.  A
-task that evaluates no point per dilation (the axial kernel's, below)
-covers every dilation.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
+task that evaluates no point per dilation (an empty support's) covers
+every dilation.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
 runs (orbit, dilation block) tasks instead (see below), whose blocks hold
 half as many dilations on an "axial" grid.  Tasks never depend on the
 thread count, so a spherical grid's single rotation still keeps every
@@ -67,15 +67,18 @@ about its axis ``e``, so ``PHI(a R^T k)`` depends on |k| and the direction
 cosine ``x = (R e).k / |k|`` alone.  :func:`resolution_kernel` then tabulates
 ``G(x, |k|) = sum_a w_a a^3 |PHI|^2`` at 48 Chebyshev nodes in ``x`` per
 distinct |k|^2 of the support (87 x 48 x 24 = 100,224 evaluations instead of
-24 x 128 x 3116 = 9,572,352 at the isometry settings) and each rotation's
-task sums the shells' Chebyshev series at its nodes' ``x`` with Clenshaw,
-47 steps.  Rotations come in antipodal pairs when ``n_theta1`` is even:
-``R' e = -R e`` with equal weights, so ``x_R' = -x_R`` and the odd terms
-cancel, ``w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1)``.
-A pair's first task sums that even half in 23 steps and its partner's
-task adds nothing.  The route is taken only when every shell's last four
-coefficients are below 1e-14 of its largest; otherwise the kernel runs the
-direct sweep.
+24 x 128 x 3116 = 9,572,352 at the isometry settings) and sums the shells'
+Chebyshev series at each node's ``x`` with Clenshaw, 47 steps, one
+recurrence over every rotation per chunk of nodes.  Rotations come in
+antipodal pairs when ``n_theta1`` is even: ``R' e = -R e`` with equal
+weights, so ``x_R' = -x_R`` and the odd terms cancel,
+``w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1)``.  Only
+each pair's first rotation is then summed, over that even half in 23
+steps, and since the lattice's wave vectors negate bit for bit,
+``K(-k) == K(k)`` bit for bit: one node of each ``+/-k`` couple is summed
+and its value copied to the other.  The route is taken only when every
+shell's last four coefficients are below 1e-14 of its largest; otherwise
+the kernel runs the direct sweep.
 
 :func:`~wavecwt.synthesis.reconstruct_spectrum` uses the same contract on
 the lattice itself (:mod:`wavecwt.orbits`).  A signed permutation ``A`` of
@@ -115,7 +118,7 @@ from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
                      _radius, _support_runs, fft3)
-from .orbits import _closed_shape, _image
+from .orbits import _closed_shape, _image, _twins
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
@@ -552,7 +555,8 @@ def _slice_tasks(nu_grid: ParameterGrid, width: int, orbits=None):
 
     A block holds ``max(1, 2 MiB // (16 width))`` dilations of ``width``
     points each, so its complex slab fits one core's cache, and a task of
-    width 0 evaluates nothing per dilation and covers them all; the list
+    width 0 (an empty support's) evaluates nothing per dilation and covers
+    them all; the list
     depends on the grid and ``width`` alone, never on the thread count.
     With ``orbits`` (see :func:`~wavecwt.orbits._orbits`) the tasks are
     ``(orbit, rows)`` for every (orbit, dilation block), in orbit order; on
@@ -633,9 +637,9 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     contract gives ``PHI(a R^T k) = PHI(a r (x e + sqrt(1 - x^2) p))`` with
     ``r = |k|`` and ``x = (R e).k / r``.  On every distinct float |k|^2 in
     ``shells``, ``G(x, r) = sum_a w_a a^3 |PHI(...)|^2`` over every
-    dilation (the one block of :func:`_slice_tasks` at width 0) is
-    tabulated at the J first-kind Chebyshev nodes, one dilation per
-    evaluation (``S J n_a`` evaluations for S shells), and turned into the
+    dilation is tabulated at the J first-kind Chebyshev nodes (``S J n_a``
+    evaluations for S shells, in blocks of as many dilations as fit half a
+    task's working set, added to the table row by row) and turned into the
     coefficients ``c_n`` of its Chebyshev series, so that
     ``G(x, r) = sum_n c_n T_n(x)``.  Returns a (J, S) array: row ``n``
     holds ``c_n`` of every shell.  The table depends on the dilations and
@@ -656,8 +660,11 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     dct[0] *= 0.5
     identity = np.eye(3)
     table = np.zeros(along.size)
-    for i in range(nu_grid.n_a):  # one dilation at a time: S J points
-        table += weights[i] * phi(identity, a[i:i + 1], power=True)[0]
+    block = max(1, (_TASK_BYTES // 2) // max(1, _workspace_bytes(wavelet, along.size)))
+    for lo in range(0, nu_grid.n_a, block):
+        rows = slice(lo, lo + block)
+        for w, row in zip(weights[rows], phi(identity, a[rows], power=True)):
+            table += w * row
     coeffs = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, _CHEB_NODES))
     if (np.abs(coeffs[-4:]).max(axis=0) > _CHEB_TAIL * np.abs(coeffs).max(axis=0)).any():
         return None
@@ -680,10 +687,10 @@ def _antipodal_partners(nu_grid: ParameterGrid) -> np.ndarray:
 def _clenshaw(coeffs, x, work):
     """``sum_n coeffs[n] T_n(x)`` at every point, summed in ``work``.
 
-    ``coeffs`` holds two or more rows of ``x``'s length and ``work`` four
-    float buffers of that length; the sum is one of them.  Clenshaw's
-    recurrence ``b_n = c_n + 2 x b_{n+1} - b_{n+2}`` takes ``len(coeffs) - 1``
-    steps, and the sum is ``c_0 + x b_1 - b_2``.
+    ``coeffs`` holds two or more rows, each of which broadcasts against
+    ``x``, and ``work`` four float buffers of ``x``'s shape; the sum is one
+    of them.  Clenshaw's recurrence ``b_n = c_n + 2 x b_{n+1} - b_{n+2}``
+    takes ``len(coeffs) - 1`` steps, and the sum is ``c_0 + x b_1 - b_2``.
     """
     x2, b1, b2, t = work
     np.add(x, x, out=x2)
@@ -700,56 +707,77 @@ def _clenshaw(coeffs, x, work):
     return t
 
 
-def _axial_series(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
-    """An "axial" kernel's ``spectra(idx, rows)`` from :func:`_axial_table`, or None.
+def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
+    """An "axial" :func:`resolution_kernel` on the support's nodes from :func:`_axial_table`.
 
-    ``spectra(idx, rows)`` is the task's share of :func:`resolution_kernel`,
-    as :func:`_sweep` gives it with ``power``: the series ``G`` at
-    each node's ``x = (R e).k / |k|``, times ``w_R``, from :func:`_clenshaw`
-    in 47 steps.  When every rotation has an antipodal partner
+    At each node ``K(k) = sum_R w_R G(x_R, |k|)`` with ``x_R = (R e).k / |k|``,
+    the shell's Chebyshev series summed by :func:`_clenshaw` in 47 steps.
+    When every rotation has an antipodal partner
     (:func:`_antipodal_partners`, every grid with an even ``n_theta1``),
     ``x_R'(k) = -x_R(k)`` at every node, and ``T_n(-x) = (-1)^n T_n(x)`` and
     ``T_2j(x) = T_j(2 x^2 - 1)`` give
 
         w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1),
 
-    so only the even coefficients are gathered onto the nodes, the first
-    rotation of each pair sums them at ``2 x^2 - 1`` in 23 steps and its
-    partner's share is 0.  The tasks evaluate no spectrum, so
-    ``spectra.width`` is 0 and each rotation's one task covers every
-    dilation.
+    so only the first rotation of each pair is summed, over the even
+    coefficients at ``2 x^2 - 1`` in 23 steps.  The lattice wave vectors
+    negate bit for bit, so then ``K(-k) == K(k)`` bit for bit too: of each
+    ``+/-k`` couple in the support (:func:`~wavecwt.orbits._twins`) the
+    lower node is summed and its value copied to the other.
+
+    The summed nodes go in chunks of half a task's working set.  A chunk
+    gathers its nodes' coefficients once, runs one recurrence on ``(P, m)``
+    arrays for the P summed rotations and its m nodes, and adds the weighted
+    rows in rotation order.  Every step is elementwise per node, so the
+    values do not depend on the chunks; the buffers are allocated once per
+    call.
 
     None when :func:`_axial_table` is.
     """
-    k = _lattice_points(nu_grid.field_grid, support)
+    grid = nu_grid.field_grid
+    nodes = np.flatnonzero(support)
+    k = _lattice_points(grid, nodes)
     shells, back = _shells(k)
     table = _axial_table(wavelet, nu_grid, shells)
     if table is None:
         return None
     partner = _antipodal_partners(nu_grid)
+    firsts = np.arange(nu_grid.n_rotations)
+    weights, series, twin = nu_grid.rotation_weights, table, np.full(nodes.size, -1)
     paired = bool((partner >= 0).all())  # otherwise (odd n_theta1) no rotation pairs
-    # each node's coefficients, row-major
-    series = table[::2 if paired else 1, back]
-    weights = nu_grid.rotation_weights
     if paired:
         weights = weights + weights[partner]  # w_R + w_R'
-    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(wavelet.axis))  # R e
-    unit = np.stack(k) / _radius(*k)[2]
-    buffers = _Workspace(back.size, (np.float64,) * 5)
-
-    def spectra(idx, rows):
-        if paired and partner[idx] < idx:  # summed by its partner's task
-            return 0.0
-        x, *work = (buf[0] for buf in buffers.rows(1))
-        np.einsum("im,i->m", unit, directions[idx], out=x)
+        firsts, series, twin = np.flatnonzero(partner > firsts), table[::2], _twins(grid, nodes)
+    copied = (twin >= 0) & (twin < np.arange(nodes.size))  # the higher node of a couple
+    summed = np.flatnonzero(~copied)
+    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(wavelet.axis))[firsts]
+    weights = weights[firsts, None]
+    unit = (np.stack(k) / _radius(*k)[2])[:, summed]
+    sums = np.zeros(summed.size)
+    rows = (firsts.size,) * 5 + (len(series),)  # x, the recurrence's four, the coefficients
+    step = max(1, (_TASK_BYTES // 2) // (8 * sum(rows)))
+    held = [np.empty(n * min(step, summed.size)) for n in rows]
+    for lo in range(0, summed.size, step):
+        at = slice(lo, lo + step)
+        m = sums[at].size
+        x, *work, coeffs = (buf[:n * m].reshape(n, m) for buf, n in zip(held, rows))
+        np.take(series, back[summed[at]], axis=1, out=coeffs, mode="clip")
+        np.multiply.outer(directions[:, 0], unit[0, at], out=x)  # (R e).k / |k|
+        for i in (1, 2):
+            x += np.multiply.outer(directions[:, i], unit[i, at], out=work[0])
         if paired:  # T_2j(x) = T_j(2 x^2 - 1)
             np.multiply(x, x, out=x)
             x *= 2.0
             x -= 1.0
-        return weights[idx] * _clenshaw(series, x, work)
-
-    spectra.width = 0
-    return spectra
+        shares = _clenshaw(coeffs, x, work)
+        shares *= weights
+        total = sums[at]
+        for share in shares:  # in rotation order
+            total += share
+    kernel = np.empty(nodes.size)
+    kernel[summed] = sums
+    kernel[copied] = kernel[twin[copied]]
+    return kernel
 
 
 def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
@@ -767,28 +795,23 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     block) task sums its dilations in a fixed order and tasks are summed in
     order, so the result does not depend on ``threads``.
 
-    An "axial" wavelet takes its tasks' shares from per-shell Chebyshev
-    series in the direction cosine (:func:`_axial_series`) when every
-    shell's series is certified, and runs them in order on the calling
-    thread: a Clenshaw sum of 47 steps per rotation, or of 23 steps over
-    the even half of the series per antipodal pair of rotations.  The
-    result then differs from the direct sweep's by about 1e-14 of K's
-    largest value over the support; where K is many orders below that
-    value, the relative difference is larger (1.3e-8 at nodes where K is
-    4e-8 of its largest, on a 24 x 2 x 2 grid).  Otherwise, and for every
-    other symmetry, each task evaluates ``PHI(a R^T k)`` on the support
-    through :func:`_sweep`.
+    An "axial" wavelet's kernel is summed on the calling thread from
+    per-shell Chebyshev series in the direction cosine (:func:`_axial_kernel`)
+    when every shell's series is certified.  It then differs from the
+    direct sweep's by about 1e-14 of K's largest value over the support;
+    where K is many orders below that value, the relative difference is
+    larger (1.3e-8 at nodes where K is 4e-8 of its largest, on a
+    24 x 2 x 2 grid).  Otherwise, and for every other symmetry, each task
+    evaluates ``PHI(a R^T k)`` on the support through :func:`_sweep`.
     """
-    spectra = _axial_series(wavelet, nu_grid, support) if wavelet.symmetry == "axial" else None
-    if spectra is None:
+    values = _axial_kernel(wavelet, nu_grid, support) if wavelet.symmetry == "axial" else None
+    if values is None:
         spectra = _sweep(wavelet, nu_grid, _lattice_points(nu_grid.field_grid, support),
                          power=True)
-    else:
-        # a task is 70-150 numpy calls on M points: a second worker only adds GIL hand-offs
-        threads = 1
+        values = sum(_map_ordered(lambda task: spectra(*task),
+                                  _slice_tasks(nu_grid, spectra.width), threads))
     kernel = np.zeros(support.size)
-    kernel[support] = sum(_map_ordered(lambda task: spectra(*task),
-                                       _slice_tasks(nu_grid, spectra.width), threads))
+    kernel[support] = values
     return kernel
 
 
@@ -816,7 +839,8 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     evaluated only where the data are nonzero, and the transform skips the
     x and y lines the support's projections miss
     (:func:`~wavecwt.fields._pruned_ifft`, byte-identical to the whole
-    transform; on a full support its passes are the whole transform's).  Coefficients carry no time dependence.
+    transform; on a full support its passes are the whole transform's).
+    Coefficients carry no time dependence.
 
     ``out`` is the destination.  With None the coefficients are a new array
     and each task transforms in place in its own rows; coefficients larger

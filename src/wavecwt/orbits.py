@@ -18,7 +18,8 @@ into orbits under these permutations; :func:`_orbit_gathers` gives each
 rotation its gather.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
 evaluates one representative per orbit on the closed lattice and gathers
 every member from it; the resolution kernel pairs antipodal rotations (the
-image under ``-I``) in its own way.  No function here calls BLAS.
+image under ``-I``) in its own way and sums one node of each ``+/-k``
+couple (:func:`_twins`).  No function here calls BLAS.
 """
 
 from __future__ import annotations
@@ -136,6 +137,22 @@ def _closed_points(grid: Grid3):
         closed.append(np.concatenate([k[:half], -k[half:half + 1], k[half:]]))
     KZ, KY, KX = np.meshgrid(closed[2], closed[1], closed[0], indexing="ij")
     return [KX.ravel(), KY.ravel(), KZ.ravel()]
+
+
+def _twins(grid: Grid3, nodes: np.ndarray) -> np.ndarray:
+    """Each node's twin: the position of its negation ``-k`` among ``nodes``, or -1.
+
+    ``nodes`` are flat lattice indices in increasing order.  Per axis,
+    ``i -> -i mod n`` negates the wave number bit for bit, except at the
+    Nyquist index n/2, whose negation ``+pi/h`` is off the lattice (see
+    :func:`_closed_points`).  -1 where ``-k`` is off the lattice or not
+    among ``nodes``; k = 0 is its own twin.
+    """
+    index = np.unravel_index(nodes, grid.shape)
+    negated = np.ravel_multi_index([-i % n for i, n in zip(index, grid.shape)], grid.shape)
+    on = np.logical_and.reduce([i != n // 2 for i, n in zip(index, grid.shape)])
+    at = np.searchsorted(nodes, negated).clip(max=max(nodes.size - 1, 0))
+    return np.where(on & (nodes[at] == negated), at, -1)
 
 
 def _gatherer(a: np.ndarray, shape):

@@ -15,7 +15,7 @@ import wavecwt as wc
 from wavecwt import cwt, synthesis
 from wavecwt.cwt import _lattice_points, _map_ordered, _pool_size, _slice_tasks, _sweep
 from wavecwt.orbits import (_closed_points, _closed_shape, _gatherer, _lattice_symmetries,
-                            _orbits)
+                            _orbits, _twins)
 from wavecwt.fields import _forward_factor, _lattice_ifft
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
@@ -462,6 +462,81 @@ def direct_kernel(wavelet, pg, support):
     return kernel
 
 
+def axial_reference(wavelet, pg, support):
+    """The axial kernel summed one rotation at a time over every support node, or None.
+
+    Each rotation's share is its nodes' shell series, summed by Clenshaw at their
+    direction cosines and weighted; on a paired grid the first rotation of each
+    antipodal pair sums the even half of the series at ``2 x^2 - 1`` for both.
+    The shares are added in rotation order.
+    """
+    k = _lattice_points(pg.field_grid, support)
+    shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
+    table = cwt._axial_table(wavelet, pg, shells)
+    if table is None:
+        return None
+    partner = cwt._antipodal_partners(pg)
+    paired = bool((partner >= 0).all())
+    series = table[::2 if paired else 1, back]
+    w = pg.rotation_weights
+    weights = w + w[partner] if paired else w
+    directions = np.einsum("rij,j->ri", pg.rotations, np.asarray(wavelet.axis))
+    r = np.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
+    unit = np.stack(k) / np.where(r > 0, r, 1.0)
+    total = 0
+    for idx in range(pg.n_rotations):
+        if paired and partner[idx] < idx:
+            continue
+        x = np.einsum("im,i->m", unit, directions[idx])
+        if paired:
+            x = (x * x) * 2.0 - 1.0
+        b1, b2 = series[-1], 0.0
+        for c in series[-2:0:-1]:
+            b1, b2 = (c - b2) + (x + x) * b1, b1
+        total = total + weights[idx] * ((x * b1 - b2) + series[0])
+    kernel = np.zeros(support.size)
+    kernel[support] = total
+    return kernel
+
+
+def lattice_negation(grid):
+    """Each lattice node's flat index of ``-k``, or -1 where ``-k`` is off the lattice.
+
+    Matched on the wave numbers themselves, axis by axis.
+    """
+    per_axis = []
+    for k in grid.k_axes():
+        match = k[None, :] == -k[:, None]
+        per_axis.append(np.where(match.any(axis=1), match.argmax(axis=1), -1))
+    NZ, NY, NX = np.meshgrid(per_axis[2], per_axis[1], per_axis[0], indexing="ij")
+    flat = (NZ * grid.n_y + NY) * grid.n_x + NX
+    return np.where((NX >= 0) & (NY >= 0) & (NZ >= 0), flat, -1).ravel()
+
+
+def axial_window(packet):
+    """A dilation window on which the band, Nyquist-plane nodes up to |k| = 4 and k = 0 certify."""
+    return wc.suggest_dilation_range(packet, 0.6, 3.0)
+
+
+AXIAL_GRIDS = {
+    "cube": wc.Grid3.cubic(32, 32.0),
+    # coarse spacings: the band crosses every Nyquist plane
+    "box": wc.Grid3(12, 10, 8, 2.0, 2.2, 2.5),
+    "off-centre": wc.Grid3(16, 12, 10, 2.1, 2.3, 2.6, origin=(-3.0, 2.0, -7.5)),
+}
+
+
+def axial_supports(grid):
+    """The band; its half-space ``kx > 0`` (no twins); plus Nyquist-plane nodes and k = 0; none."""
+    band = band_limited_spectrum(grid, 0.6, 1.8, 407).values.ravel() != 0
+    kx, ky, kz = (K.ravel() for K in grid.k_mesh())
+    k2 = kx**2 + ky**2 + kz**2
+    nyquist = (kx == kx.min()) | (ky == ky.min()) | (kz == kz.min())
+    return {"band": band, "half-space": band & (kx > 0),
+            "nyquist": band | (nyquist & (k2 <= 16.0)) | (k2 == 0),
+            "empty": np.zeros_like(band)}
+
+
 def packet_grid(packet, n_a, n_theta1, n_theta2):
     """A 32^3 parameter grid on the dilation window of the acceptance band."""
     a_range = wc.suggest_dilation_range(packet, 0.6, 1.8)
@@ -481,11 +556,12 @@ class TestAxialTable:
         # acceptance criterion 4's input at its reference settings
         pg = packet_grid(packet, 24, 16, 8)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 401).values.ravel() != 0
-        assert cwt._axial_series(packet, pg, support) is not None
+        assert cwt._axial_kernel(packet, pg, support) is not None
         table = cwt.resolution_kernel(packet, pg, support, threads=2)
         direct = direct_kernel(packet, pg, support)
         assert not table[~support].any()
         assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
+        assert table.tobytes() == axial_reference(packet, pg, support).tobytes()
 
     def test_projection_matches_the_direct_sweep(self, monkeypatch, packet, packet_constant):
         # acceptance criterion 5's packet input, through project
@@ -493,7 +569,7 @@ class TestAxialTable:
         u = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 502)
         support = u.values != 0
         table = wc.project(u, packet, pg, constant=packet_constant, threads=2).values
-        monkeypatch.setattr(cwt, "_axial_series", lambda *args: None)
+        monkeypatch.setattr(cwt, "_axial_kernel", lambda *args: None)
         direct = wc.project(u, packet, pg, constant=packet_constant, threads=2).values
         assert not table[~support].any()
         assert np.max(np.abs(table - direct)[support] / np.abs(direct[support])) <= 1e-12
@@ -504,7 +580,7 @@ class TestAxialTable:
         wavelet = derive(packet)
         pg = packet_grid(wavelet, 24, 4, 2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 403).values.ravel() != 0
-        assert cwt._axial_series(wavelet, pg, support) is not None
+        assert cwt._axial_kernel(wavelet, pg, support) is not None
         table = cwt.resolution_kernel(wavelet, pg, support, threads=1)
         direct = direct_kernel(wavelet, pg, support)
         assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
@@ -513,7 +589,7 @@ class TestAxialTable:
         # on the whole 32^3 lattice the outer shells' series do not converge at 48 nodes
         pg = packet_grid(packet, 24, 4, 2)
         full = np.ones(pg.field_grid.node_count, dtype=bool)
-        assert cwt._axial_series(packet, pg, full) is None
+        assert cwt._axial_kernel(packet, pg, full) is None
         got = cwt.resolution_kernel(packet, pg, full, threads=2)
         assert got.tobytes() == direct_kernel(packet, pg, full).tobytes()
 
@@ -522,7 +598,7 @@ class TestAxialTable:
         # and the sweep differ by ~1e-8 relative, but never by more than round-off of max K
         pg = packet_grid(packet, 24, 2, 2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 405).values.ravel() != 0
-        assert cwt._axial_series(packet, pg, support) is not None
+        assert cwt._axial_kernel(packet, pg, support) is not None
         table = cwt.resolution_kernel(packet, pg, support, threads=1)
         direct = direct_kernel(packet, pg, support)
         assert np.max(np.abs(table - direct)) <= 1e-13 * np.max(direct)
@@ -546,7 +622,7 @@ class TestAxialTable:
     def test_paired_and_unpaired_sums_match_the_direct_sweep(self, packet, n_theta1, n_theta2):
         pg = packet_grid(packet, 24, n_theta1, n_theta2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 406).values.ravel() != 0
-        assume(cwt._axial_series(packet, pg, support) is not None)
+        assume(cwt._axial_kernel(packet, pg, support) is not None)
         one, two = (cwt.resolution_kernel(packet, pg, support, threads) for threads in (1, 2))
         assert one.tobytes() == two.tobytes()
         direct = direct_kernel(packet, pg, support)
@@ -554,6 +630,55 @@ class TestAxialTable:
         assert np.max(error) <= 1e-13 * np.max(direct)
         large = direct >= 1e-3 * np.max(direct)
         assert np.max(error[large] / direct[large]) <= 1e-12
+
+    @pytest.mark.parametrize("support_name", ["band", "half-space", "nyquist", "empty"])
+    @pytest.mark.parametrize("grid_name, n_theta1, n_theta2", [
+        ("cube", 16, 8), ("cube", 12, 6), ("cube", 2, 2), ("cube", 15, 8), ("cube", 3, 2),
+        ("box", 16, 8), ("box", 15, 8), ("off-centre", 12, 6), ("off-centre", 3, 2),
+    ])
+    def test_direction_sum_equals_the_per_rotation_sum(self, packet, grid_name, n_theta1,
+                                                       n_theta2, support_name):
+        # node chunks, one recurrence over every summed rotation, one node of each +/-k
+        # couple: the same bytes as one task per rotation over every node
+        grid = AXIAL_GRIDS[grid_name]
+        pg = wc.make_parameter_grid(grid, packet, *axial_window(packet), 24, n_theta1, n_theta2)
+        support = axial_supports(grid)[support_name]
+        want = axial_reference(packet, pg, support)
+        assert want is not None
+        assert cwt.resolution_kernel(packet, pg, support, threads=2).tobytes() == want.tobytes()
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(n_theta1=st.sampled_from([2, 4, 6, 8, 12]), n_theta2=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), share=st.floats(0.05, 0.9))
+    def test_paired_kernels_are_centrally_symmetric(self, packet, n_theta1, n_theta2, seed,
+                                                    share):
+        # x_R(-k) = -x_R(k) exactly, and a pair's sum is even in x: K(-k) == K(k) bit for
+        # bit, so copying the value to the twin changes nothing
+        grid = AXIAL_GRIDS["off-centre"]
+        pg = wc.make_parameter_grid(grid, packet, *axial_window(packet), 24, n_theta1, n_theta2)
+        negation = lattice_negation(grid)
+        drawn = np.random.default_rng(seed).random(grid.node_count) < share
+        support = axial_supports(grid)["nyquist"] & drawn
+        support[negation[support & (negation >= 0)]] = True  # closed under negation
+        want = axial_reference(packet, pg, support)
+        assert want is not None
+        twinned = support & (negation >= 0)
+        assert want[negation[twinned]].tobytes() == want[twinned].tobytes()
+        assert cwt.resolution_kernel(packet, pg, support, threads=1).tobytes() == want.tobytes()
+
+    def test_table_blocks_and_node_chunks_change_no_bit(self, monkeypatch, packet):
+        pg = packet_grid(packet, 24, 16, 8)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 408).values.ravel() != 0
+        shells = cwt._shells(_lattice_points(pg.field_grid, support))[0]
+        one = cwt._workspace_bytes(packet, shells.size * cwt._CHEB_NODES)  # per dilation
+        outputs = set()
+        # one dilation per evaluation and 88-node chunks; the default (4 dilations and
+        # 381-node chunks); every dilation at once and one chunk
+        for task_bytes in (2 * one - 1, cwt._TASK_BYTES, 2 * pg.n_a * one):
+            monkeypatch.setattr(cwt, "_TASK_BYTES", task_bytes)
+            table = cwt._axial_table(packet, pg, shells)
+            outputs.add((table.tobytes(), cwt.resolution_kernel(packet, pg, support).tobytes()))
+        assert len(outputs) == 1
 
     def test_table_counts_shells_nodes_and_dilations(self, packet):
         calls = []
@@ -568,7 +693,14 @@ class TestAxialTable:
         k = [K.ravel()[support] for K in pg.field_grid.k_mesh()]
         shells = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
         assert (shells, np.count_nonzero(support)) == (87, 3116)
+        # blocks of as many dilations as fit half a task's working set: 4 for the packet's
+        # buffer form, 10 for this wrapper's three wave-vector rows
+        half = cwt._TASK_BYTES // 2
+        assert half // cwt._workspace_bytes(packet, shells * cwt._CHEB_NODES) == 4
+        block = half // cwt._workspace_bytes(counted, shells * cwt._CHEB_NODES)
+        assert block == 10
         cwt.resolution_kernel(counted, pg, support, threads=2)
+        assert len(calls) == -(-pg.n_a // block)
         assert sum(calls) == shells * cwt._CHEB_NODES * pg.n_a  # 100,224
         # the direct sweep evaluates every dilation, rotation and node: 598,272
         calls.clear()
@@ -693,7 +825,7 @@ class TestSliceTasks:
 
     The width is the number of points evaluated per dilation: the field's node
     count for the materialized routes, the support nodes or |k| shells for the
-    resolution kernel, and 0 for its axial table route, whose tasks evaluate no
+    resolution kernel, and 0 for an empty support, whose tasks evaluate no
     spectrum.
     """
 
@@ -827,7 +959,7 @@ class TestSliceTasks:
             # the axial table route on the band's support
             pg = packet_grid(packet, 24, 4, 2)
             band = u.values.ravel() != 0
-            assert cwt._axial_series(packet, pg, band) is not None
+            assert cwt._axial_kernel(packet, pg, band) is not None
             kernel = cwt.resolution_kernel(packet, pg, band, threads=1).tobytes()
             sys.setswitchinterval(1e-6)
             for threads in (2, 8, 2, 8):
@@ -933,7 +1065,7 @@ class TestSliceMemory:
             return cwt.resolution_kernel(packet, pg, support, threads)
 
         _, table = self.traced_peak(kernel)
-        monkeypatch.setattr(cwt, "_axial_series", lambda *args: None)
+        monkeypatch.setattr(cwt, "_axial_kernel", lambda *args: None)
         _, direct = self.traced_peak(kernel)
         assert table <= direct
 
@@ -1182,6 +1314,21 @@ class TestOrbits:
     An orbit's representative is evaluated on the negation-closed lattice and
     gathered at ``A k`` for every member, itself included, on every node.
     """
+
+    @pytest.mark.parametrize("grid", [wc.Grid3.cubic(8, 8.0), AXIAL_GRIDS["off-centre"]])
+    def test_twins_are_the_negations_among_the_nodes(self, grid):
+        k = np.array([K.ravel() for K in grid.k_mesh()])
+        negation = lattice_negation(grid)
+        on = negation >= 0
+        assert np.array_equal(k[:, negation[on]], -k[:, on])
+        # only the Nyquist planes' nodes have no negation on the lattice
+        assert on.sum() == np.prod([n - 1 for n in grid.shape])
+        nodes = np.flatnonzero(np.random.default_rng(12).random(grid.node_count) < 0.5)
+        position = np.full(grid.node_count, -1)
+        position[nodes] = np.arange(nodes.size)
+        want = np.where(on[nodes], position[negation[nodes]], -1)
+        assert np.array_equal(_twins(grid, nodes), want)
+        assert _twins(grid, nodes[:0]).size == 0
 
     @pytest.mark.parametrize("grid, elements", [
         (wc.Grid3.cubic(8, 8.0), 48), (wc.Grid3(12, 10, 8, 1.0, 0.7, 1.3), 8),

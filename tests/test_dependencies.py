@@ -102,10 +102,10 @@ def test_module_imports_no_unused_name(path):
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
 SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_table"),
                ("cwt.py", "_antipodal_partners"), ("cwt.py", "_clenshaw"),
-               ("cwt.py", "_axial_series"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
+               ("cwt.py", "_axial_kernel"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("cwt.py", "_slice_tasks"), ("cwt.py", "_working_set"),
                ("orbits.py", "_lattice_symmetries"), ("orbits.py", "_image"),
-               ("orbits.py", "_orbits"), ("orbits.py", "_closed_points"),
+               ("orbits.py", "_orbits"), ("orbits.py", "_closed_points"), ("orbits.py", "_twins"),
                ("orbits.py", "_gatherer"), ("orbits.py", "_orbit_gathers"),
                ("synthesis.py", "reconstruct_spectrum")]
 # modules whose reductions serve the references and the CLI's checks: BLAS would wake its
