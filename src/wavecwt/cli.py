@@ -203,7 +203,7 @@ def _cmd_analyze(args):
     started = time.perf_counter()
     threads = args.threads or default_thread_count()
     spectral, c, wavelet, pgrid = _spectral_input(args)
-    constant = _require_constant(wavelet, None, args.tol)
+    constant = _require_constant(wavelet, None)
     # each task stores its slab in the file: the coefficients are never held whole
     with create_coefficients(args.out, wavelet, pgrid, constant, c) as payload:
         analyze(spectral, args.sign, wavelet, pgrid, constant=constant, threads=threads,
@@ -249,8 +249,7 @@ def _cmd_ivp(args):
         wav_plus = _signed_wavelet(args.wavelet_plus, params, c, "plus")
         wav_minus = _signed_wavelet(args.wavelet_minus, params, c, "minus")
         pgrid = _parameter_grid_from_args(args, w_field.grid, wav_plus)
-        out = solve_ivp(w_field, v_field, wav_plus, wav_minus, pgrid, args.t,
-                        tol=args.tol, threads=threads)
+        out = solve_ivp(w_field, v_field, wav_plus, wav_minus, pgrid, args.t, threads=threads)
     write_field(args.out, out, c=c)
     _write_manifest(args.out, args, [args.w, args.v], [args.out], started, threads)
     _emit({"written": str(args.out), "method": args.method, "t": args.t})
@@ -267,7 +266,7 @@ def _cmd_verify(args):
         report = dalembert_residual(*snapshots, args.c, args.dt)
     else:  # isometry
         spectral, _, wavelet, pgrid = _spectral_input(args)
-        constant = _require_constant(wavelet, None, 1e-8).real
+        constant = _require_constant(wavelet, None).real
         pair = transform_pairing(spectral, spectral, wavelet, pgrid,
                                  threads=args.threads or default_thread_count())
         ref = spectral_inner_product(spectral, spectral)
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wavelet_options(p)
     _add_nu_grid_options(p)
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--threads", type=_thread_count, default=None)
     p.add_argument("--out", required=True)
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_nu_grid_options(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=("wavelet", "fourier"), default="wavelet")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--threads", type=_thread_count, default=None)
     p.add_argument("--out", required=True)

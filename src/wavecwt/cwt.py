@@ -815,10 +815,10 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     return kernel
 
 
-def _require_constant(wavelet: PhysicalWavelet, constant, tol: float):
+def _require_constant(wavelet: PhysicalWavelet, constant):
     if constant is not None:
         return complex(constant)
-    report = admissibility_constant(wavelet, tol)
+    report = admissibility_constant(wavelet)
     if not report.converged:
         raise AdmissibilityError(
             f"wavelet is not admissible ({report.divergence_reason}); "
@@ -829,7 +829,7 @@ def _require_constant(wavelet: PhysicalWavelet, constant, tol: float):
 
 def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             nu_grid: ParameterGrid, constant: Optional[complex] = None,
-            tol: float = 1e-8, threads: Optional[int] = None, out=None) -> WaveletCoefficients:
+            threads: Optional[int] = None, out=None) -> WaveletCoefficients:
     """Wavelet coefficients of a frequency-pure solution part.
 
     ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
@@ -877,7 +877,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
                         "analyze working set")
     runs = _support_runs(support)  # the lattice lines the data reach
     spectra = _sweep(wavelet, nu_grid, _lattice_points(grid, nodes))
-    constant = _require_constant(wavelet, constant, tol)
+    constant = _require_constant(wavelet, constant)
     # the transform's k-factor does not depend on (a, R): apply it once, so every
     # slice is a bare inverse FFT of a^1.5 conj(PHI) v
     v = _inverse_factor(s_part.values, grid).ravel()[nodes]
@@ -930,7 +930,7 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
 def analyze_initial_data(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
                          wavelet_minus: PhysicalWavelet, nu_grid: ParameterGrid,
                          constants: Optional[Tuple[complex, complex]] = None,
-                         tol: float = 1e-8, threads: Optional[int] = None):
+                         threads: Optional[int] = None):
     """Transforms of initial data against both sign families.
 
     Returns (W_plus, W_minus, V_plus, V_minus): W is the transform of the
@@ -942,8 +942,8 @@ def analyze_initial_data(w: ComplexField3, v: ComplexField3, wavelet_plus: Physi
         raise GridMismatchError("initial data must share one grid")
     if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
         raise ValidationError("analyze_initial_data needs a (plus, minus) wavelet pair")
-    c_plus = _require_constant(wavelet_plus, constants[0] if constants else None, tol)
-    c_minus = _require_constant(wavelet_minus, constants[1] if constants else None, tol)
+    c_plus = _require_constant(wavelet_plus, constants[0] if constants else None)
+    c_minus = _require_constant(wavelet_minus, constants[1] if constants else None)
 
     w_hat = fft3(w)
     v_hat = fft3(v)
@@ -973,8 +973,10 @@ def combine_initial_coefficients(w_coeffs: WaveletCoefficients,
         raise ValidationError("coefficient sets carry different signs")
     _in_memory(w_coeffs, v_coeffs)
     sgn = -1.0 if w_coeffs.sign == "plus" else +1.0
-    a = w_coeffs.nu_grid.a_nodes[:, None, None, None, None]
-    values = 0.5 * w_coeffs.values + (sgn * 0.5) * a * v_coeffs.values
+    w, v, a_nodes = w_coeffs.values, v_coeffs.values, w_coeffs.nu_grid.a_nodes
+    values = np.empty(w.shape, np.result_type(w, v, a_nodes))
+    for a in range(len(a_nodes)):  # one dilation at a time: no temporary of the set's size
+        np.add(0.5 * w[a], (sgn * 0.5 * a_nodes[a]) * v[a], out=values[a])
     return WaveletCoefficients(w_coeffs.nu_grid, values, w_coeffs.sign,
                                w_coeffs.constant, w_coeffs.wavelet_name,
                                w_coeffs.wavelet_params)
@@ -1007,7 +1009,9 @@ def weighted_pairing(U: WaveletCoefficients, V: WaveletCoefficients) -> complex:
         raise GridMismatchError("coefficient sets live on different parameter grids")
     _in_memory(U, V)
     g = U.nu_grid
-    per_node = np.einsum("arxyz,arxyz->ar", U.values, np.conj(V.values))
+    per_node = np.empty((g.n_a, g.n_rotations), dtype=np.complex128)
+    for a in range(g.n_a):  # one dilation's conjugate at a time, never a copy of the set
+        per_node[a] = np.einsum("rxyz,rxyz->r", U.values[a], np.conj(V.values[a]))
     total = np.einsum("a,r,ar->", g.a_weights, g.rotation_weights, per_node)
     return complex(total * g.field_grid.cell_volume)
 

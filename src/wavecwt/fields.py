@@ -42,7 +42,7 @@ part with ``exp(+i|k|ct)``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -212,13 +212,11 @@ class SolutionSpectrum:
     """A wave-equation solution stored as its two frequency-sign parts.
 
     ``plus`` evolves with exp(-i|k|ct), ``minus`` with exp(+i|k|ct).
-    ``notes`` records non-fatal warnings emitted while the object was built.
     """
 
     plus: SpectralField3
     minus: SpectralField3
     c: float
-    notes: Tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.plus.grid != self.minus.grid:
@@ -373,7 +371,7 @@ def propagate(s: SolutionSpectrum, t: float) -> ComplexField3:
     return ifft3(SpectralField3(g, total))
 
 
-# Relative size of the k=0 velocity amplitude above which split_ivp records
+# Relative size of the k=0 velocity amplitude above which split_ivp warns
 # that the zeroed bin actually carried data.  Truncation-level DC mass in
 # otherwise mean-free data stays below this.
 _DC_WARN_REL = 1e-6
@@ -384,9 +382,8 @@ def split_ivp(w: ComplexField3, v: ComplexField3, c: float) -> SolutionSpectrum:
 
     Implements ``plus/minus = (W -/+ V/(i c |k|)) / 2`` where W, V are the
     transforms of w and v.  The k = 0 bin of the ``V/|k|`` term is set to
-    zero; if V(0) is not negligible this is recorded in ``notes`` and a
-    RuntimeWarning is emitted, since the constant-velocity mode cannot be
-    represented on the lattice.
+    zero; if V(0) is not negligible a RuntimeWarning is emitted, since the
+    constant-velocity mode cannot be represented on the lattice.
     """
     if w.grid != v.grid:
         raise GridMismatchError("split_ivp requires w and v on one grid")
@@ -400,20 +397,17 @@ def split_ivp(w: ComplexField3, v: ComplexField3, c: float) -> SolutionSpectrum:
     correction = V / (1j * c * kmag_safe)
     correction[~positive] = 0.0
 
-    notes = ()
     v_scale = np.max(np.abs(V))
     dc = abs(V[0, 0, 0])
     if v_scale > 0 and dc > _DC_WARN_REL * v_scale:
-        msg = (
+        warnings.warn(
             f"split_ivp: velocity spectrum has |V(0)| = {dc:.3e} "
-            f"({dc / v_scale:.2e} of peak); the k=0 bin of V/|k| was zeroed"
-        )
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        notes = (msg,)
+            f"({dc / v_scale:.2e} of peak); the k=0 bin of V/|k| was zeroed",
+            RuntimeWarning, stacklevel=2)
 
     plus = 0.5 * (W - correction)
     minus = 0.5 * (W + correction)
-    return SolutionSpectrum(SpectralField3(g, plus), SpectralField3(g, minus), c, notes)
+    return SolutionSpectrum(SpectralField3(g, plus), SpectralField3(g, minus), c)
 
 
 def solution_from_plus(F: SpectralField3, c: float) -> SolutionSpectrum:

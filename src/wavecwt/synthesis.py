@@ -172,7 +172,7 @@ def reconstruct_cross(U: WaveletCoefficients, synthesis_wavelet: PhysicalWavelet
 
 
 def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: ParameterGrid,
-            constant: Optional[complex] = None, tol: float = 1e-8,
+            constant: Optional[complex] = None,
             threads: Optional[int] = None) -> SpectralField3:
     """Analysis followed by synthesis, returning the t = 0 spectrum.
 
@@ -182,7 +182,7 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
     Converges to the identity on the band the parameter grid covers.
     """
     nu_grid.check_route(wavelet, s_part)
-    constant = _require_constant(wavelet, constant, tol)
+    constant = _require_constant(wavelet, constant)
     u_hat = s_part.values.ravel()
     kernel = resolution_kernel(wavelet, nu_grid, u_hat != 0, threads)
     kernel /= np.real(constant) * nu_grid.constant_factor
@@ -191,7 +191,7 @@ def project(s_part: SpectralField3, wavelet: PhysicalWavelet, nu_grid: Parameter
 
 def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
               wavelet_minus: PhysicalWavelet, nu_grid: ParameterGrid, t: float,
-              constants: Optional[Tuple[complex, complex]] = None, tol: float = 1e-8,
+              constants: Optional[Tuple[complex, complex]] = None,
               threads: Optional[int] = None) -> ComplexField3:
     """Wavelet-route solution of the initial-value problem at time t.
 
@@ -209,6 +209,6 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
         raise ValidationError("wavelet pair must share one wave speed")
     split = split_ivp(w, v, wavelet_plus.c)
     c_plus, c_minus = constants if constants else (None, None)
-    plus = project(split.plus, wavelet_plus, nu_grid, c_plus, tol, threads)
-    minus = project(split.minus, wavelet_minus, nu_grid, c_minus, tol, threads)
+    plus = project(split.plus, wavelet_plus, nu_grid, c_plus, threads=threads)
+    minus = project(split.minus, wavelet_minus, nu_grid, c_minus, threads=threads)
     return propagate(SolutionSpectrum(plus, minus, split.c), t)

@@ -562,11 +562,14 @@ def gaussian_packet(p: float, gamma: float, eps1: float, eps2: float,
         np.exp(expo, out=expo)
         np.power(s, 1.5, out=t)
         t *= k
-        if vals.shape:
-            np.divide(1.0, t, out=t)
-            t *= amp0
-        else:  # all-scalar operands: the quotient is Python's, which divides once
-            np.divide(amp0, t, out=t)
+        # t leaves the normal range only for |k| below about 1e-123, where expo is under
+        # _EXP_FLOOR for any usable p: the quotient's inf is discarded there, no error
+        with np.errstate(over="ignore", divide="ignore"):
+            if vals.shape:
+                np.divide(1.0, t, out=t)
+                t *= amp0
+            else:  # all-scalar operands: the quotient is Python's, which divides once
+                np.divide(amp0, t, out=t)
         t *= expo
         vals.fill(0.0)
         np.copyto(vals.imag, t, where=ok)

@@ -17,6 +17,7 @@ import wavecwt as wc
 from wavecwt import cli, fileio
 from wavecwt.cli import dispatch
 from wavecwt.cwt import default_thread_count
+from conftest import band_limited_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -167,10 +168,13 @@ class TestPipelines:
         nu = ["--a-min", "0.067", "--a-max", "2.65", "--n-a", "24"]
         out_f = tmp_path / "u_fourier.wfld"
         out_w = tmp_path / "u_wavelet.wfld"
-        assert dispatch(["ivp", "--w", str(w_path), "--v", str(v_path), "--t", "8.0",
-                         "--method", "fourier", "--out", str(out_f)] + nu) == 0
-        assert dispatch(["ivp", "--w", str(w_path), "--v", str(v_path), "--t", "8.0",
-                         "--method", "wavelet", "--out", str(out_w)] + nu) == 0
+        # the velocity's |V(0)| is 6.4e-2 of its peak: both routes zero that bin and warn
+        with pytest.warns(RuntimeWarning, match="k=0 bin"):
+            assert dispatch(["ivp", "--w", str(w_path), "--v", str(v_path), "--t", "8.0",
+                             "--method", "fourier", "--out", str(out_f)] + nu) == 0
+        with pytest.warns(RuntimeWarning, match="k=0 bin"):
+            assert dispatch(["ivp", "--w", str(w_path), "--v", str(v_path), "--t", "8.0",
+                             "--method", "wavelet", "--out", str(out_w)] + nu) == 0
         code, out, _ = run_cli(capsys, "verify", "compare", "--a", str(out_f),
                                "--b", str(out_w), "--tol", "0.05")
         assert code == 0
@@ -203,6 +207,88 @@ class TestPipelines:
                                "--tol", "0.02")
         assert code == 0
         assert out[-1]["pass"] is True
+
+
+class TestOptionsMatchTheLibrary:
+    """Options no pipeline passes write the bytes of the library calls they name."""
+
+    @pytest.fixture
+    def fields(self, tmp_path):
+        grid = wc.Grid3.cubic(16, 16.0)
+        paths = (tmp_path / "w.wfld", tmp_path / "v.wfld")
+        for path, seed in zip(paths, (61, 62)):  # no k = 0 mass: no warning
+            wc.write_field(path, wc.ifft3(band_limited_spectrum(grid, 0.7, 1.6, seed)), c=1.0)
+        return paths
+
+    @staticmethod
+    def nu_options(lo, hi, n_a, n_theta1, n_theta2, n_theta3=8):
+        return ["--a-min", repr(lo), "--a-max", repr(hi), "--n-a", str(n_a),
+                "--n-theta1", str(n_theta1), "--n-theta2", str(n_theta2),
+                "--n-theta3", str(n_theta3)]
+
+    def test_ivp_wavelet_pair(self, tmp_path, fields, packet):
+        w_path, v_path = fields
+        lo, hi = wc.suggest_dilation_range(packet, 0.7, 1.6)
+        out = tmp_path / "u.wfld"
+        assert dispatch(["ivp", "--w", str(w_path), "--v", str(v_path), "--t", "2.5",
+                         "--wavelet-plus", "gaussian-packet",
+                         "--wavelet-minus", "gaussian-packet", "--param", "p=40",
+                         *self.nu_options(lo, hi, 6, 4, 2), "--threads", "1",
+                         "--out", str(out)]) == 0
+        w, v = (wc.read_field(path)[0] for path in fields)
+        pg = wc.make_parameter_grid(w.grid, packet, lo, hi, 6, 4, 2)
+        wc.write_field(tmp_path / "lib.wfld", wc.solve_ivp(
+            w, v, packet, wc.time_reverse(packet), pg, 2.5, threads=1), c=1.0)
+        assert out.read_bytes() == (tmp_path / "lib.wfld").read_bytes()
+
+    def test_analyze_third_angle(self, tmp_path, fields):
+        bateman = wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8})
+        assert bateman.symmetry == "none"
+        lo, hi = wc.suggest_dilation_range(bateman, 0.7, 1.6)
+        out = tmp_path / "u.wcf"
+        assert dispatch(["analyze", "--input", str(fields[0]), "--wavelet", "bateman",
+                         "--param", "eps1=0.5", "--param", "eps2=0.8", "--sign", bateman.sign,
+                         *self.nu_options(lo, hi, 4, 4, 2, 3), "--threads", "1",
+                         "--out", str(out)]) == 0
+        spectral = wc.fft3(wc.read_field(fields[0])[0])
+        pg = wc.make_parameter_grid(spectral.grid, bateman, lo, hi, 4, 4, 2, 3)
+        assert pg.angle_shape == (4, 2, 3)
+        wc.write_coefficients(tmp_path / "lib.wcf", wc.analyze(
+            spectral, bateman.sign, bateman, pg, threads=1), c=1.0)
+        assert out.read_bytes() == (tmp_path / "lib.wcf").read_bytes()
+
+    def test_synthesize_with_another_wavelet(self, tmp_path, fields, packet):
+        lo, hi = wc.suggest_dilation_range(packet, 0.7, 1.6)
+        coeffs = tmp_path / "u.wcf"
+        assert dispatch(["analyze", "--input", str(fields[0]), "--wavelet", "gaussian-packet",
+                         "--sign", "plus", *self.nu_options(lo, hi, 4, 4, 2),
+                         "--threads", "1", "--out", str(coeffs)]) == 0
+        read, c = wc.read_coefficients(coeffs)
+        # the header names the packet at p=40, gamma=1 and eps 0.5, as the first two do
+        for name, params in (("gaussian-packet", {}), ("gaussian-packet", {"p": 40, "gamma": 1}),
+                             ("gaussian-packet", {"p": 30}),
+                             ("bateman", {"eps1": 0.5, "eps2": 0.5})):
+            options = [f"--param={key}={value}" for key, value in params.items()]
+            out = tmp_path / "u.wfld"
+            assert dispatch(["synthesize", "--coeffs", str(coeffs), "--t", "0.5",
+                             *(["--wavelet", name, *options] if params else []),
+                             "--threads", "1", "--out", str(out)]) == 0
+            wavelet = wc.make_wavelet(name, params, c)
+            wc.write_field(tmp_path / "lib.wfld", wc.reconstruct(read, wavelet, 0.5, threads=1),
+                           c=c)
+            assert out.read_bytes() == (tmp_path / "lib.wfld").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--input", "u.wfld", "--wavelet", "exp-spherical", "--sign", "plus",
+         "--a-min", "0.1", "--a-max", "2", "--out", "u.wcf"],
+        ["ivp", "--w", "w.wfld", "--v", "v.wfld", "--t", "1", "--a-min", "0.1",
+         "--a-max", "2", "--out", "u.wfld"],
+    ])
+    def test_tol_is_not_an_option(self, capsys, command):
+        # the admissibility constant comes at its default tolerance; only verify and
+        # admissibility take --tol
+        assert dispatch(command + ["--tol", "1e-8"]) == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestDeterminismAndManifest:

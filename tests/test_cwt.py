@@ -1070,6 +1070,42 @@ class TestSliceMemory:
         assert table <= direct
 
 
+class TestWholeSetRoutes:
+    """Routes over two materialized sets go one dilation at a time, with the whole-set bytes."""
+
+    @pytest.fixture(scope="class")
+    def sets(self, grid16, packet):
+        pg = wc.make_parameter_grid(grid16, packet, 0.3, 2.0, 8, 4, 2)
+        rev = wc.time_reverse(packet)
+
+        def coeffs(sign, seed):
+            u = band_limited_spectrum(grid16, 0.6, 1.8, seed)
+            return wc.analyze(u, sign, packet if sign == "plus" else rev, pg, constant=1.0)
+
+        return {sign: (coeffs(sign, 87), coeffs(sign, 88)) for sign in ("plus", "minus")}
+
+    def test_pairing_and_combination_keep_the_whole_set_bytes(self, sets):
+        U, V = sets["plus"]
+        g = U.nu_grid
+        per_node = np.einsum("arxyz,arxyz->ar", U.values, np.conj(V.values))
+        total = np.einsum("a,r,ar->", g.a_weights, g.rotation_weights, per_node)
+        assert wc.weighted_pairing(U, V) == complex(total * g.field_grid.cell_volume)
+        a = g.a_nodes[:, None, None, None, None]
+        for sgn, (W, X) in ((-1.0, sets["plus"]), (1.0, sets["minus"])):
+            want = 0.5 * W.values + (sgn * 0.5) * a * X.values
+            assert wc.combine_initial_coefficients(W, X).values.tobytes() == want.tobytes()
+
+    def test_pairing_and_combination_hold_a_fraction_of_a_set(self, sets):
+        # 16^3, 8 dilations, 4 x 2 angles; a whole-set conjugate peaked at 1.00 set for the
+        # pairing, two whole-set temporaries at 2.03 sets (result included) for the combination
+        U, V = sets["plus"]
+        size = U.values.nbytes
+        _, peak = TestSliceMemory.traced_peak(lambda: wc.weighted_pairing(U, V))
+        assert peak / size <= 0.25
+        _, peak = TestSliceMemory.traced_peak(lambda: wc.combine_initial_coefficients(U, V))
+        assert peak / size <= 1.3
+
+
 def stale_workspace(seed):
     """A workspace that hands out every buffer full of random bits, as a previous task may."""
     rng = np.random.default_rng(seed)

@@ -258,5 +258,4 @@ class TestSplitIVP:
         w = wc.ComplexField3(grid16, np.zeros(grid16.shape, dtype=complex))
         v = wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex))
         with pytest.warns(RuntimeWarning, match="k=0 bin"):
-            s = wc.split_ivp(w, v, 1.0)
-        assert s.notes and "zeroed" in s.notes[0]
+            wc.split_ivp(w, v, 1.0)

@@ -1,6 +1,7 @@
 """Catalog wavelets: rotations, family action, closed forms, derived wavelets."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,17 @@ class TestPacketKernel:
         self.same(new(*near), ref(*near))
         expo_low = ref(*near) == 0
         assert expo_low.any()
+
+    def test_vanishing_wave_numbers_raise_no_warning(self):
+        # |k| s^1.5 is subnormal at the first value and 0 at the others, where PHI is 0
+        spectral = wc.gaussian_packet(*self.PARAMS[0]).spectral
+        tiny = np.array([1.26e-126, 7.93e-134, 1e-160])
+        zero = np.zeros_like(tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not spectral(zero, zero, tiny).any()
+            for kz in tiny:  # the all-scalar form divides once
+                assert spectral(0.0, 0.0, kz) == 0
 
     @pytest.mark.parametrize("stale", ["nan", "random bits"])
     def test_buffer_form_ignores_stale_buffers(self, stale):
