@@ -16,7 +16,7 @@ its limit analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,9 +202,7 @@ def admissibility_constant(wavelet: PhysicalWavelet, tol: float = 1e-8) -> Admis
         return np.abs(spectral(kx, ky, kz)) ** 2
 
     report = _constant(pair, wavelet, tol)
-    value = float(np.real(report.constant))
-    return AdmissibilityReport(value, report.converged, report.error_estimate,
-                               report.divergence_reason)
+    return replace(report, constant=report.value)
 
 
 def admissibility_constant_from_proxy(proxy: ProxyWavelet, c: float = 1.0,
@@ -225,8 +223,7 @@ def admissibility_constant_from_proxy(proxy: ProxyWavelet, c: float = 1.0,
         return np.pi / c**4 * np.abs(spectrum(k)) ** 2 / k**2
 
     report = _radial_integral(profile, tol)
-    return AdmissibilityReport(float(np.real(report.constant)), report.converged,
-                               report.error_estimate, report.divergence_reason)
+    return replace(report, constant=report.value)
 
 
 def cross_admissibility_constant(first: PhysicalWavelet, second: PhysicalWavelet,

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .admissibility import admissibility_constant
 from .cwt import (
+    _relative_defect,
     _require_constant,
     _require_memory,
     analyze,
@@ -270,11 +271,10 @@ def _cmd_verify(args):
         pair = transform_pairing(spectral, spectral, wavelet, pgrid,
                                  threads=args.threads or default_thread_count())
         ref = spectral_inner_product(spectral, spectral)
-        lhs = pair / (constant * pgrid.constant_factor)
-        defect = abs(lhs - ref) / abs(ref) if abs(ref) > 1e-30 else abs(lhs - ref)
+        defect = _relative_defect(pair / (constant * pgrid.constant_factor), ref)
         _emit({
             "check": "isometry",
-            "defect": float(defect),
+            "defect": defect,
             "constant": constant,
             "tol": args.tol,
             "pass": defect <= args.tol,

@@ -39,8 +39,9 @@ dilation: the field's nodes where coefficients are stored (one slice at
 64^3, four at 32^3), else the kernel's support nodes or |k| shells.  A
 task that evaluates no point per dilation (an empty support's) covers
 every dilation.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
-runs (orbit, dilation block) tasks instead (see below), whose blocks hold
-half as many dilations on an "axial" grid.  Tasks never depend on the
+runs (orbit, dilation block) tasks instead (see below); a route that
+gathers holds two lattice slabs per dilation and passes twice the width,
+so its blocks hold half as many dilations.  Tasks never depend on the
 thread count, so a spherical grid's single rotation still keeps every
 worker busy and results do not depend on ``threads``.
 Each task reduces over its own dilations (``np.einsum`` in the kernel, real
@@ -69,37 +70,19 @@ cosine ``x = (R e).k / |k|`` alone.  :func:`resolution_kernel` then tabulates
 distinct |k|^2 of the support (87 x 48 x 24 = 100,224 evaluations instead of
 24 x 128 x 3116 = 9,572,352 at the isometry settings) and sums the shells'
 Chebyshev series at each node's ``x`` with Clenshaw, 47 steps, one
-recurrence over every rotation per chunk of nodes.  Rotations come in
-antipodal pairs when ``n_theta1`` is even: ``R' e = -R e`` with equal
-weights, so ``x_R' = -x_R`` and the odd terms cancel,
-``w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1)``.  Only
-each pair's first rotation is then summed, over that even half in 23
-steps, and since the lattice's wave vectors negate bit for bit,
-``K(-k) == K(k)`` bit for bit: one node of each ``+/-k`` couple is summed
-and its value copied to the other.  The route is taken only when every
-shell's last four coefficients are below 1e-14 of its largest; otherwise
-the kernel runs the direct sweep.
+recurrence over every rotation per chunk of nodes.  On a grid whose
+rotations come in antipodal pairs only each pair's first rotation is
+summed, over the even half of the series in 23 steps, and only one node
+of each ``+/-k`` couple; :mod:`wavecwt.orbits` states the antipode and twin
+rules.  The route is taken only when every shell's last four coefficients
+are below 1e-14 of its largest; otherwise the kernel runs the direct sweep.
 
 :func:`~wavecwt.synthesis.reconstruct_spectrum` uses the same contract on
-the lattice itself (:mod:`wavecwt.orbits`).  A signed permutation ``A`` of
-the lattice axes (axes of equal count and spacing may swap, any axis may
-be negated) maps the lattice's wave vectors into the negation-closed
-lattice, whose axes also hold ``+pi/h``, and when ``R_q e = A^T R_r e``
-with equal weights the orbit identity
-
-    PHI(a R_q^T k) = PHI(a R_r^T A k)
-
-makes rotation ``q``'s values a gather of rotation ``r``'s on the closed
-lattice: a transpose and per-axis slice copies.  The rotations fall into
-orbits under these permutations (6 orbits of 8 or 16 from 12 x 6 angles on
-a cube); each task evaluates its orbit's representative on the closed
-lattice ((n + 1)^3 nodes on an n^3 cube) and gathers every member from it,
-the representative included.  Gathered values agree with evaluated ones to
-round-off (1.2e-14 of max |PHI| for the packet), so results differ from a
-per-rotation sweep at that level; spherical and "none" wavelets run the
-per-rotation tasks on the lattice unchanged.  :func:`analyze` evaluates
-every rotation: on a band support, gathering whole lattice slabs costs
-about what evaluating the support's nodes does.
+the lattice itself: it evaluates one representative per rotation orbit
+and gathers the orbit's members from it, as :mod:`wavecwt.orbits` plans
+and explains.  :func:`analyze` evaluates every rotation: on a band
+support, gathering whole lattice slabs costs about what evaluating the
+support's nodes does.
 """
 
 from __future__ import annotations
@@ -118,7 +101,7 @@ from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
                      _radius, _support_runs, fft3)
-from .orbits import _closed_shape, _image, _twins
+from .orbits import _image, _twins
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
@@ -554,21 +537,18 @@ def _slice_tasks(nu_grid: ParameterGrid, width: int, orbits=None):
     """``(idx, rows)`` for every (rotation, dilation block), rotation-major.
 
     A block holds ``max(1, 2 MiB // (16 width))`` dilations of ``width``
-    points each, so its complex slab fits one core's cache, and a task of
+    complex values each, so its slabs fit one core's cache, and a task of
     width 0 (an empty support's) evaluates nothing per dilation and covers
-    them all; the list
-    depends on the grid and ``width`` alone, never on the thread count.
-    With ``orbits`` (see :func:`~wavecwt.orbits._orbits`) the tasks are
-    ``(orbit, rows)`` for every (orbit, dilation block), in orbit order; on
-    an "axial" grid a task holds three slabs at once (see
-    :func:`_working_set`), so its blocks hold half as many dilations.
+    them all; the list depends on the grid and ``width`` alone, never on
+    the thread count.  A route whose task holds more than one slab per
+    dilation passes their total width.  With ``orbits`` (see
+    :func:`~wavecwt.orbits._orbits`) the tasks are ``(orbit, rows)`` for
+    every (orbit, dilation block), in orbit order.
     """
     step = max(1, _TASK_BYTES // (16 * width)) if width else nu_grid.n_a
     if orbits is None:
         return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
                 for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
-    if nu_grid.symmetry == "axial":
-        step = max(1, step // 2)
     return [(orbit, slice(lo, min(lo + step, nu_grid.n_a)))
             for orbit in orbits for lo in range(0, nu_grid.n_a, step)]
 
@@ -578,31 +558,27 @@ def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
     return max(1, min(requested, cpus or 1, n_items))
 
 
-def _working_set(nu_grid: ParameterGrid, threads: Optional[int], orbits=None,
-                 evaluated: int = 0) -> int:
+def _working_set(nu_grid: ParameterGrid, threads: Optional[int], spectra: int, slabs: int,
+                 evaluated: int, orbits=None) -> int:
     """Bytes the largest task of a materialized route holds, times the workers.
 
     What :func:`analyze` and :func:`~wavecwt.synthesis.reconstruct_spectrum`
-    hold beyond their inputs and the coefficients, per dilation: a
-    rotation's task holds its spectra on the lattice, the slab it
-    transforms and ``evaluated`` bytes, its sweep evaluator's workspace
-    (:func:`_workspace_bytes` at a bound on ``spectra.width``, so that the
-    check can run before the sweep is built).  With ``orbits`` on an
-    "axial" grid (see :func:`_slice_tasks`) the spectra are the
-    representative's on the closed lattice
-    (:func:`~wavecwt.orbits._closed_shape`) and the task also holds one
-    member's gathered values.  A buffer form leaves the spectra in the
-    evaluator's workspace, so they may be counted twice: the count is an
-    upper bound.
+    hold beyond their inputs and the coefficients, per dilation: a task
+    holds its spectra on ``spectra`` points, ``slabs`` lattice slabs (the
+    one it transforms, and a gathered member's values where the route
+    gathers) and ``evaluated`` bytes, its sweep evaluator's workspace
+    (:func:`_workspace_bytes` at a bound on the points the sweep evaluates
+    per dilation, so that the check can run before the sweep is built).
+    The tasks are :func:`_slice_tasks` of width ``slabs`` times the
+    lattice's nodes, over ``orbits`` when given.  A buffer form leaves the
+    spectra in the evaluator's workspace, so they may be counted twice: the
+    count is an upper bound.
     """
-    grid = nu_grid.field_grid
-    tasks = _slice_tasks(nu_grid, grid.node_count, orbits)
-    spectra, slabs = grid.node_count, 1
-    if orbits is not None and nu_grid.symmetry == "axial":
-        spectra, slabs = int(np.prod(_closed_shape(grid))), 2
+    n = nu_grid.field_grid.node_count
+    tasks = _slice_tasks(nu_grid, slabs * n, orbits)
     block = max(rows.stop - rows.start for _, rows in tasks)
     workers = _pool_size(threads or default_thread_count(), len(tasks), os.cpu_count())
-    return workers * block * (16 * (spectra + slabs * grid.node_count) + evaluated)
+    return workers * block * (16 * (spectra + slabs * n) + evaluated)
 
 
 def _map_ordered(fn, items: Sequence, threads: Optional[int]):
@@ -671,19 +647,6 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     return coeffs
 
 
-def _antipodal_partners(nu_grid: ParameterGrid) -> np.ndarray:
-    """Each rotation's antipodal partner on an "axial" grid, or -1 where it has none.
-
-    The :func:`~wavecwt.orbits._image` under ``-I``: rotations ``R`` and
-    ``R'`` are partners when ``R' e = -R e`` to 1e-12 and their weights
-    agree to a few ulps.
-    ``(theta1 + pi, pi - theta2)`` is the partner of ``(theta1, theta2)`` on
-    every grid with an even ``n_theta1``, since the Gauss-Legendre nodes are
-    symmetric with equal weights; with an odd one no rotation has a partner.
-    """
-    return _image(nu_grid, -np.eye(3))
-
-
 def _clenshaw(coeffs, x, work):
     """``sum_n coeffs[n] T_n(x)`` at every point, summed in ``work``.
 
@@ -712,8 +675,10 @@ def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
 
     At each node ``K(k) = sum_R w_R G(x_R, |k|)`` with ``x_R = (R e).k / |k|``,
     the shell's Chebyshev series summed by :func:`_clenshaw` in 47 steps.
-    When every rotation has an antipodal partner
-    (:func:`_antipodal_partners`, every grid with an even ``n_theta1``),
+    When every rotation has an antipodal partner, its image under ``-I``
+    (:func:`~wavecwt.orbits._image`; ``(theta1 + pi, pi - theta2)`` is the
+    partner of ``(theta1, theta2)`` on every grid with an even ``n_theta1``,
+    since the Gauss-Legendre nodes are symmetric with equal weights),
     ``x_R'(k) = -x_R(k)`` at every node, and ``T_n(-x) = (-1)^n T_n(x)`` and
     ``T_2j(x) = T_j(2 x^2 - 1)`` give
 
@@ -741,7 +706,7 @@ def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
     table = _axial_table(wavelet, nu_grid, shells)
     if table is None:
         return None
-    partner = _antipodal_partners(nu_grid)
+    partner = _image(nu_grid, -np.eye(3))  # the antipodal partners
     firsts = np.arange(nu_grid.n_rotations)
     weights, series, twin = nu_grid.rotation_weights, table, np.full(nodes.size, -1)
     paired = bool((partner >= 0).all())  # otherwise (odd n_theta1) no rotation pairs
@@ -872,8 +837,8 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     nodes = slice(None) if full else np.flatnonzero(support)
     if out is not None:  # the support's node count bounds a spherical wavelet's shells
         width = grid.node_count if full else nodes.size
-        _require_memory(_working_set(nu_grid, threads,
-                                     evaluated=_workspace_bytes(wavelet, width)),
+        _require_memory(_working_set(nu_grid, threads, grid.node_count, 1,
+                                     _workspace_bytes(wavelet, width)),
                         "analyze working set")
     runs = _support_runs(support)  # the lattice lines the data reach
     spectra = _sweep(wavelet, nu_grid, _lattice_points(grid, nodes))
@@ -1022,6 +987,10 @@ def isometry_defect(U: WaveletCoefficients, V: WaveletCoefficients, ref: complex
         raise GridMismatchError("coefficient sets live on different parameter grids")
     if U.sign != V.sign:
         raise ValidationError("coefficient sets carry different signs")
-    lhs = weighted_pairing(U, V) / (U.constant * U.nu_grid.constant_factor)
-    err = abs(lhs - ref)
-    return float(err / abs(ref)) if abs(ref) > 1e-30 else float(err)
+    return _relative_defect(weighted_pairing(U, V) / (U.constant * U.nu_grid.constant_factor),
+                            ref)
+
+
+def _relative_defect(lhs: complex, ref: complex) -> float:
+    """``|lhs - ref| / |ref|``, or ``|lhs - ref|`` where ``|ref| <= 1e-30``."""
+    return float(abs(lhs - ref) / (abs(ref) if abs(ref) > 1e-30 else 1.0))

@@ -207,6 +207,12 @@ def _read_payload(fh, count: int, path) -> np.ndarray:
     return values.astype(np.complex128, copy=False)
 
 
+def _grid_header(grid: Grid3) -> dict:
+    """``n``, ``h`` and ``origin`` of a header: what :func:`_grid_from_header` reads back."""
+    return {"n": [grid.n_x, grid.n_y, grid.n_z], "h": [grid.h_x, grid.h_y, grid.h_z],
+            "origin": list(grid.origin)}
+
+
 def _grid_from_header(header: dict, path) -> Grid3:
     try:
         nx, ny, nz = (int(v) for v in header["n"])
@@ -228,15 +234,7 @@ def write_field(path, field: Union[ComplexField3, SpectralField3],
         kind = "spectral"
     else:
         raise ValidationError(f"cannot write object of type {type(field)!r}")
-    g = field.grid
-    header = {
-        "version": 1,
-        "kind": kind,
-        "n": [g.n_x, g.n_y, g.n_z],
-        "h": [g.h_x, g.h_y, g.h_z],
-        "origin": list(g.origin),
-        "dtype": _MAGIC_DTYPE,
-    }
+    header = {"version": 1, "kind": kind, **_grid_header(field.grid), "dtype": _MAGIC_DTYPE}
     if c is not None:
         header["c"] = float(c)
     _write(path, header, field.values)
@@ -263,7 +261,6 @@ def read_field(path):
 
 def _coefficient_header(nu_grid: ParameterGrid, sign: str, constant: complex, name: str,
                         params, c: float) -> dict:
-    fg = nu_grid.field_grid
     return {
         "version": 1,
         "sign": sign,
@@ -271,11 +268,7 @@ def _coefficient_header(nu_grid: ParameterGrid, sign: str, constant: complex, na
         "c": float(c),
         "wavelet": {"name": name, "params": dict(params)},
         "nu_grid": dict(nu_grid.describe(), constant_factor=float(nu_grid.constant_factor)),
-        "field": {
-            "n": [fg.n_x, fg.n_y, fg.n_z],
-            "h": [fg.h_x, fg.h_y, fg.h_z],
-            "origin": list(fg.origin),
-        },
+        "field": _grid_header(nu_grid.field_grid),
         "dtype": _MAGIC_DTYPE,
     }
 

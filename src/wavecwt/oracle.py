@@ -4,11 +4,12 @@ residuals and error metrics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .fields import ComplexField3, _pairing, fft3, propagate, split_ivp
+from .fields import ComplexField3, SpectralField3, _pairing, fft3, propagate, split_ivp
 from .wavelets import PhysicalWavelet
 
 __all__ = ["ErrorReport", "fourier_ivp", "dalembert_residual", "compare", "spectrum_selfcheck"]
@@ -69,8 +70,9 @@ def dalembert_residual(before: ComplexField3, center: ComplexField3, after: Comp
     return ErrorReport(float(_l2(box[core]) / denom), float(np.max(np.abs(box[core]))))
 
 
-def compare(a: ComplexField3, b: ComplexField3) -> ErrorReport:
-    """Relative L2 and pointwise gap between two fields on one grid."""
+def compare(a: Union[ComplexField3, SpectralField3],
+            b: Union[ComplexField3, SpectralField3]) -> ErrorReport:
+    """Relative L2 and pointwise gap between two position or two spectral fields on one grid."""
     if a.grid != b.grid:
         raise GridMismatchError("compare requires fields on one grid")
     diff = a.values - b.values
@@ -79,9 +81,5 @@ def compare(a: ComplexField3, b: ComplexField3) -> ErrorReport:
 
 
 def spectrum_selfcheck(wavelet: PhysicalWavelet, grid) -> ErrorReport:
-    """Transform of t = 0 position samples versus the closed-form spectrum."""
-    sampled = fft3(wavelet.position_on_grid(grid, 0.0))
-    closed = wavelet.spectral_on_grid(grid)
-    diff = sampled.values - closed.values
-    denom = max(_l2(sampled.values), _l2(closed.values), 1e-300)
-    return ErrorReport(float(_l2(diff) / denom), float(np.max(np.abs(diff))))
+    """Transform of t = 0 position samples versus the closed-form spectrum, as :func:`compare`."""
+    return compare(fft3(wavelet.position_on_grid(grid, 0.0)), wavelet.spectral_on_grid(grid))

@@ -4,13 +4,12 @@ Synthesis accumulates in the spectral domain: each (a, rotation) slice
 contributes ``weight * a^{3/2} PHI(a R^T k) * FFT_b[U]`` to a running t = 0
 spectrum.  ``FFT_b`` is the bare lattice FFT; the Fourier layer's origin
 phase and cell volume do not depend on (a, R), so they multiply the summed
-spectrum once.  For an "axial" wavelet ``PHI`` is evaluated once per
-rotation orbit under the lattice's signed permutations, on the
-negation-closed lattice, and gathered for each of the orbit's rotations
-(see :mod:`wavecwt.orbits`).  The family's t/a
-dilation combines with the rescaled spectrum's carrier into one global
-factor exp(-/+ i|k|ct), so reconstruction at time t is
-:func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
+spectrum once.  Where :mod:`wavecwt.orbits` groups the rotations into
+orbits, ``PHI`` is evaluated once per orbit on the negation-closed lattice
+and gathered for each of the orbit's rotations; that module states the
+rules.  The family's t/a dilation combines with the rescaled spectrum's
+carrier into one global factor exp(-/+ i|k|ct), so reconstruction at time
+t is :func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
 
 Analysis followed by synthesis is a multiplier in k on each frequency-sign
 part: :func:`project` multiplies a spectrum by the resolution kernel of
@@ -72,16 +71,18 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     :func:`~wavecwt.orbits._orbits`); each task returns its weighted sum over
     its dilations, rotation by rotation in orbit order, and the partial sums
     are added in task order, so the result does not depend on ``threads``.
-    On an "axial" grid an orbit's task evaluates ``PHI`` for its
-    representative alone, on the negation-closed lattice
-    (:func:`~wavecwt.orbits._closed_points`), and every member's values,
-    the representative's included, are those gathered at ``A k``
-    (:func:`~wavecwt.orbits._gatherer`).  Other grids' orbits are single
-    rotations, evaluated on the lattice.  The transform's k-factor is
-    applied once, to the sum.  The synthesis wavelet must carry the
-    coefficients' sign tag.  Coefficients backed by a WCF payload are read
-    one block at a time into the worker's slab and transformed there, with
-    the same result.  What the tasks hold beyond the coefficients (see
+    Where :func:`~wavecwt.orbits._orbits` gives maps, an orbit's task
+    evaluates ``PHI`` for its representative alone, on the negation-closed
+    lattice (:func:`~wavecwt.orbits._closed_points`), and every member's
+    values, the representative's included, are those gathered at ``A k``
+    (:func:`~wavecwt.orbits._gatherer`); such a task holds two lattice
+    slabs per dilation, so its blocks hold half as many dilations.
+    Otherwise the orbits are single rotations, evaluated on the lattice.
+    The transform's k-factor is applied once, to the sum.  The synthesis
+    wavelet must carry the coefficients' sign tag, and the constant must
+    not be zero.  Coefficients backed by a WCF payload are read one block
+    at a time into the worker's slab and transformed there, with the same
+    result.  What the tasks hold beyond the coefficients (see
     :func:`~wavecwt.cwt._working_set`) is checked against physical memory
     first.
     """
@@ -93,17 +94,20 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     g = U.nu_grid
     grid = g.field_grid
     orbits, maps = _orbits(g)
-    axial = g.symmetry == "axial"  # the condition under which _orbits groups rotations
+    gathered = maps is not None  # PHI on the closed lattice, gathered for every member
     closed = _closed_shape(grid)
-    # per dilation, the sweep's workspace, counted on every point it is given (a bound on a
+    points = int(np.prod(closed)) if gathered else grid.node_count
+    # per dilation a task holds its spectra, the FFT slab and, where it gathers, a member's
+    # values; the sweep's workspace is counted on every point it is given (a bound on a
     # spherical wavelet's |k| shells)
-    width = int(np.prod(closed)) if axial else grid.node_count
-    _require_memory(_working_set(g, threads, orbits, _workspace_bytes(wavelet, width)),
+    lattice_slabs = 2 if gathered else 1
+    _require_memory(_working_set(g, threads, points, lattice_slabs,
+                                 _workspace_bytes(wavelet, points), orbits),
                     "synthesis working set")
     # the points are the sweep's alone: a spherical sweep keeps only their |k| shells
     spectra = _sweep(wavelet, g,
-                     _closed_points(grid) if axial else _lattice_points(grid, slice(None)))
-    gathers = _orbit_gathers(grid, maps)
+                     _closed_points(grid) if gathered else _lattice_points(grid, slice(None)))
+    gathers = _orbit_gathers(grid, maps or [])
     slabs = _Workspace(grid.node_count, (np.complex128,))  # each worker's FFT output
     members = _Workspace(grid.node_count, (np.complex128,))  # an orbit member's gathered values
     scale = g.a_nodes**1.5
@@ -117,7 +121,7 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
         part = None
         for idx in orbit:
             values = phi
-            if axial:  # PHI gathered from the representative's on the closed lattice
+            if gathered:  # PHI gathered from the representative's on the closed lattice
                 (values,) = members.rows(len(phi))
                 gathers[idx](phi.reshape((-1,) + closed), values.reshape(cube.shape))
             block = U.values[rows, idx] if held else U.values.read((rows, idx), cube)
@@ -136,7 +140,8 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
                 part += share
         return part
 
-    acc = sum(_map_ordered(one_block, _slice_tasks(g, grid.node_count, orbits), threads))
+    acc = sum(_map_ordered(one_block, _slice_tasks(g, lattice_slabs * grid.node_count, orbits),
+                           threads))
     # the transform's k-factor does not depend on (a, R): applied once, to the sum
     acc = _forward_factor(acc.reshape(grid.shape), grid)
     acc /= U.constant * g.constant_factor
@@ -161,10 +166,9 @@ def reconstruct_cross(U: WaveletCoefficients, synthesis_wavelet: PhysicalWavelet
     """Two-wavelet reconstruction: analyze with one wavelet, build with another.
 
     ``cross_constant`` is the mixed admissibility integral of the analysis
-    and synthesis spectra; it replaces the single-wavelet constant.
+    and synthesis spectra; it replaces the single-wavelet constant, and
+    :func:`reconstruct_spectrum` refuses it when it is zero.
     """
-    if abs(cross_constant) == 0.0:
-        raise ValidationError("cross constant is zero; the pair cannot reconstruct")
     # U's values were checked when U was built: a second scan would read a payload again
     swapped = _prechecked(U.nu_grid, U.values, U.sign, complex(cross_constant), U.wavelet_name,
                           U.wavelet_params)

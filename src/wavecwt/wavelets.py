@@ -35,7 +35,7 @@ part is positive for every argument arising above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -395,12 +395,12 @@ def _spherical_position_factory(proxy: ProxyWavelet, c: float):
     return position
 
 
-def spherical_from_proxy(proxy: ProxyWavelet, c: float = 1.0, name: str = "",
-                         params: Tuple = ()) -> PhysicalWavelet:
+def spherical_from_proxy(proxy: ProxyWavelet, c: float = 1.0) -> PhysicalWavelet:
     """Absorbed-minus-emitted spherical wavelet of a progressive proxy.
 
     The result carries the "minus" tag: with the proxy spectrum one-sided, the
-    exp(+i|k|ct) branch is the only nonzero one.
+    exp(+i|k|ct) branch is the only nonzero one.  It has no name; name a
+    custom wavelet with ``dataclasses.replace(w, name=..., params=...)``.
     """
     if not proxy.progressive:
         raise ValidationError(
@@ -420,7 +420,7 @@ def spherical_from_proxy(proxy: ProxyWavelet, c: float = 1.0, name: str = "",
     if proxy.time_profile is not None:
         position = _spherical_position_factory(proxy, c)
 
-    return PhysicalWavelet("minus", spectral, position, "spherical", c, name=name, params=params)
+    return PhysicalWavelet("minus", spectral, position, "spherical", c)
 
 
 def kaiser_wavelet(alpha: float, c: float = 1.0) -> PhysicalWavelet:
@@ -474,13 +474,16 @@ def _bateman_phase(x, y, z, t, c, eps1, eps2):
     return w1, w2, theta
 
 
-def bateman_from_proxy(proxy: ProxyWavelet, eps1: float, eps2: float, c: float = 1.0,
-                       name: str = "", params: Tuple = ()) -> PhysicalWavelet:
+def bateman_from_proxy(proxy: ProxyWavelet, eps1: float, eps2: float,
+                       c: float = 1.0) -> PhysicalWavelet:
     """Axially localized solution p(phase)/sqrt(w1 w2) of a progressive proxy.
 
     The transform rides the exp(-i|k|ct) carrier, so the tag is "plus".  On
     the half-line kx = -|k| the spectral value is defined as 0 (continuous
-    extension for proxies whose spectrum has a root at the origin).
+    extension for proxies whose spectrum has a root at the origin).  It has
+    no name; name a custom wavelet with
+    ``dataclasses.replace(w, name=..., params=...)``, as the catalog's
+    "bateman" is named.
     """
     if not (eps1 > 0 and eps2 > 0):
         raise ValidationError("bateman construction needs eps1 > 0 and eps2 > 0")
@@ -507,8 +510,7 @@ def bateman_from_proxy(proxy: ProxyWavelet, eps1: float, eps2: float, c: float =
             return proxy.time_profile(theta) / (_principal_sqrt(w1) * _principal_sqrt(w2))
 
     symmetry = "axial" if eps1 == eps2 else "none"
-    return PhysicalWavelet("plus", spectral, position, symmetry, c,
-                           axis=(1.0, 0.0, 0.0), name=name, params=params)
+    return PhysicalWavelet("plus", spectral, position, symmetry, c, axis=(1.0, 0.0, 0.0))
 
 
 def gaussian_packet(p: float, gamma: float, eps1: float, eps2: float,
@@ -702,10 +704,8 @@ def make_wavelet(name: str, params: Optional[dict] = None, c: float = 1.0) -> Ph
             raise ValidationError(f"unknown bateman proxy {proxy_name!r} (use exp or kaiser)")
         eps1 = take("eps1", 1.0)
         eps2 = take("eps2", 1.0)
-        w = bateman_from_proxy(
-            proxy, eps1, eps2, c, name="bateman",
-            params=(("eps1", eps1), ("eps2", eps2)) + pdesc,
-        )
+        w = replace(bateman_from_proxy(proxy, eps1, eps2, c), name="bateman",
+                    params=(("eps1", eps1), ("eps2", eps2)) + pdesc)
     elif name == "gaussian-packet":
         w = gaussian_packet(take("p", 40.0), take("gamma", 1.0),
                             take("eps1", 0.5), take("eps2", 0.5), c)

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 import wavecwt as wc
 from wavecwt import cwt, synthesis
 from wavecwt.cwt import _lattice_points, _map_ordered, _pool_size, _slice_tasks, _sweep
-from wavecwt.orbits import (_closed_points, _closed_shape, _gatherer, _lattice_symmetries,
-                            _orbits, _twins)
+from wavecwt.orbits import (_closed_points, _closed_shape, _gatherer, _image,
+                            _lattice_symmetries, _orbits, _twins)
 from wavecwt.fields import _forward_factor, _lattice_ifft
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
@@ -475,7 +475,7 @@ def axial_reference(wavelet, pg, support):
     table = cwt._axial_table(wavelet, pg, shells)
     if table is None:
         return None
-    partner = cwt._antipodal_partners(pg)
+    partner = _image(pg, -np.eye(3))
     paired = bool((partner >= 0).all())
     series = table[::2 if paired else 1, back]
     w = pg.rotation_weights
@@ -606,7 +606,7 @@ class TestAxialTable:
     @pytest.mark.parametrize("n_theta1, n_theta2", [(2, 1), (2, 2), (4, 3), (6, 5), (16, 8)])
     def test_every_rotation_pairs_when_n_theta1_is_even(self, packet, n_theta1, n_theta2):
         pg = packet_grid(packet, 2, n_theta1, n_theta2)
-        partner = cwt._antipodal_partners(pg)
+        partner = _image(pg, -np.eye(3))
         assert sorted(partner) == list(range(pg.n_rotations))
         assert (partner[partner] == np.arange(pg.n_rotations)).all()
         directions = pg.rotations[:, :, 0]  # R e for the packet's x axis
@@ -615,7 +615,7 @@ class TestAxialTable:
 
     @pytest.mark.parametrize("n_theta1, n_theta2", [(1, 1), (1, 4), (3, 2), (5, 3), (7, 4)])
     def test_no_rotation_pairs_when_n_theta1_is_odd(self, packet, n_theta1, n_theta2):
-        assert (cwt._antipodal_partners(packet_grid(packet, 2, n_theta1, n_theta2)) == -1).all()
+        assert (_image(packet_grid(packet, 2, n_theta1, n_theta2), -np.eye(3)) == -1).all()
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(n_theta1=st.integers(1, 12), n_theta2=st.integers(1, 6))
@@ -850,7 +850,7 @@ class TestSliceTasks:
         small = wc.make_parameter_grid(wc.Grid3.cubic(16, 16.0), packet, 0.3, 2.0, 24, 4, 3)
         assert self.covered(small, 16**3) == [(idx, slice(0, 24)) for idx in range(12)]
 
-    def test_blocks_do_not_depend_on_threads(self, exp_sph):
+    def test_blocks_do_not_depend_on_threads(self, exp_sph, packet):
         grid = wc.Grid3.cubic(32, 32.0)
         rows = []
 
@@ -867,6 +867,27 @@ class TestSliceTasks:
             wc.analyze(u, "minus", counted, pg, constant=1.3, threads=threads)
             blocks.append(sorted(rows))
         assert blocks[0] == blocks[1] == [2, 4, 4]
+        # an axial grid's synthesis task holds a gathered member's values next to the FFT
+        # slab, so its blocks take 2 dilations where analyze's take 4
+        rows_of = {}
+
+        def packet_spectral(kx, ky, kz):
+            rows.append(np.shape(kx)[0])
+            return packet.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(packet, spectral=packet_spectral)
+        pg = wc.make_parameter_grid(grid, counted, 0.3, 2.0, 10, 2, 2)
+        assert len(_orbits(pg)[0]) == 1  # the 2 x 2 angles form one orbit
+        u = band_limited_spectrum(grid, 0.6, 1.8, 85)
+        for threads in (1, 2):
+            rows.clear()
+            coeffs = wc.analyze(u, "plus", counted, pg, constant=1.3, threads=threads)
+            rows_of["analyze", threads] = sorted(rows)
+            rows.clear()
+            wc.reconstruct_spectrum(coeffs, counted, threads=threads)
+            rows_of["reconstruct", threads] = sorted(rows)
+        assert rows_of["analyze", 1] == rows_of["analyze", 2] == [2] * 4 + [4] * 8
+        assert rows_of["reconstruct", 1] == rows_of["reconstruct", 2] == [2] * 5
 
     @pytest.mark.parametrize("name", ["exp-spherical", "packet"])
     def test_split_blocks_are_bit_identical_across_threads(self, name, exp_sph, packet):
@@ -911,10 +932,10 @@ class TestSliceTasks:
             axial = wavelet is packet
             assert [len(orbit) for orbit in orbits] == ([4] if axial else [1])
             spectra = _sweep(wavelet, pg, _closed_points(grid) if axial else list(k))
-            at = [closed_index(grid, np.einsum("ij,jm->im", a, k)) for a in maps]
+            at = [closed_index(grid, np.einsum("ij,jm->im", a, k)) for a in maps or []]
             scale = pg.a_nodes**1.5
             ref = 0
-            for orbit, rows in _slice_tasks(pg, grid.node_count, orbits):
+            for orbit, rows in _slice_tasks(pg, (2 if axial else 1) * grid.node_count, orbits):
                 phi = spectra(orbit[0], rows).copy()
                 part = None
                 for idx in orbit:
@@ -1497,8 +1518,8 @@ class TestOrbits:
         per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(packet))
         assert per_point == 58  # three wave-vector components and the packet's five buffers
         block = max(rows.stop - rows.start
-                    for _, rows in _slice_tasks(pg, grid.node_count, orbits))
-        needed = cwt._working_set(pg, 2, orbits, closed * per_point)
+                    for _, rows in _slice_tasks(pg, 2 * grid.node_count, orbits))
+        needed = cwt._working_set(pg, 2, closed, 2, closed * per_point, orbits)
         assert needed == 2 * block * (16 * closed + 2 * 16 * grid.node_count + per_point * closed)
         sysconf = cwt.os.sysconf
         machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
@@ -1526,8 +1547,8 @@ class TestOrbits:
         u = band_limited_spectrum(grid, 0.6, 1.8, 16)
         width = np.count_nonzero(u.values)
         per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(wavelet))
-        slabs = cwt._working_set(pg, 2)
-        needed = cwt._working_set(pg, 2, evaluated=width * per_point)
+        slabs = cwt._working_set(pg, 2, grid.node_count, 1, 0)
+        needed = cwt._working_set(pg, 2, grid.node_count, 1, width * per_point)
         assert needed > slabs
         sysconf = cwt.os.sysconf
         machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}

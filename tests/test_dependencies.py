@@ -101,7 +101,7 @@ def test_module_imports_no_unused_name(path):
 
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
 SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_table"),
-               ("cwt.py", "_antipodal_partners"), ("cwt.py", "_clenshaw"),
+               ("cwt.py", "_clenshaw"),
                ("cwt.py", "_axial_kernel"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("cwt.py", "_slice_tasks"), ("cwt.py", "_working_set"),
                ("orbits.py", "_lattice_symmetries"), ("orbits.py", "_image"),
@@ -213,3 +213,55 @@ def test_guard_flags_fft_calls_outside_fields():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_fields_calls_numpy_fft(path):
     assert bool(fft_uses(path.read_text())) == (path.name == "fields.py")
+
+
+# The functions that decide something from a symmetry tag.  Every other function is handed
+# the decision: the slice engine plans from what a route says its tasks hold, and the
+# symmetry plan of the slice routes is made in orbits._orbits alone.
+SYMMETRY_READERS = {
+    "wavelets.py": {"PhysicalWavelet.__post_init__", "time_reverse", "time_derivative_wavelet",
+                    "time_antiderivative_wavelet"},
+    "admissibility.py": {"_angular_profile", "_constant", "cross_admissibility_constant"},
+    "cwt.py": {"ParameterGrid.__eq__", "ParameterGrid.check_route", "ParameterGrid.describe",
+               "make_parameter_grid", "_sweep", "resolution_kernel"},
+    "orbits.py": {"_orbits"},
+}
+
+
+def symmetry_readers(source: str):
+    """The functions of ``source`` that read an attribute ``.symmetry``, nested functions included.
+
+    A method is named ``Class.method``; a read outside every function is named ``<module>``.
+    """
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
+                visit(child, child.name)
+            elif isinstance(child, ast.ClassDef) and owner == "<module>":
+                for item in child.body:
+                    name = f"{child.name}.{getattr(item, 'name', '')}"
+                    visit(item, name if isinstance(item, ast.FunctionDef) else "<module>")
+            else:
+                if (isinstance(child, ast.Attribute) and child.attr == "symmetry"
+                        and isinstance(child.ctx, ast.Load)):
+                    found.add(owner)
+                visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_guard_flags_symmetry_reads():
+    source = ("TAG = grid.symmetry\n\n"
+              "def plan(g, n):\n    def inner():\n        return g.symmetry == 'axial'\n"
+              "    return inner\n\n"
+              "def plain(g, symmetry):\n    g.symmetry = symmetry\n    return g['symmetry']\n\n"
+              "class Grid:\n    def __eq__(self, other):\n        return self.symmetry == other.symmetry\n")
+    assert symmetry_readers(source) == {"<module>", "plan", "Grid.__eq__"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_symmetry_tag_is_read_only_where_it_decides(path):
+    assert symmetry_readers(path.read_text()) <= SYMMETRY_READERS.get(path.name, set())
