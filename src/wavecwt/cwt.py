@@ -63,19 +63,26 @@ per dilation on a 64^3 cube).  The sweep evaluates it on those shells, where
 the kernel's share is also reduced, and gathers the values onto the nodes,
 so no route handles shells: every caller receives values on its own nodes.
 
+:func:`resolution_kernel` sums each orbit of the support's nodes under the
+grid's stabilizer once, at its representative, and copies the value to the
+other members (264 of 3116 nodes at the isometry settings); the direct
+sweep and the table below both run on the representatives alone, and
+:mod:`wavecwt.orbits` states the node-orbit rule.
+
 An "axial" wavelet promises ``PHI(Q q) = PHI(q)`` for every rotation ``Q``
 about its axis ``e``, so ``PHI(a R^T k)`` depends on |k| and the direction
 cosine ``x = (R e).k / |k|`` alone.  :func:`resolution_kernel` then tabulates
 ``G(x, |k|) = sum_a w_a a^3 |PHI|^2`` at 48 Chebyshev nodes in ``x`` per
-distinct |k|^2 of the support (87 x 48 x 24 = 100,224 evaluations instead of
-24 x 128 x 3116 = 9,572,352 at the isometry settings) and sums the shells'
-Chebyshev series at each node's ``x`` with Clenshaw, 47 steps, one
-recurrence over every rotation per chunk of nodes.  On a grid whose
-rotations come in antipodal pairs only each pair's first rotation is
-summed, over the even half of the series in 23 steps, and only one node
-of each ``+/-k`` couple; :mod:`wavecwt.orbits` states the antipode and twin
-rules.  The route is taken only when every shell's last four coefficients
-are below 1e-14 of its largest; otherwise the kernel runs the direct sweep.
+distinct float |k|^2 of the representatives (83 x 48 x 24 = 95,616
+evaluations instead of 24 x 128 x 3116 = 9,572,352 at the isometry settings;
+the support's 3116 nodes have 87, some an ulp apart) and sums
+the shells' Chebyshev series at each representative's ``x`` with Clenshaw,
+47 steps, one recurrence over every rotation per chunk of nodes.  On a grid
+whose rotations come in antipodal pairs only each pair's first rotation is
+summed, over the even half of the series in 23 steps (the antipode rule of
+:mod:`wavecwt.orbits`).  The route is taken only when every shell's last
+four coefficients are below 1e-14 of its largest; otherwise the kernel runs
+the direct sweep.
 
 :func:`~wavecwt.synthesis.reconstruct_spectrum` uses the same contract on
 the lattice itself: it evaluates one representative per rotation orbit
@@ -101,7 +108,7 @@ from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
                      _radius, _support_runs, fft3)
-from .orbits import _image, _twins
+from .orbits import _node_orbits, _stabilizer
 from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
 
 __all__ = [
@@ -670,63 +677,62 @@ def _clenshaw(coeffs, x, work):
     return t
 
 
-def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
-    """An "axial" :func:`resolution_kernel` on the support's nodes from :func:`_axial_table`.
+def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, nodes, stabilizer):
+    """An "axial" :func:`resolution_kernel` at the lattice ``nodes``, from a table.
+
+    ``nodes`` are flat lattice indices or a mask (see :func:`_lattice_points`).
+
+    The table is :func:`_axial_table` on the nodes' |k| shells.
 
     At each node ``K(k) = sum_R w_R G(x_R, |k|)`` with ``x_R = (R e).k / |k|``,
     the shell's Chebyshev series summed by :func:`_clenshaw` in 47 steps.
-    When every rotation has an antipodal partner, its image under ``-I``
-    (:func:`~wavecwt.orbits._image`; ``(theta1 + pi, pi - theta2)`` is the
+    ``stabilizer`` is :func:`~wavecwt.orbits._stabilizer`'s ``(group,
+    images)``.  When it holds ``-I``, every rotation has an antipodal
+    partner, its image under ``-I`` (``(theta1 + pi, pi - theta2)`` is the
     partner of ``(theta1, theta2)`` on every grid with an even ``n_theta1``,
-    since the Gauss-Legendre nodes are symmetric with equal weights),
+    since the Gauss-Legendre nodes are symmetric with equal weights), so
     ``x_R'(k) = -x_R(k)`` at every node, and ``T_n(-x) = (-1)^n T_n(x)`` and
     ``T_2j(x) = T_j(2 x^2 - 1)`` give
 
         w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1),
 
     so only the first rotation of each pair is summed, over the even
-    coefficients at ``2 x^2 - 1`` in 23 steps.  The lattice wave vectors
-    negate bit for bit, so then ``K(-k) == K(k)`` bit for bit too: of each
-    ``+/-k`` couple in the support (:func:`~wavecwt.orbits._twins`) the
-    lower node is summed and its value copied to the other.
+    coefficients at ``2 x^2 - 1`` in 23 steps.
 
-    The summed nodes go in chunks of half a task's working set.  A chunk
-    gathers its nodes' coefficients once, runs one recurrence on ``(P, m)``
-    arrays for the P summed rotations and its m nodes, and adds the weighted
-    rows in rotation order.  Every step is elementwise per node, so the
-    values do not depend on the chunks; the buffers are allocated once per
-    call.
+    The nodes go in chunks of half a task's working set.  A chunk gathers
+    its nodes' coefficients once, runs one recurrence on ``(P, m)`` arrays
+    for the P summed rotations and its m nodes, and adds the weighted rows
+    in rotation order.  Every step is elementwise per node, so the values
+    do not depend on the chunks; the buffers are allocated once per call.
 
     None when :func:`_axial_table` is.
     """
-    grid = nu_grid.field_grid
-    nodes = np.flatnonzero(support)
-    k = _lattice_points(grid, nodes)
+    k = _lattice_points(nu_grid.field_grid, nodes)
     shells, back = _shells(k)
     table = _axial_table(wavelet, nu_grid, shells)
     if table is None:
         return None
-    partner = _image(nu_grid, -np.eye(3))  # the antipodal partners
+    group, images = stabilizer
+    antipode = (group == -np.eye(3)).all(axis=(1, 2))
+    paired = bool(antipode.any())  # otherwise (odd n_theta1) no rotation pairs
     firsts = np.arange(nu_grid.n_rotations)
-    weights, series, twin = nu_grid.rotation_weights, table, np.full(nodes.size, -1)
-    paired = bool((partner >= 0).all())  # otherwise (odd n_theta1) no rotation pairs
+    weights, series = nu_grid.rotation_weights, table
     if paired:
+        partner = images[antipode.argmax()]
         weights = weights + weights[partner]  # w_R + w_R'
-        firsts, series, twin = np.flatnonzero(partner > firsts), table[::2], _twins(grid, nodes)
-    copied = (twin >= 0) & (twin < np.arange(nodes.size))  # the higher node of a couple
-    summed = np.flatnonzero(~copied)
+        firsts, series = np.flatnonzero(partner > firsts), table[::2]
     directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(wavelet.axis))[firsts]
     weights = weights[firsts, None]
-    unit = (np.stack(k) / _radius(*k)[2])[:, summed]
-    sums = np.zeros(summed.size)
+    unit = np.stack(k) / _radius(*k)[2]
+    sums = np.zeros(back.size)
     rows = (firsts.size,) * 5 + (len(series),)  # x, the recurrence's four, the coefficients
     step = max(1, (_TASK_BYTES // 2) // (8 * sum(rows)))
-    held = [np.empty(n * min(step, summed.size)) for n in rows]
-    for lo in range(0, summed.size, step):
+    held = [np.empty(n * min(step, sums.size)) for n in rows]
+    for lo in range(0, sums.size, step):
         at = slice(lo, lo + step)
         m = sums[at].size
         x, *work, coeffs = (buf[:n * m].reshape(n, m) for buf, n in zip(held, rows))
-        np.take(series, back[summed[at]], axis=1, out=coeffs, mode="clip")
+        np.take(series, back[at], axis=1, out=coeffs, mode="clip")
         np.multiply.outer(directions[:, 0], unit[0, at], out=x)  # (R e).k / |k|
         for i in (1, 2):
             x += np.multiply.outer(directions[:, i], unit[i, at], out=work[0])
@@ -739,10 +745,7 @@ def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support):
         total = sums[at]
         for share in shares:  # in rotation order
             total += share
-    kernel = np.empty(nodes.size)
-    kernel[summed] = sums
-    kernel[copied] = kernel[twin[copied]]
-    return kernel
+    return sums
 
 
 def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
@@ -756,9 +759,16 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     ``integral dmu U conj(V) = sum_k u_hat conj(v_hat) K / (N dV)``, and
     analysis followed by synthesis multiplies ``u_hat`` by ``K / (C factor)``.
     The antiderivative partner ``PSI = PHI / (-i c a|k|)`` gives
-    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.  Each (rotation, dilation
-    block) task sums its dilations in a fixed order and tasks are summed in
-    order, so the result does not depend on ``threads``.
+    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.
+
+    Every signed lattice permutation ``A`` that permutes the grid's
+    rotations with equal weights (:func:`~wavecwt.orbits._stabilizer`) has
+    ``K(A k) = K(k)``.  So K is summed once per orbit of the support's nodes
+    under that group, at its representative, and copied to the other
+    members (:func:`~wavecwt.orbits._node_orbits`): 264 of 3116 nodes at the
+    isometry settings.  A copied value differs from one summed at its own
+    node by round-off, a few 1e-15 relative.  A "spherical" grid's group is
+    the identity alone; its sweep reduces on |k| shells instead.
 
     An "axial" wavelet's kernel is summed on the calling thread from
     per-shell Chebyshev series in the direction cosine (:func:`_axial_kernel`)
@@ -766,17 +776,23 @@ def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support:
     direct sweep's by about 1e-14 of K's largest value over the support;
     where K is many orders below that value, the relative difference is
     larger (1.3e-8 at nodes where K is 4e-8 of its largest, on a
-    24 x 2 x 2 grid).  Otherwise, and for every other symmetry, each task
-    evaluates ``PHI(a R^T k)`` on the support through :func:`_sweep`.
+    24 x 2 x 2 grid).  Otherwise, and for every other symmetry, each
+    (rotation, dilation block) task evaluates ``PHI(a R^T k)`` on the
+    representatives through :func:`_sweep`.  Each task sums its dilations
+    in a fixed order and tasks are summed in order, so the result does not
+    depend on ``threads``.
     """
-    values = _axial_kernel(wavelet, nu_grid, support) if wavelet.symmetry == "axial" else None
+    grid = nu_grid.field_grid
+    stabilizer = _stabilizer(nu_grid)
+    nodes, member = _node_orbits(grid, stabilizer[0], support)
+    values = (_axial_kernel(wavelet, nu_grid, nodes, stabilizer)
+              if wavelet.symmetry == "axial" else None)
     if values is None:
-        spectra = _sweep(wavelet, nu_grid, _lattice_points(nu_grid.field_grid, support),
-                         power=True)
+        spectra = _sweep(wavelet, nu_grid, _lattice_points(grid, nodes), power=True)
         values = sum(_map_ordered(lambda task: spectra(*task),
                                   _slice_tasks(nu_grid, spectra.width), threads))
     kernel = np.zeros(support.size)
-    kernel[support] = values
+    kernel[support] = values[member]
     return kernel
 
 

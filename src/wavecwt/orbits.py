@@ -1,7 +1,8 @@
-"""Rotation orbits under the lattice's signed permutations: the slice routes' symmetry plan.
+"""Orbits under the lattice's signed permutations: the slice routes' symmetry plan.
 
-This module alone decides which rotations share their spectra.  Three
-rules, each an identity of the wavelet's symmetry on every lattice node:
+This module alone decides which rotations share their spectra and which
+lattice nodes share their resolution kernel.  Three rules, each an identity
+of the wavelet's symmetry on every lattice node:
 
 * Orbit rule.  An "axial" wavelet's ``PHI(a R^T k)`` depends on
   ``(R e).k`` and |k| alone (see :class:`~wavecwt.wavelets.PhysicalWavelet`).
@@ -19,28 +20,41 @@ rules, each an identity of the wavelet's symmetry on every lattice node:
   so rotation ``q``'s values on the lattice are rotation ``r``'s on the
   closed lattice, transposed and reflected: a gather of strided slice
   copies.  :func:`_orbits` groups a grid's rotations into orbits under
-  these permutations (6 orbits of 8 or 16 from 12 x 6 angles on a cube)
-  and is the only place that reads the symmetry tag for this: a grid
-  without orbits gets ``maps = None``.  :func:`_orbit_gathers` gives each
-  rotation its gather.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
-  evaluates one representative per orbit on the closed lattice
-  ((n + 1)^3 nodes on an n^3 cube) and gathers every member from it, the
-  representative included.  The stored rotations match to 1e-16, so
-  gathered values agree with evaluated ones to round-off (1.2e-14 of
-  max |PHI| for the packet) and results differ from a per-rotation sweep
-  at that level.
+  these permutations (6 orbits of 8 or 16 from 12 x 6 angles on a cube);
+  a grid without orbits gets ``maps = None``.  :func:`_orbit_gathers`
+  gives each rotation its gather.
+  :func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
+  representative per orbit on the closed lattice ((n + 1)^3 nodes on an
+  n^3 cube) and gathers every member from it, the representative
+  included.  The stored rotations match to 1e-16, so gathered values
+  agree with evaluated ones to round-off (1.2e-14 of max |PHI| for the
+  packet) and results differ from a per-rotation sweep at that level.
 
-* Antipode rule.  The image of a rotation under ``-I`` (:func:`_image`) is
-  its antipodal partner, ``R' e = -R e`` with equal weights; every rotation
-  has one when ``n_theta1`` is even.  Then ``x_R' = -x_R`` for the
-  direction cosine ``x_R = (R e).k / |k|``, and the resolution kernel
+* Antipode rule.  The image of a rotation under ``-I`` is its antipodal
+  partner, ``R' e = -R e`` with equal weights; every rotation has one when
+  ``n_theta1`` is even.  Then ``x_R' = -x_R`` for the direction cosine
+  ``x_R = (R e).k / |k|``, and the resolution kernel
   (:func:`~wavecwt.cwt._axial_kernel`) sums one rotation of each pair over
   the even half of its Chebyshev series.
 
-* Twin rule.  The lattice's wave vectors negate bit for bit except at the
-  Nyquist index, so on a paired grid ``K(-k) == K(k)`` bit for bit: the
-  kernel sums one node of each ``+/-k`` couple (:func:`_twins`) and copies
-  its value to the other.
+* Node-orbit rule.  The stabilizer of a parameter grid
+  (:func:`_stabilizer`) is the set of signed permutations ``A`` that
+  permute its rotations with equal weights.  Each term of
+  ``K(A k) = sum_{a,R} w_a w_R a^3 |PHI(a R^T A k)|^2`` is then a term of
+  ``K(k)``, so ``K(A k) = K(k)``.  The kernel is summed at one node per
+  orbit of the support under the stabilizer (:func:`_node_orbits`: 264 of
+  3116 nodes on the isometry band at 16 x 8 angles, |G| = 16) and copied to
+  the orbit's other members.  This is the irreducible-wedge sampling of
+  k-point integration (Monkhorst and Pack, Phys. Rev. B 13, 5188, 1976).
+  A copied value differs from one summed at its own node by round-off,
+  since the stored rotations match to 1e-16 and the terms add in another
+  order.  On a paired grid ``-I`` is in the stabilizer.
+
+Every rule rests on one matcher, :func:`_image`, run over the whole group
+at once; :func:`_symmetry_plan` is the one place that reads the symmetry
+tag for it.  Rotations are matched on ``R e`` on "axial" grids and on the
+whole ``R`` on "none" grids.  A "spherical" grid's plan is the identity
+alone, with no search: its |k| shells are its orbits already.
 
 No function here calls BLAS.
 """
@@ -55,7 +69,7 @@ from .fields import Grid3
 
 
 def _lattice_symmetries(grid: Grid3):
-    """The signed permutations of the lattice axes, fewest negated axes first.
+    """The signed permutations of the lattice axes, fewest negated axes first: (G, 3, 3).
 
     Each is a 3 x 3 matrix ``A`` with ``(A k)_i = s_i k_p(i)``.  Two axes
     may be swapped only when they have equal counts and equal spacings, so
@@ -65,47 +79,83 @@ def _lattice_symmetries(grid: Grid3):
     first.
     """
     axes = [(grid.n_x, grid.h_x), (grid.n_y, grid.h_y), (grid.n_z, grid.h_z)]
-    group = []
-    for perm in permutations(range(3)):
-        if all(axes[p] == axes[i] for i, p in enumerate(perm)):
-            for signs in product((1.0, -1.0), repeat=3):
-                a = np.zeros((3, 3))
-                a[[0, 1, 2], perm] = signs
-                group.append(a)
-    return sorted(group, key=lambda a: int((a < 0).sum()))
+    perms = [perm for perm in permutations(range(3))
+             if all(axes[p] == axes[i] for i, p in enumerate(perm))]
+    signs = np.array(list(product((1.0, -1.0), repeat=3)))
+    group = np.zeros((len(perms), len(signs), 3, 3))
+    for elements, perm in zip(group, perms):
+        elements[:, [0, 1, 2], perm] = signs
+    group = group.reshape(-1, 3, 3)
+    return group[np.argsort((group < 0).sum(axis=(1, 2)), kind="stable")]
 
 
-def _image(nu_grid, a: np.ndarray) -> np.ndarray:
-    """Each rotation's match under the signed permutation ``a``, or -1 where it has none.
+def _image(keys: np.ndarray, weights: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Each rotation's match under each signed permutation of ``group``: (G, n), -1 where none.
 
-    Rotation ``q`` matches ``r`` when ``R_q e = a^T R_r e`` to 1e-12 and
-    their weights agree to 4 ulps; for an "axial" wavelet then
-    ``PHI(s R_q^T k) = PHI(s R_r^T a k)`` at every wave vector.  The match
-    is made on the directions and weights, never on the index layout, and
-    ``r`` takes the first matching ``q``.  Candidates come from one sorted
-    projection of the directions, so the search takes ``O(n log n)`` time
-    and ``O(n)`` memory.
+    ``keys`` holds what a rotation is matched on, ``m`` vectors per rotation
+    in an (n, m, 3) array (see :func:`_symmetry_plan`), and ``group`` a
+    (G, 3, 3) stack.  Under ``a``, rotation ``r`` matches ``q`` when every
+    key of ``q`` is ``a^T`` times the same key of ``r`` to 1e-12 and their
+    weights agree to 4 ulps; ``r`` takes the first matching ``q``.  The
+    match is made on the keys and weights, never on the index layout.
+    Each key finds its candidates among one sorted projection of the
+    targets of every (element, rotation) pair at once, so the search takes
+    ``O(G n log(G n))`` time and ``O(G n)`` memory.
     """
-    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(nu_grid.axis))
-    targets = np.einsum("ri,ij->rj", directions, a)  # a^T R e
-    w = nu_grid.rotation_weights
-    probe = np.array([0.48, 0.6, 0.64])
-    # |g . (d - t)| <= |g|_1 max|d - t|: a match's projection lies within 2e-12 of the target's
-    p = np.einsum("ri,i->r", directions, probe)
-    order = np.argsort(p)
-    ranked = p[order]
-    wanted = np.einsum("ri,i->r", targets, probe)
-    lo = np.searchsorted(ranked, wanted - 2e-12, "left")
-    hi = np.searchsorted(ranked, wanted + 2e-12, "right")
+    n, m = keys.shape[:2]
+    # a^T v: column l of a holds its one nonzero entry, a sign, in row rows[l]
+    rows = np.abs(group).argmax(axis=1)
+    signs = np.take_along_axis(group, rows[:, None, :], axis=1)[:, 0]
+    probe = np.resize([0.48, 0.6, 0.64], (m, 3)) / m
+    # (a^T v).probe = v.(a probe): the targets' projections, element-major
+    wanted = np.einsum("rjk,gjk->gr", keys, np.einsum("gkl,jl->gjk", group, probe)).ravel()
+    order = np.argsort(wanted)
+    ranked = wanted[order]
+    # |probe.(v - t)| <= |probe|_1 max|v - t|: a match projects within 2e-12 of its key
+    p = np.einsum("rjk,jk->r", keys, probe)
+    lo = np.searchsorted(ranked, p - 2e-12, "left")
+    hi = np.searchsorted(ranked, p + 2e-12, "right")
     counts = hi - lo
-    r = np.repeat(np.arange(len(w)), counts)  # every (r, candidate q) pair
-    q = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    match = ((np.abs(directions[q] - targets[r]).max(axis=1, initial=0.0) <= 1e-12)
-             & (np.abs(w[q] - w[r]) <= 4 * np.finfo(float).eps * np.maximum(w[q], w[r])))
-    image = np.full(len(w), len(w))
-    np.minimum.at(image, r[match], q[match])
-    image[image == len(w)] = -1
-    return image
+    q = np.repeat(np.arange(n), counts)  # every (key q, candidate target) pair
+    t = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    g, r = np.divmod(t, n)
+    # component-major (3 m, pairs) arrays: each comparison runs along the pairs
+    flat = keys.reshape(n, -1).T
+    columns = (rows[:, None, :] + 3 * np.arange(m)[:, None]).reshape(len(group), -1)
+    targets = flat[columns[g].T, r] * np.tile(signs, m)[g].T
+    w_q, w_r = weights[q], weights[r]
+    match = ((np.abs(flat[:, q] - targets) <= 1e-12).all(axis=0)
+             & (np.abs(w_q - w_r) <= 4 * np.finfo(float).eps * np.maximum(w_q, w_r)))
+    image = np.full(wanted.size, n)
+    np.minimum.at(image, t[match], q[match])
+    image[image == n] = -1
+    return image.reshape(len(group), n)
+
+
+def _symmetry_plan(nu_grid):
+    """``(group, images, gathers)``: how the lattice's signed permutations move the rotations.
+
+    ``group`` is :func:`_lattice_symmetries` of the field grid, identity
+    first, and ``images`` each rotation's match under each
+    element (:func:`_image`).  This is the one reading of the symmetry tag
+    in the slice routes' plan.  An "axial" grid's rotations are matched on
+    ``R e``, on which its spectra depend; a "none" grid's on the whole
+    ``R``, since ``PHI(a R_q^T k) = PHI(a R_r^T A k)`` whenever
+    ``R_q = A^T R_r``.  A "spherical" grid's plan is its one rotation, the
+    identity, as its own image under the identity alone, with no search:
+    its |k| shells are its orbits already.  ``gathers`` says whether
+    synthesis gathers rotation orbits (:func:`_orbits`): on "axial" grids
+    only.
+    """
+    if nu_grid.symmetry == "spherical":
+        return np.eye(3)[None], np.zeros((1, 1), dtype=np.intp), False
+    group = _lattice_symmetries(nu_grid.field_grid)
+    gathers = nu_grid.symmetry == "axial"
+    if gathers:
+        keys = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(nu_grid.axis))[:, None]
+    else:
+        keys = nu_grid.rotations.transpose(0, 2, 1)  # the columns of each R
+    return group, _image(keys, nu_grid.rotation_weights, group), gathers
 
 
 def _orbits(nu_grid):
@@ -121,14 +171,14 @@ def _orbits(nu_grid):
     ``PHI(s R_q^T k) = PHI(s R_r^T A k)`` for an "axial" wavelet, and
     ``A k`` is a node of the closed lattice.  An orbit holds the images of
     its representative under every element of the group.  Only an "axial"
-    grid has orbits: every other grid's rotations are each their own, with
-    ``maps = None``, and are evaluated on the lattice itself.
+    grid has orbits (see :func:`_symmetry_plan`): every other grid's
+    rotations are each their own, with ``maps = None``, and are evaluated
+    on the lattice itself.
     """
     n = nu_grid.n_rotations
-    if nu_grid.symmetry != "axial":
+    group, images, gathers = _symmetry_plan(nu_grid)  # images: (|G|, n), identity first
+    if not gathers:
         return [(idx,) for idx in range(n)], None
-    group = _lattice_symmetries(nu_grid.field_grid)
-    images = np.array([_image(nu_grid, a) for a in group])  # (|G|, n), identity first
     rep = np.arange(n)
     np.minimum(rep, np.where(images >= 0, images, n).min(axis=0), out=rep)
     # a member is the image of its representative, which is its own representative
@@ -140,6 +190,81 @@ def _orbits(nu_grid):
     for q in range(n):
         orbits.setdefault(int(rep[q]), []).append(q)
     return [tuple(orbit) for orbit in orbits.values()], [group[i] for i in element]
+
+
+def _stabilizer(nu_grid):
+    """``(group, images)``: the signed permutations that permute the grid's rotations.
+
+    The elements of :func:`_symmetry_plan`'s group whose images are a
+    permutation of the rotations, with those permutations: for each such
+    ``A`` and every wave vector, ``sum_R w_R |PHI(a R^T A k)|^2`` adds the
+    same terms as at ``k``, so the resolution kernel has ``K(A k) = K(k)``.
+    The identity comes first.  On an "axial" grid with an even ``n_theta1``
+    it includes ``-I``, whose permutation pairs each rotation with its
+    antipodal partner; a "spherical" grid's is the identity alone.
+    """
+    group, images, _ = _symmetry_plan(nu_grid)
+    keep = (np.sort(images, axis=1) == np.arange(images.shape[1])).all(axis=1)
+    return group[keep], images[keep]
+
+
+_CHUNK_BYTES = 1 << 19  # the image indices of one chunk of nodes in _node_orbits
+
+
+def _node_orbits(grid: Grid3, group: np.ndarray, support: np.ndarray):
+    """The support's nodes in orbits under ``group``: ``(representatives, member)``.
+
+    ``support`` is a boolean mask over the flattened lattice and ``group`` a
+    (G, 3, 3) stack of signed permutations that is closed under products
+    (:func:`_stabilizer`).  A node's images ``A k`` are nodes of the closed
+    lattice (:func:`_closed_points`); those on the lattice and in the
+    support share its orbit, and the least of their flat indices is its
+    representative.  ``representatives`` holds those flat indices in
+    increasing order and ``member[i]`` the position among them of the
+    ``i``-th support node's representative, so ``values[member]`` copies
+    values on the representatives to every support node.  A group of the
+    identity alone leaves every node its own representative: it returns
+    ``(support, slice(None))``, and no index array of the support's size.
+
+    The images are index arithmetic per axis: a kept axis keeps its index,
+    a negated one maps ``i -> -i mod n`` and leaves the lattice at the
+    Nyquist index n/2.  Nodes go in chunks of 512 KiB of image indices.
+    """
+    if len(group) == 1:
+        return support, slice(None)
+    nodes = np.flatnonzero(support)
+    n_nodes = grid.node_count
+    shape = grid.shape  # storage axis d holds component 2 - d
+    strides = (shape[1] * shape[2], shape[2], 1)
+    # offsets[2 d + s]: axis d's share of a flat index per index held, kept (s = 0) or negated
+    # (s = 1); a negated Nyquist index leaves the lattice, and its n_nodes takes the sum past
+    # the last node
+    offsets = np.zeros((6, max(shape)), dtype=np.intp)
+    for d, (n, stride) in enumerate(zip(shape, strides)):
+        i = np.arange(n)
+        offsets[2 * d:2 * d + 2, :n] = i * stride, (-i % n) * stride
+        offsets[2 * d + 1, n // 2] = n_nodes
+    # (A k)_c = sign k_m: storage axis d = 2 - c reads axis 2 - m, negated where sign < 0, and
+    # takes its share from offsets[p // 3] at that axis's index p % 3, p = part[g, d]
+    m = np.abs(group).argmax(axis=2)
+    sign = np.take_along_axis(group, m[..., None], axis=2)[..., 0]
+    part = 3 * (2 * np.arange(3) + (sign < 0)[:, ::-1]) + (2 - m)[:, ::-1]
+    used, ids = np.unique(part, return_inverse=True)
+    ids = ids.reshape(part.shape)
+    # each flat index itself where it is in the support, else n_nodes, as past the last node
+    value = np.full(n_nodes + 1, n_nodes)
+    value[nodes] = nodes
+    index = np.unravel_index(nodes, shape)
+    rep = np.empty(nodes.size, dtype=np.intp)
+    step = max(1, _CHUNK_BYTES // (8 * len(group)))
+    for lo in range(0, nodes.size, step):
+        shares = np.stack([offsets[p // 3][index[p % 3][lo:lo + step]] for p in used])
+        flat = shares[ids[:, 0]]
+        flat += shares[ids[:, 1]]
+        flat += shares[ids[:, 2]]
+        rep[lo:lo + step] = value.take(flat, out=flat, mode="clip").min(axis=0)
+    representatives = nodes[rep == nodes]
+    return representatives, np.searchsorted(representatives, rep)
 
 
 def _closed_shape(grid: Grid3):
@@ -161,22 +286,6 @@ def _closed_points(grid: Grid3):
         closed.append(np.concatenate([k[:half], -k[half:half + 1], k[half:]]))
     KZ, KY, KX = np.meshgrid(closed[2], closed[1], closed[0], indexing="ij")
     return [KX.ravel(), KY.ravel(), KZ.ravel()]
-
-
-def _twins(grid: Grid3, nodes: np.ndarray) -> np.ndarray:
-    """Each node's twin: the position of its negation ``-k`` among ``nodes``, or -1.
-
-    ``nodes`` are flat lattice indices in increasing order.  Per axis,
-    ``i -> -i mod n`` negates the wave number bit for bit, except at the
-    Nyquist index n/2, whose negation ``+pi/h`` is off the lattice (see
-    :func:`_closed_points`).  -1 where ``-k`` is off the lattice or not
-    among ``nodes``; k = 0 is its own twin.
-    """
-    index = np.unravel_index(nodes, grid.shape)
-    negated = np.ravel_multi_index([-i % n for i, n in zip(index, grid.shape)], grid.shape)
-    on = np.logical_and.reduce([i != n // 2 for i, n in zip(index, grid.shape)])
-    at = np.searchsorted(nodes, negated).clip(max=max(nodes.size - 1, 0))
-    return np.where(on & (nodes[at] == negated), at, -1)
 
 
 def _gatherer(a: np.ndarray, shape):

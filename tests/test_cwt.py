@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 import wavecwt as wc
 from wavecwt import cwt, synthesis
 from wavecwt.cwt import _lattice_points, _map_ordered, _pool_size, _slice_tasks, _sweep
-from wavecwt.orbits import (_closed_points, _closed_shape, _gatherer, _image,
-                            _lattice_symmetries, _orbits, _twins)
+from wavecwt.orbits import (_closed_points, _closed_shape, _gatherer, _lattice_symmetries,
+                            _node_orbits, _orbits, _stabilizer, _symmetry_plan)
 from wavecwt.fields import _forward_factor, _lattice_ifft
 from wavecwt.wavelets import _tilt_axis
 from conftest import EXP_SPH_A_RANGE, band_limited_spectrum, rel_l2
@@ -454,28 +454,88 @@ class TestShellRoute:
             assert 0 < sum(points) <= pg.n_a * shells
 
 
-def direct_kernel(wavelet, pg, support):
-    """The kernel as the direct sweep sums it: each task's share of ``|PHI(a R^T k)|^2``, in order."""
-    spectra = _sweep(wavelet, pg, _lattice_points(pg.field_grid, support), power=True)
-    kernel = np.zeros(support.size)
-    kernel[support] = sum(spectra(*task) for task in _slice_tasks(pg, spectra.width))
+def lattice_index(grid, image):
+    """Flat lattice indices of the wave vectors ``image`` (3, M), -1 where one is off the lattice.
+
+    Matched on the wave numbers themselves, axis by axis.
+    """
+    flat = np.zeros(image.shape[1], dtype=int)
+    on = np.ones(image.shape[1], dtype=bool)
+    for k, values, stride in zip(grid.k_axes(), image, (1, grid.n_x, grid.n_x * grid.n_y)):
+        order = np.argsort(k)
+        at = np.searchsorted(k[order], values).clip(max=k.size - 1)
+        on &= k[order][at] == values
+        flat += order[at] * stride
+    return np.where(on, flat, -1)
+
+
+def node_representatives(pg, support):
+    """Each support node's representative under the grid's stabilizer, from the wave numbers.
+
+    The least flat index among the node's images ``A k`` that are lattice nodes in the support.
+    """
+    grid = pg.field_grid
+    nodes = np.flatnonzero(support)
+    k = np.array([K.ravel()[nodes] for K in grid.k_mesh()])
+    rep = nodes.copy()
+    for a in _stabilizer(pg)[0]:
+        at = lattice_index(grid, np.einsum("ij,jm->im", a, k))
+        inside = at >= 0
+        inside[inside] = support[at[inside]]
+        rep[inside] = np.minimum(rep[inside], at[inside])
+    return rep
+
+
+def reduced(kernel_at):
+    """A kernel summed at each node orbit's representative and copied to its members.
+
+    ``kernel_at(wavelet, pg, nodes)`` sums the kernel at the flat lattice indices ``nodes``.
+    """
+    def kernel(wavelet, pg, support):
+        nodes, member = np.unique(node_representatives(pg, support), return_inverse=True)
+        values = kernel_at(wavelet, pg, nodes)
+        if values is None:
+            return None
+        out = np.zeros(support.size)
+        out[support] = values[member]
+        return out
+
     return kernel
 
 
-def axial_reference(wavelet, pg, support):
-    """The axial kernel summed one rotation at a time over every support node, or None.
+def swept(wavelet, pg, nodes):
+    """The direct sweep at ``nodes``: each task's share of ``|PHI(a R^T k)|^2``, in order."""
+    spectra = _sweep(wavelet, pg, _lattice_points(pg.field_grid, nodes), power=True)
+    return sum(spectra(*task) for task in _slice_tasks(pg, spectra.width))
+
+
+def direct_kernel(wavelet, pg, support):
+    """The kernel as the direct sweep sums it at every support node."""
+    kernel = np.zeros(support.size)
+    kernel[support] = swept(wavelet, pg, np.flatnonzero(support))
+    return kernel
+
+
+def antipodal_partners(pg):
+    """Each rotation's image under ``-I``, matched on ``R e``, or -1 where it has none."""
+    group, images, _ = _symmetry_plan(pg)
+    return images[(group == -np.eye(3)).all(axis=(1, 2))][0]
+
+
+def per_rotation_sum(wavelet, pg, nodes):
+    """The axial kernel at ``nodes``, summed one rotation at a time, or None.
 
     Each rotation's share is its nodes' shell series, summed by Clenshaw at their
     direction cosines and weighted; on a paired grid the first rotation of each
     antipodal pair sums the even half of the series at ``2 x^2 - 1`` for both.
     The shares are added in rotation order.
     """
-    k = _lattice_points(pg.field_grid, support)
+    k = _lattice_points(pg.field_grid, nodes)
     shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
     table = cwt._axial_table(wavelet, pg, shells)
     if table is None:
         return None
-    partner = _image(pg, -np.eye(3))
+    partner = antipodal_partners(pg)
     paired = bool((partner >= 0).all())
     series = table[::2 if paired else 1, back]
     w = pg.rotation_weights
@@ -483,7 +543,7 @@ def axial_reference(wavelet, pg, support):
     directions = np.einsum("rij,j->ri", pg.rotations, np.asarray(wavelet.axis))
     r = np.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
     unit = np.stack(k) / np.where(r > 0, r, 1.0)
-    total = 0
+    total = np.zeros(nodes.size)
     for idx in range(pg.n_rotations):
         if paired and partner[idx] < idx:
             continue
@@ -494,9 +554,18 @@ def axial_reference(wavelet, pg, support):
         for c in series[-2:0:-1]:
             b1, b2 = (c - b2) + (x + x) * b1, b1
         total = total + weights[idx] * ((x * b1 - b2) + series[0])
-    kernel = np.zeros(support.size)
-    kernel[support] = total
-    return kernel
+    return total
+
+
+# the kernel routes' references, with the routes' node reduction
+direct_orbit_kernel = reduced(swept)
+axial_reference = reduced(per_rotation_sum)
+
+
+def certified(wavelet, pg, support):
+    """Whether the axial table certifies on the support's |k| shells, so that its route runs."""
+    shells = cwt._shells(_lattice_points(pg.field_grid, support))[0]
+    return cwt._axial_table(wavelet, pg, shells) is not None
 
 
 def lattice_negation(grid):
@@ -556,11 +625,13 @@ class TestAxialTable:
         # acceptance criterion 4's input at its reference settings
         pg = packet_grid(packet, 24, 16, 8)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 401).values.ravel() != 0
-        assert cwt._axial_kernel(packet, pg, support) is not None
+        assert certified(packet, pg, support)
         table = cwt.resolution_kernel(packet, pg, support, threads=2)
         direct = direct_kernel(packet, pg, support)
         assert not table[~support].any()
         assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
+        # summed once per node orbit: 264 representatives of the 3116 nodes
+        assert np.unique(node_representatives(pg, support)).size == 264
         assert table.tobytes() == axial_reference(packet, pg, support).tobytes()
 
     def test_projection_matches_the_direct_sweep(self, monkeypatch, packet, packet_constant):
@@ -580,7 +651,7 @@ class TestAxialTable:
         wavelet = derive(packet)
         pg = packet_grid(wavelet, 24, 4, 2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 403).values.ravel() != 0
-        assert cwt._axial_kernel(wavelet, pg, support) is not None
+        assert certified(wavelet, pg, support)
         table = cwt.resolution_kernel(wavelet, pg, support, threads=1)
         direct = direct_kernel(wavelet, pg, support)
         assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
@@ -589,16 +660,16 @@ class TestAxialTable:
         # on the whole 32^3 lattice the outer shells' series do not converge at 48 nodes
         pg = packet_grid(packet, 24, 4, 2)
         full = np.ones(pg.field_grid.node_count, dtype=bool)
-        assert cwt._axial_kernel(packet, pg, full) is None
+        assert not certified(packet, pg, full)
         got = cwt.resolution_kernel(packet, pg, full, threads=2)
-        assert got.tobytes() == direct_kernel(packet, pg, full).tobytes()
+        assert got.tobytes() == direct_orbit_kernel(packet, pg, full).tobytes()
 
     def test_coarse_angles_agree_to_round_off_of_the_largest_value(self, packet):
         # the benchmark's warm-up grid: at nodes where K is ~4e-8 of its maximum the table
         # and the sweep differ by ~1e-8 relative, but never by more than round-off of max K
         pg = packet_grid(packet, 24, 2, 2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 405).values.ravel() != 0
-        assert cwt._axial_kernel(packet, pg, support) is not None
+        assert certified(packet, pg, support)
         table = cwt.resolution_kernel(packet, pg, support, threads=1)
         direct = direct_kernel(packet, pg, support)
         assert np.max(np.abs(table - direct)) <= 1e-13 * np.max(direct)
@@ -606,7 +677,7 @@ class TestAxialTable:
     @pytest.mark.parametrize("n_theta1, n_theta2", [(2, 1), (2, 2), (4, 3), (6, 5), (16, 8)])
     def test_every_rotation_pairs_when_n_theta1_is_even(self, packet, n_theta1, n_theta2):
         pg = packet_grid(packet, 2, n_theta1, n_theta2)
-        partner = _image(pg, -np.eye(3))
+        partner = antipodal_partners(pg)
         assert sorted(partner) == list(range(pg.n_rotations))
         assert (partner[partner] == np.arange(pg.n_rotations)).all()
         directions = pg.rotations[:, :, 0]  # R e for the packet's x axis
@@ -615,14 +686,14 @@ class TestAxialTable:
 
     @pytest.mark.parametrize("n_theta1, n_theta2", [(1, 1), (1, 4), (3, 2), (5, 3), (7, 4)])
     def test_no_rotation_pairs_when_n_theta1_is_odd(self, packet, n_theta1, n_theta2):
-        assert (_image(packet_grid(packet, 2, n_theta1, n_theta2), -np.eye(3)) == -1).all()
+        assert (antipodal_partners(packet_grid(packet, 2, n_theta1, n_theta2)) == -1).all()
 
     @settings(max_examples=20, deadline=None, database=None)
     @given(n_theta1=st.integers(1, 12), n_theta2=st.integers(1, 6))
     def test_paired_and_unpaired_sums_match_the_direct_sweep(self, packet, n_theta1, n_theta2):
         pg = packet_grid(packet, 24, n_theta1, n_theta2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 406).values.ravel() != 0
-        assume(cwt._axial_kernel(packet, pg, support) is not None)
+        assume(certified(packet, pg, support))
         one, two = (cwt.resolution_kernel(packet, pg, support, threads) for threads in (1, 2))
         assert one.tobytes() == two.tobytes()
         direct = direct_kernel(packet, pg, support)
@@ -638,8 +709,8 @@ class TestAxialTable:
     ])
     def test_direction_sum_equals_the_per_rotation_sum(self, packet, grid_name, n_theta1,
                                                        n_theta2, support_name):
-        # node chunks, one recurrence over every summed rotation, one node of each +/-k
-        # couple: the same bytes as one task per rotation over every node
+        # node chunks, one recurrence over every summed rotation, one node of each orbit:
+        # the same bytes as one task per rotation over every representative
         grid = AXIAL_GRIDS[grid_name]
         pg = wc.make_parameter_grid(grid, packet, *axial_window(packet), 24, n_theta1, n_theta2)
         support = axial_supports(grid)[support_name]
@@ -652,8 +723,8 @@ class TestAxialTable:
            seed=st.integers(0, 2**32 - 1), share=st.floats(0.05, 0.9))
     def test_paired_kernels_are_centrally_symmetric(self, packet, n_theta1, n_theta2, seed,
                                                     share):
-        # x_R(-k) = -x_R(k) exactly, and a pair's sum is even in x: K(-k) == K(k) bit for
-        # bit, so copying the value to the twin changes nothing
+        # -I is in the stabilizer of a paired grid, so -k shares the orbit of k, and K(-k)
+        # is the value copied from their representative
         grid = AXIAL_GRIDS["off-centre"]
         pg = wc.make_parameter_grid(grid, packet, *axial_window(packet), 24, n_theta1, n_theta2)
         negation = lattice_negation(grid)
@@ -673,7 +744,7 @@ class TestAxialTable:
         one = cwt._workspace_bytes(packet, shells.size * cwt._CHEB_NODES)  # per dilation
         outputs = set()
         # one dilation per evaluation and 88-node chunks; the default (4 dilations and
-        # 381-node chunks); every dilation at once and one chunk
+        # 381-node chunks of the 264 representatives: one); every dilation at once and one chunk
         for task_bytes in (2 * one - 1, cwt._TASK_BYTES, 2 * pg.n_a * one):
             monkeypatch.setattr(cwt, "_TASK_BYTES", task_bytes)
             table = cwt._axial_table(packet, pg, shells)
@@ -701,11 +772,144 @@ class TestAxialTable:
         assert block == 10
         cwt.resolution_kernel(counted, pg, support, threads=2)
         assert len(calls) == -(-pg.n_a // block)
-        assert sum(calls) == shells * cwt._CHEB_NODES * pg.n_a  # 100,224
+        # the table is built on the node orbits' representatives, whose float |k|^2 take 83
+        # values: an image's components add up in another order, and 4 of the 87 differ
+        # from another by an ulp
+        nodes = np.unique(node_representatives(pg, support))
+        k = _lattice_points(pg.field_grid, nodes)
+        assert np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size == 83
+        assert sum(calls) == 83 * cwt._CHEB_NODES * pg.n_a  # 95,616
         # the direct sweep evaluates every dilation, rotation and node: 598,272
         calls.clear()
         direct_kernel(counted, pg, support)
         assert sum(calls) == pg.n_a * pg.n_rotations * np.count_nonzero(support)
+
+
+def none_wavelet():
+    """The packet-derived "bateman" wavelet, which has no symmetry."""
+    return wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8})
+
+
+def node_orbit_grid(route, grid, packet, angles=None):
+    """``(wavelet, parameter grid)`` of a kernel route on ``grid``: 24 dilations, few angles."""
+    wavelet = none_wavelet() if route == "none" else packet
+    angles = angles or ((4, 2, 4) if route == "none" else (8, 4))
+    return wavelet, wc.make_parameter_grid(grid, wavelet, *axial_window(wavelet), 24, *angles)
+
+
+def closed_support(pg, support):
+    """``support`` with every image ``A k`` under the grid's stabilizer that is a lattice node."""
+    grid = pg.field_grid
+    k = np.array([K.ravel() for K in grid.k_mesh()])
+    images = [lattice_index(grid, np.einsum("ij,jm->im", a, k)) for a in _stabilizer(pg)[0]]
+    closed = support.copy()
+    for at in images:
+        closed[at[support & (at >= 0)]] = True
+    return closed, images
+
+
+class TestNodeOrbits:
+    """The kernel is summed once per node orbit under the grid's stabilizer and copied.
+
+    Every signed lattice permutation that permutes the rotations with equal weights
+    leaves ``K`` unchanged, so each orbit's representative stands for its members:
+    within round-off of the per-node sums, on the table and the sweep routes alike.
+    """
+
+    @pytest.mark.parametrize("support_name", ["band", "half-space", "nyquist", "empty"])
+    @pytest.mark.parametrize("route", ["axial-table", "axial-sweep", "none"])
+    @pytest.mark.parametrize("grid_name", ["cube", "box", "off-centre"])
+    def test_kernel_agrees_with_the_per_node_sweep(self, monkeypatch, packet, grid_name, route,
+                                                   support_name):
+        grid = AXIAL_GRIDS[grid_name]
+        wavelet, pg = node_orbit_grid(route, grid, packet)
+        support = axial_supports(grid)[support_name]
+        assert len(_stabilizer(pg)[0]) > 1
+        if route == "axial-table":
+            assert certified(wavelet, pg, support)
+        else:
+            monkeypatch.setattr(cwt, "_axial_table", lambda *args: None)
+        got = cwt.resolution_kernel(wavelet, pg, support, threads=2)
+        want = direct_kernel(wavelet, pg, support)
+        assert not got[~support].any()
+        if not support.any():
+            return
+        error = np.abs(got - want)
+        assert np.max(error) <= 1e-13 * np.max(want)
+        large = want >= 1e-3 * np.max(want)
+        assert np.max(error[large] / want[large]) <= 1e-12
+        if route != "axial-table":  # the sweep sums the same terms at the representatives
+            assert got.tobytes() == direct_orbit_kernel(wavelet, pg, support).tobytes()
+
+    @pytest.mark.parametrize("route", ["axial-table", "axial-sweep", "none"])
+    def test_threads_change_no_bit(self, monkeypatch, packet, route):
+        monkeypatch.setattr(cwt.os, "cpu_count", lambda: 8)
+        grid = AXIAL_GRIDS["cube"]
+        wavelet, pg = node_orbit_grid(route, grid, packet)
+        support = axial_supports(grid)["nyquist"]
+        if route == "axial-sweep":
+            monkeypatch.setattr(cwt, "_axial_table", lambda *args: None)
+        one, two, eight = (cwt.resolution_kernel(wavelet, pg, support, threads=n)
+                           for n in (1, 2, 8))
+        assert one.tobytes() == two.tobytes() == eight.tobytes()
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(route_angles=st.sampled_from([("axial-table", (2, 2)), ("axial-table", (4, 3)),
+                                         ("axial-table", (6, 2)), ("axial-table", (12, 6)),
+                                         ("none", (2, 2, 2)), ("none", (4, 2, 4)),
+                                         ("none", (4, 3, 2))]),
+           grid_name=st.sampled_from(["box", "off-centre"]),
+           seed=st.integers(0, 2**32 - 1), share=st.floats(0.05, 0.9))
+    def test_stabilizer_leaves_the_kernel_unchanged(self, packet, route_angles, grid_name, seed,
+                                                    share):
+        # on a support closed under the stabilizer, K(A k) == K(k) bit for bit
+        route, angles = route_angles
+        grid = AXIAL_GRIDS[grid_name]
+        wavelet, pg = node_orbit_grid(route, grid, packet, angles)
+        assume(len(_stabilizer(pg)[0]) > 1)
+        drawn = np.random.default_rng(seed).random(grid.node_count) < share
+        support, images = closed_support(pg, axial_supports(grid)["nyquist"] & drawn)
+        kernel = cwt.resolution_kernel(wavelet, pg, support, threads=1)
+        assert kernel[support].any()
+        for at in images:
+            on = support & (at >= 0)
+            assert kernel[at[on]].tobytes() == kernel[on].tobytes()
+
+    @pytest.mark.parametrize("route", ["axial-sweep", "none"])
+    def test_sweep_evaluates_each_orbit_once(self, monkeypatch, packet, route):
+        points = []
+        grid = AXIAL_GRIDS["box"]
+        wavelet, pg = node_orbit_grid(route, grid, packet)
+
+        def spectral(kx, ky, kz):
+            points.append(np.size(kx))
+            return wavelet.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(wavelet, spectral=spectral)
+        monkeypatch.setattr(cwt, "_axial_table", lambda *args: None)
+        support = axial_supports(grid)["nyquist"]
+        orbits = np.unique(node_representatives(pg, support)).size
+        assert orbits < np.count_nonzero(support)
+        cwt.resolution_kernel(counted, pg, support, threads=2)
+        assert sum(points) == orbits * pg.n_a * pg.n_rotations
+
+    def test_spherical_kernel_evaluates_each_shell_once(self, exp_sph):
+        # a spherical grid's stabilizer is the identity: its |k| shells are its orbits
+        points = []
+
+        def spectral(kx, ky, kz):
+            points.append(np.size(kx))
+            return exp_sph.spectral(kx, ky, kz)
+
+        counted = dataclasses.replace(exp_sph, spectral=spectral)
+        grid = AXIAL_GRIDS["cube"]
+        pg = wc.make_parameter_grid(grid, counted, *EXP_SPH_A_RANGE, 24)
+        assert len(_stabilizer(pg)[0]) == 1
+        support = axial_supports(grid)["nyquist"]
+        k = _lattice_points(grid, support)
+        shells = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
+        cwt.resolution_kernel(counted, pg, support, threads=2)
+        assert sum(points) == shells * pg.n_a
 
 
 # non-cubic, off-centre lattice for the support properties below
@@ -920,10 +1124,13 @@ class TestSliceTasks:
         # task order, and the transform's k-factor is applied once to the sum.
         # The spherical case gathers shell values on the lattice; the packet's 2 x 2 angles
         # form one orbit, whose representative is evaluated on the closed lattice and every
-        # member takes its values at A k
+        # member takes its values at A k.  The packet's window is matched to the band, so
+        # every dilation's slices carry weight and the bytes pin the blocks' summation order
         grid = wc.Grid3.cubic(32, 32.0)
         cases = [(exp_sph, wc.make_parameter_grid(grid, exp_sph, *EXP_SPH_A_RANGE, 24)),
-                 (packet, wc.make_parameter_grid(grid, packet, 0.3, 2.0, 10, 2, 2))]
+                 (packet, wc.make_parameter_grid(grid, packet,
+                                                 *wc.suggest_dilation_range(packet, 0.7, 1.6),
+                                                 10, 2, 2))]
         u = band_limited_spectrum(grid, 0.7, 1.6, 83)
         k = np.array([K.ravel() for K in grid.k_mesh()])
         for wavelet, pg in cases:
@@ -980,7 +1187,7 @@ class TestSliceTasks:
             # the axial table route on the band's support
             pg = packet_grid(packet, 24, 4, 2)
             band = u.values.ravel() != 0
-            assert cwt._axial_kernel(packet, pg, band) is not None
+            assert certified(packet, pg, band)
             kernel = cwt.resolution_kernel(packet, pg, band, threads=1).tobytes()
             sys.setswitchinterval(1e-6)
             for threads in (2, 8, 2, 8):
@@ -1076,8 +1283,11 @@ class TestSliceMemory:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_axial_table_peaks_below_the_direct_sweep(self, monkeypatch, packet, threads):
-        # isometry settings: the direct sweep holds (24, 3116) evaluation buffers per
-        # worker, the table route (1, 87 x 48) of them and 48 coefficients per node
+        # isometry settings: a direct sweep over every support node holds (24, 3116)
+        # evaluation buffers per worker, the table route (4, 83 x 48) of them and 48
+        # coefficients per node.  Over the 264 node orbits' representatives the sweep holds
+        # (24, 264), and both routes peak in the node-orbit search (1.46 MB traced), so the
+        # table is compared with the sweep over every node
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         pg = packet_grid(packet, 24, 16, 8)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 86).values.ravel() != 0
@@ -1087,6 +1297,8 @@ class TestSliceMemory:
 
         _, table = self.traced_peak(kernel)
         monkeypatch.setattr(cwt, "_axial_kernel", lambda *args: None)
+        monkeypatch.setattr(cwt, "_node_orbits",
+                            lambda grid, group, support: (np.flatnonzero(support), slice(None)))
         _, direct = self.traced_peak(kernel)
         assert table <= direct
 
@@ -1380,12 +1592,18 @@ class TestOrbits:
         assert np.array_equal(k[:, negation[on]], -k[:, on])
         # only the Nyquist planes' nodes have no negation on the lattice
         assert on.sum() == np.prod([n - 1 for n in grid.shape])
-        nodes = np.flatnonzero(np.random.default_rng(12).random(grid.node_count) < 0.5)
-        position = np.full(grid.node_count, -1)
-        position[nodes] = np.arange(nodes.size)
-        want = np.where(on[nodes], position[negation[nodes]], -1)
-        assert np.array_equal(_twins(grid, nodes), want)
-        assert _twins(grid, nodes[:0]).size == 0
+        # under {I, -I} a node's orbit is itself and its negation where that is a lattice
+        # node in the support: the lower of the two flat indices represents both
+        support = np.random.default_rng(12).random(grid.node_count) < 0.5
+        nodes = np.flatnonzero(support)
+        twin = on[nodes] & support[np.where(on, negation, 0)[nodes]]
+        want = np.where(twin, np.minimum(nodes, negation[nodes]), nodes)
+        representatives, member = _node_orbits(grid, np.stack([np.eye(3), -np.eye(3)]), support)
+        assert np.array_equal(representatives, np.unique(want))
+        assert np.array_equal(representatives[member], want)
+        representatives, member = _node_orbits(grid, np.stack([np.eye(3), -np.eye(3)]),
+                                               np.zeros_like(support))
+        assert representatives.size == member.size == 0
 
     @pytest.mark.parametrize("grid, elements", [
         (wc.Grid3.cubic(8, 8.0), 48), (wc.Grid3(12, 10, 8, 1.0, 0.7, 1.3), 8),

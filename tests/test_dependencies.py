@@ -105,8 +105,10 @@ SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axia
                ("cwt.py", "_axial_kernel"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
                ("cwt.py", "_slice_tasks"), ("cwt.py", "_working_set"),
                ("orbits.py", "_lattice_symmetries"), ("orbits.py", "_image"),
-               ("orbits.py", "_orbits"), ("orbits.py", "_closed_points"), ("orbits.py", "_twins"),
-               ("orbits.py", "_gatherer"), ("orbits.py", "_orbit_gathers"),
+               ("orbits.py", "_symmetry_plan"), ("orbits.py", "_orbits"),
+               ("orbits.py", "_stabilizer"), ("orbits.py", "_node_orbits"),
+               ("orbits.py", "_closed_points"), ("orbits.py", "_gatherer"),
+               ("orbits.py", "_orbit_gathers"),
                ("synthesis.py", "reconstruct_spectrum")]
 # modules whose reductions serve the references and the CLI's checks: BLAS would wake its
 # thread pool, which then spins idle beside the caller
@@ -217,14 +219,15 @@ def test_only_fields_calls_numpy_fft(path):
 
 # The functions that decide something from a symmetry tag.  Every other function is handed
 # the decision: the slice engine plans from what a route says its tasks hold, and the
-# symmetry plan of the slice routes is made in orbits._orbits alone.
+# symmetry plan of the slice routes, the rotation orbits and the kernel's node stabilizer, is
+# made in orbits._symmetry_plan alone.
 SYMMETRY_READERS = {
     "wavelets.py": {"PhysicalWavelet.__post_init__", "time_reverse", "time_derivative_wavelet",
                     "time_antiderivative_wavelet"},
     "admissibility.py": {"_angular_profile", "_constant", "cross_admissibility_constant"},
     "cwt.py": {"ParameterGrid.__eq__", "ParameterGrid.check_route", "ParameterGrid.describe",
                "make_parameter_grid", "_sweep", "resolution_kernel"},
-    "orbits.py": {"_orbits"},
+    "orbits.py": {"_symmetry_plan"},
 }
 
 
