@@ -84,12 +84,13 @@ summed, over the even half of the series in 23 steps (the antipode rule of
 four coefficients are below 1e-14 of its largest; otherwise the kernel runs
 the direct sweep.
 
-:func:`~wavecwt.synthesis.reconstruct_spectrum` uses the same contract on
-the lattice itself: it evaluates one representative per rotation orbit
-and gathers the orbit's members from it, as :mod:`wavecwt.orbits` plans
-and explains.  :func:`analyze` evaluates every rotation: on a band
-support, gathering whole lattice slabs costs about what evaluating the
-support's nodes does.
+:func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
+representative per rotation orbit, on any grid whose rotations form orbits
+under the lattice's signed permutations (matched on ``R e`` when axial, on
+the whole ``R`` otherwise), and gathers the orbit's members from it, as
+:mod:`wavecwt.orbits` plans and explains.  :func:`analyze` evaluates every
+rotation: on a band support, gathering whole lattice slabs costs about what
+evaluating the support's nodes does.
 """
 
 from __future__ import annotations

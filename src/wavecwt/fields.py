@@ -41,6 +41,7 @@ part with ``exp(+i|k|ct)``.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -65,8 +66,13 @@ __all__ = [
 
 
 def _check_sizes(**sizes) -> None:
+    """Refuse a count that is not an even integer >= 8; a float such as 16.0 is not an integer."""
     for name, n in sizes.items():
-        if int(n) != n or n < 8 or n % 2 != 0:
+        try:
+            even = operator.index(n) >= 8 and n % 2 == 0
+        except TypeError:
+            even = False
+        if not even:
             raise ValidationError(f"{name}={n}: grid sizes must be even integers >= 8")
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import stat
 import weakref
@@ -207,6 +208,17 @@ def _read_payload(fh, count: int, path) -> np.ndarray:
     return values.astype(np.complex128, copy=False)
 
 
+def _wave_speed(c, where: str = "") -> float:
+    """``c`` as a float: refused with :class:`ValidationError` unless a positive finite number.
+
+    The one check of a wave speed that enters or leaves a WFLD or WCF header;
+    JSON's ``true`` is not a number.
+    """
+    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
+        raise ValidationError(f"{where}wave speed c={c!r} must be a positive finite number")
+    return float(c)
+
+
 def _grid_header(grid: Grid3) -> dict:
     """``n``, ``h`` and ``origin`` of a header: what :func:`_grid_from_header` reads back."""
     return {"n": [grid.n_x, grid.n_y, grid.n_z], "h": [grid.h_x, grid.h_y, grid.h_z],
@@ -226,8 +238,6 @@ def _grid_from_header(header: dict, path) -> Grid3:
 def write_field(path, field: Union[ComplexField3, SpectralField3],
                 c: Optional[float] = None) -> None:
     """Write a position or spectral field as WFLD v1, with wave speed ``c`` if given."""
-    if c is not None and not (0 < c < np.inf):
-        raise ValidationError(f"wave speed c={c} must be positive and finite")
     if isinstance(field, ComplexField3):
         kind = "position"
     elif isinstance(field, SpectralField3):
@@ -236,7 +246,7 @@ def write_field(path, field: Union[ComplexField3, SpectralField3],
         raise ValidationError(f"cannot write object of type {type(field)!r}")
     header = {"version": 1, "kind": kind, **_grid_header(field.grid), "dtype": _MAGIC_DTYPE}
     if c is not None:
-        header["c"] = float(c)
+        header["c"] = _wave_speed(c)
     _write(path, header, field.values)
 
 
@@ -254,9 +264,7 @@ def read_field(path):
     else:
         raise ValidationError(f"{path}: unknown field kind {kind!r}")
     c = header.get("c")
-    if c is not None and not isinstance(c, (int, float)):
-        raise ValidationError(f"{path}: wave speed c={c!r} is not a number")
-    return field, (float(c) if c is not None else None)
+    return field, (_wave_speed(c, f"{path}: ") if c is not None else None)
 
 
 def _coefficient_header(nu_grid: ParameterGrid, sign: str, constant: complex, name: str,
@@ -265,7 +273,7 @@ def _coefficient_header(nu_grid: ParameterGrid, sign: str, constant: complex, na
         "version": 1,
         "sign": sign,
         "c_const": [float(np.real(constant)), float(np.imag(constant))],
-        "c": float(c),
+        "c": _wave_speed(c),
         "wavelet": {"name": name, "params": dict(params)},
         "nu_grid": dict(nu_grid.describe(), constant_factor=float(nu_grid.constant_factor)),
         "field": _grid_header(nu_grid.field_grid),
@@ -326,11 +334,11 @@ def _open_coefficients(fh, path):
             (str(k), float(v) if isinstance(v, (int, float)) else str(v))
             for k, v in wav.get("params", {}).items()
         ))
-        c = float(header.get("c", 1.0))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: bad WCF header ({exc!r})") from exc
     if list(grid.angle_shape) != shape:
         raise ValidationError(f"{path}: angle shape mismatch after rebuild")
+    c = _wave_speed(header.get("c", 1.0), f"{path}: ")
     return (grid, sign, complex(re, im), name, params), c
 
 

@@ -4,26 +4,27 @@ This module alone decides which rotations share their spectra and which
 lattice nodes share their resolution kernel.  Three rules, each an identity
 of the wavelet's symmetry on every lattice node:
 
-* Orbit rule.  An "axial" wavelet's ``PHI(a R^T k)`` depends on
-  ``(R e).k`` and |k| alone (see :class:`~wavecwt.wavelets.PhysicalWavelet`).
-  A signed permutation ``A`` of the lattice axes (axes of equal count and
-  spacing may swap, any axis may be negated) maps lattice wave vectors to
-  wave vectors of the negation-closed lattice (:func:`_closed_points`):
-  each axis's wave numbers with ``+pi/h``, the negated Nyquist value,
-  inserted, so that two axes of equal count and spacing carry one array and
+* Orbit rule, the same on every parameter grid.  A signed permutation
+  ``A`` of the lattice axes (axes of equal count and spacing may swap, any
+  axis may be negated) maps lattice wave vectors to wave vectors of the
+  negation-closed lattice (:func:`_closed_points`): each axis's wave
+  numbers with ``+pi/h``, the negated Nyquist value, inserted, so that two
+  axes of equal count and spacing carry one array and
   ``i -> -i mod (n + 1)`` negates every one of them bit for bit.  When two
-  rotations of a parameter grid have ``R_q e = A^T R_r e`` and equal
-  weights,
+  rotations of a parameter grid have ``R_q = A^T R_r`` and equal weights,
 
-      PHI(a R_q^T k) = PHI(a R_r^T A k),
+      PHI(a R_q^T k) = PHI(a R_r^T A k)
 
-  so rotation ``q``'s values on the lattice are rotation ``r``'s on the
-  closed lattice, transposed and reflected: a gather of strided slice
-  copies.  :func:`_orbits` groups a grid's rotations into orbits under
-  these permutations (6 orbits of 8 or 16 from 12 x 6 angles on a cube);
-  a grid without orbits gets ``maps = None``.  :func:`_orbit_gathers`
-  gives each rotation its gather.
-  :func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
+  for any wavelet; an "axial" wavelet's ``PHI(a R^T k)`` depends on
+  ``(R e).k`` and |k| alone (see :class:`~wavecwt.wavelets.PhysicalWavelet`),
+  so on its grids ``R_q e = A^T R_r e`` suffices.  Rotation ``q``'s values
+  on the lattice are then rotation ``r``'s on the closed lattice,
+  transposed and reflected: a gather of strided slice copies.
+  :func:`_orbits` groups a grid's rotations into orbits under these
+  permutations (6 orbits of 8 or 16 from 12 x 6 angles on a cube, 16 of 8
+  from 8 x 4 x 4 "none" angles); a grid with no orbit of two rotations
+  gets ``maps = None``.  :func:`_orbit_gathers` gives each rotation its
+  gather.  :func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
   representative per orbit on the closed lattice ((n + 1)^3 nodes on an
   n^3 cube) and gathers every member from it, the representative
   included.  The stored rotations match to 1e-16, so gathered values
@@ -52,9 +53,10 @@ of the wavelet's symmetry on every lattice node:
 
 Every rule rests on one matcher, :func:`_image`, run over the whole group
 at once; :func:`_symmetry_plan` is the one place that reads the symmetry
-tag for it.  Rotations are matched on ``R e`` on "axial" grids and on the
-whole ``R`` on "none" grids.  A "spherical" grid's plan is the identity
-alone, with no search: its |k| shells are its orbits already.
+tag for it, and the tag decides only what a rotation is matched on:
+``R e`` on "axial" grids, the whole ``R`` on "none" grids.  A "spherical"
+grid's plan is the identity alone, with no search: its |k| shells are its
+orbits already.
 
 No function here calls BLAS.
 """
@@ -133,29 +135,27 @@ def _image(keys: np.ndarray, weights: np.ndarray, group: np.ndarray) -> np.ndarr
 
 
 def _symmetry_plan(nu_grid):
-    """``(group, images, gathers)``: how the lattice's signed permutations move the rotations.
+    """``(group, images)``: how the lattice's signed permutations move the rotations.
 
     ``group`` is :func:`_lattice_symmetries` of the field grid, identity
     first, and ``images`` each rotation's match under each
     element (:func:`_image`).  This is the one reading of the symmetry tag
-    in the slice routes' plan.  An "axial" grid's rotations are matched on
-    ``R e``, on which its spectra depend; a "none" grid's on the whole
+    in the slice routes' plan, and the tag decides one thing: what a
+    rotation is matched on.  An "axial" grid's rotations are matched on
+    ``R e``, on which its spectra depend; every other grid's on the whole
     ``R``, since ``PHI(a R_q^T k) = PHI(a R_r^T A k)`` whenever
-    ``R_q = A^T R_r``.  A "spherical" grid's plan is its one rotation, the
-    identity, as its own image under the identity alone, with no search:
-    its |k| shells are its orbits already.  ``gathers`` says whether
-    synthesis gathers rotation orbits (:func:`_orbits`): on "axial" grids
-    only.
+    ``R_q = A^T R_r``, for any wavelet.  A "spherical" grid's plan is its
+    one rotation, the identity, as its own image under the identity alone,
+    with no search: its |k| shells are its orbits already.
     """
     if nu_grid.symmetry == "spherical":
-        return np.eye(3)[None], np.zeros((1, 1), dtype=np.intp), False
+        return np.eye(3)[None], np.zeros((1, 1), dtype=np.intp)
     group = _lattice_symmetries(nu_grid.field_grid)
-    gathers = nu_grid.symmetry == "axial"
-    if gathers:
+    if nu_grid.symmetry == "axial":
         keys = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(nu_grid.axis))[:, None]
     else:
         keys = nu_grid.rotations.transpose(0, 2, 1)  # the columns of each R
-    return group, _image(keys, nu_grid.rotation_weights, group), gathers
+    return group, _image(keys, nu_grid.rotation_weights, group)
 
 
 def _orbits(nu_grid):
@@ -164,21 +164,20 @@ def _orbits(nu_grid):
     ``orbits`` lists tuples of rotation indices, each led by its
     representative, its lowest index, with the members after it in index
     order; orbits come in the order of their representatives.  ``maps[q]``
-    is a signed permutation ``A`` (:func:`_lattice_symmetries`) with
-    ``R_q e = A^T R_r e`` for ``q``'s representative ``r`` (see
-    :func:`_image`), the one with the fewest negated axes; a
-    representative's is the identity.  Then
-    ``PHI(s R_q^T k) = PHI(s R_r^T A k)`` for an "axial" wavelet, and
-    ``A k`` is a node of the closed lattice.  An orbit holds the images of
-    its representative under every element of the group.  Only an "axial"
-    grid has orbits (see :func:`_symmetry_plan`): every other grid's
-    rotations are each their own, with ``maps = None``, and are evaluated
-    on the lattice itself.
+    is a signed permutation ``A`` (:func:`_lattice_symmetries`) that takes
+    ``q``'s representative ``r`` to ``q`` in :func:`_symmetry_plan`'s match
+    (``R_q e = A^T R_r e`` on an "axial" grid, ``R_q = A^T R_r`` on the
+    others), the one with the fewest negated axes; a representative's is
+    the identity.  Then ``PHI(s R_q^T k) = PHI(s R_r^T A k)``, and ``A k``
+    is a node of the closed lattice.  An orbit holds the images of its
+    representative under every element of the group.  The rule is the same
+    on every grid: ``maps`` is None exactly when no orbit has two members
+    (a spherical or single-rotation grid, or one whose rotations share no
+    lattice symmetry), and such rotations are evaluated on the lattice
+    itself.
     """
     n = nu_grid.n_rotations
-    group, images, gathers = _symmetry_plan(nu_grid)  # images: (|G|, n), identity first
-    if not gathers:
-        return [(idx,) for idx in range(n)], None
+    group, images = _symmetry_plan(nu_grid)  # images: (|G|, n), identity first
     rep = np.arange(n)
     np.minimum(rep, np.where(images >= 0, images, n).min(axis=0), out=rep)
     # a member is the image of its representative, which is its own representative
@@ -189,7 +188,8 @@ def _orbits(nu_grid):
     orbits = {}
     for q in range(n):
         orbits.setdefault(int(rep[q]), []).append(q)
-    return [tuple(orbit) for orbit in orbits.values()], [group[i] for i in element]
+    maps = [group[i] for i in element] if len(orbits) < n else None
+    return [tuple(orbit) for orbit in orbits.values()], maps
 
 
 def _stabilizer(nu_grid):
@@ -203,7 +203,7 @@ def _stabilizer(nu_grid):
     it includes ``-I``, whose permutation pairs each rotation with its
     antipodal partner; a "spherical" grid's is the identity alone.
     """
-    group, images, _ = _symmetry_plan(nu_grid)
+    group, images = _symmetry_plan(nu_grid)
     keep = (np.sort(images, axis=1) == np.arange(images.shape[1])).all(axis=1)
     return group[keep], images[keep]
 

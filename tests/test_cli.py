@@ -422,6 +422,20 @@ class TestBadValuesFailWhereTheyEnter:
         assert err["error"] == "ValidationError" and "wave speed" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [b"-1", b"0", b"NaN", b"Infinity", b"true"])
+    def test_bad_wave_speed_in_a_coefficient_file(self, capsys, tmp_path, text):
+        grid = wc.Grid3.cubic(16, 16.0)
+        pg = wc.build_parameter_grid(grid, "spherical", (0.0, 0.0, 1.0), 0.5, 2.0, 2)
+        path, out = tmp_path / "u.wcf", tmp_path / "u.wfld"
+        wc.write_coefficients(path, wc.WaveletCoefficients(
+            pg, np.ones((2, 1) + grid.shape, dtype=complex), "minus", 1.0, "exp-spherical"),
+            c=1.0)
+        path.write_bytes(path.read_bytes().replace(b'"c": 1.0', b'"c": ' + text, 1))
+        err = self.fails(capsys, "synthesize", "--coeffs", str(path), "--t", "0",
+                         "--out", str(out))
+        assert err["error"] == "ValidationError" and "wave speed" in err["message"]
+        assert not out.exists()
+
     def test_non_finite_tolerance(self, capsys):
         err = self.fails(capsys, "admissibility", "--wavelet", "exp-spherical", "--tol", "nan")
         assert err["error"] == "ValidationError" and "tolerance" in err["message"]

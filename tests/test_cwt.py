@@ -518,7 +518,7 @@ def direct_kernel(wavelet, pg, support):
 
 def antipodal_partners(pg):
     """Each rotation's image under ``-I``, matched on ``R e``, or -1 where it has none."""
-    group, images, _ = _symmetry_plan(pg)
+    group, images = _symmetry_plan(pg)
     return images[(group == -np.eye(3)).all(axis=(1, 2))][0]
 
 
@@ -1234,19 +1234,22 @@ class TestSliceMemory:
         # analyze writes each product into its coefficient rows and transforms them in
         # place (16.3 and 32.4 slabs beyond the coefficients when every task built its
         # own zero block and transformed out of place); reconstruct_spectrum stays at or
-        # below the 28.5 and 54.5 slabs of a per-slice phase-and-volume transform
+        # below the 28.5 and 54.5 slabs of a per-slice phase-and-volume transform.  The
+        # same bounds hold on an axial grid and on a "none" one, both gathering orbits.
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         grid = wc.Grid3.cubic(32, 32.0)
-        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 8, 2, 2)
         u = band_limited_spectrum(grid, 0.6, 1.8, 85)
         slab = 16 * grid.node_count
-        coeffs, peak = self.traced_peak(
-            lambda: wc.analyze(u, "plus", packet, pg, constant=1.0, threads=threads))
-        beyond = (peak - coeffs.values.nbytes) / slab
-        assert beyond <= 4.0 * threads
-        _, peak = self.traced_peak(lambda: wc.reconstruct_spectrum(coeffs, packet, threads))
-        synthesis_slabs = peak / slab
-        assert synthesis_slabs <= {1: 28.5, 2: 54.5}[threads]
+        for wavelet, angles in ((packet, (2, 2)), (none_wavelet(), (2, 2, 2))):
+            pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 8, *angles)
+            assert _orbits(pg)[1] is not None
+            coeffs, peak = self.traced_peak(
+                lambda: wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.0, threads=threads))
+            beyond = (peak - coeffs.values.nbytes) / slab
+            assert beyond <= 4.0 * threads
+            _, peak = self.traced_peak(lambda: wc.reconstruct_spectrum(coeffs, wavelet, threads))
+            synthesis_slabs = peak / slab
+            assert synthesis_slabs <= {1: 28.5, 2: 54.5}[threads]
 
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1634,6 +1637,9 @@ class TestOrbits:
             assert np.array_equal(c[negate], -c)
             assert c[keep].tobytes() == K.tobytes()
 
+    # two angles make an axial grid of the packet, matched on R e; three a "none" grid of
+    # bateman, matched on the whole R.  Maps are None exactly when no orbit has two members:
+    # one rotation, or 5 x 3 x 3 angles, whose rotations share no lattice symmetry.
     @pytest.mark.parametrize("grid, angles, sizes", [
         (wc.Grid3.cubic(32, 32.0), (12, 6), {8: 3, 16: 3}),
         (wc.Grid3.cubic(32, 32.0), (16, 8), {8: 8, 16: 4}),
@@ -1641,49 +1647,61 @@ class TestOrbits:
         (wc.Grid3.cubic(32, 32.0), (11, 6), {2: 3, 4: 15}),
         (wc.Grid3(32, 24, 20, 1.0, 1.0, 1.0), (12, 6), {4: 6, 8: 6}),
         (wc.Grid3.cubic(32, 32.0), (1, 1), {1: 1}),
+        (wc.Grid3.cubic(32, 32.0), (8, 4, 4), {8: 16}),
+        (wc.Grid3(16, 12, 10, 1.0, 1.1, 0.9, (3.0, -2.0, 1.0)), (8, 4, 4), {4: 32}),
+        (wc.Grid3.cubic(32, 32.0), (5, 3, 3), {1: 45}),
     ])
     def test_orbits_map_each_member_to_its_representative(self, packet, grid, angles, sizes):
-        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 2, *angles)
+        wavelet = packet if len(angles) == 2 else none_wavelet()
+        pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 2, *angles)
         orbits, maps = _orbits(pg)
         assert sorted(idx for orbit in orbits for idx in orbit) == list(range(pg.n_rotations))
         assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
         counts = {}
         for orbit in orbits:
             counts[len(orbit)] = counts.get(len(orbit), 0) + 1
+        assert counts == sizes
+        if sizes == {1: pg.n_rotations}:
+            assert maps is None
+            return
+        # R e for the packet's x axis; the whole R on a "none" grid
+        keys = pg.rotations[:, :, :1] if len(angles) == 2 else pg.rotations
+        for orbit in orbits:
             assert list(orbit) == sorted(orbit)
-            rep = pg.rotations[orbit[0], :, 0]  # R e for the packet's x axis
             for idx in orbit:
-                np.testing.assert_allclose(pg.rotations[idx, :, 0], maps[idx].T @ rep,
+                np.testing.assert_allclose(keys[idx], maps[idx].T @ keys[orbit[0]],
                                            rtol=0, atol=1e-12)
                 assert abs(pg.rotation_weights[idx] - pg.rotation_weights[orbit[0]]) <= \
                     4 * np.finfo(float).eps * pg.rotation_weights[idx]
             assert np.array_equal(maps[orbit[0]], np.eye(3))
-        assert counts == sizes
 
-    def test_other_symmetries_have_no_orbits(self, grid16, exp_sph):
-        none = wc.make_wavelet("bateman", {"eps1": 0.5, "eps2": 0.8})
-        for wavelet in (exp_sph, none):
-            pg = wc.make_parameter_grid(grid16, wavelet, 0.3, 2.0, 4, 4, 2, 2)
-            assert _orbits(pg)[0] == [(idx,) for idx in range(pg.n_rotations)]
+    def test_spherical_grid_is_one_orbit_without_maps(self, grid16, exp_sph):
+        pg = wc.make_parameter_grid(grid16, exp_sph, 0.3, 2.0, 4)
+        assert _orbits(pg) == ([(0,)], None)
 
     # orbits depend on the lattice's symmetry, not its size: the 32^3 cube at 2 x 2 angles,
-    # a 16^3 one at the larger angle grids and a non-cubic, off-centre box
+    # a 16^3 one at the larger angle grids and a non-cubic, off-centre box; three angles
+    # make a "none" grid of bateman
     @pytest.mark.parametrize("angles, grid", [
         ((2, 2), wc.Grid3.cubic(32, 32.0)), ((12, 6), wc.Grid3.cubic(16, 16.0)),
         ((16, 8), wc.Grid3.cubic(16, 16.0)), ((11, 6), wc.Grid3.cubic(16, 16.0)),
         ((12, 6), wc.Grid3(16, 12, 10, 1.0, 1.1, 0.9, (3.0, -2.0, 1.0))),
+        ((8, 4, 4), wc.Grid3.cubic(16, 16.0)),
+        ((8, 4, 4), wc.Grid3(16, 12, 10, 1.0, 1.1, 0.9, (3.0, -2.0, 1.0))),
     ])
     def test_routes_match_the_per_rotation_reference(self, monkeypatch, packet, angles, grid):
-        pg = wc.make_parameter_grid(grid, packet, *wc.suggest_dilation_range(packet, 0.6, 1.8),
+        wavelet = packet if len(angles) == 2 else none_wavelet()
+        pg = wc.make_parameter_grid(grid, wavelet, *wc.suggest_dilation_range(wavelet, 0.6, 1.8),
                                     2, *angles)
+        assert _orbits(pg)[1] is not None
         inputs = [band_limited_spectrum(grid, 0.6, 1.8, 12), masked_spectrum(grid, 1.0, 13),
                   masked_spectrum(grid, 0.3, 14)]
 
         def routes():
             out = []
             for u in inputs:
-                coeffs = wc.analyze(u, "plus", packet, pg, constant=1.3, threads=2)
-                out += [coeffs.values, wc.reconstruct_spectrum(coeffs, packet, threads=2).values]
+                coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=2)
+                out += [coeffs.values, wc.reconstruct_spectrum(coeffs, wavelet, threads=2).values]
             return out
 
         got = routes()
@@ -1693,64 +1711,72 @@ class TestOrbits:
             assert np.max(np.abs(one - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_one_evaluation_per_orbit_and_threads_agree(self, monkeypatch, packet):
+        # on an axial grid and on a "none" one
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 8)
         grid = wc.Grid3.cubic(16, 16.0)
-        points = []
-
-        def spectral(kx, ky, kz):
-            points.append(np.size(kx))
-            return packet.spectral(kx, ky, kz)
-
-        counted = dataclasses.replace(packet, spectral=spectral)
-        pg = wc.make_parameter_grid(grid, counted, 0.3, 2.0, 6, 4, 2)
-        orbits, _ = _orbits(pg)
-        assert len(orbits) < pg.n_rotations
         u = masked_spectrum(grid, 0.4, 15)
         support = u.values.ravel() != 0
-        results = []
-        for threads in (1, 2, 8):
-            points.clear()
-            coeffs = wc.analyze(u, "plus", counted, pg, constant=1.3, threads=threads)
-            analyzed = sum(points)
-            points.clear()
-            spectrum = wc.reconstruct_spectrum(coeffs, counted, threads=threads)
-            results.append((coeffs.values.tobytes(), spectrum.values.tobytes()))
-            # analyze evaluates every rotation on the support; synthesis the representatives
-            # on every node of the closed lattice, and nothing else
-            assert analyzed == pg.n_a * pg.n_rotations * np.count_nonzero(support)
-            assert sum(points) == pg.n_a * len(orbits) * int(np.prod(_closed_shape(grid)))
-        assert results[0] == results[1] == results[2]
+        points = []
+        for wavelet, angles in ((packet, (4, 2)), (none_wavelet(), (4, 2, 2))):
+
+            def spectral(kx, ky, kz, spectral=wavelet.spectral):
+                points.append(np.size(kx))
+                return spectral(kx, ky, kz)
+
+            counted = dataclasses.replace(wavelet, spectral=spectral)
+            pg = wc.make_parameter_grid(grid, counted, 0.3, 2.0, 6, *angles)
+            orbits, _ = _orbits(pg)
+            assert len(orbits) < pg.n_rotations
+            results = []
+            for threads in (1, 2, 8):
+                points.clear()
+                coeffs = wc.analyze(u, counted.sign, counted, pg, constant=1.3, threads=threads)
+                analyzed = sum(points)
+                points.clear()
+                spectrum = wc.reconstruct_spectrum(coeffs, counted, threads=threads)
+                results.append((coeffs.values.tobytes(), spectrum.values.tobytes()))
+                # analyze evaluates every rotation on the support; synthesis the
+                # representatives on every node of the closed lattice, and nothing else
+                assert analyzed == pg.n_a * pg.n_rotations * np.count_nonzero(support)
+                assert sum(points) == pg.n_a * len(orbits) * int(np.prod(_closed_shape(grid)))
+            assert results[0] == results[1] == results[2]
 
     def test_synthesis_preflight_counts_the_closed_lattice(self, monkeypatch, packet):
         # per dilation, an orbit's task holds the representative's values on the closed
         # lattice, a member's gathered values, the FFT slab and the sweep evaluator's
         # workspace on the closed lattice: a machine one byte short is refused before the
-        # sweep is built and before any transform
+        # sweep is built and before any transform, on an axial grid and on a "none" one
         monkeypatch.setattr(cwt.os, "cpu_count", lambda: 2)
         grid = wc.Grid3.cubic(16, 16.0)
-        pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 4, 12, 6)
-        coeffs = wc.analyze(band_limited_spectrum(grid, 0.6, 1.8, 16), "plus", packet, pg,
-                            constant=1.0)
-        orbits, _ = _orbits(pg)
         closed = int(np.prod(_closed_shape(grid)))
-        per_point = sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(packet))
-        assert per_point == 58  # three wave-vector components and the packet's five buffers
-        block = max(rows.stop - rows.start
-                    for _, rows in _slice_tasks(pg, 2 * grid.node_count, orbits))
-        needed = cwt._working_set(pg, 2, closed, 2, closed * per_point, orbits)
-        assert needed == 2 * block * (16 * closed + 2 * 16 * grid.node_count + per_point * closed)
         sysconf = cwt.os.sysconf
-        machine = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed - 1}
+        machine = {}
         monkeypatch.setattr(cwt.os, "sysconf", lambda name: machine.get(name) or sysconf(name))
         ran, fft, sweep = [], synthesis._lattice_fft, synthesis._sweep
         monkeypatch.setattr(synthesis, "_lattice_fft", lambda *a, **k: ran.append(1) or fft(*a, **k))
         monkeypatch.setattr(synthesis, "_sweep", lambda *a, **k: ran.append(0) or sweep(*a, **k))
-        with pytest.raises(wc.ValidationError, match="physical memory"):
-            wc.reconstruct_spectrum(coeffs, packet, threads=2)
-        assert not ran
-        machine["SC_PHYS_PAGES"] = needed
-        wc.reconstruct_spectrum(coeffs, packet, threads=2)  # exactly fits
-        assert ran
+        # three wave-vector components and the packet's five buffers; bateman's three components
+        for wavelet, angles, per_point in ((packet, (12, 6), 58), (none_wavelet(), (4, 2, 2), 24)):
+            pg = wc.make_parameter_grid(grid, wavelet, 0.3, 2.0, 4, *angles)
+            machine.clear()
+            coeffs = wc.analyze(band_limited_spectrum(grid, 0.6, 1.8, 16), wavelet.sign, wavelet,
+                                pg, constant=1.0)
+            orbits, maps = _orbits(pg)
+            assert maps is not None
+            assert sum(np.dtype(t).itemsize for t in cwt._evaluator_dtypes(wavelet)) == per_point
+            block = max(rows.stop - rows.start
+                        for _, rows in _slice_tasks(pg, 2 * grid.node_count, orbits))
+            needed = cwt._working_set(pg, 2, closed, 2, closed * per_point, orbits)
+            assert needed == 2 * block * (16 * closed + 2 * 16 * grid.node_count
+                                          + per_point * closed)
+            machine.update(SC_PAGE_SIZE=1, SC_PHYS_PAGES=needed - 1)
+            ran.clear()
+            with pytest.raises(wc.ValidationError, match="physical memory"):
+                wc.reconstruct_spectrum(coeffs, wavelet, threads=2)
+            assert not ran
+            machine["SC_PHYS_PAGES"] = needed
+            wc.reconstruct_spectrum(coeffs, wavelet, threads=2)  # exactly fits
+            assert ran
 
     @pytest.mark.parametrize("symmetry", ["axial", "spherical"])
     def test_analyze_preflight_counts_the_evaluator_workspace(self, monkeypatch, tmp_path,

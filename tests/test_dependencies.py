@@ -268,3 +268,50 @@ def test_guard_flags_symmetry_reads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_symmetry_tag_is_read_only_where_it_decides(path):
     assert symmetry_readers(path.read_text()) <= SYMMETRY_READERS.get(path.name, set())
+
+
+# The rotation matcher runs once per symmetry plan, over the whole group at once: a call per
+# group element or per rotation (in a loop or a comprehension) repeats its sort and search,
+# 5.2 ms per plan against 0.8 ms at 16 x 8 angles.
+def matcher_calls(source: str, name: str = "_image"):
+    """``(function, in_loop)`` for each call of ``name`` (or ``<anything>.name``) in ``source``.
+
+    A call outside every function is named ``<module>``; a method ``Class.method``.
+    """
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = []
+
+    def visit(node, owner, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and owner == "<module>":
+                visit(child, f"{child.name}.", in_loop)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    owner == "<module>" or owner.endswith(".")):
+                visit(child, owner.replace("<module>", "") + child.name, False)
+            else:
+                func = child.func if isinstance(child, ast.Call) else None
+                if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    found.append((owner, in_loop))
+                # a nested function is its owner's; a loop around it counts
+                visit(child, owner, in_loop or isinstance(child, loops))
+
+    visit(ast.parse(source), "<module>", False)
+    return found
+
+
+def test_guard_flags_a_matcher_call_outside_the_plan():
+    source = ("def _symmetry_plan(g):\n    return _image(keys, w, group)\n\n"
+              "def _orbits(g):\n    return [_image(keys, w, a[None]) for a in group]\n\n"
+              "def per_element(g):\n    for a in group:\n        orbits._image(keys, w, a[None])\n\n"
+              "class Plan:\n    def build(self):\n        return _image(self.keys, self.w, self.g)\n"
+              "\nIMAGES = _image(KEYS, W, G)\n")
+    assert matcher_calls(source) == [("_symmetry_plan", False), ("_orbits", True),
+                                     ("per_element", True), ("Plan.build", False),
+                                     ("<module>", False)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_matcher_runs_once_per_symmetry_plan(path):
+    expected = [("_symmetry_plan", False)] if path.name == "orbits.py" else []
+    assert matcher_calls(path.read_text()) == expected

@@ -25,6 +25,15 @@ class TestGrid3:
         with pytest.raises(wc.ValidationError):
             wc.Grid3(n, 8, 8, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [16.0, np.float64(16.0), "16", True, None])
+    def test_rejects_counts_that_are_not_integers(self, n):
+        # a float count would pass a size check and fail later inside the FFT frequencies
+        with pytest.raises(wc.ValidationError, match="even integers"):
+            wc.Grid3.cubic(n, 16.0)
+        with pytest.raises(wc.ValidationError, match="even integers"):
+            wc.Grid3(16, n, 16, 1.0, 1.0, 1.0)
+        assert wc.Grid3.cubic(np.int64(16), 16.0).node_count == 4096
+
     def test_rejects_bad_spacing(self):
         with pytest.raises(wc.ValidationError):
             wc.Grid3(8, 8, 8, 0.0, 1.0, 1.0)

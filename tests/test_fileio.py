@@ -152,6 +152,46 @@ def test_ill_typed_wave_speed_rejected(tmp_path, grid16):
         wc.read_field(path)
 
 
+BAD_SPEEDS = [(-1.0, b"-1"), (0.0, b"0"), (float("nan"), b"NaN"), (float("inf"), b"Infinity"),
+              (True, b"true")]
+
+
+@pytest.mark.parametrize("c", [c for c, _ in BAD_SPEEDS], ids=lambda c: repr(c))
+def test_writers_refuse_a_bad_wave_speed_and_leave_no_file(tmp_path, grid16, c):
+    pg = wc.build_parameter_grid(grid16, "spherical", (0.0, 0.0, 1.0), 0.5, 2.0, 2)
+    coeffs = wc.WaveletCoefficients(pg, np.ones((2, 1) + grid16.shape, dtype=complex), "minus",
+                                    1.0)
+    path = tmp_path / "out"
+    with pytest.raises(wc.ValidationError, match="wave speed"):
+        wc.write_field(path, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)), c=c)
+    assert not path.exists()
+    with pytest.raises(wc.ValidationError, match="wave speed"):
+        wc.write_coefficients(path, coeffs, c=c)
+    assert not path.exists()
+    with pytest.raises(wc.ValidationError, match="wave speed"):
+        with wc.create_coefficients(path, wc.exp_spherical_wavelet(), pg, 1.0, c=c):
+            raise AssertionError("the payload was handed out")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", [text for _, text in BAD_SPEEDS], ids=lambda t: t.decode())
+def test_readers_refuse_a_bad_wave_speed(tmp_path, grid16, text):
+    field = tmp_path / "u.wfld"
+    wc.write_field(field, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)), c=1.0)
+    coefficients = tmp_path / "u.wcf"
+    pg = wc.build_parameter_grid(grid16, "spherical", (0.0, 0.0, 1.0), 0.5, 2.0, 2)
+    wc.write_coefficients(coefficients, wc.WaveletCoefficients(
+        pg, np.ones((2, 1) + grid16.shape, dtype=complex), "minus", 1.0), c=1.0)
+    for path in (field, coefficients):
+        blob = path.read_bytes()
+        assert blob.count(b'"c": 1.0') == 1
+        path.write_bytes(blob.replace(b'"c": 1.0', b'"c": ' + text))
+    for read, path in ((wc.read_field, field), (wc.read_coefficients, coefficients),
+                       (wc.open_coefficients, coefficients)):
+        with pytest.raises(wc.ValidationError, match="wave speed"):
+            read(path)
+
+
 @pytest.mark.parametrize("header", [
     b"[1]",
     b'{"version": 1, "dtype": "c128le"}',
