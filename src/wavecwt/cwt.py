@@ -110,7 +110,8 @@ from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
                      _radius, _support_runs, fft3)
 from .orbits import _node_orbits, _stabilizer
-from .wavelets import PhysicalWavelet, _rot_x, _rot_z, _tilt_axis, time_antiderivative_wavelet
+from .wavelets import (PhysicalWavelet, _ivp_pair, _rot_x, _rot_z, _tilt_axis,
+                       time_antiderivative_wavelet)
 
 __all__ = [
     "ParameterGrid",
@@ -131,21 +132,14 @@ __all__ = [
 
 
 def default_thread_count() -> int:
-    """WAVECWT_THREADS when set, else the hardware count.
+    """The CPU count: the number of workers that ``threads=None`` means.
 
-    A set value that is not a decimal integer >= 1 raises
-    :class:`ValidationError`, as ``--threads`` does.  Workers share
-    (rotation or orbit, dilation block) tasks in every slice route.  Results
-    are bit-identical for any thread count: tasks are cut from the grid and
-    the points evaluated per dilation, and reduced in a fixed order
-    regardless of which worker produced them.
+    Workers share (rotation or orbit, dilation block) tasks in every slice
+    route.  Results are bit-identical for any thread count: tasks are cut
+    from the grid and the points evaluated per dilation, and reduced in a
+    fixed order regardless of which worker produced them.
     """
-    env = os.environ.get("WAVECWT_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValidationError(f"WAVECWT_THREADS={env!r}: needs an integer >= 1")
-    return int(env)
+    return os.cpu_count() or 1
 
 
 def _require_memory(nbytes: int, what: str) -> None:
@@ -814,7 +808,8 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
             threads: Optional[int] = None, out=None) -> WaveletCoefficients:
     """Wavelet coefficients of a frequency-pure solution part.
 
-    ``s_part`` holds the t = 0 spectral data of the chosen sign.  Each
+    ``s_part`` holds the t = 0 spectral data of the chosen sign, which must
+    be ``wavelet``'s own sign tag.  Each
     (a, rotation) slice is the bare inverse FFT of ``a^{3/2} conj(PHI) v``
     with ``v`` the data times the transform's k-factor, applied once; each
     (rotation, dilation block) task writes its own slices.  The spectrum is
@@ -836,8 +831,6 @@ def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,
     up, and the result is backed by ``out``.  The workspace is counted on the
     support's nodes, which bounds a spherical wavelet's |k| shells.
     """
-    if sign not in ("plus", "minus"):
-        raise ValidationError(f"bad sign {sign!r}")
     if wavelet.sign != sign:
         raise ValidationError(f"wavelet sign {wavelet.sign!r} does not match requested {sign!r}")
     nu_grid.check_route(wavelet, s_part)
@@ -918,12 +911,13 @@ def analyze_initial_data(w: ComplexField3, v: ComplexField3, wavelet_plus: Physi
     Returns (W_plus, W_minus, V_plus, V_minus): W is the transform of the
     initial field against each wavelet, V the transform of the initial
     velocity against the corresponding time-antiderivative wavelet, all at
-    t = 0.  No frequency splitting of the data is performed.
+    t = 0.  No frequency splitting of the data is performed.  The wavelets
+    must be a (plus, minus) pair with one wave speed, as in
+    :func:`~wavecwt.synthesis.solve_ivp`.
     """
     if w.grid != v.grid:
         raise GridMismatchError("initial data must share one grid")
-    if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
-        raise ValidationError("analyze_initial_data needs a (plus, minus) wavelet pair")
+    _ivp_pair(wavelet_plus, wavelet_minus, "analyze_initial_data")
     c_plus = _require_constant(wavelet_plus, constants[0] if constants else None)
     c_minus = _require_constant(wavelet_minus, constants[1] if constants else None)
 

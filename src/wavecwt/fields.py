@@ -41,6 +41,7 @@ part with ``exp(+i|k|ct)``.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -65,6 +66,17 @@ __all__ = [
 ]
 
 
+def _positive_finite(x, what: str) -> float:
+    """``x`` as a float; :class:`ValidationError` unless a real number with 0 < x < inf.
+
+    The one check of a wave speed, lattice spacing, dilation or time step;
+    ``what`` names the quantity in the message.  A bool is not a number.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < np.inf:
+        raise ValidationError(f"{what}={x!r} must be a positive finite number")
+    return float(x)
+
+
 def _check_sizes(**sizes) -> None:
     """Refuse a count that is not an even integer >= 8; a float such as 16.0 is not an integer."""
     for name, n in sizes.items():
@@ -81,8 +93,8 @@ class Grid3:
     """Uniform 3-D sampling lattice.
 
     n_x, n_y, n_z   samples per axis (even, >= 8)
-    h_x, h_y, h_z   spacing per axis (> 0)
-    origin          coordinate of node (0, 0, 0)
+    h_x, h_y, h_z   spacing per axis (positive finite, stored as given)
+    origin          coordinate of node (0, 0, 0), finite
     """
 
     n_x: int
@@ -96,11 +108,11 @@ class Grid3:
     def __post_init__(self):
         _check_sizes(n_x=self.n_x, n_y=self.n_y, n_z=self.n_z)
         for name, h in (("h_x", self.h_x), ("h_y", self.h_y), ("h_z", self.h_z)):
-            if not (h > 0):
-                raise ValidationError(f"{name}={h}: spacings must be positive")
-        if len(self.origin) != 3:
-            raise ValidationError("origin must be a 3-vector")
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+            _positive_finite(h, f"spacing {name}")
+        origin = tuple(float(v) for v in self.origin)
+        if len(origin) != 3 or not np.isfinite(origin).all():
+            raise ValidationError(f"origin={self.origin!r} must be a finite 3-vector")
+        object.__setattr__(self, "origin", origin)
 
     @classmethod
     def cubic(cls, n: int, extent: float) -> "Grid3":
@@ -217,7 +229,8 @@ class SpectralField3:
 class SolutionSpectrum:
     """A wave-equation solution stored as its two frequency-sign parts.
 
-    ``plus`` evolves with exp(-i|k|ct), ``minus`` with exp(+i|k|ct).
+    ``plus`` evolves with exp(-i|k|ct), ``minus`` with exp(+i|k|ct); the
+    wave speed ``c`` is a positive finite number.
     """
 
     plus: SpectralField3
@@ -227,8 +240,7 @@ class SolutionSpectrum:
     def __post_init__(self):
         if self.plus.grid != self.minus.grid:
             raise GridMismatchError("SolutionSpectrum parts must share one grid")
-        if not (self.c > 0):
-            raise ValidationError(f"wave speed c={self.c} must be positive")
+        _positive_finite(self.c, "wave speed c")
 
     @property
     def grid(self) -> Grid3:
@@ -389,12 +401,12 @@ def split_ivp(w: ComplexField3, v: ComplexField3, c: float) -> SolutionSpectrum:
     Implements ``plus/minus = (W -/+ V/(i c |k|)) / 2`` where W, V are the
     transforms of w and v.  The k = 0 bin of the ``V/|k|`` term is set to
     zero; if V(0) is not negligible a RuntimeWarning is emitted, since the
-    constant-velocity mode cannot be represented on the lattice.
+    constant-velocity mode cannot be represented on the lattice.  ``c`` must
+    be a positive finite number, checked before any transform.
     """
     if w.grid != v.grid:
         raise GridMismatchError("split_ivp requires w and v on one grid")
-    if not (c > 0):
-        raise ValidationError(f"wave speed c={c} must be positive")
+    _positive_finite(c, "wave speed c")
     g = w.grid
     W = fft3(w).values
     V = fft3(v).values

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import stat
 import weakref
@@ -49,7 +48,7 @@ import numpy as np
 
 from .cwt import ParameterGrid, WaveletCoefficients, _require_memory, build_parameter_grid
 from .errors import ValidationError
-from .fields import ComplexField3, Grid3, SpectralField3
+from .fields import ComplexField3, Grid3, SpectralField3, _positive_finite
 from .wavelets import PhysicalWavelet
 
 __all__ = ["Payload", "write_field", "read_field", "write_coefficients", "read_coefficients",
@@ -208,17 +207,6 @@ def _read_payload(fh, count: int, path) -> np.ndarray:
     return values.astype(np.complex128, copy=False)
 
 
-def _wave_speed(c, where: str = "") -> float:
-    """``c`` as a float: refused with :class:`ValidationError` unless a positive finite number.
-
-    The one check of a wave speed that enters or leaves a WFLD or WCF header;
-    JSON's ``true`` is not a number.
-    """
-    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
-        raise ValidationError(f"{where}wave speed c={c!r} must be a positive finite number")
-    return float(c)
-
-
 def _grid_header(grid: Grid3) -> dict:
     """``n``, ``h`` and ``origin`` of a header: what :func:`_grid_from_header` reads back."""
     return {"n": [grid.n_x, grid.n_y, grid.n_z], "h": [grid.h_x, grid.h_y, grid.h_z],
@@ -226,9 +214,9 @@ def _grid_header(grid: Grid3) -> dict:
 
 
 def _grid_from_header(header: dict, path) -> Grid3:
+    """The header's grid: counts and spacings go to :class:`Grid3` as read, which checks them."""
     try:
-        nx, ny, nz = (int(v) for v in header["n"])
-        hx, hy, hz = (float(v) for v in header["h"])
+        (nx, ny, nz), (hx, hy, hz) = header["n"], header["h"]
         origin = tuple(float(v) for v in header["origin"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad grid description ({exc})") from exc
@@ -246,7 +234,7 @@ def write_field(path, field: Union[ComplexField3, SpectralField3],
         raise ValidationError(f"cannot write object of type {type(field)!r}")
     header = {"version": 1, "kind": kind, **_grid_header(field.grid), "dtype": _MAGIC_DTYPE}
     if c is not None:
-        header["c"] = _wave_speed(c)
+        header["c"] = _positive_finite(c, "wave speed c")
     _write(path, header, field.values)
 
 
@@ -264,7 +252,7 @@ def read_field(path):
     else:
         raise ValidationError(f"{path}: unknown field kind {kind!r}")
     c = header.get("c")
-    return field, (_wave_speed(c, f"{path}: ") if c is not None else None)
+    return field, (_positive_finite(c, f"{path}: wave speed c") if c is not None else None)
 
 
 def _coefficient_header(nu_grid: ParameterGrid, sign: str, constant: complex, name: str,
@@ -273,7 +261,7 @@ def _coefficient_header(nu_grid: ParameterGrid, sign: str, constant: complex, na
         "version": 1,
         "sign": sign,
         "c_const": [float(np.real(constant)), float(np.imag(constant))],
-        "c": _wave_speed(c),
+        "c": _positive_finite(c, "wave speed c"),
         "wavelet": {"name": name, "params": dict(params)},
         "nu_grid": dict(nu_grid.describe(), constant_factor=float(nu_grid.constant_factor)),
         "field": _grid_header(nu_grid.field_grid),
@@ -338,7 +326,7 @@ def _open_coefficients(fh, path):
         raise ValidationError(f"{path}: bad WCF header ({exc!r})") from exc
     if list(grid.angle_shape) != shape:
         raise ValidationError(f"{path}: angle shape mismatch after rebuild")
-    c = _wave_speed(header.get("c", 1.0), f"{path}: ")
+    c = _positive_finite(header.get("c", 1.0), f"{path}: wave speed c")
     return (grid, sign, complex(re, im), name, params), c
 
 

@@ -9,7 +9,8 @@ from typing import Union
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .fields import ComplexField3, SpectralField3, _pairing, fft3, propagate, split_ivp
+from .fields import (ComplexField3, SpectralField3, _pairing, _positive_finite, fft3, propagate,
+                     split_ivp)
 from .wavelets import PhysicalWavelet
 
 __all__ = ["ErrorReport", "fourier_ivp", "dalembert_residual", "compare", "spectrum_selfcheck"]
@@ -48,12 +49,15 @@ def dalembert_residual(before: ComplexField3, center: ComplexField3, after: Comp
     Second-order central differences in time and space; the norm ratio
     ``|u_tt - c^2 Lap u| / |u_tt|`` is reported over the grid interior,
     excluding two cells per face (grid truncation of non-compact wavelets
-    pollutes the edges).
+    pollutes the edges).  ``c`` and ``dt`` must be positive finite numbers.
+    Where ``u_tt`` vanishes on the interior the ratio is 0 if the residual
+    vanishes too; otherwise the snapshots are not a solution at any
+    tolerance, and :class:`ValidationError` is raised.
     """
     if before.grid != center.grid or center.grid != after.grid:
         raise GridMismatchError("snapshots must share one grid")
-    if not (dt > 0):
-        raise ValidationError("dt must be positive")
+    _positive_finite(c, "wave speed c")
+    _positive_finite(dt, "time step dt")
     g = center.grid
     u = center.values
     utt = (after.values - 2.0 * u + before.values) / dt**2
@@ -65,9 +69,10 @@ def dalembert_residual(before: ComplexField3, center: ComplexField3, after: Comp
     box = utt - c**2 * lap
     core = (slice(2, -2),) * 3
     denom = _l2(utt[core])
-    if denom == 0.0:
-        return ErrorReport(0.0, float(np.max(np.abs(box[core]))))
-    return ErrorReport(float(_l2(box[core]) / denom), float(np.max(np.abs(box[core]))))
+    max_abs = float(np.max(np.abs(box[core])))
+    if denom == 0.0 and max_abs != 0.0:  # no solution, whatever the tolerance
+        raise ValidationError("residual: u_tt vanishes on the interior, the wave operator not")
+    return ErrorReport(float(_l2(box[core]) / denom) if denom else 0.0, max_abs)
 
 
 def compare(a: Union[ComplexField3, SpectralField3],

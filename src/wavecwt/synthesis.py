@@ -52,7 +52,7 @@ from .fields import (
     split_ivp,
 )
 from .orbits import _closed_points, _closed_shape, _orbit_gathers, _orbits
-from .wavelets import PhysicalWavelet
+from .wavelets import PhysicalWavelet, _ivp_pair
 
 __all__ = [
     "reconstruct",
@@ -205,12 +205,10 @@ def solve_ivp(w: ComplexField3, v: ComplexField3, wavelet_plus: PhysicalWavelet,
     This equals synthesizing the printed coefficients ``U = W/2 -/+ (a/2) V``
     of both sign branches.  As in :func:`~wavecwt.oracle.fourier_ivp`, the
     k = 0 bin of ``V/|k|`` is set to zero, with a RuntimeWarning when V(0)
-    is not negligible: a constant velocity cannot be represented.
+    is not negligible: a constant velocity cannot be represented.  The
+    wavelets must be a (plus, minus) pair with one wave speed.
     """
-    if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
-        raise ValidationError("solve_ivp needs a (plus, minus) wavelet pair")
-    if wavelet_plus.c != wavelet_minus.c:
-        raise ValidationError("wavelet pair must share one wave speed")
+    _ivp_pair(wavelet_plus, wavelet_minus, "solve_ivp")
     split = split_ivp(w, v, wavelet_plus.c)
     c_plus, c_minus = constants if constants else (None, None)
     plus = project(split.plus, wavelet_plus, nu_grid, c_plus, threads=threads)

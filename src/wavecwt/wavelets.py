@@ -41,7 +41,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import EvaluatorMissingError, ValidationError
-from .fields import ComplexField3, SpectralField3, _radius, solution_from_minus, solution_from_plus
+from .fields import (ComplexField3, SpectralField3, _positive_finite, _radius, solution_from_minus,
+                     solution_from_plus)
 
 __all__ = [
     "ProxyWavelet",
@@ -220,7 +221,7 @@ class PhysicalWavelet:
     position  optional (X, Y, Z, t) -> complex field samples
     symmetry  "spherical" | "axial" | "none"
     axis      symmetry axis for "axial" wavelets (unit 3-vector)
-    c         wave speed the closed forms were written for
+    c         wave speed the closed forms were written for (positive finite)
     name      catalog name, "" for derived/ad-hoc wavelets
     params    catalog parameters as a sorted (key, value) tuple
 
@@ -260,8 +261,7 @@ class PhysicalWavelet:
             raise ValidationError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
         if self.symmetry not in ("spherical", "axial", "none"):
             raise ValidationError(f"unknown symmetry tag {self.symmetry!r}")
-        if not (self.c > 0):
-            raise ValidationError(f"wave speed c={self.c} must be positive")
+        _positive_finite(self.c, "wave speed c")
         ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,) or not np.isfinite(ax).all() or np.linalg.norm(ax) == 0:
             raise ValidationError("axis must be a finite nonzero 3-vector")
@@ -286,7 +286,7 @@ class PhysicalWavelet:
 
 @dataclass(frozen=True)
 class WaveletParams:
-    """Similitude-group element: dilation a, translation b, Euler angles."""
+    """Similitude-group element: dilation a (positive finite), translation b, Euler angles."""
 
     a: float
     b: Tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -295,12 +295,22 @@ class WaveletParams:
     theta3: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise ValidationError(f"dilation a={self.a} must be positive")
+        _positive_finite(self.a, "dilation a")
         if len(self.b) != 3:
             raise ValidationError("translation b must be a 3-vector")
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         _check_angles(self.theta1, self.theta2, self.theta3)
+
+
+def _ivp_pair(wavelet_plus: PhysicalWavelet, wavelet_minus: PhysicalWavelet, what: str) -> None:
+    """Refuse an IVP's wavelets unless they are a (plus, minus) pair with one wave speed.
+
+    ``what`` names the caller in the message.
+    """
+    if wavelet_plus.sign != "plus" or wavelet_minus.sign != "minus":
+        raise ValidationError(f"{what} needs a (plus, minus) wavelet pair")
+    if wavelet_plus.c != wavelet_minus.c:
+        raise ValidationError(f"{what}: the wavelet pair must share one wave speed")
 
 
 def _check_angles(theta1, theta2, theta3):

@@ -16,7 +16,6 @@ import pytest
 import wavecwt as wc
 from wavecwt import cli, fileio
 from wavecwt.cli import dispatch
-from wavecwt.cwt import default_thread_count
 from conftest import band_limited_spectrum
 
 
@@ -102,23 +101,6 @@ class TestBasics:
     def test_nonpositive_threads_is_usage_error(self, capsys, command, threads):
         assert dispatch(command + ["--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
-
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("WAVECWT_THREADS", "3")
-        assert default_thread_count() == 3
-        for bad in ("junk", "0", "-3"):
-            monkeypatch.setenv("WAVECWT_THREADS", bad)
-            with pytest.raises(wc.ValidationError, match="WAVECWT_THREADS"):
-                default_thread_count()
-
-    def test_bad_threads_env_is_domain_error(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("WAVECWT_THREADS", "junk")
-        code, out, err = run_cli(capsys, "synthesize", "--coeffs", str(tmp_path / "u.wcf"),
-                                 "--t", "0", "--out", str(tmp_path / "u.wfld"))
-        assert code == 1
-        assert not out
-        assert err[0]["error"] == "ValidationError"
-        assert "WAVECWT_THREADS" in err[0]["message"]
 
     @pytest.mark.parametrize("name, header, command", [
         ("bad.wcf", b'{"version": 1, "dtype": "c128le"}',
@@ -435,6 +417,23 @@ class TestBadValuesFailWhereTheyEnter:
                          "--out", str(out))
         assert err["error"] == "ValidationError" and "wave speed" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["wavelet", "fourier"])
+    def test_infinite_wave_speed_in_ivp(self, capsys, tmp_path, field, method):
+        out = tmp_path / "u_t.wfld"
+        err = self.fails(capsys, "ivp", "--w", field, "--v", field, "--t", "1", "--c", "inf",
+                         "--method", method, "--a-min", "0.2", "--a-max", "2", "--n-a", "4",
+                         "--out", str(out))
+        assert err["error"] == "ValidationError" and "wave speed" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["0.1", "inf"])
+    def test_static_snapshots_are_not_a_solution(self, capsys, field, dt):
+        # three equal snapshots of a Gaussian: u_tt = 0 while c^2 Lap u is not
+        err = self.fails(capsys, "verify", "residual", "--minus", field, "--center", field,
+                         "--plus", field, "--dt", dt, "--tol", "1e-12")
+        assert err["error"] == "ValidationError"
+        assert ("u_tt vanishes" if dt == "0.1" else "time step dt") in err["message"]
 
     def test_non_finite_tolerance(self, capsys):
         err = self.fails(capsys, "admissibility", "--wavelet", "exp-spherical", "--tol", "nan")

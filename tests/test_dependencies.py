@@ -7,6 +7,9 @@ its own thread pool next to the ``threads`` workers, and every worker pool
 runs (rotation, dilation block) tasks from one task model.  ``numpy.fft`` is
 called in ``fields.py`` alone, the one owner of the lattice transforms, so
 rebinding its functions (as a traced benchmark run does) sees every FFT.
+The package reads no environment variable, and one helper,
+``fields._positive_finite``, is the only check that a wave speed, time step,
+dilation or spacing is positive.
 """
 
 import ast
@@ -315,3 +318,65 @@ def test_guard_flags_a_matcher_call_outside_the_plan():
 def test_matcher_runs_once_per_symmetry_plan(path):
     expected = [("_symmetry_plan", False)] if path.name == "orbits.py" else []
     assert matcher_calls(path.read_text()) == expected
+
+
+# The package is configured by its arguments and options alone: a setting read from the
+# environment would be a second way to set what ``threads=`` and ``--threads`` set.
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str):
+    """Lines of ``source`` that name ``os.environ``/``os.getenv`` or import them from ``os``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                a.name in ENVIRONMENT_READS for a in node.names):
+            found.append(node.lineno)
+    return found
+
+
+def test_guard_flags_an_environment_read():
+    source = ("import os\nfrom os import getenv\n\n"
+              "def f():\n    n = os.environ.get('N', '')\n"
+              "    return os.getenv('M'), os.cpu_count()\n")
+    assert environment_reads(source) == [2, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_no_environment_variable(path):
+    assert environment_reads(path.read_text()) == []
+
+
+# A wave speed c, a time step dt, a dilation a and a lattice spacing h_* are positive finite
+# numbers by one rule, fields._positive_finite, whose comparisons are on its argument x.  A
+# comparison of one of these names with 0 anywhere in the package is a second copy of it.
+POSITIVE_FINITE_NAMES = {"c", "dt", "a", "h", "h_x", "h_y", "h_z"}
+
+
+def zero_comparisons(source: str):
+    """Lines of ``source`` where ``c``, ``dt``, ``a`` or an ``h_*`` (or ``obj.<name>``) meets 0."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            named = any(getattr(op, "id", getattr(op, "attr", None)) in POSITIVE_FINITE_NAMES
+                        for op in operands)
+            zero = any(isinstance(op, ast.Constant) and type(op.value) in (int, float)
+                       and op.value == 0 for op in operands)
+            if named and zero:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_flags_a_second_positive_check():
+    source = ("def f(c, dt, grid, x, n):\n    if not (c > 0):\n        raise ValueError\n"
+              "    assert 0.0 < dt < inf\n    ok = grid.h_y <= 0 or self.a > 0.0\n"
+              "    return 0 < x < inf, n > 0, c > 1, grid.a_min > 0, c == other\n")
+    assert zero_comparisons(source) == [2, 4, 5, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_helper_checks_a_positive_quantity(path):
+    assert zero_comparisons(path.read_text()) == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
 from conftest import band_limited_spectrum, rel_l2
-from wavecwt.fields import _lattice_ifft, _pruned_ifft, _runs, _support_runs
+from wavecwt.fields import _lattice_ifft, _positive_finite, _pruned_ifft, _runs, _support_runs
 
 
 def random_field(grid, seed=0):
@@ -37,6 +37,12 @@ class TestGrid3:
     def test_rejects_bad_spacing(self):
         with pytest.raises(wc.ValidationError):
             wc.Grid3(8, 8, 8, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("origin", [(float("nan"), 0.0, 0.0), (0.0, 0.0, float("inf")),
+                                        (0.0, -float("inf"), 0.0)])
+    def test_rejects_an_origin_that_is_not_finite(self, origin):
+        with pytest.raises(wc.ValidationError, match="origin"):
+            wc.Grid3(8, 8, 8, 1.0, 1.0, 1.0, origin)
 
     def test_k_lattice_has_single_zero(self, grid16):
         assert int(np.count_nonzero(grid16.k_mag() == 0.0)) == 1
@@ -268,3 +274,72 @@ class TestSplitIVP:
         v = wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex))
         with pytest.warns(RuntimeWarning, match="k=0 bin"):
             wc.split_ivp(w, v, 1.0)
+
+
+# Every wave speed c, lattice spacing h, dilation a and time step dt passes one rule,
+# fields._positive_finite: a real number, not a bool, with 0 < x < inf.
+NOT_POSITIVE_FINITE = [-1.0, 0, float("nan"), float("inf"), True]
+
+
+def _zero(grid):
+    return wc.ComplexField3(grid, np.zeros(grid.shape, dtype=complex))
+
+
+def _spectrum(c):
+    grid = wc.Grid3.cubic(8, 8.0)
+    zero = wc.SpectralField3(grid, np.zeros(grid.shape, dtype=complex))
+    return wc.SolutionSpectrum(zero, zero, c)
+
+
+def _residual(c=1.0, dt=0.1):
+    zero = _zero(wc.Grid3.cubic(8, 8.0))
+    return wc.dalembert_residual(zero, zero, zero, c, dt)
+
+
+# entry point -> (call with the value, words the message must hold)
+ENTRY_POINTS = {
+    "make_wavelet-kaiser": (lambda x: wc.make_wavelet("kaiser", c=x), "wave speed c"),
+    "make_wavelet-exp-spherical": (lambda x: wc.make_wavelet("exp-spherical", c=x),
+                                   "wave speed c"),
+    "make_wavelet-bateman": (lambda x: wc.make_wavelet("bateman", c=x), "wave speed c"),
+    "make_wavelet-gaussian-packet": (lambda x: wc.make_wavelet("gaussian-packet", c=x),
+                                     "wave speed c"),
+    "kaiser_wavelet": (lambda x: wc.kaiser_wavelet(3.0, x), "wave speed c"),
+    "exp_spherical_wavelet": (lambda x: wc.exp_spherical_wavelet(x), "wave speed c"),
+    "spherical_from_proxy": (lambda x: wc.spherical_from_proxy(wc.exponential_proxy(), x),
+                             "wave speed c"),
+    "bateman_from_proxy": (lambda x: wc.bateman_from_proxy(wc.exponential_proxy(), 1.0, 1.0, x),
+                           "wave speed c"),
+    "gaussian_packet": (lambda x: wc.gaussian_packet(40.0, 1.0, 0.5, 0.5, x), "wave speed c"),
+    "SolutionSpectrum": (_spectrum, "wave speed c"),
+    "split_ivp": (lambda x: wc.split_ivp(*[_zero(wc.Grid3.cubic(8, 8.0))] * 2, x),
+                  "wave speed c"),
+    "Grid3-h_x": (lambda x: wc.Grid3(8, 8, 8, x, 1.0, 1.0), "spacing h_x"),
+    "Grid3-h_y": (lambda x: wc.Grid3(8, 8, 8, 1.0, x, 1.0), "spacing h_y"),
+    "Grid3-h_z": (lambda x: wc.Grid3(8, 8, 8, 1.0, 1.0, x), "spacing h_z"),
+    "WaveletParams": (lambda x: wc.WaveletParams(a=x), "dilation a"),
+    "dalembert_residual-c": (lambda x: _residual(c=x), "wave speed c"),
+    "dalembert_residual-dt": (lambda x: _residual(dt=x), "time step dt"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_what_is_not_positive_finite(entry):
+    call, words = ENTRY_POINTS[entry]
+    call(2.0)
+    for value in NOT_POSITIVE_FINITE:
+        with pytest.raises(wc.ValidationError, match=words):
+            call(value)
+
+
+def test_positive_finite_takes_real_numbers_as_floats():
+    for value in (3, 2.5, np.float32(0.5), np.int64(7), 1e-300, 1e300):
+        got = _positive_finite(value, "x")
+        assert type(got) is float and got == value
+    for value in NOT_POSITIVE_FINITE + ["1.0", None, 1 + 0j, np.bool_(True), np.array(1.0)]:
+        with pytest.raises(wc.ValidationError, match="time step dt="):
+            _positive_finite(value, "time step dt")
+    # a grid keeps its spacings as given: an int stays an int, so a WFLD or WCF header
+    # written from the grid keeps its bytes
+    g = wc.Grid3(8, 8, 8, 1, 2, np.float32(0.5))
+    assert (type(g.h_x), type(g.h_y), type(g.h_z)) == (int, int, np.float32)

@@ -192,6 +192,38 @@ def test_readers_refuse_a_bad_wave_speed(tmp_path, grid16, text):
             read(path)
 
 
+@pytest.mark.parametrize("text", [b"NaN", b"Infinity", b"-Infinity"])
+def test_readers_refuse_an_origin_that_is_not_finite(tmp_path, grid16, text):
+    field = tmp_path / "u.wfld"
+    wc.write_field(field, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)), c=1.0)
+    coefficients = tmp_path / "u.wcf"
+    pg = wc.build_parameter_grid(grid16, "spherical", (0.0, 0.0, 1.0), 0.5, 2.0, 2)
+    wc.write_coefficients(coefficients, wc.WaveletCoefficients(
+        pg, np.ones((2, 1) + grid16.shape, dtype=complex), "minus", 1.0), c=1.0)
+    for path in (field, coefficients):
+        blob = path.read_bytes()
+        assert blob.count(b'"origin": [-8.0,') == 1
+        path.write_bytes(blob.replace(b'"origin": [-8.0,', b'"origin": [' + text + b","))
+    for read, path in ((wc.read_field, field), (wc.read_coefficients, coefficients),
+                       (wc.open_coefficients, coefficients)):
+        with pytest.raises(wc.ValidationError, match="origin"):
+            read(path)
+
+
+@pytest.mark.parametrize("old, new", [(b'"h": [1.0,', b'"h": [true,'), (b'"h": [1.0,', b'"h": ["1",'),
+                                      (b'"n": [16,', b'"n": [16.5,')],
+                         ids=["true-spacing", "string-spacing", "fractional-count"])
+def test_readers_check_the_header_grid_as_read(tmp_path, grid16, old, new):
+    # a count or spacing is checked by Grid3 as the header holds it, not after float() or int()
+    path = tmp_path / "u.wfld"
+    wc.write_field(path, wc.ComplexField3(grid16, np.ones(grid16.shape, dtype=complex)), c=1.0)
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(wc.ValidationError, match="spacing h_x|even integers"):
+        wc.read_field(path)
+
+
 @pytest.mark.parametrize("header", [
     b"[1]",
     b'{"version": 1, "dtype": "c128le"}',

@@ -105,6 +105,17 @@ class TestDalembertResidual:
         report = wc.dalembert_residual(zero, zero, zero, 1.0, 0.1)
         assert report.rel_l2 == 0.0 and report.max_abs == 0.0
 
+    def test_static_snapshots_are_not_a_solution(self, grid16):
+        # u_tt = 0 on the interior: a constant passes with 0, a Gaussian is refused at any dt
+        X, Y, Z = grid16.mesh()
+        gaussian = wc.ComplexField3(grid16, np.exp(-(X**2 + Y**2 + Z**2) / 8.0))
+        for dt in (0.1, 1e6):
+            with pytest.raises(wc.ValidationError, match="u_tt vanishes"):
+                wc.dalembert_residual(gaussian, gaussian, gaussian, 1.0, dt)
+        constant = wc.ComplexField3(grid16, np.full(grid16.shape, 2.5 + 1j))
+        report = wc.dalembert_residual(constant, constant, constant, 1.0, 0.1)
+        assert report.rel_l2 == 0.0 and report.max_abs == 0.0
+
     def test_grid_and_dt_validation(self, grid16):
         zero = wc.ComplexField3(grid16, np.zeros(grid16.shape, dtype=complex))
         other = wc.ComplexField3(wc.Grid3.cubic(16, 8.0), np.zeros((16, 16, 16), dtype=complex))

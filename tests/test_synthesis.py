@@ -184,3 +184,14 @@ class TestSolveIVP:
         with pytest.raises(wc.ValidationError):
             wc.solve_ivp(w_field, w_field, exp_sph, exp_sph, exp_sph_pgrid, 0.0,
                          constants=(1.0, 1.0))
+
+    def test_both_routes_refuse_what_is_not_one_pair(self, grid16, exp_sph, exp_sph_pgrid):
+        f = wc.ifft3(band_limited_spectrum(grid16, 0.7, 1.6, 69))
+        routes = (lambda p, m: wc.solve_ivp(f, f, p, m, exp_sph_pgrid, 0.0, constants=(1.0, 1.0)),
+                  lambda p, m: wc.analyze_initial_data(f, f, p, m, exp_sph_pgrid,
+                                                       constants=(1.0, 1.0)))
+        for run in routes:
+            with pytest.raises(wc.ValidationError, match="one wave speed"):
+                run(wc.time_reverse(wc.exp_spherical_wavelet(2.0)), exp_sph)
+            with pytest.raises(wc.ValidationError, match=r"\(plus, minus\) wavelet pair"):
+                run(exp_sph, wc.time_reverse(exp_sph))
