@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .wavelets import PhysicalWavelet, ProxyWavelet, _tilt_axis
+from .wavelets import PhysicalWavelet, ProxyWavelet, _gauss_legendre, _tilt_axis
 
 __all__ = [
     "AdmissibilityReport",
@@ -65,7 +65,7 @@ class AdmissibilityReport:
 
 def _decade_sums(profile: Callable, panels_per_decade: int):
     """Panel-quadrature sums of integral profile(k) dk/k over each decade, 16 nodes a panel."""
-    nodes, wts = np.polynomial.legendre.leggauss(16)
+    nodes, wts = _gauss_legendre(16)
     n_dec = int(round(math.log10(RADIAL_HI / RADIAL_LO)))
     t_edges = np.log(RADIAL_LO) + math.log(10.0) * np.arange(0, n_dec * panels_per_decade + 1) / panels_per_decade
     # all panel nodes at once: dk/k = dt with t = ln k
@@ -145,7 +145,7 @@ def _angular_profile(pair: Callable, wavelet: PhysicalWavelet, n_polar: int, n_a
     axis = np.asarray(wavelet.axis, dtype=float)
     e1 = _tilt_axis(axis)
     e2 = np.cross(axis, e1)
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+    mu, wmu = _gauss_legendre(n_polar)
     sin_t = np.sqrt(1.0 - mu**2)
 
     if wavelet.symmetry == "axial":
@@ -254,7 +254,7 @@ def bessel_k(order: int, x: float) -> float:
         raise ValidationError(f"bessel_k needs x > 0, got {x}")
     # truncate where x cosh(s) - n s exceeds the exp underflow threshold
     s_max = math.acosh((760.0 + 40.0) / x) + 1.0 if x < 760.0 else 1.0
-    nodes, wts = np.polynomial.legendre.leggauss(16)
+    nodes, wts = _gauss_legendre(16)
     n_panels = max(24, int(4 * s_max))
     edges = np.linspace(0.0, s_max, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -8,7 +8,8 @@ Discretization:
     da/a^4 analytically;
   * rotations: trapezoid in the azimuth about the wavelet's symmetry axis
     times Gauss-Legendre in the cosine of the tilt angle (plus a trapezoid
-    third angle for wavelets without any symmetry);
+    third angle for wavelets without any symmetry), the rule built once per
+    order by :func:`~wavecwt.wavelets._gauss_legendre`;
   * translations: the field lattice itself, weighted by the cell volume, so
     the b-integral of a coefficient slice is one FFT sum.
 
@@ -47,12 +48,17 @@ worker busy and results do not depend on ``threads``.
 Each task reduces over its own dilations (``np.einsum`` in the kernel, real
 weights on each row and a row-order sum in synthesis) and ``R^T k`` is
 formed by broadcasting: no slice route calls BLAS, whose own thread pool
-would compete with the ``threads`` workers.  The Fourier layer's origin
-phase and cell volume are diagonal in k and independent of (a, R), so
-:func:`analyze` applies the inverse factor to ``u_hat`` once per call; each
-task scatters ``a^{3/2} conj(PHI) v`` onto its coefficient rows by the
-support's flat indices and runs the bare inverse FFT on them in place,
-pruned to the lattice lines the support reaches
+would compete with the ``threads`` workers.  The wavelet evaluator takes
+points that are already rotated: a sweep forms ``R^T k`` per task, and the
+axial table below passes its own points.  A support given as flat indices
+(the kernel's node representatives, :func:`analyze`'s support) is read
+from the lattice axes' wave numbers, never from whole lattice meshes.
+
+The Fourier layer's origin phase and cell volume are diagonal in k and
+independent of (a, R), so :func:`analyze` applies the inverse factor to
+``u_hat`` once per call; each task scatters ``a^{3/2} conj(PHI) v`` onto its
+coefficient rows by the support's flat indices and runs the bare inverse FFT
+on them in place, pruned to the lattice lines the support reaches
 (:func:`~wavecwt.fields._pruned_ifft`: about 1.95 N transformed points per
 slice instead of 3 N on a 9.5% |k| band at 32^3), with the same bytes.
 
@@ -72,7 +78,8 @@ sweep and the table below both run on the representatives alone, and
 An "axial" wavelet promises ``PHI(Q q) = PHI(q)`` for every rotation ``Q``
 about its axis ``e``, so ``PHI(a R^T k)`` depends on |k| and the direction
 cosine ``x = (R e).k / |k|`` alone.  :func:`resolution_kernel` then tabulates
-``G(x, |k|) = sum_a w_a a^3 |PHI|^2`` at 48 Chebyshev nodes in ``x`` per
+``G(x, |k|) = sum_a w_a a^3 |PHI|^2`` at 48 Chebyshev nodes in ``x`` (their
+angles and the transform to coefficients are module constants) per
 distinct float |k|^2 of the representatives (83 x 48 x 24 = 95,616
 evaluations instead of 24 x 128 x 3116 = 9,572,352 at the isometry settings;
 the support's 3116 nodes have 87, some an ulp apart) and sums
@@ -107,10 +114,10 @@ import numpy as np
 
 from .admissibility import _angular_profile, admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
-from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _pruned_ifft,
-                     _radius, _support_runs, fft3)
+from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _positive_finite,
+                     _pruned_ifft, _radius, _support_runs, fft3)
 from .orbits import _node_orbits, _stabilizer
-from .wavelets import (PhysicalWavelet, _ivp_pair, _rot_x, _rot_z, _tilt_axis,
+from .wavelets import (PhysicalWavelet, _gauss_legendre, _ivp_pair, _rot_x, _rot_z, _tilt_axis,
                        time_antiderivative_wavelet)
 
 __all__ = [
@@ -255,11 +262,19 @@ def make_parameter_grid(field_grid: Grid3, wavelet: PhysicalWavelet, a_min: floa
 def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
                          a_max: float, n_a: int, n_theta1: int = 16, n_theta2: int = 8,
                          n_theta3: int = 8) -> ParameterGrid:
-    """Parameter grid from an explicit symmetry/axis description."""
+    """Parameter grid from an explicit symmetry/axis description.
+
+    Each end of the dilation window is a positive finite number
+    (:func:`~wavecwt.fields._positive_finite`, so ``True`` is refused),
+    checked before ``a_min < a_max``.
+    """
     if symmetry not in ("spherical", "axial", "none"):
         raise ValidationError(f"unknown symmetry tag {symmetry!r}")
-    if not (0 < a_min < a_max < np.inf):
-        raise ValidationError("need 0 < a_min < a_max < inf")
+    window = "need 0 < a_min < a_max < inf"
+    a_min = _positive_finite(a_min, f"{window}: a_min")
+    a_max = _positive_finite(a_max, f"{window}: a_max")
+    if not a_min < a_max:
+        raise ValidationError(window)
     if n_a < 2:
         raise ValidationError("need at least two dilation nodes")
     if min(n_theta1, n_theta2, n_theta3) < 1:
@@ -282,7 +297,7 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
         factor = 1.0
     else:
         # theta1-major stacks: angles broadcast along (theta1, theta2[, theta3])
-        mu, wmu = np.polynomial.legendre.leggauss(n_theta2)
+        mu, wmu = _gauss_legendre(n_theta2)
         theta1 = 2.0 * np.pi * np.arange(n_theta1) / n_theta1
         theta2 = np.arccos(mu)
         if symmetry == "axial":
@@ -321,9 +336,12 @@ def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float,
     The admissibility integrand in log radius is scale invariant, so the
     dilation sweep at a fixed wave vector reproduces the full constant
     exactly when a ranges over (0, inf).  This picks the log-radius window
-    holding 99.9% of that mass and maps its ends onto the band.
+    holding 99.9% of that mass and maps its ends onto the band, whose
+    edges must be positive finite numbers with ``k_lo < k_hi``.
     """
-    if not (0 < k_lo < k_hi):
+    k_lo = _positive_finite(k_lo, "band edge k_lo")
+    k_hi = _positive_finite(k_hi, "band edge k_hi")
+    if not k_lo < k_hi:
         raise ValidationError("need 0 < k_lo < k_hi")
 
     def pair(kx, ky, kz):
@@ -431,8 +449,16 @@ def _lattice_points(grid: Grid3, support):
 
     ``support`` is a boolean mask over the flattened field lattice, the
     flat indices of its flagged nodes in increasing order, or
-    ``slice(None)`` for every node.
+    ``slice(None)`` for every node.  Flat indices read each component from
+    its axis's wave numbers (``grid.k_axes()``), without the lattice
+    meshes; a mask or the whole lattice is read from the meshes, which cost
+    less than the axes' gathers once most nodes are flagged.  Both give the
+    same bytes.
     """
+    if isinstance(support, np.ndarray) and support.dtype != bool:
+        iz, iy, ix = np.unravel_index(support, grid.shape)
+        kx, ky, kz = grid.k_axes()
+        return [kx[ix], ky[iy], kz[iz]]
     return [K.ravel()[support] for K in grid.k_mesh()]
 
 
@@ -452,12 +478,13 @@ def _workspace_bytes(wavelet: PhysicalWavelet, width: int) -> int:
     return width * sum(np.dtype(t).itemsize for t in _evaluator_dtypes(wavelet))
 
 
-def _evaluator(wavelet: PhysicalWavelet, k):
-    """``phi(r, ar, power)``: ``PHI(a r^T k)`` on the points ``k`` for the dilations ``ar``.
+def _evaluator(wavelet: PhysicalWavelet, width: int):
+    """``phi(q, ar, power)``: ``PHI(a q)`` on ``width`` points ``q`` for the dilations ``ar``.
 
-    ``k`` holds the three wave-vector components of P points and ``r`` is a
-    rotation matrix; the values have shape (len(ar), P).  With ``power`` they
-    are ``|PHI|^2``, squared in the spent wave-vector buffers.
+    ``q`` yields the three components of P = ``width`` points, already
+    rotated (a slice route passes ``R^T k``); the values have shape
+    (len(ar), P).  With ``power`` they are ``|PHI|^2``, squared in the spent
+    wave-vector buffers.
 
     Each worker thread evaluates in its own :class:`_Workspace`, which lives
     as long as ``phi``: the three scaled wave-vector components and the
@@ -468,13 +495,12 @@ def _evaluator(wavelet: PhysicalWavelet, k):
     until that worker's next call.
     """
     into = getattr(wavelet.spectral, "into", None)
-    workspace = _Workspace(k[0].size, _evaluator_dtypes(wavelet))
+    workspace = _Workspace(width, _evaluator_dtypes(wavelet))
 
-    def phi(r, ar, power=False):
+    def phi(q, ar, power=False):
         kx, ky, kz, *buffers = workspace.rows(len(ar))
-        for i, scaled in enumerate((kx, ky, kz)):
-            q = r[0, i] * k[0] + r[1, i] * k[1] + r[2, i] * k[2]  # (R^T k)_i
-            np.multiply.outer(ar, q, out=scaled)
+        for component, scaled in zip(q, (kx, ky, kz)):
+            np.multiply.outer(ar, component, out=scaled)
         if into:
             values = into(kx, ky, kz, *buffers)
         else:
@@ -504,7 +530,9 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k, power: bool = Fa
     onto the points.  ``spectra.width`` counts the points evaluated per
     dilation: M, or the shells.
 
-    The wavelet is evaluated by :func:`_evaluator`, in per-worker
+    Each call forms ``R^T k`` one component at a time, as
+    ``r[0, i] k_0 + r[1, i] k_1 + r[2, i] k_2``, and the wavelet is
+    evaluated there by :func:`_evaluator`, in per-worker
     workspaces, as are the gathered shell values: ``PHI`` may be a workspace
     view, which the caller may overwrite and which lasts until that
     worker's next call.
@@ -516,10 +544,12 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k, power: bool = Fa
         on_nodes = _Workspace(back.size, (np.complex128,))
     a = nu_grid.a_nodes
     weights = nu_grid.a_weights * a**3
-    phi = _evaluator(wavelet, k)
+    phi = _evaluator(wavelet, k[0].size)
 
     def spectra(idx, rows):
-        values = phi(nu_grid.rotations[idx], a[rows], power)
+        r = nu_grid.rotations[idx]
+        rotated = (r[0, i] * k[0] + r[1, i] * k[1] + r[2, i] * k[2] for i in range(3))  # R^T k
+        values = phi(rotated, a[rows], power)
         if power:
             share = np.einsum("a,am->m", nu_grid.rotation_weights[idx] * weights[rows], values)
             return share if back is None else share[back]
@@ -605,6 +635,10 @@ def _map_ordered(fn, items: Sequence, threads: Optional[int]):
 
 
 _CHEB_NODES = 48  # J: Chebyshev nodes in the direction cosine per |k| shell
+_CHEB_THETA = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES  # the nodes are cos(theta)
+# c_n = (2 / J) sum_j G(x_j) cos(n theta_j), c_0 halved
+_CHEB_DCT = np.cos(np.multiply.outer(np.arange(_CHEB_NODES), _CHEB_THETA)) * (2.0 / _CHEB_NODES)
+_CHEB_DCT[0] *= 0.5
 _CHEB_TAIL = 1e-14  # certificate: a shell's last four coefficients over its largest
 
 
@@ -616,9 +650,10 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     ``r = |k|`` and ``x = (R e).k / r``.  On every distinct float |k|^2 in
     ``shells``, ``G(x, r) = sum_a w_a a^3 |PHI(...)|^2`` over every
     dilation is tabulated at the J first-kind Chebyshev nodes (``S J n_a``
-    evaluations for S shells, in blocks of as many dilations as fit half a
-    task's working set, added to the table row by row) and turned into the
-    coefficients ``c_n`` of its Chebyshev series, so that
+    evaluations for S shells at the points ``r (x e + sqrt(1 - x^2) p)``
+    themselves, with no rotation, in blocks of as many dilations as fit
+    half a task's working set, added to the table row by row) and turned
+    into the coefficients ``c_n`` of its Chebyshev series, so that
     ``G(x, r) = sum_n c_n T_n(x)``.  Returns a (J, S) array: row ``n``
     holds ``c_n`` of every shell.  The table depends on the dilations and
     the shells alone, never on the rotations.
@@ -627,23 +662,19 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     coefficients are at most ``_CHEB_TAIL`` times its largest.
     """
     axis = np.asarray(wavelet.axis)
-    theta = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
-    along = np.multiply.outer(np.sqrt(shells), np.cos(theta)).ravel()  # r x, shell-major
-    across = np.multiply.outer(np.sqrt(shells), np.sin(theta)).ravel()  # r sqrt(1 - x^2)
-    phi = _evaluator(wavelet, [along * e + across * t for e, t in zip(axis, _tilt_axis(axis))])
+    along = np.multiply.outer(np.sqrt(shells), np.cos(_CHEB_THETA)).ravel()  # r x, shell-major
+    across = np.multiply.outer(np.sqrt(shells), np.sin(_CHEB_THETA)).ravel()  # r sqrt(1 - x^2)
+    points = [along * e + across * t for e, t in zip(axis, _tilt_axis(axis))]
+    phi = _evaluator(wavelet, along.size)
     a = nu_grid.a_nodes
     weights = nu_grid.a_weights * a**3
-    # c_n = (2 / J) sum_j G(x_j) cos(n theta_j), c_0 halved
-    dct = np.cos(np.multiply.outer(np.arange(_CHEB_NODES), theta)) * (2.0 / _CHEB_NODES)
-    dct[0] *= 0.5
-    identity = np.eye(3)
     table = np.zeros(along.size)
     block = max(1, (_TASK_BYTES // 2) // max(1, _workspace_bytes(wavelet, along.size)))
     for lo in range(0, nu_grid.n_a, block):
         rows = slice(lo, lo + block)
-        for w, row in zip(weights[rows], phi(identity, a[rows], power=True)):
+        for w, row in zip(weights[rows], phi(points, a[rows], power=True)):
             table += w * row
-    coeffs = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, _CHEB_NODES))
+    coeffs = np.einsum("nj,sj->ns", _CHEB_DCT, table.reshape(shells.size, _CHEB_NODES))
     if (np.abs(coeffs[-4:]).max(axis=0) > _CHEB_TAIL * np.abs(coeffs).max(axis=0)).any():
         return None
     return coeffs

@@ -311,7 +311,7 @@ def _open_coefficients(fh, path):
         shape = [int(v) for v in ng["angle_shape"]]
         thetas = (shape + [8, 8, 8])[:3]
         grid = build_parameter_grid(
-            fg, ng["symmetry"], ng["axis"], float(ng["a_min"]), float(ng["a_max"]),
+            fg, ng["symmetry"], ng["axis"], ng["a_min"], ng["a_max"],
             int(ng["n_a"]), *thetas,
         )
         re, im = (float(v) for v in header["c_const"])

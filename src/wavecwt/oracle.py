@@ -42,6 +42,15 @@ def fourier_ivp(w: ComplexField3, v: ComplexField3, c: float, t: float) -> Compl
     return propagate(split_ivp(w, v, c), t)
 
 
+def _square(x, what: str) -> float:
+    """``x * x`` for a positive finite ``x``; :class:`ValidationError` unless the square is one too.
+
+    A float square overflows to inf or underflows to 0 where ``x**2`` would raise.
+    """
+    x = _positive_finite(x, what)
+    return _positive_finite(x * x, f"{what} squared")
+
+
 def dalembert_residual(before: ComplexField3, center: ComplexField3, after: ComplexField3,
                        c: float, dt: float) -> ErrorReport:
     """Discrete wave-operator residual from three equally spaced snapshots.
@@ -49,24 +58,24 @@ def dalembert_residual(before: ComplexField3, center: ComplexField3, after: Comp
     Second-order central differences in time and space; the norm ratio
     ``|u_tt - c^2 Lap u| / |u_tt|`` is reported over the grid interior,
     excluding two cells per face (grid truncation of non-compact wavelets
-    pollutes the edges).  ``c`` and ``dt`` must be positive finite numbers.
+    pollutes the edges).  ``c``, ``dt`` and the spacings must be positive
+    finite numbers whose squares are too.
     Where ``u_tt`` vanishes on the interior the ratio is 0 if the residual
     vanishes too; otherwise the snapshots are not a solution at any
     tolerance, and :class:`ValidationError` is raised.
     """
     if before.grid != center.grid or center.grid != after.grid:
         raise GridMismatchError("snapshots must share one grid")
-    _positive_finite(c, "wave speed c")
-    _positive_finite(dt, "time step dt")
+    c2, dt2 = _square(c, "wave speed c"), _square(dt, "time step dt")
     g = center.grid
     u = center.values
-    utt = (after.values - 2.0 * u + before.values) / dt**2
+    utt = (after.values - 2.0 * u + before.values) / dt2
     lap = (
-        (np.roll(u, 1, axis=2) - 2.0 * u + np.roll(u, -1, axis=2)) / g.h_x**2
-        + (np.roll(u, 1, axis=1) - 2.0 * u + np.roll(u, -1, axis=1)) / g.h_y**2
-        + (np.roll(u, 1, axis=0) - 2.0 * u + np.roll(u, -1, axis=0)) / g.h_z**2
+        (np.roll(u, 1, axis=2) - 2.0 * u + np.roll(u, -1, axis=2)) / _square(g.h_x, "spacing h_x")
+        + (np.roll(u, 1, axis=1) - 2.0 * u + np.roll(u, -1, axis=1)) / _square(g.h_y, "spacing h_y")
+        + (np.roll(u, 1, axis=0) - 2.0 * u + np.roll(u, -1, axis=0)) / _square(g.h_z, "spacing h_z")
     )
-    box = utt - c**2 * lap
+    box = utt - c2 * lap
     core = (slice(2, -2),) * 3
     denom = _l2(utt[core])
     max_abs = float(np.max(np.abs(box[core])))

@@ -34,6 +34,7 @@ part is positive for every argument arising above.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
@@ -83,9 +84,22 @@ def _principal_sqrt(z):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int):
+    """``(nodes, weights)`` of the n-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    The one caller of ``leggauss``, an eigen-solve per call: each order is
+    built once and shared, so no caller may write into it.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
 def _quad_inverse_transform(spectrum, t):
     """(2 pi)^-1 integral_0^inf spectrum(xi) exp(i xi t) d xi by panel quadrature."""
-    nodes, wts = np.polynomial.legendre.leggauss(12)
+    nodes, wts = _gauss_legendre(12)
     total = np.zeros(np.shape(t), dtype=np.complex128)
     # log panels over [1e-8, 1] catch integrable endpoint behaviour,
     # unit-width linear panels over [1, 120] cover the decaying tail

@@ -435,6 +435,14 @@ class TestBadValuesFailWhereTheyEnter:
         assert err["error"] == "ValidationError"
         assert ("u_tt vanishes" if dt == "0.1" else "time step dt") in err["message"]
 
+    @pytest.mark.parametrize("option, value", [("--dt", "1e200"), ("--c", "1e200")])
+    def test_residual_refuses_a_square_past_the_float_range(self, capsys, field, option, value):
+        argv = {"--minus": field, "--center": field, "--plus": field, "--dt": "0.1", "--c": "1"}
+        argv[option] = value
+        err = self.fails(capsys, "verify", "residual",
+                         *(item for pair in argv.items() for item in pair))
+        assert err["error"] == "ValidationError" and "squared=inf" in err["message"]
+
     def test_non_finite_tolerance(self, capsys):
         err = self.fails(capsys, "admissibility", "--wavelet", "exp-spherical", "--tol", "nan")
         assert err["error"] == "ValidationError" and "tolerance" in err["message"]

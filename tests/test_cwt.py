@@ -115,11 +115,38 @@ class TestParameterGrid:
         with pytest.raises(wc.ValidationError):
             wc.make_parameter_grid(grid16, exp_sph, 0.5, 2.0, 1)
 
+    @pytest.mark.parametrize("a_min, a_max", [(True, 2.0), (0.5, True), (0.0, 2.0),
+                                              (np.nan, 2.0), (0.5, np.inf), ("0.5", 2.0)])
+    def test_each_window_end_is_positive_finite(self, grid16, a_min, a_max):
+        # checked before the order test: a bool end is not the dilation 1
+        with pytest.raises(wc.ValidationError, match="a_min=|a_max="):
+            wc.build_parameter_grid(grid16, "spherical", (0, 0, 1), a_min, a_max, 2)
+
+    @pytest.mark.parametrize("k_lo, k_hi", [(True, 2.0), (0.5, True), (0.5, np.inf)])
+    def test_each_band_edge_is_positive_finite(self, exp_sph, k_lo, k_hi):
+        with pytest.raises(wc.ValidationError, match="k_lo=|k_hi="):
+            wc.suggest_dilation_range(exp_sph, k_lo, k_hi)
+
     def test_suggest_dilation_range_covers_band(self, exp_sph):
         a_min, a_max = wc.suggest_dilation_range(exp_sph, 0.7, 1.6)
         assert 0 < a_min < a_max
         # rescaled spectra at the band ends must be inside the window
         assert a_min < 1.0 / 1.6 and a_max > 1.0 / 0.7
+
+
+def test_lattice_points_from_the_axes_match_the_mesh_gather():
+    # flat indices read the axes' wave numbers, masks the meshes: the same bytes on a box whose
+    # three axes differ in count and spacing
+    grid = wc.Grid3(16, 12, 10, 1.5, 1.25, 0.8, origin=(-12, -10, -6.4))
+    mask = np.random.default_rng(5).random(grid.node_count) < 0.3
+    meshes = [K.ravel() for K in grid.k_mesh()]
+    for support in (np.flatnonzero(mask), np.arange(grid.node_count)):
+        expected = [K[support] for K in meshes]
+        got = _lattice_points(grid, support)
+        assert [k.tobytes() for k in got] == [k.tobytes() for k in expected]
+    for support in (mask, slice(None)):
+        expected = [K[support].tobytes() for K in meshes]
+        assert [k.tobytes() for k in _lattice_points(grid, support)] == expected
 
 
 class TestWorkerPool:
@@ -633,6 +660,29 @@ class TestAxialTable:
         # summed once per node orbit: 264 representatives of the 3116 nodes
         assert np.unique(node_representatives(pg, support)).size == 264
         assert table.tobytes() == axial_reference(packet, pg, support).tobytes()
+
+    def test_table_points_need_no_rotation(self, packet):
+        # the table evaluates its own points: rotating them by the identity, r[0, i] k_0 +
+        # r[1, i] k_1 + r[2, i] k_2 with r = I, would change no byte on the isometry band
+        pg = packet_grid(packet, 24, 16, 8)
+        support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 401).values.ravel() != 0
+        nodes, _ = _node_orbits(pg.field_grid, _stabilizer(pg)[0], support)
+        shells = cwt._shells(_lattice_points(pg.field_grid, nodes))[0]
+        axis = np.asarray(packet.axis)
+        theta = np.pi * (np.arange(48) + 0.5) / 48
+        along = np.multiply.outer(np.sqrt(shells), np.cos(theta)).ravel()
+        across = np.multiply.outer(np.sqrt(shells), np.sin(theta)).ravel()
+        k = [along * e + across * t for e, t in zip(axis, _tilt_axis(axis))]
+        r = np.eye(3)
+        q = [r[0, i] * k[0] + r[1, i] * k[1] + r[2, i] * k[2] for i in range(3)]
+        table = np.zeros(along.size)
+        for a, w in zip(pg.a_nodes, pg.a_weights * pg.a_nodes**3):
+            values = packet.spectral(*(a * c for c in q))
+            table += w * (values.real**2 + values.imag**2)
+        dct = np.cos(np.multiply.outer(np.arange(48), theta)) * (2.0 / 48)
+        dct[0] *= 0.5
+        expected = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, 48))
+        assert cwt._axial_table(packet, pg, shells).tobytes() == expected.tobytes()
 
     def test_projection_matches_the_direct_sweep(self, monkeypatch, packet, packet_constant):
         # acceptance criterion 5's packet input, through project

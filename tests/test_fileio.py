@@ -224,6 +224,23 @@ def test_readers_check_the_header_grid_as_read(tmp_path, grid16, old, new):
         wc.read_field(path)
 
 
+@pytest.mark.parametrize("old, new", [(b'"a_min": 0.5,', b'"a_min": true,'),
+                                      (b'"a_max": 2.0,', b'"a_max": "2",')],
+                         ids=["true-a_min", "string-a_max"])
+def test_coefficient_readers_check_the_window_as_read(tmp_path, grid16, old, new):
+    # each dilation-window end takes the positive-finite rule as the header holds it: true is not 1
+    path = tmp_path / "u.wcf"
+    pg = wc.build_parameter_grid(grid16, "spherical", (0.0, 0.0, 1.0), 0.5, 2.0, 2)
+    wc.write_coefficients(path, wc.WaveletCoefficients(
+        pg, np.ones((2, 1) + grid16.shape, dtype=complex), "minus", 1.0), c=1.0)
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    for read in (wc.read_coefficients, wc.open_coefficients):
+        with pytest.raises(wc.ValidationError, match="a_min=True|a_max='2'"):
+            read(path)
+
+
 @pytest.mark.parametrize("header", [
     b"[1]",
     b'{"version": 1, "dtype": "c128le"}',

@@ -116,6 +116,19 @@ class TestDalembertResidual:
         report = wc.dalembert_residual(constant, constant, constant, 1.0, 0.1)
         assert report.rel_l2 == 0.0 and report.max_abs == 0.0
 
+    @pytest.mark.parametrize("c, dt, words", [(1.0, 1e200, "time step dt squared=inf"),
+                                              (1e200, 1.0, "wave speed c squared=inf"),
+                                              (1.0, 1e-200, "time step dt squared=0.0")])
+    def test_squares_past_the_float_range_are_refused(self, grid16, c, dt, words):
+        # finite c and dt whose squares overflow or underflow: a ValidationError, no OverflowError
+        zero = wc.ComplexField3(grid16, np.zeros(grid16.shape, dtype=complex))
+        with pytest.raises(wc.ValidationError, match=words):
+            wc.dalembert_residual(zero, zero, zero, c, dt)
+        wide = wc.Grid3(8, 8, 8, 1e200, 1.0, 1.0)
+        zero = wc.ComplexField3(wide, np.zeros(wide.shape, dtype=complex))
+        with pytest.raises(wc.ValidationError, match="spacing h_x squared=inf"):
+            wc.dalembert_residual(zero, zero, zero, 1.0, 0.1)
+
     def test_grid_and_dt_validation(self, grid16):
         zero = wc.ComplexField3(grid16, np.zeros(grid16.shape, dtype=complex))
         other = wc.ComplexField3(wc.Grid3.cubic(16, 8.0), np.zeros((16, 16, 16), dtype=complex))

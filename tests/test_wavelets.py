@@ -9,13 +9,25 @@ from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
 from wavecwt.cwt import rotation_about
-from wavecwt.wavelets import _EXP_FLOOR
+from wavecwt.wavelets import _EXP_FLOOR, _gauss_legendre
 from conftest import rel_l2
 
 
 def unit_grid(n, extents):
     ex, ey, ez = extents
     return wc.Grid3(n, n, n, ex / n, ey / n, ez / n, (-ex / 2, -ey / 2, -ez / 2))
+
+
+def test_gauss_legendre_rules_are_leggauss_built_once():
+    # every order is numpy's rule bit for bit, shared between callers, so it cannot be written
+    for n in range(1, 41):
+        nodes, weights = _gauss_legendre(n)
+        expected = np.polynomial.legendre.leggauss(n)
+        assert (nodes.tobytes(), weights.tobytes()) == tuple(e.tobytes() for e in expected)
+        assert _gauss_legendre(n)[0] is nodes
+    for part in _gauss_legendre(8):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0.0
 
 
 class TestRotationMatrix:
