@@ -12,6 +12,7 @@ from .admissibility import (
     admissibility_constant_from_proxy,
     bessel_k,
     cross_admissibility_constant,
+    suggest_dilation_range,
 )
 from .cwt import (
     ParameterGrid,
@@ -23,8 +24,6 @@ from .cwt import (
     isometry_defect,
     make_parameter_grid,
     refine,
-    suggest_dilation_range,
-    transform_pairing,
     weighted_pairing,
 )
 from .errors import (
@@ -58,6 +57,7 @@ from .fileio import (
     write_coefficients,
     write_field,
 )
+from .kernel import transform_pairing
 from .oracle import ErrorReport, compare, dalembert_residual, fourier_ivp, spectrum_selfcheck
 from .synthesis import project, reconstruct, reconstruct_cross, reconstruct_spectrum, solve_ivp
 from .wavelets import (

@@ -10,25 +10,33 @@ is split into log-spaced panels; panel sums over whole decades expose the
 endpoint behaviour: a power-law integrand makes successive decade sums decay
 geometrically, so a non-decaying trend at either end is reported as
 divergence ("origin" / "tail") while a clean geometric decay is summed to
-its limit analytically.
+its limit analytically.  The panels and the sphere's directions are the rules
+of :mod:`wavecwt.quadrature`.
+
+The same |PHI|^2 integrand, averaged over directions, also sets the dilation
+window: :func:`suggest_dilation_range` maps the log-radius window holding
+99.9% of the constant's mass onto a wave-number band.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .wavelets import PhysicalWavelet, ProxyWavelet, _gauss_legendre, _tilt_axis
+from .fields import _positive_finite
+from .quadrature import _panels, _sphere_rule
+from .wavelets import PhysicalWavelet, ProxyWavelet, _tilt_axis
 
 __all__ = [
     "AdmissibilityReport",
     "admissibility_constant",
     "admissibility_constant_from_proxy",
     "cross_admissibility_constant",
+    "suggest_dilation_range",
     "bessel_k",
 ]
 
@@ -65,16 +73,12 @@ class AdmissibilityReport:
 
 def _decade_sums(profile: Callable, panels_per_decade: int):
     """Panel-quadrature sums of integral profile(k) dk/k over each decade, 16 nodes a panel."""
-    nodes, wts = _gauss_legendre(16)
     n_dec = int(round(math.log10(RADIAL_HI / RADIAL_LO)))
     t_edges = np.log(RADIAL_LO) + math.log(10.0) * np.arange(0, n_dec * panels_per_decade + 1) / panels_per_decade
     # all panel nodes at once: dk/k = dt with t = ln k
-    mid = 0.5 * (t_edges[1:] + t_edges[:-1])
-    half = 0.5 * (t_edges[1:] - t_edges[:-1])
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
+    t, w = _panels(t_edges, 16)
     vals = profile(np.exp(t)) * w
-    panel = vals.reshape(len(mid), len(nodes)).sum(axis=1)
+    panel = vals.reshape(-1, 16).sum(axis=1)
     return panel.reshape(n_dec, panels_per_decade).sum(axis=1)
 
 
@@ -132,39 +136,26 @@ def _angular_profile(pair: Callable, wavelet: PhysicalWavelet, n_polar: int, n_a
     """S(k) = angular integral of ``pair`` over directions, adapted to symmetry.
 
     ``pair(kx, ky, kz)`` must return the pointwise spectral integrand (e.g.
-    |PHI|^2 or conj(PSI) CHI), vectorized.
+    |PHI|^2 or conj(PSI) CHI), vectorized.  The directions are
+    :func:`~wavecwt.quadrature._sphere_rule`'s, polar-major, about the
+    wavelet's axis ``e`` with azimuth 0 on ``_tilt_axis(e)``.  The symmetry
+    sets the counts alone: a spherical wavelet takes one direction of weight
+    4 pi (``d^3k / |k|^3 = (dk/k) dOmega``, so the profile is the solid angle
+    times the pair), an axial one ``n_polar`` at azimuth 0, a wavelet
+    without symmetry ``n_azimuth x n_polar``.
     """
-    if wavelet.symmetry == "spherical":
-        # d^3k / |k|^3 = (dk/k) dOmega, so with the dk/k panel measure the
-        # radial profile is just the solid angle times the pointwise pair
-        def spherical_profile(k):
-            return 4.0 * np.pi * pair(k, np.zeros_like(k), np.zeros_like(k))
-
-        return spherical_profile
-
+    counts = {"spherical": (1, 1), "axial": (1, n_polar)}
+    phi, mu, weights = _sphere_rule(*counts.get(wavelet.symmetry, (n_azimuth, n_polar)))
     axis = np.asarray(wavelet.axis, dtype=float)
     e1 = _tilt_axis(axis)
     e2 = np.cross(axis, e1)
-    mu, wmu = _gauss_legendre(n_polar)
     sin_t = np.sqrt(1.0 - mu**2)
-
-    if wavelet.symmetry == "axial":
-        dirs = mu[:, None] * axis[None, :] + sin_t[:, None] * e1[None, :]
-        wts = 2.0 * np.pi * wmu
-    else:
-        phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-        dirs = (
-            mu[:, None, None] * axis[None, None, :]
-            + (sin_t[:, None] * np.cos(phi)[None, :])[:, :, None] * e1[None, None, :]
-            + (sin_t[:, None] * np.sin(phi)[None, :])[:, :, None] * e2[None, None, :]
-        ).reshape(-1, 3)
-        wts = np.repeat(wmu, n_azimuth) * (2.0 * np.pi / n_azimuth)
+    dirs = (mu[:, None, None] * axis + (sin_t[:, None] * np.cos(phi))[:, :, None] * e1
+            + (sin_t[:, None] * np.sin(phi))[:, :, None] * e2).reshape(-1, 3)
+    wts = weights.T.ravel()
 
     def profile(k):
-        kx = np.multiply.outer(dirs[:, 0], k)
-        ky = np.multiply.outer(dirs[:, 1], k)
-        kz = np.multiply.outer(dirs[:, 2], k)
-        return np.tensordot(wts, pair(kx, ky, kz), axes=(0, 0))
+        return np.tensordot(wts, pair(*(np.multiply.outer(d, k) for d in dirs.T)), axes=(0, 0))
 
     return profile
 
@@ -196,13 +187,41 @@ def admissibility_constant(wavelet: PhysicalWavelet, tol: float = 1e-8) -> Admis
     Divergence at either radial end is detected and reported, never silently
     truncated.  The returned constant is real for this same-wavelet case.
     """
-    spectral = wavelet.spectral
-
-    def pair(kx, ky, kz):
-        return np.abs(spectral(kx, ky, kz)) ** 2
-
-    report = _constant(pair, wavelet, tol)
+    report = _constant(_power(wavelet), wavelet, tol)
     return replace(report, constant=report.value)
+
+
+def _power(wavelet: PhysicalWavelet):
+    """``pair(kx, ky, kz) = |PHI|^2``: the integrand of the constant and of the dilation window."""
+    return lambda kx, ky, kz: np.abs(wavelet.spectral(kx, ky, kz)) ** 2
+
+
+def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float,
+                           k_hi: float) -> Tuple[float, float]:
+    """Dilation window so the rescaled spectrum covers the occupied band.
+
+    The admissibility integrand in log radius is scale invariant, so the
+    dilation sweep at a fixed wave vector reproduces the full constant
+    exactly when a ranges over (0, inf).  This picks the log-radius window
+    holding 99.9% of that mass, on the constant's radial range, and maps
+    its ends onto the band, whose edges must be positive finite numbers
+    with ``k_lo < k_hi``.
+    """
+    k_lo = _positive_finite(k_lo, "band edge k_lo")
+    k_hi = _positive_finite(k_hi, "band edge k_hi")
+    if not k_lo < k_hi:
+        raise ValidationError("need 0 < k_lo < k_hi")
+    profile = _angular_profile(_power(wavelet), wavelet, 32, 32)
+    t = np.linspace(np.log(RADIAL_LO), np.log(RADIAL_HI), 1600)
+    mass = np.real(profile(np.exp(t)))
+    cum = np.cumsum(mass)
+    if cum[-1] <= 0:
+        raise ValidationError("wavelet spectrum carries no mass on the probed range")
+    cum /= cum[-1]
+    tail = 0.5 * (1.0 - 0.999)  # half the 0.1% of the mass outside the window
+    q_lo = float(np.exp(t[np.searchsorted(cum, tail)]))
+    q_hi = float(np.exp(t[min(np.searchsorted(cum, 1.0 - tail), len(t) - 1)]))
+    return q_lo / k_hi, q_hi / k_lo
 
 
 def admissibility_constant_from_proxy(proxy: ProxyWavelet, c: float = 1.0,
@@ -254,13 +273,7 @@ def bessel_k(order: int, x: float) -> float:
         raise ValidationError(f"bessel_k needs x > 0, got {x}")
     # truncate where x cosh(s) - n s exceeds the exp underflow threshold
     s_max = math.acosh((760.0 + 40.0) / x) + 1.0 if x < 760.0 else 1.0
-    nodes, wts = _gauss_legendre(16)
-    n_panels = max(24, int(4 * s_max))
-    edges = np.linspace(0.0, s_max, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
+    s, w = _panels(np.linspace(0.0, s_max, max(24, int(4 * s_max)) + 1), 16)
     y = order * s
     log_cosh = np.abs(y) + np.log1p(np.exp(-2.0 * np.abs(y))) - math.log(2.0)
     expo = -x * np.cosh(s) + log_cosh

@@ -39,12 +39,12 @@ from .cwt import (
     analyze,
     default_thread_count,
     make_parameter_grid,
-    transform_pairing,
 )
 from .errors import ValidationError, WavecwtError
 from .fields import ComplexField3, Grid3, fft3, spectral_inner_product
 from .fileio import (create_coefficients, open_coefficients, read_coefficients, read_field,
                      write_coefficients, write_field)
+from .kernel import transform_pairing
 from .oracle import compare, dalembert_residual, fourier_ivp
 from .synthesis import reconstruct, solve_ivp
 from .wavelets import CATALOG_NAMES, CATALOG_PARAMS, make_wavelet, time_reverse

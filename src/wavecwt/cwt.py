@@ -7,9 +7,9 @@ Discretization:
   * dilations: log-uniform nodes with trapezoid weights in log a, mapped to
     da/a^4 analytically;
   * rotations: trapezoid in the azimuth about the wavelet's symmetry axis
-    times Gauss-Legendre in the cosine of the tilt angle (plus a trapezoid
-    third angle for wavelets without any symmetry), the rule built once per
-    order by :func:`~wavecwt.wavelets._gauss_legendre`;
+    times Gauss-Legendre in the cosine of the tilt angle, the product rule
+    of :func:`~wavecwt.quadrature._sphere_rule` (plus a trapezoid third
+    angle for wavelets without any symmetry);
   * translations: the field lattice itself, weighted by the cell volume, so
     the b-integral of a coefficient slice is one FFT sum.
 
@@ -31,9 +31,10 @@ Every coefficient slice at fixed (a, rotation) is
 
 one inverse transform per slice where coefficients are stored.  No time
 enters: coefficients of a frequency-pure solution are time independent.
-Routes that never store coefficients multiply by :func:`resolution_kernel`.
+Routes that never store coefficients multiply by the resolution kernel of
+:mod:`wavecwt.kernel`, which runs the slice engine below.
 
-Every slice route (:func:`analyze`, synthesis, :func:`resolution_kernel`)
+Every slice route (:func:`analyze`, synthesis, the resolution kernel)
 runs (rotation, dilation block) tasks, rotation-major, each block holding as
 many dilations as fit a 2 MiB working set of the points evaluated per
 dilation: the field's nodes where coefficients are stored (one slice at
@@ -50,7 +51,7 @@ weights on each row and a row-order sum in synthesis) and ``R^T k`` is
 formed by broadcasting: no slice route calls BLAS, whose own thread pool
 would compete with the ``threads`` workers.  The wavelet evaluator takes
 points that are already rotated: a sweep forms ``R^T k`` per task, and the
-axial table below passes its own points.  A support given as flat indices
+kernel's axial table passes its own points.  A support given as flat indices
 (the kernel's node representatives, :func:`analyze`'s support) is read
 from the lattice axes' wave numbers, never from whole lattice meshes.
 
@@ -68,28 +69,6 @@ value per distinct |k|^2 of the lattice (4051 evaluations instead of 262144
 per dilation on a 64^3 cube).  The sweep evaluates it on those shells, where
 the kernel's share is also reduced, and gathers the values onto the nodes,
 so no route handles shells: every caller receives values on its own nodes.
-
-:func:`resolution_kernel` sums each orbit of the support's nodes under the
-grid's stabilizer once, at its representative, and copies the value to the
-other members (264 of 3116 nodes at the isometry settings); the direct
-sweep and the table below both run on the representatives alone, and
-:mod:`wavecwt.orbits` states the node-orbit rule.
-
-An "axial" wavelet promises ``PHI(Q q) = PHI(q)`` for every rotation ``Q``
-about its axis ``e``, so ``PHI(a R^T k)`` depends on |k| and the direction
-cosine ``x = (R e).k / |k|`` alone.  :func:`resolution_kernel` then tabulates
-``G(x, |k|) = sum_a w_a a^3 |PHI|^2`` at 48 Chebyshev nodes in ``x`` (their
-angles and the transform to coefficients are module constants) per
-distinct float |k|^2 of the representatives (83 x 48 x 24 = 95,616
-evaluations instead of 24 x 128 x 3116 = 9,572,352 at the isometry settings;
-the support's 3116 nodes have 87, some an ulp apart) and sums
-the shells' Chebyshev series at each representative's ``x`` with Clenshaw,
-47 steps, one recurrence over every rotation per chunk of nodes.  On a grid
-whose rotations come in antipodal pairs only each pair's first rotation is
-summed, over the even half of the series in 23 steps (the antipode rule of
-:mod:`wavecwt.orbits`).  The route is taken only when every shell's last
-four coefficients are below 1e-14 of its largest; otherwise the kernel runs
-the direct sweep.
 
 :func:`~wavecwt.synthesis.reconstruct_spectrum` evaluates one
 representative per rotation orbit, on any grid whose rotations form orbits
@@ -112,12 +91,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admissibility import _angular_profile, admissibility_constant
+from .admissibility import admissibility_constant
 from .errors import AdmissibilityError, GridMismatchError, ValidationError
-from .fields import (ComplexField3, Grid3, SpectralField3, _inverse_factor, _positive_finite,
-                     _pruned_ifft, _radius, _support_runs, fft3)
-from .orbits import _node_orbits, _stabilizer
-from .wavelets import (PhysicalWavelet, _gauss_legendre, _ivp_pair, _rot_x, _rot_z, _tilt_axis,
+from .fields import (ComplexField3, Grid3, SpectralField3, _integer, _inverse_factor,
+                     _positive_finite, _pruned_ifft, _support_runs, fft3)
+from .quadrature import _sphere_rule
+from .wavelets import (PhysicalWavelet, _ivp_pair, _rot_x, _rot_z, _tilt_axis,
                        time_antiderivative_wavelet)
 
 __all__ = [
@@ -127,11 +106,9 @@ __all__ = [
     "build_parameter_grid",
     "refine",
     "rotation_about",
-    "suggest_dilation_range",
     "analyze",
     "analyze_initial_data",
     "combine_initial_coefficients",
-    "transform_pairing",
     "weighted_pairing",
     "isometry_defect",
     "default_thread_count",
@@ -266,7 +243,9 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
 
     Each end of the dilation window is a positive finite number
     (:func:`~wavecwt.fields._positive_finite`, so ``True`` is refused),
-    checked before ``a_min < a_max``.
+    checked before ``a_min < a_max``.  Every count is an integer by
+    :func:`~wavecwt.fields._integer` (a bool or 2.5 is not one): ``n_a``
+    at least 2 and each angle count at least 1.
     """
     if symmetry not in ("spherical", "axial", "none"):
         raise ValidationError(f"unknown symmetry tag {symmetry!r}")
@@ -275,10 +254,10 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
     a_max = _positive_finite(a_max, f"{window}: a_max")
     if not a_min < a_max:
         raise ValidationError(window)
-    if n_a < 2:
-        raise ValidationError("need at least two dilation nodes")
-    if min(n_theta1, n_theta2, n_theta3) < 1:
-        raise ValidationError("need at least one node per rotation angle")
+    counts = [_integer(n_a, 2)] + [_integer(n, 1) for n in (n_theta1, n_theta2, n_theta3)]
+    if None in counts:
+        raise ValidationError("need integer node counts: n_a >= 2, >= 1 per rotation angle")
+    n_a, n_theta1, n_theta2, n_theta3 = counts
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis) if np.linalg.norm(axis) > 0 else np.array([0.0, 0.0, 1.0])
     t = np.linspace(np.log(a_min), np.log(a_max), n_a)
@@ -297,21 +276,19 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
         factor = 1.0
     else:
         # theta1-major stacks: angles broadcast along (theta1, theta2[, theta3])
-        mu, wmu = _gauss_legendre(n_theta2)
-        theta1 = 2.0 * np.pi * np.arange(n_theta1) / n_theta1
+        theta1, mu, weights = _sphere_rule(n_theta1, n_theta2)
         theta2 = np.arccos(mu)
         if symmetry == "axial":
             r1 = rotation_about(axis, theta1)[:, None]
             rotations = r1 @ rotation_about(_tilt_axis(axis), theta2)[None, :]
-            rotation_weights = np.tile((2.0 * np.pi / n_theta1) * wmu, n_theta1)
+            rotation_weights = weights.ravel()
             angle_shape = (n_theta1, n_theta2)
             factor = 1.0
         else:
             theta3 = 2.0 * np.pi * np.arange(n_theta3) / n_theta3
             r12 = _rot_z(theta1)[:, None] @ _rot_x(theta2)[None, :]
             rotations = r12[:, :, None] @ _rot_z(theta3)[None, None, :]
-            w12 = (2.0 * np.pi / n_theta1) * wmu * (2.0 * np.pi / n_theta3)
-            rotation_weights = np.tile(np.repeat(w12, n_theta3), n_theta1)
+            rotation_weights = np.repeat(weights.ravel() * (2.0 * np.pi / n_theta3), n_theta3)
             angle_shape = (n_theta1, n_theta2, n_theta3)
             factor = 2.0 * np.pi
         rotations = rotations.reshape(-1, 3, 3)
@@ -327,37 +304,6 @@ def refine(grid: ParameterGrid, wavelet: PhysicalWavelet) -> ParameterGrid:
         grid.field_grid, wavelet, float(grid.a_nodes[0]), float(grid.a_nodes[-1]),
         2 * grid.n_a, 2 * shape[0], 2 * shape[1], 2 * shape[2],
     )
-
-
-def suggest_dilation_range(wavelet: PhysicalWavelet, k_lo: float,
-                           k_hi: float) -> Tuple[float, float]:
-    """Dilation window so the rescaled spectrum covers the occupied band.
-
-    The admissibility integrand in log radius is scale invariant, so the
-    dilation sweep at a fixed wave vector reproduces the full constant
-    exactly when a ranges over (0, inf).  This picks the log-radius window
-    holding 99.9% of that mass and maps its ends onto the band, whose
-    edges must be positive finite numbers with ``k_lo < k_hi``.
-    """
-    k_lo = _positive_finite(k_lo, "band edge k_lo")
-    k_hi = _positive_finite(k_hi, "band edge k_hi")
-    if not k_lo < k_hi:
-        raise ValidationError("need 0 < k_lo < k_hi")
-
-    def pair(kx, ky, kz):
-        return np.abs(wavelet.spectral(kx, ky, kz)) ** 2
-
-    profile = _angular_profile(pair, wavelet, 32, 32)
-    t = np.linspace(np.log(1e-6), np.log(1e3), 1600)
-    mass = np.real(profile(np.exp(t)))
-    cum = np.cumsum(mass)
-    if cum[-1] <= 0:
-        raise ValidationError("wavelet spectrum carries no mass on the probed range")
-    cum /= cum[-1]
-    tail = 0.5 * (1.0 - 0.999)  # half the 0.1% of the mass outside the window
-    q_lo = float(np.exp(t[np.searchsorted(cum, tail)]))
-    q_hi = float(np.exp(t[min(np.searchsorted(cum, 1.0 - tail), len(t) - 1)]))
-    return q_lo / k_hi, q_hi / k_lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +469,7 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k, power: bool = Fa
     (:func:`~wavecwt.orbits._closed_points`).  ``spectra(idx, rows)`` is
     ``PHI(a R^T k)`` for the dilations ``a_nodes[rows]`` at rotation ``idx``
     on the M points, shape (n_rows, M); with ``power`` it is the task's share of
-    :func:`resolution_kernel`, a new (M,) array
+    :func:`~wavecwt.kernel.resolution_kernel`, a new (M,) array
     ``w_R sum_{a in rows} w_a a^3 |PHI(a R^T k)|^2``.  A "spherical"
     wavelet's spectrum depends on |k| alone, so it is evaluated and reduced
     once per distinct float |k|^2 ``s`` at ``(0, 0, sqrt(s))``, then gathered
@@ -632,194 +578,6 @@ def _map_ordered(fn, items: Sequence, threads: Optional[int]):
             for item in islice(pending, 1):
                 window.append(pool.submit(fn, item))
             yield head.result()
-
-
-_CHEB_NODES = 48  # J: Chebyshev nodes in the direction cosine per |k| shell
-_CHEB_THETA = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES  # the nodes are cos(theta)
-# c_n = (2 / J) sum_j G(x_j) cos(n theta_j), c_0 halved
-_CHEB_DCT = np.cos(np.multiply.outer(np.arange(_CHEB_NODES), _CHEB_THETA)) * (2.0 / _CHEB_NODES)
-_CHEB_DCT[0] *= 0.5
-_CHEB_TAIL = 1e-14  # certificate: a shell's last four coefficients over its largest
-
-
-def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.ndarray):
-    """Per-shell Chebyshev coefficients of an "axial" kernel's dilation sums, or None.
-
-    With ``e`` the wavelet's axis and ``p = _tilt_axis(e)``, the axial
-    contract gives ``PHI(a R^T k) = PHI(a r (x e + sqrt(1 - x^2) p))`` with
-    ``r = |k|`` and ``x = (R e).k / r``.  On every distinct float |k|^2 in
-    ``shells``, ``G(x, r) = sum_a w_a a^3 |PHI(...)|^2`` over every
-    dilation is tabulated at the J first-kind Chebyshev nodes (``S J n_a``
-    evaluations for S shells at the points ``r (x e + sqrt(1 - x^2) p)``
-    themselves, with no rotation, in blocks of as many dilations as fit
-    half a task's working set, added to the table row by row) and turned
-    into the coefficients ``c_n`` of its Chebyshev series, so that
-    ``G(x, r) = sum_n c_n T_n(x)``.  Returns a (J, S) array: row ``n``
-    holds ``c_n`` of every shell.  The table depends on the dilations and
-    the shells alone, never on the rotations.
-
-    None unless every shell's series is certified: its last four
-    coefficients are at most ``_CHEB_TAIL`` times its largest.
-    """
-    axis = np.asarray(wavelet.axis)
-    along = np.multiply.outer(np.sqrt(shells), np.cos(_CHEB_THETA)).ravel()  # r x, shell-major
-    across = np.multiply.outer(np.sqrt(shells), np.sin(_CHEB_THETA)).ravel()  # r sqrt(1 - x^2)
-    points = [along * e + across * t for e, t in zip(axis, _tilt_axis(axis))]
-    phi = _evaluator(wavelet, along.size)
-    a = nu_grid.a_nodes
-    weights = nu_grid.a_weights * a**3
-    table = np.zeros(along.size)
-    block = max(1, (_TASK_BYTES // 2) // max(1, _workspace_bytes(wavelet, along.size)))
-    for lo in range(0, nu_grid.n_a, block):
-        rows = slice(lo, lo + block)
-        for w, row in zip(weights[rows], phi(points, a[rows], power=True)):
-            table += w * row
-    coeffs = np.einsum("nj,sj->ns", _CHEB_DCT, table.reshape(shells.size, _CHEB_NODES))
-    if (np.abs(coeffs[-4:]).max(axis=0) > _CHEB_TAIL * np.abs(coeffs).max(axis=0)).any():
-        return None
-    return coeffs
-
-
-def _clenshaw(coeffs, x, work):
-    """``sum_n coeffs[n] T_n(x)`` at every point, summed in ``work``.
-
-    ``coeffs`` holds two or more rows, each of which broadcasts against
-    ``x``, and ``work`` four float buffers of ``x``'s shape; the sum is one
-    of them.  Clenshaw's recurrence ``b_n = c_n + 2 x b_{n+1} - b_{n+2}``
-    takes ``len(coeffs) - 1`` steps, and the sum is ``c_0 + x b_1 - b_2``.
-    """
-    x2, b1, b2, t = work
-    np.add(x, x, out=x2)
-    b1[:] = coeffs[-1]
-    b2.fill(0.0)
-    for c in coeffs[-2:0:-1]:
-        np.subtract(c, b2, out=t)
-        np.multiply(x2, b1, out=b2)
-        t += b2
-        b1, b2, t = t, b1, b2
-    np.multiply(x, b1, out=t)
-    t -= b2
-    t += coeffs[0]
-    return t
-
-
-def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, nodes, stabilizer):
-    """An "axial" :func:`resolution_kernel` at the lattice ``nodes``, from a table.
-
-    ``nodes`` are flat lattice indices or a mask (see :func:`_lattice_points`).
-
-    The table is :func:`_axial_table` on the nodes' |k| shells.
-
-    At each node ``K(k) = sum_R w_R G(x_R, |k|)`` with ``x_R = (R e).k / |k|``,
-    the shell's Chebyshev series summed by :func:`_clenshaw` in 47 steps.
-    ``stabilizer`` is :func:`~wavecwt.orbits._stabilizer`'s ``(group,
-    images)``.  When it holds ``-I``, every rotation has an antipodal
-    partner, its image under ``-I`` (``(theta1 + pi, pi - theta2)`` is the
-    partner of ``(theta1, theta2)`` on every grid with an even ``n_theta1``,
-    since the Gauss-Legendre nodes are symmetric with equal weights), so
-    ``x_R'(k) = -x_R(k)`` at every node, and ``T_n(-x) = (-1)^n T_n(x)`` and
-    ``T_2j(x) = T_j(2 x^2 - 1)`` give
-
-        w_R G(x) + w_R' G(-x) = (w_R + w_R') sum_j c_2j T_j(2 x^2 - 1),
-
-    so only the first rotation of each pair is summed, over the even
-    coefficients at ``2 x^2 - 1`` in 23 steps.
-
-    The nodes go in chunks of half a task's working set.  A chunk gathers
-    its nodes' coefficients once, runs one recurrence on ``(P, m)`` arrays
-    for the P summed rotations and its m nodes, and adds the weighted rows
-    in rotation order.  Every step is elementwise per node, so the values
-    do not depend on the chunks; the buffers are allocated once per call.
-
-    None when :func:`_axial_table` is.
-    """
-    k = _lattice_points(nu_grid.field_grid, nodes)
-    shells, back = _shells(k)
-    table = _axial_table(wavelet, nu_grid, shells)
-    if table is None:
-        return None
-    group, images = stabilizer
-    antipode = (group == -np.eye(3)).all(axis=(1, 2))
-    paired = bool(antipode.any())  # otherwise (odd n_theta1) no rotation pairs
-    firsts = np.arange(nu_grid.n_rotations)
-    weights, series = nu_grid.rotation_weights, table
-    if paired:
-        partner = images[antipode.argmax()]
-        weights = weights + weights[partner]  # w_R + w_R'
-        firsts, series = np.flatnonzero(partner > firsts), table[::2]
-    directions = np.einsum("rij,j->ri", nu_grid.rotations, np.asarray(wavelet.axis))[firsts]
-    weights = weights[firsts, None]
-    unit = np.stack(k) / _radius(*k)[2]
-    sums = np.zeros(back.size)
-    rows = (firsts.size,) * 5 + (len(series),)  # x, the recurrence's four, the coefficients
-    step = max(1, (_TASK_BYTES // 2) // (8 * sum(rows)))
-    held = [np.empty(n * min(step, sums.size)) for n in rows]
-    for lo in range(0, sums.size, step):
-        at = slice(lo, lo + step)
-        m = sums[at].size
-        x, *work, coeffs = (buf[:n * m].reshape(n, m) for buf, n in zip(held, rows))
-        np.take(series, back[at], axis=1, out=coeffs, mode="clip")
-        np.multiply.outer(directions[:, 0], unit[0, at], out=x)  # (R e).k / |k|
-        for i in (1, 2):
-            x += np.multiply.outer(directions[:, i], unit[i, at], out=work[0])
-        if paired:  # T_2j(x) = T_j(2 x^2 - 1)
-            np.multiply(x, x, out=x)
-            x *= 2.0
-            x -= 1.0
-        shares = _clenshaw(coeffs, x, work)
-        shares *= weights
-        total = sums[at]
-        for share in shares:  # in rotation order
-            total += share
-    return sums
-
-
-def resolution_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, support: np.ndarray,
-                      threads: Optional[int] = None) -> np.ndarray:
-    """``K(k) = sum_{a,R} w_a w_R a^3 |PHI(a R^T k)|^2`` on the flagged lattice nodes.
-
-    ``support`` is a boolean mask over the flattened field lattice; K is
-    evaluated at those wave vectors and is zero elsewhere.  A slice's
-    b-spectrum is ``a^{3/2} conj(PHI(a R^T k)) u_hat`` and the translation
-    lattice is the field grid, so by discrete Parseval
-    ``integral dmu U conj(V) = sum_k u_hat conj(v_hat) K / (N dV)``, and
-    analysis followed by synthesis multiplies ``u_hat`` by ``K / (C factor)``.
-    The antiderivative partner ``PSI = PHI / (-i c a|k|)`` gives
-    ``sum w a^4 PHI conj(PSI) = K / (i c |k|)``.
-
-    Every signed lattice permutation ``A`` that permutes the grid's
-    rotations with equal weights (:func:`~wavecwt.orbits._stabilizer`) has
-    ``K(A k) = K(k)``.  So K is summed once per orbit of the support's nodes
-    under that group, at its representative, and copied to the other
-    members (:func:`~wavecwt.orbits._node_orbits`): 264 of 3116 nodes at the
-    isometry settings.  A copied value differs from one summed at its own
-    node by round-off, a few 1e-15 relative.  A "spherical" grid's group is
-    the identity alone; its sweep reduces on |k| shells instead.
-
-    An "axial" wavelet's kernel is summed on the calling thread from
-    per-shell Chebyshev series in the direction cosine (:func:`_axial_kernel`)
-    when every shell's series is certified.  It then differs from the
-    direct sweep's by about 1e-14 of K's largest value over the support;
-    where K is many orders below that value, the relative difference is
-    larger (1.3e-8 at nodes where K is 4e-8 of its largest, on a
-    24 x 2 x 2 grid).  Otherwise, and for every other symmetry, each
-    (rotation, dilation block) task evaluates ``PHI(a R^T k)`` on the
-    representatives through :func:`_sweep`.  Each task sums its dilations
-    in a fixed order and tasks are summed in order, so the result does not
-    depend on ``threads``.
-    """
-    grid = nu_grid.field_grid
-    stabilizer = _stabilizer(nu_grid)
-    nodes, member = _node_orbits(grid, stabilizer[0], support)
-    values = (_axial_kernel(wavelet, nu_grid, nodes, stabilizer)
-              if wavelet.symmetry == "axial" else None)
-    if values is None:
-        spectra = _sweep(wavelet, nu_grid, _lattice_points(grid, nodes), power=True)
-        values = sum(_map_ordered(lambda task: spectra(*task),
-                                  _slice_tasks(nu_grid, spectra.width), threads))
-    kernel = np.zeros(support.size)
-    kernel[support] = values[member]
-    return kernel
 
 
 def _require_constant(wavelet: PhysicalWavelet, constant):
@@ -987,27 +745,6 @@ def combine_initial_coefficients(w_coeffs: WaveletCoefficients,
     return WaveletCoefficients(w_coeffs.nu_grid, values, w_coeffs.sign,
                                w_coeffs.constant, w_coeffs.wavelet_name,
                                w_coeffs.wavelet_params)
-
-
-def transform_pairing(u_part: SpectralField3, v_part: SpectralField3,
-                      wavelet: PhysicalWavelet, nu_grid: ParameterGrid,
-                      threads: Optional[int] = None) -> complex:
-    """The measure-weighted pairing ``integral dmu U conj(V)``, nothing materialized.
-
-    Computed as ``sum_k u_hat conj(v_hat) K(k) / (N dV)`` with the
-    :func:`resolution_kernel` evaluated only where ``u_hat conj(v_hat)`` is
-    nonzero; a self-pairing is exactly real.  Dividing by
-    ``constant * constant_factor`` gives the isometry's left-hand side.
-    """
-    nu_grid.check_route(wavelet, u_part, v_part)
-    grid = nu_grid.field_grid
-    u_hat = u_part.values.ravel()
-    if u_part is v_part or np.array_equal(u_part.values, v_part.values):
-        density = u_hat.real**2 + u_hat.imag**2
-    else:
-        density = u_hat * np.conj(v_part.values.ravel())
-    kernel = resolution_kernel(wavelet, nu_grid, density != 0, threads)
-    return complex(np.sum(density * kernel) / (grid.node_count * grid.cell_volume))
 
 
 def weighted_pairing(U: WaveletCoefficients, V: WaveletCoefficients) -> complex:

@@ -72,19 +72,31 @@ def _positive_finite(x, what: str) -> float:
     The one check of a wave speed, lattice spacing, dilation or time step;
     ``what`` names the quantity in the message.  A bool is not a number.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < np.inf:
-        raise ValidationError(f"{what}={x!r} must be a positive finite number")
-    return float(x)
+    try:
+        if not isinstance(x, bool) and isinstance(x, numbers.Real) and 0 < float(x) < np.inf:
+            return float(x)
+    except OverflowError:  # an int past the float range, whose repr may be past the digit limit
+        x = "an integer past the float range"
+    raise ValidationError(f"{what}={x!r} must be a positive finite number")
+
+
+def _integer(n, least: int):
+    """``n`` as an int if it is an integer of at least ``least``, else None.
+
+    The one integer rule of counts (grid sizes, parameter-grid nodes):
+    ``operator.index`` must take it, so numpy integers are integers and a
+    float such as 16.0 is not, and a bool is not one either.
+    """
+    try:
+        return None if isinstance(n, bool) or operator.index(n) < least else operator.index(n)
+    except TypeError:
+        return None
 
 
 def _check_sizes(**sizes) -> None:
-    """Refuse a count that is not an even integer >= 8; a float such as 16.0 is not an integer."""
+    """Refuse a count that is not an even integer >= 8 (:func:`_integer`)."""
     for name, n in sizes.items():
-        try:
-            even = operator.index(n) >= 8 and n % 2 == 0
-        except TypeError:
-            even = False
-        if not even:
+        if _integer(n, 8) is None or n % 2:
             raise ValidationError(f"{name}={n}: grid sizes must be even integers >= 8")
 
 

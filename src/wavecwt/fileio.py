@@ -308,11 +308,11 @@ def _open_coefficients(fh, path):
     try:
         fg = _grid_from_header(header["field"], path)
         ng = header["nu_grid"]
-        shape = [int(v) for v in ng["angle_shape"]]
+        shape = list(ng["angle_shape"])  # counts as the header holds them: true is not 1
         thetas = (shape + [8, 8, 8])[:3]
         grid = build_parameter_grid(
             fg, ng["symmetry"], ng["axis"], ng["a_min"], ng["a_max"],
-            int(ng["n_a"]), *thetas,
+            ng["n_a"], *thetas,
         )
         re, im = (float(v) for v in header["c_const"])
         sign = header["sign"]

@@ -35,7 +35,7 @@ of the wavelet's symmetry on every lattice node:
   partner, ``R' e = -R e`` with equal weights; every rotation has one when
   ``n_theta1`` is even.  Then ``x_R' = -x_R`` for the direction cosine
   ``x_R = (R e).k / |k|``, and the resolution kernel
-  (:func:`~wavecwt.cwt._axial_kernel`) sums one rotation of each pair over
+  (:func:`~wavecwt.kernel._axial_kernel`) sums one rotation of each pair over
   the even half of its Chebyshev series.
 
 * Node-orbit rule.  The stabilizer of a parameter grid

@@ -13,7 +13,7 @@ t is :func:`wavecwt.fields.propagate` of the reconstructed t = 0 spectrum.
 
 Analysis followed by synthesis is a multiplier in k on each frequency-sign
 part: :func:`project` multiplies a spectrum by the resolution kernel of
-:func:`wavecwt.cwt.resolution_kernel`, with no transform per slice.  The
+:func:`wavecwt.kernel.resolution_kernel`, with no transform per slice.  The
 wavelet IVP is the Fourier IVP of :mod:`wavecwt.fields` with each sign part
 projected first: ``solve_ivp = propagate o (project (+) project) o split_ivp``.
 """
@@ -37,7 +37,6 @@ from .cwt import (
     _sweep,
     _working_set,
     _workspace_bytes,
-    resolution_kernel,
 )
 from .errors import ValidationError
 from .fields import (
@@ -51,6 +50,7 @@ from .fields import (
     solution_from_plus,
     split_ivp,
 )
+from .kernel import resolution_kernel
 from .orbits import _closed_points, _closed_shape, _orbit_gathers, _orbits
 from .wavelets import PhysicalWavelet, _ivp_pair
 

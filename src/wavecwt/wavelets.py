@@ -34,7 +34,6 @@ part is positive for every argument arising above.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
@@ -44,6 +43,7 @@ import numpy as np
 from .errors import EvaluatorMissingError, ValidationError
 from .fields import (ComplexField3, SpectralField3, _positive_finite, _radius, solution_from_minus,
                      solution_from_plus)
+from .quadrature import _panels
 
 __all__ = [
     "ProxyWavelet",
@@ -84,31 +84,13 @@ def _principal_sqrt(z):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(n: int):
-    """``(nodes, weights)`` of the n-point Gauss-Legendre rule on [-1, 1], read-only.
-
-    The one caller of ``leggauss``, an eigen-solve per call: each order is
-    built once and shared, so no caller may write into it.
-    """
-    rule = np.polynomial.legendre.leggauss(n)
-    for part in rule:
-        part.flags.writeable = False
-    return rule
-
-
 def _quad_inverse_transform(spectrum, t):
     """(2 pi)^-1 integral_0^inf spectrum(xi) exp(i xi t) d xi by panel quadrature."""
-    nodes, wts = _gauss_legendre(12)
-    total = np.zeros(np.shape(t), dtype=np.complex128)
     # log panels over [1e-8, 1] catch integrable endpoint behaviour,
     # unit-width linear panels over [1, 120] cover the decaying tail
-    edges = np.concatenate([np.exp(np.linspace(np.log(1e-8), 0.0, 33)), np.arange(2.0, 121.0)])
-    for a, b in zip(edges[:-1], edges[1:]):
-        xi = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * wts
-        vals = spectrum(xi) * w
-        total += np.tensordot(vals, np.exp(1j * np.multiply.outer(xi, t)), axes=(0, 0))
+    xi, w = _panels(np.concatenate([np.exp(np.linspace(np.log(1e-8), 0.0, 33)),
+                                    np.arange(2.0, 121.0)]), 12)
+    total = np.tensordot(spectrum(xi) * w, np.exp(1j * np.multiply.outer(xi, t)), axes=(0, 0))
     return total / (2.0 * np.pi)
 
 

@@ -372,6 +372,14 @@ class TestBadValuesFailWhereTheyEnter:
         capsys.readouterr()
         return str(path)
 
+    def test_header_int_past_the_float_range(self, capsys, field):
+        # a 401-digit "c" passes 0 < c < inf as an int, and its float conversion overflows
+        blob = Path(field).read_bytes()
+        assert blob.count(b'"c": 1.0}') == 1
+        Path(field).write_bytes(blob.replace(b'"c": 1.0}', b'"c": 1' + b"0" * 400 + b"}"))
+        err = self.fails(capsys, "verify", "compare", "--a", field, "--b", field)
+        assert err["error"] == "ValidationError" and "positive finite" in err["message"]
+
     def test_zero_grid_size(self, capsys, tmp_path):
         out = tmp_path / "u.wfld"
         err = self.fails(capsys, "make-field", "--kind", "gaussian", "--n", "0", "--out", str(out))

@@ -1,6 +1,7 @@
 """Parameter grids, coefficient transforms and the isometry property."""
 
 import dataclasses
+import json
 import resource
 import sys
 import threading
@@ -121,6 +122,22 @@ class TestParameterGrid:
         # checked before the order test: a bool end is not the dilation 1
         with pytest.raises(wc.ValidationError, match="a_min=|a_max="):
             wc.build_parameter_grid(grid16, "spherical", (0, 0, 1), a_min, a_max, 2)
+
+    @pytest.mark.parametrize("counts", [(24.0, 4, 2, 2), (True, 4, 2, 2), (1, 4, 2, 2),
+                                        (4, True, 2, 2), (4, 4, 8.5, 2), (4, 4, 2, 2.5),
+                                        (4, 0, 2, 2), (4, "4", 2, 2), (4, 4, 2, np.bool_(True))],
+                             ids=str)
+    def test_every_count_is_an_integer(self, grid16, counts):
+        # 2.5 third angles once built 4 x 2 x 2 rotations with 4 x 2 x 3 weights summing to
+        # 63.2, not 8 pi^2; a True first angle count was written into the header as true
+        with pytest.raises(wc.ValidationError, match="integer node counts"):
+            wc.build_parameter_grid(grid16, "none", (1, 0, 0), 0.5, 2.0, *counts)
+
+    def test_numpy_integer_counts_are_integers(self, grid16):
+        counts = (np.int64(4), np.int32(4), np.uint8(2), np.int16(2))
+        pg = wc.build_parameter_grid(grid16, "none", (1, 0, 0), 0.5, 2.0, *counts)
+        assert pg == wc.build_parameter_grid(grid16, "none", (1, 0, 0), 0.5, 2.0, 4, 4, 2, 2)
+        assert json.loads(json.dumps(pg.describe()))["angle_shape"] == [4, 2, 2]
 
     @pytest.mark.parametrize("k_lo, k_hi", [(True, 2.0), (0.5, True), (0.5, np.inf)])
     def test_each_band_edge_is_positive_finite(self, exp_sph, k_lo, k_hi):
@@ -559,7 +576,7 @@ def per_rotation_sum(wavelet, pg, nodes):
     """
     k = _lattice_points(pg.field_grid, nodes)
     shells, back = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2], return_inverse=True)
-    table = cwt._axial_table(wavelet, pg, shells)
+    table = wc.kernel._axial_table(wavelet, pg, shells)
     if table is None:
         return None
     partner = antipodal_partners(pg)
@@ -592,7 +609,7 @@ axial_reference = reduced(per_rotation_sum)
 def certified(wavelet, pg, support):
     """Whether the axial table certifies on the support's |k| shells, so that its route runs."""
     shells = cwt._shells(_lattice_points(pg.field_grid, support))[0]
-    return cwt._axial_table(wavelet, pg, shells) is not None
+    return wc.kernel._axial_table(wavelet, pg, shells) is not None
 
 
 def lattice_negation(grid):
@@ -653,7 +670,7 @@ class TestAxialTable:
         pg = packet_grid(packet, 24, 16, 8)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 401).values.ravel() != 0
         assert certified(packet, pg, support)
-        table = cwt.resolution_kernel(packet, pg, support, threads=2)
+        table = wc.kernel.resolution_kernel(packet, pg, support, threads=2)
         direct = direct_kernel(packet, pg, support)
         assert not table[~support].any()
         assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
@@ -682,7 +699,7 @@ class TestAxialTable:
         dct = np.cos(np.multiply.outer(np.arange(48), theta)) * (2.0 / 48)
         dct[0] *= 0.5
         expected = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, 48))
-        assert cwt._axial_table(packet, pg, shells).tobytes() == expected.tobytes()
+        assert wc.kernel._axial_table(packet, pg, shells).tobytes() == expected.tobytes()
 
     def test_projection_matches_the_direct_sweep(self, monkeypatch, packet, packet_constant):
         # acceptance criterion 5's packet input, through project
@@ -690,7 +707,7 @@ class TestAxialTable:
         u = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 502)
         support = u.values != 0
         table = wc.project(u, packet, pg, constant=packet_constant, threads=2).values
-        monkeypatch.setattr(cwt, "_axial_kernel", lambda *args: None)
+        monkeypatch.setattr(wc.kernel, "_axial_kernel", lambda *args: None)
         direct = wc.project(u, packet, pg, constant=packet_constant, threads=2).values
         assert not table[~support].any()
         assert np.max(np.abs(table - direct)[support] / np.abs(direct[support])) <= 1e-12
@@ -702,7 +719,7 @@ class TestAxialTable:
         pg = packet_grid(wavelet, 24, 4, 2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 403).values.ravel() != 0
         assert certified(wavelet, pg, support)
-        table = cwt.resolution_kernel(wavelet, pg, support, threads=1)
+        table = wc.kernel.resolution_kernel(wavelet, pg, support, threads=1)
         direct = direct_kernel(wavelet, pg, support)
         assert np.max(np.abs(table - direct)[support] / direct[support]) <= 1e-12
 
@@ -711,7 +728,7 @@ class TestAxialTable:
         pg = packet_grid(packet, 24, 4, 2)
         full = np.ones(pg.field_grid.node_count, dtype=bool)
         assert not certified(packet, pg, full)
-        got = cwt.resolution_kernel(packet, pg, full, threads=2)
+        got = wc.kernel.resolution_kernel(packet, pg, full, threads=2)
         assert got.tobytes() == direct_orbit_kernel(packet, pg, full).tobytes()
 
     def test_coarse_angles_agree_to_round_off_of_the_largest_value(self, packet):
@@ -720,7 +737,7 @@ class TestAxialTable:
         pg = packet_grid(packet, 24, 2, 2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 405).values.ravel() != 0
         assert certified(packet, pg, support)
-        table = cwt.resolution_kernel(packet, pg, support, threads=1)
+        table = wc.kernel.resolution_kernel(packet, pg, support, threads=1)
         direct = direct_kernel(packet, pg, support)
         assert np.max(np.abs(table - direct)) <= 1e-13 * np.max(direct)
 
@@ -744,7 +761,7 @@ class TestAxialTable:
         pg = packet_grid(packet, 24, n_theta1, n_theta2)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 406).values.ravel() != 0
         assume(certified(packet, pg, support))
-        one, two = (cwt.resolution_kernel(packet, pg, support, threads) for threads in (1, 2))
+        one, two = (wc.kernel.resolution_kernel(packet, pg, support, threads) for threads in (1, 2))
         assert one.tobytes() == two.tobytes()
         direct = direct_kernel(packet, pg, support)
         error = np.abs(one - direct)
@@ -766,7 +783,7 @@ class TestAxialTable:
         support = axial_supports(grid)[support_name]
         want = axial_reference(packet, pg, support)
         assert want is not None
-        assert cwt.resolution_kernel(packet, pg, support, threads=2).tobytes() == want.tobytes()
+        assert wc.kernel.resolution_kernel(packet, pg, support, threads=2).tobytes() == want.tobytes()
 
     @settings(max_examples=12, deadline=None, database=None)
     @given(n_theta1=st.sampled_from([2, 4, 6, 8, 12]), n_theta2=st.integers(1, 6),
@@ -785,20 +802,20 @@ class TestAxialTable:
         assert want is not None
         twinned = support & (negation >= 0)
         assert want[negation[twinned]].tobytes() == want[twinned].tobytes()
-        assert cwt.resolution_kernel(packet, pg, support, threads=1).tobytes() == want.tobytes()
+        assert wc.kernel.resolution_kernel(packet, pg, support, threads=1).tobytes() == want.tobytes()
 
     def test_table_blocks_and_node_chunks_change_no_bit(self, monkeypatch, packet):
         pg = packet_grid(packet, 24, 16, 8)
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 408).values.ravel() != 0
         shells = cwt._shells(_lattice_points(pg.field_grid, support))[0]
-        one = cwt._workspace_bytes(packet, shells.size * cwt._CHEB_NODES)  # per dilation
+        one = cwt._workspace_bytes(packet, shells.size * wc.kernel._CHEB_NODES)  # per dilation
         outputs = set()
         # one dilation per evaluation and 88-node chunks; the default (4 dilations and
         # 381-node chunks of the 264 representatives: one); every dilation at once and one chunk
         for task_bytes in (2 * one - 1, cwt._TASK_BYTES, 2 * pg.n_a * one):
-            monkeypatch.setattr(cwt, "_TASK_BYTES", task_bytes)
-            table = cwt._axial_table(packet, pg, shells)
-            outputs.add((table.tobytes(), cwt.resolution_kernel(packet, pg, support).tobytes()))
+            monkeypatch.setattr(wc.kernel, "_TASK_BYTES", task_bytes)
+            table = wc.kernel._axial_table(packet, pg, shells)
+            outputs.add((table.tobytes(), wc.kernel.resolution_kernel(packet, pg, support).tobytes()))
         assert len(outputs) == 1
 
     def test_table_counts_shells_nodes_and_dilations(self, packet):
@@ -817,10 +834,10 @@ class TestAxialTable:
         # blocks of as many dilations as fit half a task's working set: 4 for the packet's
         # buffer form, 10 for this wrapper's three wave-vector rows
         half = cwt._TASK_BYTES // 2
-        assert half // cwt._workspace_bytes(packet, shells * cwt._CHEB_NODES) == 4
-        block = half // cwt._workspace_bytes(counted, shells * cwt._CHEB_NODES)
+        assert half // cwt._workspace_bytes(packet, shells * wc.kernel._CHEB_NODES) == 4
+        block = half // cwt._workspace_bytes(counted, shells * wc.kernel._CHEB_NODES)
         assert block == 10
-        cwt.resolution_kernel(counted, pg, support, threads=2)
+        wc.kernel.resolution_kernel(counted, pg, support, threads=2)
         assert len(calls) == -(-pg.n_a // block)
         # the table is built on the node orbits' representatives, whose float |k|^2 take 83
         # values: an image's components add up in another order, and 4 of the 87 differ
@@ -828,7 +845,7 @@ class TestAxialTable:
         nodes = np.unique(node_representatives(pg, support))
         k = _lattice_points(pg.field_grid, nodes)
         assert np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size == 83
-        assert sum(calls) == 83 * cwt._CHEB_NODES * pg.n_a  # 95,616
+        assert sum(calls) == 83 * wc.kernel._CHEB_NODES * pg.n_a  # 95,616
         # the direct sweep evaluates every dilation, rotation and node: 598,272
         calls.clear()
         direct_kernel(counted, pg, support)
@@ -878,8 +895,8 @@ class TestNodeOrbits:
         if route == "axial-table":
             assert certified(wavelet, pg, support)
         else:
-            monkeypatch.setattr(cwt, "_axial_table", lambda *args: None)
-        got = cwt.resolution_kernel(wavelet, pg, support, threads=2)
+            monkeypatch.setattr(wc.kernel, "_axial_table", lambda *args: None)
+        got = wc.kernel.resolution_kernel(wavelet, pg, support, threads=2)
         want = direct_kernel(wavelet, pg, support)
         assert not got[~support].any()
         if not support.any():
@@ -898,8 +915,8 @@ class TestNodeOrbits:
         wavelet, pg = node_orbit_grid(route, grid, packet)
         support = axial_supports(grid)["nyquist"]
         if route == "axial-sweep":
-            monkeypatch.setattr(cwt, "_axial_table", lambda *args: None)
-        one, two, eight = (cwt.resolution_kernel(wavelet, pg, support, threads=n)
+            monkeypatch.setattr(wc.kernel, "_axial_table", lambda *args: None)
+        one, two, eight = (wc.kernel.resolution_kernel(wavelet, pg, support, threads=n)
                            for n in (1, 2, 8))
         assert one.tobytes() == two.tobytes() == eight.tobytes()
 
@@ -919,7 +936,7 @@ class TestNodeOrbits:
         assume(len(_stabilizer(pg)[0]) > 1)
         drawn = np.random.default_rng(seed).random(grid.node_count) < share
         support, images = closed_support(pg, axial_supports(grid)["nyquist"] & drawn)
-        kernel = cwt.resolution_kernel(wavelet, pg, support, threads=1)
+        kernel = wc.kernel.resolution_kernel(wavelet, pg, support, threads=1)
         assert kernel[support].any()
         for at in images:
             on = support & (at >= 0)
@@ -936,11 +953,11 @@ class TestNodeOrbits:
             return wavelet.spectral(kx, ky, kz)
 
         counted = dataclasses.replace(wavelet, spectral=spectral)
-        monkeypatch.setattr(cwt, "_axial_table", lambda *args: None)
+        monkeypatch.setattr(wc.kernel, "_axial_table", lambda *args: None)
         support = axial_supports(grid)["nyquist"]
         orbits = np.unique(node_representatives(pg, support)).size
         assert orbits < np.count_nonzero(support)
-        cwt.resolution_kernel(counted, pg, support, threads=2)
+        wc.kernel.resolution_kernel(counted, pg, support, threads=2)
         assert sum(points) == orbits * pg.n_a * pg.n_rotations
 
     def test_spherical_kernel_evaluates_each_shell_once(self, exp_sph):
@@ -958,7 +975,7 @@ class TestNodeOrbits:
         support = axial_supports(grid)["nyquist"]
         k = _lattice_points(grid, support)
         shells = np.unique(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).size
-        cwt.resolution_kernel(counted, pg, support, threads=2)
+        wc.kernel.resolution_kernel(counted, pg, support, threads=2)
         assert sum(points) == shells * pg.n_a
 
 
@@ -1165,7 +1182,7 @@ class TestSliceTasks:
         full = np.ones(grid.node_count, dtype=bool)
         width = _sweep(wavelet, kernel_pg, _lattice_points(grid, full), power=True).width
         assert len(_slice_tasks(kernel_pg, width)) > kernel_pg.n_rotations
-        kernels = [cwt.resolution_kernel(wavelet, kernel_pg, full, threads=n) for n in (1, 2)]
+        kernels = [wc.kernel.resolution_kernel(wavelet, kernel_pg, full, threads=n) for n in (1, 2)]
         assert kernels[0].tobytes() == kernels[1].tobytes()
 
     def test_spherical_reconstruct_equals_per_rotation_reference(self, exp_sph, packet):
@@ -1224,7 +1241,7 @@ class TestSliceTasks:
             for wavelet, pg in cases:
                 coeffs = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=1)
                 want = wc.reconstruct_spectrum(coeffs, wavelet, threads=1).values.tobytes()
-                kernel = cwt.resolution_kernel(wavelet, pg, full, threads=1).tobytes()
+                kernel = wc.kernel.resolution_kernel(wavelet, pg, full, threads=1).tobytes()
                 sys.setswitchinterval(1e-6)
                 again = wc.analyze(u, wavelet.sign, wavelet, pg, constant=1.3, threads=8)
                 assert again.values.tobytes() == coeffs.values.tobytes()
@@ -1232,16 +1249,16 @@ class TestSliceTasks:
                     got = wc.reconstruct_spectrum(coeffs, wavelet, threads=8).values
                     assert got.tobytes() == want
                 for _ in range(3):
-                    assert cwt.resolution_kernel(wavelet, pg, full, threads=8).tobytes() == kernel
+                    assert wc.kernel.resolution_kernel(wavelet, pg, full, threads=8).tobytes() == kernel
                 sys.setswitchinterval(interval)
             # the axial table route on the band's support
             pg = packet_grid(packet, 24, 4, 2)
             band = u.values.ravel() != 0
             assert certified(packet, pg, band)
-            kernel = cwt.resolution_kernel(packet, pg, band, threads=1).tobytes()
+            kernel = wc.kernel.resolution_kernel(packet, pg, band, threads=1).tobytes()
             sys.setswitchinterval(1e-6)
             for threads in (2, 8, 2, 8):
-                assert cwt.resolution_kernel(packet, pg, band, threads).tobytes() == kernel
+                assert wc.kernel.resolution_kernel(packet, pg, band, threads).tobytes() == kernel
         finally:
             sys.setswitchinterval(interval)
 
@@ -1334,7 +1351,7 @@ class TestSliceMemory:
         grid = wc.Grid3.cubic(32, 32.0)
         pg = wc.make_parameter_grid(grid, packet, 0.3, 2.0, 24, 4, 2)
         full = np.ones(grid.node_count, dtype=bool)
-        _, peak = self.traced_peak(lambda: cwt.resolution_kernel(packet, pg, full, threads))
+        _, peak = self.traced_peak(lambda: wc.kernel.resolution_kernel(packet, pg, full, threads))
         assert peak / (16 * grid.node_count) <= {1: 24.0, 2: 45.0}[threads]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1349,11 +1366,11 @@ class TestSliceMemory:
         support = band_limited_spectrum(pg.field_grid, 0.6, 1.8, 86).values.ravel() != 0
 
         def kernel():
-            return cwt.resolution_kernel(packet, pg, support, threads)
+            return wc.kernel.resolution_kernel(packet, pg, support, threads)
 
         _, table = self.traced_peak(kernel)
-        monkeypatch.setattr(cwt, "_axial_kernel", lambda *args: None)
-        monkeypatch.setattr(cwt, "_node_orbits",
+        monkeypatch.setattr(wc.kernel, "_axial_kernel", lambda *args: None)
+        monkeypatch.setattr(wc.kernel, "_node_orbits",
                             lambda grid, group, support: (np.flatnonzero(support), slice(None)))
         _, direct = self.traced_peak(kernel)
         assert table <= direct

@@ -9,8 +9,10 @@ called in ``fields.py`` alone, the one owner of the lattice transforms, so
 rebinding its functions (as a traced benchmark run does) sees every FFT.
 The package reads no environment variable, and one helper,
 ``fields._positive_finite``, is the only check that a wave speed, time step,
-dilation or spacing is positive; one more, ``wavelets._gauss_legendre``, is
-the only caller of numpy's Gauss-Legendre rule.
+dilation or spacing is positive.  ``quadrature.py`` owns every quadrature
+rule: ``quadrature._gauss_legendre`` is the only caller of numpy's
+Gauss-Legendre rule, and only that module's panel and sphere rules call it,
+so no other module builds its own panels or directions.
 """
 
 import ast
@@ -104,9 +106,10 @@ def test_module_imports_no_unused_name(path):
 
 
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
-SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("cwt.py", "_axial_table"),
-               ("cwt.py", "_clenshaw"),
-               ("cwt.py", "_axial_kernel"), ("cwt.py", "resolution_kernel"), ("cwt.py", "analyze"),
+SLICE_PATHS = [("cwt.py", "_evaluator"), ("cwt.py", "_sweep"), ("kernel.py", "_axial_table"),
+               ("kernel.py", "_clenshaw"),
+               ("kernel.py", "_axial_kernel"), ("kernel.py", "resolution_kernel"),
+               ("cwt.py", "analyze"),
                ("cwt.py", "_slice_tasks"), ("cwt.py", "_working_set"),
                ("orbits.py", "_lattice_symmetries"), ("orbits.py", "_image"),
                ("orbits.py", "_symmetry_plan"), ("orbits.py", "_orbits"),
@@ -230,7 +233,8 @@ SYMMETRY_READERS = {
                     "time_antiderivative_wavelet"},
     "admissibility.py": {"_angular_profile", "_constant", "cross_admissibility_constant"},
     "cwt.py": {"ParameterGrid.__eq__", "ParameterGrid.check_route", "ParameterGrid.describe",
-               "make_parameter_grid", "_sweep", "resolution_kernel"},
+               "make_parameter_grid", "_sweep"},
+    "kernel.py": {"resolution_kernel"},
     "orbits.py": {"_symmetry_plan"},
 }
 
@@ -321,7 +325,7 @@ def test_matcher_runs_once_per_symmetry_plan(path):
     assert matcher_calls(path.read_text()) == expected
 
 
-# A Gauss-Legendre rule is an eigen-solve in numpy's leggauss: wavelets._gauss_legendre builds
+# A Gauss-Legendre rule is an eigen-solve in numpy's leggauss: quadrature._gauss_legendre builds
 # each order once, read-only, for every quadrature in the package (0.28 ms of a 0.54 ms
 # parameter grid at 8 polar nodes when rebuilt per call).
 def test_guard_flags_a_second_gauss_legendre_rule():
@@ -337,8 +341,30 @@ def test_guard_flags_a_second_gauss_legendre_rule():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_cached_helper_builds_gauss_legendre_rules(path):
-    expected = [("_gauss_legendre", False)] if path.name == "wavelets.py" else []
+    expected = [("_gauss_legendre", False)] if path.name == "quadrature.py" else []
     assert matcher_calls(path.read_text(), "leggauss") == expected
+
+
+# Every rule built on Gauss-Legendre nodes, the radial panels and the sphere's product rule,
+# is quadrature.py's: a module that calls _gauss_legendre itself builds a second copy of one.
+RULE_BUILDERS = [("_panels", False), ("_sphere_rule", False)]
+
+
+def test_guard_flags_a_rule_built_outside_quadrature():
+    source = ("from .quadrature import _gauss_legendre\n\n"
+              "def _decade_sums(profile, n):\n    nodes, wts = _gauss_legendre(16)\n\n"
+              "def _angular_profile(pair, n):\n"
+              "    return [quadrature._gauss_legendre(m) for m in (n, 2 * n)]\n\n"
+              "MU, W = _gauss_legendre(8)\n")
+    assert matcher_calls(source, "_gauss_legendre") == [("_decade_sums", False),
+                                                        ("_angular_profile", True),
+                                                        ("<module>", False)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_quadrature_builds_rules_on_gauss_legendre_nodes(path):
+    expected = RULE_BUILDERS if path.name == "quadrature.py" else []
+    assert matcher_calls(path.read_text(), "_gauss_legendre") == expected
 
 
 # The package is configured by its arguments and options alone: a setting read from the

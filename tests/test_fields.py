@@ -343,3 +343,15 @@ def test_positive_finite_takes_real_numbers_as_floats():
     # written from the grid keeps its bytes
     g = wc.Grid3(8, 8, 8, 1, 2, np.float32(0.5))
     assert (type(g.h_x), type(g.h_y), type(g.h_z)) == (int, int, np.float32)
+
+
+def test_positive_finite_refuses_an_int_past_the_float_range():
+    # 0 < 10**400 < inf holds for the int itself; its float conversion overflows
+    for value in (10**400, -(10**400), 10**5000):  # 10**5000 has no repr: 4300 digits at most
+        with pytest.raises(wc.ValidationError, match="wave speed c="):
+            _positive_finite(value, "wave speed c")
+    assert _positive_finite(10**300, "c") == 1e300
+    with pytest.raises(wc.ValidationError, match="spacing h_x="):
+        wc.Grid3(8, 8, 8, 10**400, 1.0, 1.0)
+    with pytest.raises(wc.ValidationError, match="wave speed c="):
+        _spectrum(10**400)

@@ -241,6 +241,25 @@ def test_coefficient_readers_check_the_window_as_read(tmp_path, grid16, old, new
             read(path)
 
 
+@pytest.mark.parametrize("old, new", [(b'"n_a": 2,', b'"n_a": 2.5,'),
+                                      (b'"n_a": 2,', b'"n_a": true,'),
+                                      (b'"angle_shape": [3, 2]', b'"angle_shape": [true, 2]'),
+                                      (b'"angle_shape": [3, 2]', b'"angle_shape": [3, 2.0]')],
+                         ids=["float-n_a", "true-n_a", "true-angle", "float-angle"])
+def test_coefficient_readers_take_the_integer_rule_for_counts(tmp_path, grid16, old, new):
+    # int() once read 2.5 as 2 and true as 1; the grid builder's integer rule refuses both
+    path = tmp_path / "u.wcf"
+    pg = wc.build_parameter_grid(grid16, "axial", (1.0, 0.0, 0.0), 0.5, 2.0, 2, 3, 2)
+    wc.write_coefficients(path, wc.WaveletCoefficients(
+        pg, np.ones((2, 6) + grid16.shape, dtype=complex), "plus", 1.0), c=1.0)
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    for read in (wc.read_coefficients, wc.open_coefficients):
+        with pytest.raises(wc.ValidationError, match="integer node counts"):
+            read(path)
+
+
 @pytest.mark.parametrize("header", [
     b"[1]",
     b'{"version": 1, "dtype": "c128le"}',

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import wavecwt as wc
 from wavecwt.cwt import rotation_about
-from wavecwt.wavelets import _EXP_FLOOR, _gauss_legendre
+from wavecwt.quadrature import _gauss_legendre
+from wavecwt.wavelets import _EXP_FLOOR
 from conftest import rel_l2
 
 
