@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .fields import _positive_finite
+from .fields import _integer, _positive_finite
 from .quadrature import _panels, _sphere_rule
 from .wavelets import PhysicalWavelet, ProxyWavelet, _tilt_axis
 
@@ -103,8 +103,7 @@ def _endpoint(series, total_scale):
 
 def _radial_integral(profile: Callable, tol: float) -> AdmissibilityReport:
     """integral profile(k) dk/k over (0, inf) with endpoint handling."""
-    if not (0 < tol < math.inf):
-        raise ValidationError(f"tolerance {tol} must be positive and finite")
+    _positive_finite(tol, "tolerance tol")
     prev_total = None
     decades = None
     quad_err = np.inf
@@ -265,12 +264,12 @@ def bessel_k(order: int, x: float) -> float:
     K_n(x) = integral_0^inf exp(-x cosh s) cosh(n s) ds, evaluated with
     composite Gauss-Legendre panels on a doubly-exponentially decaying
     integrand.  Accurate to better than 1e-10 relative for n <= 8 and
-    x in [0.5, 20].
+    x in [0.5, 20].  ``order`` is an integer of at least 0 by the count rule
+    (:func:`~wavecwt.fields._integer`) and ``x`` a positive finite number.
     """
-    if order < 0 or int(order) != order:
-        raise ValidationError(f"order must be a nonnegative integer, got {order}")
-    if not (x > 0):
-        raise ValidationError(f"bessel_k needs x > 0, got {x}")
+    if _integer(order, 0) is None:
+        raise ValidationError(f"order must be a nonnegative integer, got {order!r}")
+    _positive_finite(x, "bessel_k x")
     # truncate where x cosh(s) - n s exceeds the exp underflow threshold
     s_max = math.acosh((760.0 + 40.0) / x) + 1.0 if x < 760.0 else 1.0
     s, w = _panels(np.linspace(0.0, s_max, max(24, int(4 * s_max)) + 1), 16)

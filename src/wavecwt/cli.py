@@ -58,7 +58,9 @@ _EXIT_DOMAIN = 1
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    """One line of strict JSON on stdout: a non-finite float is written as null."""
+    obj = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in obj.items()}
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _sha256(path) -> str:
@@ -78,15 +80,13 @@ def _thread_count(text: str) -> int:
 
 
 def _parse_params(pairs):
+    """``--param key=value`` pairs as a dict of stripped strings; make_wavelet converts them."""
     params = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValidationError(f"--param expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            params[key.strip()] = value.strip()
+        params[key.strip()] = value.strip()
     return params
 
 
@@ -162,7 +162,7 @@ def _cmd_admissibility(args):
         "wavelet": args.wavelet,
         "constant": report.value,
         "converged": report.converged,
-        "error_estimate": report.error_estimate if np.isfinite(report.error_estimate) else None,
+        "error_estimate": report.error_estimate,
         "divergence_reason": report.divergence_reason,
         "c": args.c,
         "tol": args.tol,

@@ -37,7 +37,7 @@ Routes that never store coefficients multiply by the resolution kernel of
 Every slice route (:func:`analyze`, synthesis, the resolution kernel)
 runs (rotation, dilation block) tasks, rotation-major, each block holding as
 many dilations as fit a 2 MiB working set of the points evaluated per
-dilation: the field's nodes where coefficients are stored (one slice at
+dilation (:func:`_blocks`, the one rule that cuts every work loop): the field's nodes where coefficients are stored (one slice at
 64^3, four at 32^3), else the kernel's support nodes or |k| shells.  A
 task that evaluates no point per dilation (an empty support's) covers
 every dilation.  :func:`~wavecwt.synthesis.reconstruct_spectrum`
@@ -96,7 +96,7 @@ from .errors import AdmissibilityError, GridMismatchError, ValidationError
 from .fields import (ComplexField3, Grid3, SpectralField3, _integer, _inverse_factor,
                      _positive_finite, _pruned_ifft, _support_runs, fft3)
 from .quadrature import _sphere_rule
-from .wavelets import (PhysicalWavelet, _ivp_pair, _rot_x, _rot_z, _tilt_axis,
+from .wavelets import (PhysicalWavelet, _ivp_pair, _rot_x, _rot_z, _tilt_axis, _unit_axis,
                        time_antiderivative_wavelet)
 
 __all__ = [
@@ -143,10 +143,8 @@ def _require_memory(nbytes: int, what: str) -> None:
 
 
 def rotation_about(axis, angle) -> np.ndarray:
-    """Rodrigues rotation about an arbitrary unit axis; shape ``np.shape(angle) + (3, 3)``."""
-    ax = np.asarray(axis, dtype=float)
-    ax = ax / np.linalg.norm(ax)
-    x, y, z = ax
+    """Rodrigues rotation about a finite nonzero axis; shape ``np.shape(angle) + (3, 3)``."""
+    x, y, z = _unit_axis(axis)
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     angle = np.asarray(angle)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
@@ -245,7 +243,9 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
     (:func:`~wavecwt.fields._positive_finite`, so ``True`` is refused),
     checked before ``a_min < a_max``.  Every count is an integer by
     :func:`~wavecwt.fields._integer` (a bool or 2.5 is not one): ``n_a``
-    at least 2 and each angle count at least 1.
+    at least 2 and each angle count at least 1.  The axis is scaled to unit
+    length by :func:`~wavecwt.wavelets._unit_axis`, which refuses one that is
+    not a finite nonzero 3-vector.
     """
     if symmetry not in ("spherical", "axial", "none"):
         raise ValidationError(f"unknown symmetry tag {symmetry!r}")
@@ -258,8 +258,7 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
     if None in counts:
         raise ValidationError("need integer node counts: n_a >= 2, >= 1 per rotation angle")
     n_a, n_theta1, n_theta2, n_theta3 = counts
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis) if np.linalg.norm(axis) > 0 else np.array([0.0, 0.0, 1.0])
+    axis = _unit_axis(axis)
     t = np.linspace(np.log(a_min), np.log(a_max), n_a)
     trap = np.full(n_a, t[1] - t[0])
     trap[0] *= 0.5
@@ -292,17 +291,16 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
             angle_shape = (n_theta1, n_theta2, n_theta3)
             factor = 2.0 * np.pi
         rotations = rotations.reshape(-1, 3, 3)
-    axis_t = tuple(float(v) for v in np.asarray(axis, dtype=float))
+    axis_t = tuple(float(v) for v in axis)
     return ParameterGrid(field_grid, symmetry, axis_t, a_nodes, a_weights,
                          rotations, rotation_weights, angle_shape, factor)
 
 
 def refine(grid: ParameterGrid, wavelet: PhysicalWavelet) -> ParameterGrid:
     """Same ranges with every node count doubled."""
-    shape = grid.angle_shape + (8,) * (3 - len(grid.angle_shape))
     return make_parameter_grid(
         grid.field_grid, wavelet, float(grid.a_nodes[0]), float(grid.a_nodes[-1]),
-        2 * grid.n_a, 2 * shape[0], 2 * shape[1], 2 * shape[2],
+        2 * grid.n_a, *(2 * n for n in grid.angle_shape),
     )
 
 
@@ -511,24 +509,33 @@ def _sweep(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, k, power: bool = Fa
 _TASK_BYTES = 2 << 20  # one core's L2: the working set of one slice task
 
 
+def _blocks(n: int, item_bytes: int):
+    """The slices that cover ``range(n)`` in order, ``max(1, 2 MiB // item_bytes)`` items each.
+
+    The one rule that cuts work into blocks that fit one core's cache: the
+    slice tasks' dilations, the axial table's dilations, its Clenshaw
+    chunks of nodes and the node-orbit chunks.  Items of 0 bytes make one
+    block.
+    """
+    step = max(1, _TASK_BYTES // item_bytes) if item_bytes else max(1, n)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _slice_tasks(nu_grid: ParameterGrid, width: int, orbits=None):
     """``(idx, rows)`` for every (rotation, dilation block), rotation-major.
 
-    A block holds ``max(1, 2 MiB // (16 width))`` dilations of ``width``
-    complex values each, so its slabs fit one core's cache, and a task of
-    width 0 (an empty support's) evaluates nothing per dilation and covers
-    them all; the list depends on the grid and ``width`` alone, never on
-    the thread count.  A route whose task holds more than one slab per
-    dilation passes their total width.  With ``orbits`` (see
-    :func:`~wavecwt.orbits._orbits`) the tasks are ``(orbit, rows)`` for
-    every (orbit, dilation block), in orbit order.
+    The blocks are :func:`_blocks` of dilations of ``width`` complex values
+    each, so a block's slabs fit one core's cache, and a task of width 0
+    (an empty support's) evaluates nothing per dilation and covers them
+    all; the list depends on the grid and ``width`` alone, never on the
+    thread count.  A route whose task holds more than one slab per dilation
+    passes their total width.  With ``orbits`` (see :func:`~wavecwt.orbits._orbits`) the
+    tasks are ``(orbit, rows)`` for every (orbit, dilation block), in orbit
+    order.
     """
-    step = max(1, _TASK_BYTES // (16 * width)) if width else nu_grid.n_a
-    if orbits is None:
-        return [(idx, slice(lo, min(lo + step, nu_grid.n_a)))
-                for idx in range(nu_grid.n_rotations) for lo in range(0, nu_grid.n_a, step)]
-    return [(orbit, slice(lo, min(lo + step, nu_grid.n_a)))
-            for orbit in orbits for lo in range(0, nu_grid.n_a, step)]
+    blocks = _blocks(nu_grid.n_a, 16 * width)
+    units = range(nu_grid.n_rotations) if orbits is None else orbits
+    return [(unit, rows) for unit in units for rows in blocks]
 
 
 def _pool_size(requested: int, n_items: int, cpus: Optional[int]) -> int:
@@ -581,15 +588,21 @@ def _map_ordered(fn, items: Sequence, threads: Optional[int]):
 
 
 def _require_constant(wavelet: PhysicalWavelet, constant):
-    if constant is not None:
-        return complex(constant)
-    report = admissibility_constant(wavelet)
-    if not report.converged:
-        raise AdmissibilityError(
-            f"wavelet is not admissible ({report.divergence_reason}); "
-            "analysis requires a finite constant"
-        )
-    return complex(report.value)
+    """``constant``, or ``wavelet``'s admissibility constant when None, as a complex.
+
+    :class:`AdmissibilityError` when the computed quadrature does not
+    converge, :class:`ValidationError` when the constant is zero, given or
+    computed: every synthesis divides by it.
+    """
+    if constant is None:
+        report = admissibility_constant(wavelet)
+        if not report.converged:
+            raise AdmissibilityError(f"wavelet is not admissible ({report.divergence_reason}); "
+                                     "analysis requires a finite constant")
+        constant = report.value
+    if constant == 0:
+        raise ValidationError("the admissibility constant is zero")
+    return complex(constant)
 
 
 def analyze(s_part: SpectralField3, sign: str, wavelet: PhysicalWavelet,

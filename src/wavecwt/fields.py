@@ -80,6 +80,15 @@ def _positive_finite(x, what: str) -> float:
     raise ValidationError(f"{what}={x!r} must be a positive finite number")
 
 
+def _square(x, what: str) -> float:
+    """``x * x`` for a positive finite ``x``; :class:`ValidationError` unless the square is one too.
+
+    A float square overflows to inf or underflows to 0 where ``x**2`` would raise.
+    """
+    x = _positive_finite(x, what)
+    return _positive_finite(x * x, f"{what} squared")
+
+
 def _integer(n, least: int):
     """``n`` as an int if it is an integer of at least ``least``, else None.
 

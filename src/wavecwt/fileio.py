@@ -309,10 +309,8 @@ def _open_coefficients(fh, path):
         fg = _grid_from_header(header["field"], path)
         ng = header["nu_grid"]
         shape = list(ng["angle_shape"])  # counts as the header holds them: true is not 1
-        thetas = (shape + [8, 8, 8])[:3]
         grid = build_parameter_grid(
-            fg, ng["symmetry"], ng["axis"], ng["a_min"], ng["a_max"],
-            ng["n_a"], *thetas,
+            fg, ng["symmetry"], ng["axis"], ng["a_min"], ng["a_max"], ng["n_a"], *shape,
         )
         re, im = (float(v) for v in header["c_const"])
         sign = header["sign"]

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cwt import (_TASK_BYTES, ParameterGrid, _evaluator, _lattice_points, _map_ordered, _shells,
+from .cwt import (ParameterGrid, _blocks, _evaluator, _lattice_points, _map_ordered, _shells,
                   _slice_tasks, _sweep, _workspace_bytes)
 from .fields import SpectralField3, _radius
 from .orbits import _node_orbits, _stabilizer
@@ -58,12 +58,12 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     ``shells``, ``G(x, r) = sum_a w_a a^3 |PHI(...)|^2`` over every
     dilation is tabulated at the J first-kind Chebyshev nodes (``S J n_a``
     evaluations for S shells at the points ``r (x e + sqrt(1 - x^2) p)``
-    themselves, with no rotation, in blocks of as many dilations as fit
-    half a task's working set, added to the table row by row) and turned
-    into the coefficients ``c_n`` of its Chebyshev series, so that
-    ``G(x, r) = sum_n c_n T_n(x)``.  Returns a (J, S) array: row ``n``
-    holds ``c_n`` of every shell.  The table depends on the dilations and
-    the shells alone, never on the rotations.
+    themselves, with no rotation, in blocks of dilations that fill half a
+    task's working set, cut by :func:`~wavecwt.cwt._blocks`, added to the
+    table row by row) and turned into the coefficients ``c_n`` of its
+    Chebyshev series, so that ``G(x, r) = sum_n c_n T_n(x)``.  Returns a
+    (J, S) array: row ``n`` holds ``c_n`` of every shell.  The table
+    depends on the dilations and the shells alone, never on the rotations.
 
     None unless every shell's series is certified: its last four
     coefficients are at most ``_CHEB_TAIL`` times its largest.
@@ -77,9 +77,8 @@ def _axial_table(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, shells: np.nd
     a = nu_grid.a_nodes
     weights = nu_grid.a_weights * a**3
     table = np.zeros(along.size)
-    block = max(1, (_TASK_BYTES // 2) // max(1, _workspace_bytes(wavelet, along.size)))
-    for lo in range(0, nu_grid.n_a, block):
-        rows = slice(lo, lo + block)
+    # each dilation's workspace counted twice: a block fills half a task's working set
+    for rows in _blocks(nu_grid.n_a, 2 * _workspace_bytes(wavelet, along.size)):
         for w, row in zip(weights[rows], phi(points, a[rows], power=True)):
             table += w * row
     coeffs = np.einsum("nj,sj->ns", dct, table.reshape(shells.size, _CHEB_NODES))
@@ -134,10 +133,11 @@ def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, nodes, stabi
     so only the first rotation of each pair is summed, over the even
     coefficients at ``2 x^2 - 1`` in 23 steps.
 
-    The nodes go in chunks of half a task's working set.  A chunk gathers
-    its nodes' coefficients once, runs one recurrence on ``(P, m)`` arrays
-    for the P summed rotations and its m nodes, and adds the weighted rows
-    in rotation order.  Every step is elementwise per node, so the values
+    The nodes go in chunks whose buffers fill half a task's working set,
+    cut by :func:`~wavecwt.cwt._blocks`.  A chunk gathers its nodes'
+    coefficients once, runs one recurrence on ``(P, m)`` arrays for the P
+    summed rotations and its m nodes, and adds the weighted rows in
+    rotation order.  Every step is elementwise per node, so the values
     do not depend on the chunks; the buffers are allocated once per call.
 
     None when :func:`_axial_table` is.
@@ -161,11 +161,11 @@ def _axial_kernel(wavelet: PhysicalWavelet, nu_grid: ParameterGrid, nodes, stabi
     unit = np.stack(k) / _radius(*k)[2]
     sums = np.zeros(back.size)
     rows = (firsts.size,) * 5 + (len(series),)  # x, the recurrence's four, the coefficients
-    step = max(1, (_TASK_BYTES // 2) // (8 * sum(rows)))
-    held = [np.empty(n * min(step, sums.size)) for n in rows]
-    for lo in range(0, sums.size, step):
-        at = slice(lo, lo + step)
-        m = sums[at].size
+    # a node's 8-byte rows counted twice: a chunk fills half a task's working set
+    chunks = _blocks(sums.size, 16 * sum(rows))
+    held = [np.empty(n * (chunks[0].stop if chunks else 0)) for n in rows]
+    for at in chunks:
+        m = at.stop - at.start
         x, *work, coeffs = (buf[:n * m].reshape(n, m) for buf, n in zip(held, rows))
         np.take(series, back[at], axis=1, out=coeffs, mode="clip")
         np.multiply.outer(directions[:, 0], unit[0, at], out=x)  # (R e).k / |k|

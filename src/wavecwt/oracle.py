@@ -9,8 +9,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .fields import (ComplexField3, SpectralField3, _pairing, _positive_finite, fft3, propagate,
-                     split_ivp)
+from .fields import ComplexField3, SpectralField3, _pairing, _square, fft3, propagate, split_ivp
 from .wavelets import PhysicalWavelet
 
 __all__ = ["ErrorReport", "fourier_ivp", "dalembert_residual", "compare", "spectrum_selfcheck"]
@@ -40,15 +39,6 @@ def fourier_ivp(w: ComplexField3, v: ComplexField3, c: float, t: float) -> Compl
     evolution; ground truth for every synthesis test.
     """
     return propagate(split_ivp(w, v, c), t)
-
-
-def _square(x, what: str) -> float:
-    """``x * x`` for a positive finite ``x``; :class:`ValidationError` unless the square is one too.
-
-    A float square overflows to inf or underflows to 0 where ``x**2`` would raise.
-    """
-    x = _positive_finite(x, what)
-    return _positive_finite(x * x, f"{what} squared")
 
 
 def dalembert_residual(before: ComplexField3, center: ComplexField3, after: ComplexField3,

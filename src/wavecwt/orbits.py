@@ -67,6 +67,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from .cwt import _blocks
 from .fields import Grid3
 
 
@@ -208,9 +209,6 @@ def _stabilizer(nu_grid):
     return group[keep], images[keep]
 
 
-_CHUNK_BYTES = 1 << 19  # the image indices of one chunk of nodes in _node_orbits
-
-
 def _node_orbits(grid: Grid3, group: np.ndarray, support: np.ndarray):
     """The support's nodes in orbits under ``group``: ``(representatives, member)``.
 
@@ -228,7 +226,9 @@ def _node_orbits(grid: Grid3, group: np.ndarray, support: np.ndarray):
 
     The images are index arithmetic per axis: a kept axis keeps its index,
     a negated one maps ``i -> -i mod n`` and leaves the lattice at the
-    Nyquist index n/2.  Nodes go in chunks of 512 KiB of image indices.
+    Nyquist index n/2.  Nodes go in chunks of a task's working set of image
+    indices, cut by :func:`~wavecwt.cwt._blocks`; the orbits do not depend on
+    the chunks.
     """
     if len(group) == 1:
         return support, slice(None)
@@ -256,13 +256,12 @@ def _node_orbits(grid: Grid3, group: np.ndarray, support: np.ndarray):
     value[nodes] = nodes
     index = np.unravel_index(nodes, shape)
     rep = np.empty(nodes.size, dtype=np.intp)
-    step = max(1, _CHUNK_BYTES // (8 * len(group)))
-    for lo in range(0, nodes.size, step):
-        shares = np.stack([offsets[p // 3][index[p % 3][lo:lo + step]] for p in used])
+    for at in _blocks(nodes.size, 8 * len(group)):
+        shares = np.stack([offsets[p // 3][index[p % 3][at]] for p in used])
         flat = shares[ids[:, 0]]
         flat += shares[ids[:, 1]]
         flat += shares[ids[:, 2]]
-        rep[lo:lo + step] = value.take(flat, out=flat, mode="clip").min(axis=0)
+        rep[at] = value.take(flat, out=flat, mode="clip").min(axis=0)
     representatives = nodes[rep == nodes]
     return representatives, np.searchsorted(representatives, rep)
 

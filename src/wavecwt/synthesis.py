@@ -80,7 +80,7 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     Otherwise the orbits are single rotations, evaluated on the lattice.
     The transform's k-factor is applied once, to the sum.  The synthesis
     wavelet must carry the coefficients' sign tag, and the constant must
-    not be zero.  Coefficients backed by a WCF payload are read one block
+    not be zero (:func:`~wavecwt.cwt._require_constant`).  Coefficients backed by a WCF payload are read one block
     at a time into the worker's slab and transformed there, with the same
     result.  What the tasks hold beyond the coefficients (see
     :func:`~wavecwt.cwt._working_set`) is checked against physical memory
@@ -88,8 +88,7 @@ def reconstruct_spectrum(U: WaveletCoefficients, wavelet: PhysicalWavelet,
     """
     if wavelet.sign != U.sign:
         raise ValidationError(f"synthesis wavelet sign {wavelet.sign!r} != coefficients {U.sign!r}")
-    if abs(U.constant) == 0.0:
-        raise ValidationError("synthesis constant is zero")
+    _require_constant(wavelet, U.constant)  # refuses a zero constant
     U.nu_grid.check_route(wavelet)
     g = U.nu_grid
     grid = g.field_grid

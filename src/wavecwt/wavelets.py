@@ -41,8 +41,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import EvaluatorMissingError, ValidationError
-from .fields import (ComplexField3, SpectralField3, _positive_finite, _radius, solution_from_minus,
-                     solution_from_plus)
+from .fields import (ComplexField3, SpectralField3, _positive_finite, _radius, _square,
+                     solution_from_minus, solution_from_plus)
 from .quadrature import _panels
 
 __all__ = [
@@ -158,10 +158,15 @@ def exponential_proxy(validate: bool = True) -> ProxyWavelet:
 
 
 def kaiser_proxy(alpha: float, validate: bool = True) -> ProxyWavelet:
-    """p(t) = Gamma(a) / (pi (1 - i t)^a); P(xi) = 2 Theta(xi) xi^(a-1) exp(-xi)."""
-    if not (alpha > 0):
-        raise ValidationError(f"kaiser proxy needs alpha > 0, got {alpha}")
-    g = math.gamma(alpha)
+    """p(t) = Gamma(a) / (pi (1 - i t)^a); P(xi) = 2 Theta(xi) xi^(a-1) exp(-xi).
+
+    ``alpha`` is a positive finite number whose Gamma(alpha) is finite (below
+    about 171.6).
+    """
+    try:
+        g = math.gamma(_positive_finite(alpha, "kaiser alpha"))
+    except OverflowError:
+        raise ValidationError(f"kaiser alpha={alpha!r}: Gamma(alpha) overflows") from None
 
     def profile(t):
         return g / (np.pi * (1.0 - 1j * np.asarray(t)) ** alpha)
@@ -179,9 +184,12 @@ def kaiser_proxy(alpha: float, validate: bool = True) -> ProxyWavelet:
 
 
 def gaussian_packet_proxy(p: float, gamma: float, validate: bool = True) -> ProxyWavelet:
-    """p(t) = exp(-p sqrt(1 - i t / gamma)) and its one-sided spectrum."""
-    if not (p > 0 and gamma > 0):
-        raise ValidationError("gaussian packet proxy needs p > 0 and gamma > 0")
+    """p(t) = exp(-p sqrt(1 - i t / gamma)) and its one-sided spectrum.
+
+    ``p`` and ``gamma`` are positive finite numbers, and so is ``p**2``.
+    """
+    _square(p, "packet p")
+    _positive_finite(gamma, "packet gamma")
 
     def profile(t):
         return np.exp(-p * _principal_sqrt(1.0 - 1j * np.asarray(t) / gamma))
@@ -258,10 +266,7 @@ class PhysicalWavelet:
         if self.symmetry not in ("spherical", "axial", "none"):
             raise ValidationError(f"unknown symmetry tag {self.symmetry!r}")
         _positive_finite(self.c, "wave speed c")
-        ax = np.asarray(self.axis, dtype=float)
-        if ax.shape != (3,) or not np.isfinite(ax).all() or np.linalg.norm(ax) == 0:
-            raise ValidationError("axis must be a finite nonzero 3-vector")
-        object.__setattr__(self, "axis", tuple(ax / np.linalg.norm(ax)))
+        object.__setattr__(self, "axis", tuple(_unit_axis(self.axis)))
 
     def spectral_on_grid(self, grid):
         KX, KY, KZ = grid.k_mesh()
@@ -330,14 +335,25 @@ def _rot_x(t):
     return np.stack([o, z, z, z, c, -s, z, s, c], axis=-1).reshape(np.shape(t) + (3, 3))
 
 
+def _unit_axis(axis) -> np.ndarray:
+    """``axis`` scaled to unit length; :class:`ValidationError` unless a finite nonzero 3-vector.
+
+    The one axis rule of wavelets, parameter grids and rotations.  A vector
+    whose norm underflows to 0 is refused too.
+    """
+    ax = np.asarray(axis, dtype=float)
+    if ax.shape != (3,) or not np.isfinite(ax).all() or np.linalg.norm(ax) == 0:
+        raise ValidationError(f"axis {axis!r} must be a finite nonzero 3-vector")
+    return ax / np.linalg.norm(ax)
+
+
 def _tilt_axis(axis) -> np.ndarray:
     """Deterministic unit vector perpendicular to ``axis``.
 
     Chosen so that axis = z reproduces the x-axis tilt of the printed
     two-angle rotation.
     """
-    ax = np.asarray(axis, dtype=float)
-    ax = ax / np.linalg.norm(ax)
+    ax = _unit_axis(axis)
     if abs(ax[2]) > 1.0 - 1e-12:
         return np.array([1.0, 0.0, 0.0])
     t = np.cross(np.array([0.0, 0.0, 1.0]), ax)
@@ -434,9 +450,8 @@ def kaiser_wavelet(alpha: float, c: float = 1.0) -> PhysicalWavelet:
 
     Spectrum i |k|^(alpha-2) exp(-|k|) / c^2 on the exp(+i|k|ct) branch, so it
     carries the "minus" tag like every progressive-proxy construction.
+    :func:`kaiser_proxy` checks ``alpha``.
     """
-    if not (alpha > 0):
-        raise ValidationError(f"kaiser wavelet needs alpha > 0, got {alpha}")
     position = _spherical_position_factory(kaiser_proxy(alpha, validate=False), c)
 
     def spectral(kx, ky, kz):
@@ -491,8 +506,8 @@ def bateman_from_proxy(proxy: ProxyWavelet, eps1: float, eps2: float,
     ``dataclasses.replace(w, name=..., params=...)``, as the catalog's
     "bateman" is named.
     """
-    if not (eps1 > 0 and eps2 > 0):
-        raise ValidationError("bateman construction needs eps1 > 0 and eps2 > 0")
+    _positive_finite(eps1, "bateman eps1")
+    _positive_finite(eps2, "bateman eps2")
     if not proxy.progressive:
         raise ValidationError("bateman construction needs a progressive proxy")
     if proxy.spectrum is None:
@@ -526,10 +541,9 @@ def gaussian_packet(p: float, gamma: float, eps1: float, eps2: float,
     Position form exp(-p sqrt(1 - i phase/gamma)) / sqrt(w1 w2), the Bateman
     construction of :func:`gaussian_packet_proxy`; the spectrum is written in
     closed form below (it vanishes, with all derivatives, on the half-line
-    kx = -|k|).
+    kx = -|k|).  The proxy checks ``p`` and ``gamma`` and
+    :func:`bateman_from_proxy` checks ``eps1`` and ``eps2``.
     """
-    if not (p > 0 and gamma > 0 and eps1 > 0 and eps2 > 0):
-        raise ValidationError("gaussian packet needs positive p, gamma, eps1, eps2")
     proxy = gaussian_packet_proxy(p, gamma, validate=False)
     position = bateman_from_proxy(proxy, eps1, eps2, c).position
 
@@ -604,10 +618,13 @@ def morlet_asymptote(p: float, gamma: float, eps1: float, eps2: float):
     Widths sx^2 = 4 gamma^2/p, sy^2 = gamma eps1/p, sz^2 = gamma eps2/p and
     carrier wavenumber p/(2 gamma); the overall constant is fixed by exact
     agreement with :func:`gaussian_packet` at the origin, which makes the
-    limit a testable pointwise statement.
+    limit a testable pointwise statement.  Each parameter is a positive
+    finite number, and so is ``gamma**2``.
     """
-    if not (p > 0 and gamma > 0 and eps1 > 0 and eps2 > 0):
-        raise ValidationError("morlet asymptote needs positive p, gamma, eps1, eps2")
+    _positive_finite(p, "morlet p")
+    _square(gamma, "morlet gamma")
+    _positive_finite(eps1, "morlet eps1")
+    _positive_finite(eps2, "morlet eps2")
     kappa = p / (2.0 * gamma)
     sx2 = 4.0 * gamma**2 / p
     sy2 = gamma * eps1 / p
@@ -687,11 +704,19 @@ CATALOG_PARAMS = {
 
 
 def make_wavelet(name: str, params: Optional[dict] = None, c: float = 1.0) -> PhysicalWavelet:
-    """Build a catalog wavelet from its CLI-visible name and key=value params."""
+    """Build a catalog wavelet from its CLI-visible name and key=value params.
+
+    A value is a number or the text of one, converted to float here; the
+    constructors refuse what is not positive and finite.
+    """
     params = dict(params or {})
 
     def take(key, default):
-        return float(params.pop(key, default))
+        value = params.pop(key, default)
+        try:  # a bool is left to the constructor, which refuses it
+            return value if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"parameter {key}={value!r} is not a number") from None
 
     if name == "kaiser":
         w = kaiser_wavelet(take("alpha", 3.0), c)

@@ -149,6 +149,12 @@ class TestCrossConstant:
             wc.cross_admissibility_constant(exp_sph, wc.time_reverse(exp_sph))
 
 
+@pytest.mark.parametrize("tol", [True, np.inf, np.nan, 0.0], ids=repr)
+def test_tolerance_is_positive_finite(exp_sph, tol):
+    with pytest.raises(wc.ValidationError, match="tolerance tol="):
+        wc.admissibility_constant(exp_sph, tol=tol)
+
+
 class TestBesselK:
     def test_recurrence_at_4(self):
         # K_{n+1}(x) = K_{n-1}(x) + (2n/x) K_n(x)
@@ -175,3 +181,18 @@ class TestBesselK:
             wc.bessel_k(3, 0.0)
         with pytest.raises(wc.ValidationError):
             wc.bessel_k(-1, 2.0)
+
+    @pytest.mark.parametrize("order", [True, 2.0, np.float64(3.0), 2.5, "2"], ids=repr)
+    def test_order_is_an_integer_by_the_count_rule(self, order):
+        # True and 2.0 once passed int(order) == order and ran as the orders 1 and 2
+        with pytest.raises(wc.ValidationError, match="order"):
+            wc.bessel_k(order, 1.0)
+
+    @pytest.mark.parametrize("x", [True, np.inf, np.nan, -1.0], ids=repr)
+    def test_x_is_positive_finite(self, x):
+        # inf once ended in acosh's math domain error, True ran as x = 1
+        with pytest.raises(wc.ValidationError, match="bessel_k x="):
+            wc.bessel_k(2, x)
+
+    def test_numpy_integer_orders_are_orders(self):
+        assert wc.bessel_k(np.int64(2), 1.0) == wc.bessel_k(2, 1.0)

@@ -507,6 +507,73 @@ class TestBadValuesFailWhereTheyEnter:
         assert err == {"error": "MemoryError", "message": "Unable to allocate 18.3 GiB for an array"}
 
 
+def strict_json(text):
+    """The JSON lines of ``text``, refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+
+
+# every catalog parameter, with the options that select it
+CATALOG_PARAMETERS = [("kaiser", "alpha", ()), ("bateman", "eps1", ()), ("bateman", "eps2", ()),
+                      ("bateman", "proxy_alpha", ("--param", "proxy=kaiser")),
+                      ("gaussian-packet", "p", ()), ("gaussian-packet", "gamma", ()),
+                      ("gaussian-packet", "eps1", ()), ("gaussian-packet", "eps2", ())]
+BAD_PARAMETER_VALUES = ["0", "-1", "nan", "inf", "abc", "1e300"]
+
+
+class TestWaveletParametersEndInJson:
+    """A bad catalog parameter ends in exit 0 or 1, strict JSON and never a traceback."""
+
+    @staticmethod
+    def run(capsys, *argv):
+        code = dispatch(list(argv))
+        captured = capsys.readouterr()
+        assert code in (0, 1) and "Traceback" not in captured.out + captured.err
+        out, err = strict_json(captured.out), strict_json(captured.err)
+        if code == 1:
+            assert out == [] and len(err) == 1
+        return code, out, err
+
+    @pytest.mark.parametrize("value", BAD_PARAMETER_VALUES)
+    @pytest.mark.parametrize("name, key, extra", CATALOG_PARAMETERS,
+                             ids=[f"{name}-{key}" for name, key, _ in CATALOG_PARAMETERS])
+    def test_admissibility(self, capsys, name, key, extra, value):
+        # at the parent p=1e300 and alpha=1e300 ended in OverflowError, alpha=abc in ValueError
+        code, out, err = self.run(capsys, "admissibility", "--wavelet", name, *extra,
+                                  "--param", f"{key}={value}")
+        if value != "1e300" or key in ("alpha", "proxy_alpha", "p"):
+            assert code == 1 and err[0]["error"] == "ValidationError"
+        else:  # a huge gamma or eps is a wavelet, whose spectrum is under the floor nearly everywhere
+            assert code == 0 and out[0]["wavelet"] == name
+
+    @pytest.mark.parametrize("name, key", [("bateman", "eps1"), ("bateman", "eps2"),
+                                           ("gaussian-packet", "gamma"),
+                                           ("gaussian-packet", "eps1"),
+                                           ("gaussian-packet", "eps2")])
+    def test_isometry_with_a_vanishing_constant(self, capsys, tmp_path, name, key):
+        # once ZeroDivisionError: the constant is 0, or does not converge
+        field = tmp_path / "u.wfld"
+        assert dispatch(["make-field", "--kind", "gaussian", "--n", "8", "--extent", "8",
+                         "--k0", "1", "0", "0", "--out", str(field)]) == 0
+        capsys.readouterr()
+        code, _, err = self.run(capsys, "verify", "isometry", "--input", str(field),
+                                "--wavelet", name, "--param", f"{key}=1e300", "--sign", "plus",
+                                "--a-min", "0.3", "--a-max", "3", "--n-a", "4",
+                                "--n-theta1", "2", "--n-theta2", "2")
+        assert code == 1 and err[0]["error"] in ("ValidationError", "AdmissibilityError")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_a_nan_constant_is_null(self, capsys):
+        # Gamma(150) is finite, but |k|^148 overflows in the quadrature: the constant is NaN,
+        # once printed as the bare word NaN
+        code, out, _ = self.run(capsys, "admissibility", "--wavelet", "kaiser",
+                                "--param", "alpha=150")
+        assert code == 0 and out[0]["constant"] is None and out[0]["converged"] is False
+
+
 class TestStreamedCoefficientFiles:
     """``analyze`` writes and ``synthesize`` reads the WCF one task slab at a time."""
 

@@ -133,6 +133,20 @@ class TestParameterGrid:
         with pytest.raises(wc.ValidationError, match="integer node counts"):
             wc.build_parameter_grid(grid16, "none", (1, 0, 0), 0.5, 2.0, *counts)
 
+    @pytest.mark.parametrize("axis", [(np.nan, 0, 1), (0, 0, 0), (1e-320, 0, 0), (np.inf, 0, 0),
+                                      (1, 0), (1, 0, 0, 0)], ids=str)
+    def test_axis_is_a_finite_nonzero_3_vector(self, grid16, axis):
+        # the wavelet's own axis rule: NaN, zero and underflowing axes once became the z axis,
+        # an infinite one warned and a 2-vector raised a bare ValueError
+        with pytest.raises(wc.ValidationError, match="axis"):
+            wc.build_parameter_grid(grid16, "axial", axis, 0.5, 2.0, 2, 2, 2)
+
+    def test_axis_is_scaled_as_the_wavelet_scales_it(self, grid16):
+        w = wc.PhysicalWavelet("plus", lambda kx, ky, kz: 0 * kx, None, "axial", 1.0,
+                               axis=(1.0, 2.0, 2.0))
+        pg = wc.build_parameter_grid(grid16, "axial", (1.0, 2.0, 2.0), 0.5, 2.0, 2, 2, 2)
+        assert pg.axis == w.axis
+
     def test_numpy_integer_counts_are_integers(self, grid16):
         counts = (np.int64(4), np.int32(4), np.uint8(2), np.int16(2))
         pg = wc.build_parameter_grid(grid16, "none", (1, 0, 0), 0.5, 2.0, *counts)
@@ -813,7 +827,7 @@ class TestAxialTable:
         # one dilation per evaluation and 88-node chunks; the default (4 dilations and
         # 381-node chunks of the 264 representatives: one); every dilation at once and one chunk
         for task_bytes in (2 * one - 1, cwt._TASK_BYTES, 2 * pg.n_a * one):
-            monkeypatch.setattr(wc.kernel, "_TASK_BYTES", task_bytes)
+            monkeypatch.setattr(cwt, "_TASK_BYTES", task_bytes)
             table = wc.kernel._axial_table(packet, pg, shells)
             outputs.add((table.tobytes(), wc.kernel.resolution_kernel(packet, pg, support).tobytes()))
         assert len(outputs) == 1
@@ -1120,6 +1134,16 @@ class TestSliceTasks:
         assert self.covered(many, 0) == [(0, slice(0, 200_000))]
         small = wc.make_parameter_grid(wc.Grid3.cubic(16, 16.0), packet, 0.3, 2.0, 24, 4, 3)
         assert self.covered(small, 16**3) == [(idx, slice(0, 24)) for idx in range(12)]
+
+    def test_blocks_cover_in_order_at_the_stated_sizes(self):
+        # max(1, _TASK_BYTES // item_bytes) items a block; items of 0 bytes make one block
+        budget = cwt._TASK_BYTES
+        cases = {(10, budget // 4): [4, 4, 2], (10, budget // 4 + 1): [3, 3, 3, 1],
+                 (3, 2 * budget): [1, 1, 1], (5, 1): [5], (7, 0): [7], (0, 8): [], (0, 0): []}
+        for (n, item_bytes), sizes in cases.items():
+            blocks = cwt._blocks(n, item_bytes)
+            assert [rows.stop - rows.start for rows in blocks] == sizes
+            assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
 
     def test_blocks_do_not_depend_on_threads(self, exp_sph, packet):
         grid = wc.Grid3.cubic(32, 32.0)

@@ -9,7 +9,9 @@ called in ``fields.py`` alone, the one owner of the lattice transforms, so
 rebinding its functions (as a traced benchmark run does) sees every FFT.
 The package reads no environment variable, and one helper,
 ``fields._positive_finite``, is the only check that a wave speed, time step,
-dilation or spacing is positive.  ``quadrature.py`` owns every quadrature
+dilation, spacing or catalog wavelet parameter is positive.  One rule,
+``cwt._blocks``, cuts every work loop into blocks, and it alone reads the
+task budget ``cwt._TASK_BYTES``.  ``quadrature.py`` owns every quadrature
 rule: ``quadrature._gauss_legendre`` is the only caller of numpy's
 Gauss-Legendre rule, and only that module's panel and sphere rules call it,
 so no other module builds its own panels or directions.
@@ -396,14 +398,16 @@ def test_module_reads_no_environment_variable(path):
     assert environment_reads(path.read_text()) == []
 
 
-# A wave speed c, a time step dt, a dilation a and a lattice spacing h_* are positive finite
-# numbers by one rule, fields._positive_finite, whose comparisons are on its argument x.  A
-# comparison of one of these names with 0 anywhere in the package is a second copy of it.
-POSITIVE_FINITE_NAMES = {"c", "dt", "a", "h", "h_x", "h_y", "h_z"}
+# A wave speed c, a time step dt, a dilation a, a lattice spacing h_* and the catalog wavelets'
+# parameters are positive finite numbers by one rule, fields._positive_finite, whose
+# comparisons are on its argument x.  A comparison of one of these names with 0 anywhere in
+# the package is a second copy of it.
+POSITIVE_FINITE_NAMES = {"c", "dt", "a", "h", "h_x", "h_y", "h_z",
+                         "alpha", "p", "gamma", "eps1", "eps2"}
 
 
 def zero_comparisons(source: str):
-    """Lines of ``source`` where ``c``, ``dt``, ``a`` or an ``h_*`` (or ``obj.<name>``) meets 0."""
+    """Lines of ``source`` where a name of POSITIVE_FINITE_NAMES (or ``obj.<name>``) meets 0."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
@@ -424,6 +428,46 @@ def test_guard_flags_a_second_positive_check():
     assert zero_comparisons(source) == [2, 4, 5, 5]
 
 
+def test_guard_flags_a_second_positive_check_of_a_wavelet_parameter():
+    source = ("def f(alpha, p, gamma, eps1, eps2, proxy):\n"
+              "    if not (alpha > 0) or p <= 0.0:\n        raise ValueError\n"
+              "    return eps1 == 0, 0 < gamma, proxy.eps2 > 0, p > 1, eps1 == eps2\n")
+    assert zero_comparisons(source) == [2, 2, 4, 4, 4]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_helper_checks_a_positive_quantity(path):
     assert zero_comparisons(path.read_text()) == []
+
+
+# Every work loop (slice tasks, the axial table's dilation blocks, its Clenshaw chunks, the
+# node-orbit chunks) is cut by cwt._blocks, the one reader of the task budget; a second reader
+# would be a second block rule with its own arithmetic.
+def task_budget_readers(source: str):
+    """The top-level functions of ``source`` that read ``_TASK_BYTES`` (or ``obj._TASK_BYTES``).
+
+    A read outside every function is named ``<module>``, an import of the name ``<import>``.
+    """
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_TASK_BYTES" for a in node.names):
+                found.add("<import>")
+            elif (getattr(node, "id", getattr(node, "attr", None)) == "_TASK_BYTES"
+                  and isinstance(node.ctx, ast.Load)):
+                found.add(top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                          else "<module>")
+    return found
+
+
+def test_guard_flags_a_second_task_budget_reader():
+    source = ("from .cwt import _TASK_BYTES, _blocks\nHALF = _TASK_BYTES // 2\n\n"
+              "def _blocks(n, item):\n    return _TASK_BYTES // item\n\n"
+              "def chunk(n):\n    return max(1, cwt._TASK_BYTES // (8 * n))\n\n"
+              "def fine(n):\n    _TASK_BYTES = n\n    return '_TASK_BYTES', _blocks(n, 8)\n")
+    assert task_budget_readers(source) == {"<import>", "<module>", "_blocks", "chunk"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_block_rule_reads_the_task_budget(path):
+    assert task_budget_readers(path.read_text()) == ({"_blocks"} if path.name == "cwt.py" else set())

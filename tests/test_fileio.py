@@ -260,6 +260,23 @@ def test_coefficient_readers_take_the_integer_rule_for_counts(tmp_path, grid16, 
             read(path)
 
 
+@pytest.mark.parametrize("new", [b'"axis": [0.0, 0.0, 0.0]', b'"axis": [NaN, 0.0, 1.0]',
+                                 b'"axis": [1e-320, 0.0, 0.0]', b'"axis": [1.0, 0.0]'],
+                         ids=["zero", "nan", "underflow", "2-vector"])
+def test_coefficient_readers_take_the_axis_rule(tmp_path, grid16, new):
+    # the wavelet's axis rule: zero, NaN and underflowing axes once read as the z axis
+    path = tmp_path / "u.wcf"
+    pg = wc.build_parameter_grid(grid16, "axial", (1.0, 0.0, 0.0), 0.5, 2.0, 2, 3, 2)
+    wc.write_coefficients(path, wc.WaveletCoefficients(
+        pg, np.ones((2, 6) + grid16.shape, dtype=complex), "plus", 1.0), c=1.0)
+    blob = path.read_bytes()
+    assert blob.count(b'"axis": [1.0, 0.0, 0.0]') == 1
+    path.write_bytes(blob.replace(b'"axis": [1.0, 0.0, 0.0]', new))
+    for read in (wc.read_coefficients, wc.open_coefficients):
+        with pytest.raises(wc.ValidationError, match="axis"):
+            read(path)
+
+
 @pytest.mark.parametrize("header", [
     b"[1]",
     b'{"version": 1, "dtype": "c128le"}',

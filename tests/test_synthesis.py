@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavecwt as wc
+from wavecwt.cwt import _require_constant
 from conftest import band_limited_spectrum, rel_l2
 
 
@@ -72,6 +73,29 @@ class TestReconstruct:
         broken = wc.WaveletCoefficients(exp_sph_pgrid, coeffs.values, "minus", 0.0)
         with pytest.raises(wc.ValidationError):
             wc.reconstruct(broken, exp_sph, 0.0)
+
+
+class TestZeroConstant:
+    """``cwt._require_constant`` refuses a zero constant, given or computed."""
+
+    @pytest.fixture(scope="class")
+    def vanishing(self):
+        # eps = 1e300 puts exp(-(ky^2 eps1 + kz^2 eps2) / ...) under the floor off the kx axis
+        return wc.make_wavelet("bateman", {"eps1": 1e300, "eps2": 1e300})
+
+    def test_a_computed_zero_is_refused(self, grid16, vanishing):
+        assert wc.admissibility_constant(vanishing).value == 0.0
+        u = band_limited_spectrum(grid16, 0.7, 1.6, 63)
+        pg = wc.make_parameter_grid(grid16, vanishing, 0.5, 2.0, 2, 2, 2)
+        with pytest.raises(wc.ValidationError, match="constant is zero"):
+            wc.project(u, vanishing, pg)
+        with pytest.raises(wc.ValidationError, match="constant is zero"):
+            wc.analyze(u, "plus", vanishing, pg)
+
+    @pytest.mark.parametrize("zero", [0.0, 0j, -0.0, 0])
+    def test_a_given_zero_is_refused(self, exp_sph, zero):
+        with pytest.raises(wc.ValidationError, match="constant is zero"):
+            _require_constant(exp_sph, zero)
 
 
 class TestReconstructCross:

@@ -1,5 +1,6 @@
 """Catalog wavelets: rotations, family action, closed forms, derived wavelets."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -555,6 +556,49 @@ class TestTimeReverse:
             assert rel_l2(a.values, b.values) <= 1e-12
 
 
+# Every parameter of every constructor that takes a catalog parameter, with values that
+# complete the call; each is refused unless it is a positive finite number.
+CONSTRUCTORS = {
+    "kaiser_proxy": (wc.kaiser_proxy, {"alpha": 3.0}),
+    "kaiser_wavelet": (wc.kaiser_wavelet, {"alpha": 3.0}),
+    "gaussian_packet_proxy": (wc.gaussian_packet_proxy, {"p": 40.0, "gamma": 1.0}),
+    "bateman_from_proxy": (lambda **kw: wc.bateman_from_proxy(wc.exponential_proxy(False), **kw),
+                           {"eps1": 0.5, "eps2": 0.5}),
+    "gaussian_packet": (wc.gaussian_packet, {"p": 40.0, "gamma": 1.0, "eps1": 0.5, "eps2": 0.5}),
+    "morlet_asymptote": (wc.morlet_asymptote,
+                         {"p": 40.0, "gamma": 1.0, "eps1": 0.5, "eps2": 0.5}),
+}
+CONSTRUCTOR_PARAMETERS = [(name, key) for name, (_, kw) in CONSTRUCTORS.items() for key in kw]
+
+
+@pytest.mark.parametrize("value", [True, np.inf, np.nan, 0, -1.0], ids=repr)
+@pytest.mark.parametrize("constructor, key", CONSTRUCTOR_PARAMETERS, ids="-".join)
+def test_every_parameter_is_positive_finite(constructor, key, value):
+    # True and inf once passed "not (x > 0)"; an infinite packet p ended in ZeroDivisionError
+    build, kwargs = CONSTRUCTORS[constructor]
+    build(**kwargs)
+    with pytest.raises(wc.ValidationError, match=f"{key}={value!r} must be a positive finite"):
+        build(**{**kwargs, key: value})
+
+
+@pytest.mark.parametrize("constructor, key, value", [
+    ("kaiser_proxy", "alpha", 1e300), ("kaiser_proxy", "alpha", 172.0),
+    ("kaiser_proxy", "alpha", 1e-320), ("kaiser_wavelet", "alpha", 1e300),
+    ("gaussian_packet_proxy", "p", 1e300), ("gaussian_packet", "p", 1e155),
+    ("morlet_asymptote", "gamma", 1e300),
+], ids=str)
+def test_parameters_whose_derived_numbers_overflow(constructor, key, value):
+    # Gamma(alpha), p**2 and gamma**2 once raised OverflowError where they were computed
+    build, kwargs = CONSTRUCTORS[constructor]
+    with pytest.raises(wc.ValidationError, match=f"{key}(=.*: Gamma.* overflows| squared=inf)"):
+        build(**{**kwargs, key: value})
+
+
+def test_largest_kaiser_alpha_builds():
+    proxy = wc.kaiser_proxy(171.0, validate=False)
+    assert proxy.time_profile(0.0) == pytest.approx(math.gamma(171.0) / np.pi)
+
+
 class TestCatalogFactory:
     def test_names(self):
         assert wc.CATALOG_NAMES == ("kaiser", "exp-spherical", "bateman", "gaussian-packet")
@@ -566,6 +610,26 @@ class TestCatalogFactory:
     def test_unused_parameter_rejected(self):
         with pytest.raises(wc.ValidationError, match="unused"):
             wc.make_wavelet("kaiser", {"alpha": 3.0, "bogus": 1.0})
+
+    @pytest.mark.parametrize("name, params", [("kaiser", {"alpha": "abc"}),
+                                               ("gaussian-packet", {"p": "4O"}),
+                                               ("bateman", {"eps1": [0.5]}),
+                                               ("bateman", {"proxy": "kaiser", "proxy_alpha": ""})],
+                             ids=str)
+    def test_a_value_that_is_not_a_number_is_refused(self, name, params):
+        # float() once ran twice, and "abc" ended in a bare ValueError
+        with pytest.raises(wc.ValidationError, match="is not a number"):
+            wc.make_wavelet(name, params)
+
+    def test_numeric_text_is_the_number(self):
+        assert wc.make_wavelet("kaiser", {"alpha": " 3.5 "}).params == (("alpha", 3.5),)
+        text = wc.make_wavelet("bateman", {"proxy": "kaiser", "proxy_alpha": "4", "eps1": "1"})
+        assert text.params == wc.make_wavelet("bateman", {"proxy": "kaiser", "proxy_alpha": 4.0,
+                                                          "eps1": 1.0}).params
+
+    def test_a_bool_value_is_left_to_the_constructor(self):
+        with pytest.raises(wc.ValidationError, match="alpha=True must be a positive finite"):
+            wc.make_wavelet("kaiser", {"alpha": True})
 
     def test_kaiser_proxy_bateman(self):
         w = wc.make_wavelet("bateman", {"proxy": "kaiser", "proxy_alpha": 4.0,
