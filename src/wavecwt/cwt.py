@@ -85,7 +85,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Sequence, Tuple
 
@@ -150,44 +150,72 @@ def rotation_about(axis, angle) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParameterGrid:
     """Quadrature grid over (a, rotation, b) with composite measure weights.
 
-    a_weights already carry the da/a^4 measure; rotation_weights sum to
-    4 pi (one or two angles) or 8 pi^2 (three angles); the b lattice is the
-    field grid with weight cell_volume.  ``constant_factor`` multiplies the
+    The compared fields are the grid's description, which a WCF header
+    carries: the field lattice (the b lattice, weight cell_volume), the
+    symmetry tag and unit axis, the dilation window ``[a_min, a_max]`` with
+    ``n_a`` nodes, and the angle counts ``angle_shape`` (none when
+    spherical, ``(n_theta1, n_theta2)`` when axial, three when "none").
+    Equality and hashing read the description alone: the arrays follow
+    from it, built once in ``__post_init__``.  a_weights already carry the
+    da/a^4 measure; rotation_weights sum to 4 pi (one or two angles) or
+    8 pi^2 (three angles).  ``constant_factor`` multiplies the
     admissibility constant in every resolution-of-identity statement.
+    Build grids with :func:`build_parameter_grid`, which checks the
+    description.
     """
 
     field_grid: Grid3
     symmetry: str
     axis: Tuple[float, float, float]
-    a_nodes: np.ndarray
-    a_weights: np.ndarray
-    rotations: np.ndarray
-    rotation_weights: np.ndarray
+    a_min: float
+    a_max: float
+    n_a: int
     angle_shape: Tuple[int, ...]
-    constant_factor: float
+    a_nodes: np.ndarray = field(init=False, compare=False, repr=False)
+    a_weights: np.ndarray = field(init=False, compare=False, repr=False)
+    rotations: np.ndarray = field(init=False, compare=False, repr=False)
+    rotation_weights: np.ndarray = field(init=False, compare=False, repr=False)
+    constant_factor: float = field(init=False, compare=False, repr=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, ParameterGrid):
-            return NotImplemented
-        return (
-            self.field_grid == other.field_grid
-            and self.symmetry == other.symmetry
-            and self.axis == other.axis
-            and self.angle_shape == other.angle_shape
-            and self.constant_factor == other.constant_factor
-            and np.array_equal(self.a_nodes, other.a_nodes)
-            and np.array_equal(self.rotations, other.rotations)
-        )
+    def __post_init__(self):
+        a_min, a_max, n_a, axis = self.a_min, self.a_max, self.n_a, self.axis
+        t = np.linspace(np.log(a_min), np.log(a_max), n_a)
+        trap = np.full(n_a, t[1] - t[0])
+        trap[0] *= 0.5
+        trap[-1] *= 0.5
+        a_nodes = np.exp(t)
+        # exp(log(x)) can miss x by an ulp; pinned ends make a recorded window rebuild these nodes
+        a_nodes[[0, -1]] = a_min, a_max
+        a_weights = trap * a_nodes**-3.0  # da/a^4 = d(log a) * a^-3
 
-    __hash__ = object.__hash__
-
-    @property
-    def n_a(self) -> int:
-        return len(self.a_nodes)
+        if self.symmetry == "spherical":
+            rotations = np.eye(3)[None, :, :]
+            rotation_weights = np.array([4.0 * np.pi])
+            factor = 1.0
+        else:
+            # theta1-major stacks: angles broadcast along (theta1, theta2[, theta3])
+            theta1, mu, weights = _sphere_rule(*self.angle_shape[:2])
+            theta2 = np.arccos(mu)
+            if self.symmetry == "axial":
+                r1 = rotation_about(axis, theta1)[:, None]
+                rotations = r1 @ rotation_about(_tilt_axis(axis), theta2)[None, :]
+                rotation_weights = weights.ravel()
+                factor = 1.0
+            else:
+                n_theta3 = self.angle_shape[2]
+                theta3 = 2.0 * np.pi * np.arange(n_theta3) / n_theta3
+                r12 = _rot_z(theta1)[:, None] @ _rot_x(theta2)[None, :]
+                rotations = r12[:, :, None] @ _rot_z(theta3)[None, None, :]
+                rotation_weights = np.repeat(weights.ravel() * (2.0 * np.pi / n_theta3), n_theta3)
+                factor = 2.0 * np.pi
+            rotations = rotations.reshape(-1, 3, 3)
+        # frozen: the arrays are filled past __init__
+        self.__dict__.update(a_nodes=a_nodes, a_weights=a_weights, rotations=rotations,
+                             rotation_weights=rotation_weights, constant_factor=factor)
 
     @property
     def n_rotations(self) -> int:
@@ -216,14 +244,9 @@ class ParameterGrid:
             raise GridMismatchError("field grid of data and parameter grid differ")
 
     def describe(self) -> dict:
-        return {
-            "symmetry": self.symmetry,
-            "axis": list(self.axis),
-            "a_min": float(self.a_nodes[0]),
-            "a_max": float(self.a_nodes[-1]),
-            "n_a": int(self.n_a),
-            "angle_shape": list(self.angle_shape),
-        }
+        """The description as a WCF header holds it: every compared field but the field lattice."""
+        return dict(symmetry=self.symmetry, axis=list(self.axis), a_min=self.a_min,
+                    a_max=self.a_max, n_a=self.n_a, angle_shape=list(self.angle_shape))
 
 
 def make_parameter_grid(field_grid: Grid3, wavelet: PhysicalWavelet, a_min: float,
@@ -239,13 +262,16 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
                          n_theta3: int = 8) -> ParameterGrid:
     """Parameter grid from an explicit symmetry/axis description.
 
-    Each end of the dilation window is a positive finite number
+    Checks the description and makes the one :class:`ParameterGrid` it
+    names.  Each end of the dilation window is a positive finite number
     (:func:`~wavecwt.fields._positive_finite`, so ``True`` is refused),
     checked before ``a_min < a_max``.  Every count is an integer by
     :func:`~wavecwt.fields._integer` (a bool or 2.5 is not one): ``n_a``
-    at least 2 and each angle count at least 1.  The axis is scaled to unit
-    length by :func:`~wavecwt.wavelets._unit_axis`, which refuses one that is
-    not a finite nonzero 3-vector.
+    at least 2 and each angle count at least 1, also the counts that
+    ``symmetry`` does not use, which the grid's ``angle_shape`` leaves out.
+    The axis is scaled to unit length by
+    :func:`~wavecwt.wavelets._unit_axis`, which refuses one that is not a
+    finite nonzero 3-vector and keeps a unit axis as it is.
     """
     if symmetry not in ("spherical", "axial", "none"):
         raise ValidationError(f"unknown symmetry tag {symmetry!r}")
@@ -257,51 +283,15 @@ def build_parameter_grid(field_grid: Grid3, symmetry: str, axis, a_min: float,
     counts = [_integer(n_a, 2)] + [_integer(n, 1) for n in (n_theta1, n_theta2, n_theta3)]
     if None in counts:
         raise ValidationError("need integer node counts: n_a >= 2, >= 1 per rotation angle")
-    n_a, n_theta1, n_theta2, n_theta3 = counts
-    axis = _unit_axis(axis)
-    t = np.linspace(np.log(a_min), np.log(a_max), n_a)
-    trap = np.full(n_a, t[1] - t[0])
-    trap[0] *= 0.5
-    trap[-1] *= 0.5
-    a_nodes = np.exp(t)
-    # exp(log(x)) can miss x by an ulp; pinned ends make a recorded window rebuild these nodes
-    a_nodes[[0, -1]] = a_min, a_max
-    a_weights = trap * a_nodes**-3.0  # da/a^4 = d(log a) * a^-3
-
-    if symmetry == "spherical":
-        rotations = np.eye(3)[None, :, :]
-        rotation_weights = np.array([4.0 * np.pi])
-        angle_shape: Tuple[int, ...] = ()
-        factor = 1.0
-    else:
-        # theta1-major stacks: angles broadcast along (theta1, theta2[, theta3])
-        theta1, mu, weights = _sphere_rule(n_theta1, n_theta2)
-        theta2 = np.arccos(mu)
-        if symmetry == "axial":
-            r1 = rotation_about(axis, theta1)[:, None]
-            rotations = r1 @ rotation_about(_tilt_axis(axis), theta2)[None, :]
-            rotation_weights = weights.ravel()
-            angle_shape = (n_theta1, n_theta2)
-            factor = 1.0
-        else:
-            theta3 = 2.0 * np.pi * np.arange(n_theta3) / n_theta3
-            r12 = _rot_z(theta1)[:, None] @ _rot_x(theta2)[None, :]
-            rotations = r12[:, :, None] @ _rot_z(theta3)[None, None, :]
-            rotation_weights = np.repeat(weights.ravel() * (2.0 * np.pi / n_theta3), n_theta3)
-            angle_shape = (n_theta1, n_theta2, n_theta3)
-            factor = 2.0 * np.pi
-        rotations = rotations.reshape(-1, 3, 3)
-    axis_t = tuple(float(v) for v in axis)
-    return ParameterGrid(field_grid, symmetry, axis_t, a_nodes, a_weights,
-                         rotations, rotation_weights, angle_shape, factor)
+    axis = tuple(float(v) for v in _unit_axis(axis))
+    angle_shape = tuple(counts[1:1 + {"spherical": 0, "axial": 2}.get(symmetry, 3)])
+    return ParameterGrid(field_grid, symmetry, axis, a_min, a_max, counts[0], angle_shape)
 
 
 def refine(grid: ParameterGrid, wavelet: PhysicalWavelet) -> ParameterGrid:
     """Same ranges with every node count doubled."""
-    return make_parameter_grid(
-        grid.field_grid, wavelet, float(grid.a_nodes[0]), float(grid.a_nodes[-1]),
-        2 * grid.n_a, *(2 * n for n in grid.angle_shape),
-    )
+    return make_parameter_grid(grid.field_grid, wavelet, grid.a_min, grid.a_max, 2 * grid.n_a,
+                               *(2 * n for n in grid.angle_shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -745,7 +735,7 @@ def combine_initial_coefficients(w_coeffs: WaveletCoefficients,
     The minus sign applies to the "plus" family and vice versa; the dilation
     factor comes from the derived-wavelet family carrying an explicit a.
     """
-    if w_coeffs.nu_grid is not v_coeffs.nu_grid and w_coeffs.nu_grid != v_coeffs.nu_grid:
+    if w_coeffs.nu_grid != v_coeffs.nu_grid:
         raise ValidationError("coefficient sets live on different parameter grids")
     if w_coeffs.sign != v_coeffs.sign:
         raise ValidationError("coefficient sets carry different signs")

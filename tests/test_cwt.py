@@ -29,6 +29,21 @@ class TestParameterGrid:
         assert pg.rotation_weights.sum() == pytest.approx(4 * np.pi, abs=1e-12)
         assert pg.constant_factor == 1.0
 
+    def test_the_description_is_the_grid(self, grid16):
+        # built twice from one description: equal, and one key; an unused third count is no part
+        first = wc.build_parameter_grid(grid16, "axial", (1.0, 2.0, 2.0), 0.5, 2.0, 4, 6, 3)
+        again = wc.build_parameter_grid(grid16, "axial", (1.0, 2.0, 2.0), 0.5, 2.0, 4, 6, 3, 5)
+        assert again is not first and again == first
+        assert {first: "kept"}[again] == "kept"
+        none = wc.build_parameter_grid(grid16, "none", (1.0, 2.0, 2.0), 0.5, 2.0, 4, 6, 3, 2)
+        for one, other in [
+            (first, wc.build_parameter_grid(grid16, "axial", (1.0, 2.0, 2.0), 0.5, 2.0, 4, 6, 4)),
+            (first, wc.build_parameter_grid(grid16, "axial", (1.0, 2.0, 2.0), 0.5, 2.0, 4, 5, 3)),
+            (none, wc.build_parameter_grid(grid16, "none", (1.0, 2.0, 2.0), 0.5, 2.0, 4, 6, 3, 3)),
+        ]:
+            assert one != other
+            assert len({one: 1, other: 2}) == 2
+
     def test_spherical_skips_angles(self, grid16, exp_sph):
         pg = wc.make_parameter_grid(grid16, exp_sph, 0.5, 2.0, 8)
         assert pg.angle_shape == ()
@@ -73,8 +88,8 @@ class TestParameterGrid:
                 idx += 1
 
     def test_rotation_stacks_match_per_angle_loop(self, grid16):
-        def rodrigues(axis, angle):
-            x, y, z = np.asarray(axis) / np.linalg.norm(axis)
+        def rodrigues(axis, angle):  # a unit axis, taken as given
+            x, y, z = axis
             k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
             return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 

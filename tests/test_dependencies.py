@@ -234,7 +234,7 @@ SYMMETRY_READERS = {
     "wavelets.py": {"PhysicalWavelet.__post_init__", "time_reverse", "time_derivative_wavelet",
                     "time_antiderivative_wavelet"},
     "admissibility.py": {"_angular_profile", "_constant", "cross_admissibility_constant"},
-    "cwt.py": {"ParameterGrid.__eq__", "ParameterGrid.check_route", "ParameterGrid.describe",
+    "cwt.py": {"ParameterGrid.__post_init__", "ParameterGrid.check_route", "ParameterGrid.describe",
                "make_parameter_grid", "_sweep"},
     "kernel.py": {"resolution_kernel"},
     "orbits.py": {"_symmetry_plan"},

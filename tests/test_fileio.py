@@ -115,17 +115,24 @@ def test_wcf_nu_grid_header_is_the_grid_description(tmp_path, symmetry):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(lo=st.integers(1, 2999), width=st.integers(1, 2999), n_a=st.integers(2, 24))
-@example(lo=269, width=216, n_a=5)  # exp(log(0.485)) is 0.48499999999999993
-def test_parameter_grid_survives_wcf_round_trip(tmp_path_factory, exp_sph, lo, width, n_a):
+@given(lo=st.integers(1, 2999), width=st.integers(1, 2999), n_a=st.integers(2, 24),
+       symmetry=st.sampled_from(["spherical", "axial", "none"]),
+       axis=st.tuples(*[st.integers(-9, 9)] * 3).filter(any))
+# exp(log(0.485)) is 0.48499999999999993; a unit axis scaled again would move by an ulp
+@example(lo=269, width=216, n_a=5, symmetry="spherical", axis=(0, 0, 1))
+@example(lo=500, width=1500, n_a=2, symmetry="axial", axis=(1, 2, 2))
+@example(lo=500, width=1500, n_a=2, symmetry="axial", axis=(0.3, 0.4, 0.5))
+@example(lo=500, width=1500, n_a=2, symmetry="none", axis=(1, 1, 0))
+def test_parameter_grid_survives_wcf_round_trip(tmp_path_factory, lo, width, n_a, symmetry, axis):
     grid = wc.Grid3.cubic(8, 8.0)
-    pg = wc.make_parameter_grid(grid, exp_sph, lo / 1000, (lo + width) / 1000, n_a)
-    coeffs = wc.WaveletCoefficients(pg, np.zeros((n_a, 1) + grid.shape, dtype=complex),
-                                    "minus", 1.0)
+    pg = wc.build_parameter_grid(grid, symmetry, axis, lo / 1000, (lo + width) / 1000, n_a, 2, 2, 2)
+    coeffs = wc.WaveletCoefficients(pg, np.zeros(pg.coefficient_shape, dtype=complex), "minus", 1.0)
     path = tmp_path_factory.mktemp("window") / "window.wcf"
     wc.write_coefficients(path, coeffs)
-    back, _ = wc.read_coefficients(path)
-    assert back.nu_grid == pg
+    for read in (wc.open_coefficients, wc.read_coefficients):
+        back, _ = read(path)
+        assert back.nu_grid == pg
+        assert hash(back.nu_grid) == hash(pg)
     assert wc.weighted_pairing(back, coeffs) == 0
 
 

@@ -594,6 +594,14 @@ def test_parameters_whose_derived_numbers_overflow(constructor, key, value):
         build(**{**kwargs, key: value})
 
 
+@pytest.mark.parametrize("alpha", [120.0, 150.0, 171.0])
+def test_a_spot_check_that_overflows_is_refused(alpha):
+    # from about 150 the spectrum overflows and the error is NaN, which is refused too; warnings
+    # are errors here, so the refusal must be the only outcome
+    with pytest.raises(wc.ValidationError, match="spot check error"):
+        wc.kaiser_proxy(alpha)
+
+
 def test_largest_kaiser_alpha_builds():
     proxy = wc.kaiser_proxy(171.0, validate=False)
     assert proxy.time_profile(0.0) == pytest.approx(math.gamma(171.0) / np.pi)
